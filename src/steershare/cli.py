@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -10,8 +11,7 @@ import numpy as np
 
 from . import scenario
 from .errors import SteershareError
-from .steering import StrengthHistory, classical_bound, closed_form_local, \
-    closed_form_nonlocal
+from .steering import classical_bound, closed_forms
 
 
 def _parse_fix(items: list[str]) -> dict[str, float]:
@@ -33,13 +33,11 @@ def cmd_demo(_args) -> None:
     print(f"lambda(1)=0.5, lambda(2)=0.8:  S2(2) = {results[1].steering_value:.4f}"
           f"  (local S~2(2) = {local[1].steering_value:.4f})")
 
-    h = StrengthHistory.nonlocal_history([(0.4, 0.4), (0.8, 0.8), (0.95, 0.95)])
-    hl = StrengthHistory.local_sqrt([(0.4, 0.4), (0.8, 0.8), (0.95, 0.95)])
-    print("lambda = 0.4 / 0.8 / 0.95:  "
-          f"S2(2) = {closed_form_nonlocal(h, 2):.4f}, "
-          f"S2(3) = {closed_form_nonlocal(h, 3):.4f}, "
-          f"S~2(2) = {closed_form_local(hl, 2):.4f}, "
-          f"S~2(3) = {closed_form_local(hl, 3):.4f}")
+    lams, gammas = [0.4, 0.8, 0.95], np.sqrt([0.4, 0.8, 0.95])
+    _, s2, s3 = closed_forms(lams, lams, lams, lams)
+    _, st2, st3 = closed_forms(lams, lams, gammas, gammas)
+    print(f"lambda = 0.4 / 0.8 / 0.95:  S2(2) = {s2:.4f}, S2(3) = {s3:.4f}, "
+          f"S~2(2) = {st2:.4f}, S~2(3) = {st3:.4f}")
 
     for case in ("unequal_local", "equal_nonlocal", "unequal_nonlocal"):
         lo, hi = scenario.simultaneous_window(case)
@@ -156,8 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parse_args leaves the parser unchanged
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except SteershareError as exc:

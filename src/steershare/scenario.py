@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -25,8 +26,7 @@ from .steering import (
     SteeringEllipsoid,
     StrengthHistory,
     classical_bound,
-    closed_form_local,
-    closed_form_nonlocal,
+    closed_forms,
     ellipsoid,
     steering_parameter,
 )
@@ -218,16 +218,46 @@ class ScanRecord:
 
 def _region_label(s: tuple[float, ...], st: tuple[float, ...], bound: float) -> str:
     """Activation labels: I (II) marks pair 2 (pair 3) steering nonlocally only."""
-    flags = []
-    names = {1: "I", 2: "II"}
-    for i in range(1, min(len(s), len(st))):
-        if s[i] > bound and st[i] <= bound and i in names:
-            flags.append(names[i])
-    return "+".join(flags)
+    return "+".join(n for n, a, b in zip(("I", "II"), s[1:], st[1:]) if a > bound >= b)
 
 
-def _grid(resolution: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, resolution)
+def _check_strengths(lam1: list, lam2: list) -> None:
+    """Reject strengths outside [0, 1] or NaN, naming the first bad pair."""
+    a = np.asarray([lam1, lam2], dtype=float).reshape(2, len(lam1), -1)
+    bad = ~((a >= 0.0) & (a <= 1.0)).all(axis=0)  # (pair, history)
+    if bad.any():
+        k, j = np.argwhere(bad.T)[0]  # first bad history, then its first bad pair
+        raise ConfigError(f"strengths {tuple(a[:, j, k].tolist())} outside [0, 1]")
+
+
+def _mode_closed_forms(mode: str, lam1: list, lam2: list) -> tuple[list, list]:
+    """Nonlocal S and local S~ of every pair, each [] where `mode` leaves it out.
+
+    Strengths are floats or equal-shape arrays, as for `closed_forms`;
+    local pairs split lambda as eta = gamma = sqrt(lambda)."""
+    if mode not in ("nonlocal", "local", "compare"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    s = closed_forms(lam1, lam2, lam1, lam2) if mode != "local" else []
+    st = (closed_forms(lam1, lam2, [np.sqrt(x) for x in lam1], [np.sqrt(x) for x in lam2])
+          if mode != "nonlocal" else [])
+    return s, st
+
+
+def _records(mode: str, lam1: list, lam2: list, params: list[dict]) -> list[ScanRecord]:
+    """One record per history, i.e. per element of the pair strength arrays."""
+    _check_strengths(lam1, lam2)
+    # Rows hold plain Python floats (tolist), never numpy scalars.
+    rows = [zip(*[c.tolist() for c in cols]) if cols else itertools.repeat(())
+            for cols in _mode_closed_forms(mode, lam1, lam2)]
+    return [ScanRecord(params=p, s=s, st=st, region=_region_label(s, st, SQRT_HALF),
+                       bound=SQRT_HALF) for p, s, st in zip(params, *rows)]
+
+
+def _grid_strengths(resolution: int, last_pair_strength: float) -> list[np.ndarray]:
+    """Per-pair strengths of every grid cell, row-major over (lambda1, lambda2)."""
+    grid = np.linspace(0.0, 1.0, resolution)
+    l1, l2 = np.repeat(grid, resolution), np.tile(grid, resolution)
+    return [l1, l2, np.full_like(l1, last_pair_strength)]
 
 
 def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare",
@@ -239,39 +269,14 @@ def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare",
     """
     if resolution < 2:
         raise ConfigError("grid resolution must be at least 2")
-    bound = SQRT_HALF
-    records = []
-    for l1 in _grid(resolution):
-        for l2 in _grid(resolution):
-            lams = [(l1, l1), (l2, l2), (last_pair_strength,) * 2][:pairs]
-            s = st = ()
-            if mode in ("nonlocal", "compare"):
-                h = StrengthHistory.nonlocal_history(lams)
-                s = tuple(closed_form_nonlocal(h, i) for i in range(1, pairs + 1))
-            if mode in ("local", "compare"):
-                h = StrengthHistory.local_sqrt(lams)
-                st = tuple(closed_form_local(h, i) for i in range(1, pairs + 1))
-            records.append(ScanRecord(
-                params={"lambda1": float(l1), "lambda2": float(l2)},
-                s=s, st=st, region=_region_label(s, st, bound), bound=bound,
-            ))
-    return records
+    if not 1 <= pairs <= 3:
+        raise ConfigError(f"pairs={pairs} outside supported scan range 1..3")
+    l1, l2, l3 = _grid_strengths(resolution, last_pair_strength)
+    params = [{"lambda1": a, "lambda2": b} for a, b in zip(l1.tolist(), l2.tolist())]
+    return _records(mode, [l1, l2, l3][:pairs], [l1, l2, l3][:pairs], params)
 
 
 _PARAM_RE = re.compile(r"^lambda([12]?)_([1-4])$")
-
-
-def _history_from_params(params: dict[str, float], pairs: int, mode: str
-                         ) -> StrengthHistory:
-    lams = []
-    for i in range(1, pairs + 1):
-        both = params.get(f"lambda_{i}")
-        l1 = params.get(f"lambda1_{i}", both if both is not None else 1.0)
-        l2 = params.get(f"lambda2_{i}", both if both is not None else 1.0)
-        lams.append((float(l1), float(l2)))
-    if mode == "local":
-        return StrengthHistory.local_sqrt(lams)
-    return StrengthHistory.nonlocal_history(lams)
 
 
 def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
@@ -287,23 +292,14 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
             raise ConfigError(f"unknown parameter id {name!r}")
     if samples < 2:
         raise ConfigError("need at least two samples")
-    bound = SQRT_HALF
-    records = []
-    for v in np.linspace(start, stop, samples):
-        params = dict(fixed)
-        params[vary] = float(v)
-        s = st = ()
-        if mode in ("nonlocal", "compare"):
-            h = _history_from_params(params, pairs, "nonlocal")
-            s = tuple(closed_form_nonlocal(h, i) for i in range(1, pairs + 1))
-        if mode in ("local", "compare"):
-            h = _history_from_params(params, pairs, "local")
-            st = tuple(closed_form_local(h, i) for i in range(1, pairs + 1))
-        records.append(ScanRecord(
-            params={"param": float(v)},
-            s=s, st=st, region=_region_label(s, st, bound), bound=bound,
-        ))
-    return records
+    if not 1 <= pairs <= 4:
+        raise ConfigError(f"pairs={pairs} outside supported range 1..4")
+    params = {name: np.full(samples, float(v)) for name, v in fixed.items()}
+    params[vary] = values = np.linspace(start, stop, samples)
+    both = [params.get(f"lambda_{i}", np.ones(samples)) for i in range(1, pairs + 1)]
+    lam1 = [params.get(f"lambda1_{i}", b) for i, b in enumerate(both, start=1)]
+    lam2 = [params.get(f"lambda2_{i}", b) for i, b in enumerate(both, start=1)]
+    return _records(mode, lam1, lam2, [{"param": v} for v in values.tolist()])
 
 
 @dataclass(frozen=True)
@@ -336,19 +332,13 @@ def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[Ellipsoi
 def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal",
                            last_pair_strength: float = 1.0) -> int:
     """Largest number of pairs that beat the bound anywhere on the strength grid."""
-    bound = SQRT_HALF
-    closed_form = closed_form_nonlocal if mode == "nonlocal" else closed_form_local
-    best = 0
-    for l1 in _grid(resolution):
-        for l2 in _grid(resolution):
-            lams = [(l1, l1), (l2, l2), (last_pair_strength,) * 2]
-            if mode == "local":
-                h = StrengthHistory.local_sqrt(lams)
-            else:
-                h = StrengthHistory.nonlocal_history(lams)
-            count = sum(closed_form(h, i) > bound for i in (1, 2, 3))
-            best = max(best, count)
-    return best
+    if mode == "compare":
+        raise ConfigError("max_simultaneous_pairs counts one mode, 'nonlocal' or 'local'")
+    lams = _grid_strengths(resolution, last_pair_strength)
+    _check_strengths(lams, lams)
+    s, st = _mode_closed_forms(mode, lams, lams)
+    count = sum(v > SQRT_HALF for v in s or st)
+    return int(count.max(initial=0))
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-9) -> float:
@@ -376,25 +366,19 @@ def simultaneous_window(case: str, tol: float = 1e-9) -> tuple[float, float]:
     1/sqrt(2) and sweep lambda2^(1); "equal_nonlocal" sweeps both pair-1
     strengths together.  Pair 2 measures sharply.
     """
-    bound = SQRT_HALF
-
-    def values(l2: float) -> tuple[float, float]:
-        if case == "equal_nonlocal":
-            lams = [(l2, l2), (1.0, 1.0)]
-        else:
-            lams = [(SQRT_HALF, l2), (1.0, 1.0)]
-        if case == "unequal_local":
-            h = StrengthHistory.local_sqrt(lams)
-            return closed_form_local(h, 1), closed_form_local(h, 2)
-        if case in ("equal_nonlocal", "unequal_nonlocal"):
-            h = StrengthHistory.nonlocal_history(lams)
-            return closed_form_nonlocal(h, 1), closed_form_nonlocal(h, 2)
+    if case not in ("unequal_local", "equal_nonlocal", "unequal_nonlocal"):
         raise ConfigError(f"unknown case {case!r}")
+    mode = case.split("_")[1]
+
+    def values(l2: float) -> list:
+        first = l2 if case == "equal_nonlocal" else SQRT_HALF
+        s, st = _mode_closed_forms(mode, [first, 1.0], [l2, 1.0])
+        return s or st
 
     # Pair 1's parameter rises with lambda2 while pair 2's falls, so the
     # window endpoints are single roots on [0, 1].
-    lo = bisect_root(lambda l2: values(l2)[0] - bound, 0.0, 1.0, tol)
-    hi = bisect_root(lambda l2: values(l2)[1] - bound, lo, 1.0, tol)
+    lo = bisect_root(lambda l2: values(l2)[0] - SQRT_HALF, 0.0, 1.0, tol)
+    hi = bisect_root(lambda l2: values(l2)[1] - SQRT_HALF, lo, 1.0, tol)
     return lo, hi
 
 

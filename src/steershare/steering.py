@@ -27,9 +27,9 @@ DEGENERACY_TOL = 1e-9
 AXIS_TOL = 1e-9
 
 
-def coherence(strength: float) -> float:
+def coherence(strength):
     """Coherence retained after an unsharp measurement, sqrt(1 - strength^2)."""
-    return float(np.sqrt(1.0 - strength * strength))
+    return np.sqrt(1.0 - strength * strength)
 
 
 def pauli_dot(u: np.ndarray) -> np.ndarray:
@@ -120,28 +120,41 @@ def classical_bound(charlie_directions: list[np.ndarray]) -> float:
     return float(best)
 
 
-def _closed_form(strengths_i: tuple[float, float], damping: list[tuple[float, float]],
-                 i: int) -> float:
-    lam1, lam2 = strengths_i
-    prod1 = np.prod([1.0 + coherence(d1) for d1, _ in damping]) if damping else 1.0
-    prod2 = np.prod([1.0 + coherence(d2) for _, d2 in damping]) if damping else 1.0
-    return float((lam2 * prod1 + lam1 * prod2) / 2 ** i)
+def closed_forms(lam1, lam2, damp1, damp2) -> list:
+    """Unvalidated analytic steering parameter of every pair in a sequence:
+    S_i = (lam2_i prod_{j<i} (1 + c(damp1_j)) + lam1_i prod_{j<i} (1 + c(damp2_j))) / 2^i.
+
+    Entry j of each argument is pair j+1's, a float (one history) or
+    equal-shape arrays (a batch).  Damping strengths are the joint ones for
+    nonlocal pairs and B's (gamma) for local ones.
+    """
+    out = []
+    prod1 = prod2 = 1.0
+    for i, (l1, l2, d1, d2) in enumerate(zip(lam1, lam2, damp1, damp2), start=1):
+        out.append((l2 * prod1 + l1 * prod2) / 2 ** i)
+        if i < len(lam1):  # the last pair damps no one
+            prod1 = prod1 * (1.0 + coherence(d1))
+            prod2 = prod2 * (1.0 + coherence(d2))
+    return out
+
+
+def _history_value(h: StrengthHistory, damping, i: int) -> float:
+    if not 1 <= i <= h.pairs:
+        raise ConfigError(f"pair index {i} outside history of {h.pairs} pairs")
+    if damping is None:
+        raise ConfigError("local closed form needs eta/gamma strengths")
+    # zip(*...) turns per-pair (setting 1, setting 2) rows into two columns.
+    return float(closed_forms(*zip(*h.lambdas[:i]), *zip(*damping[:i]))[-1])
 
 
 def closed_form_nonlocal(h: StrengthHistory, i: int) -> float:
     """Analytic two-setting steering parameter after i - 1 nonlocal pairs."""
-    if not 1 <= i <= h.pairs:
-        raise ConfigError(f"pair index {i} outside history of {h.pairs} pairs")
-    return _closed_form(h.lambdas[i - 1], list(h.lambdas[: i - 1]), i)
+    return _history_value(h, h.lambdas, i)
 
 
 def closed_form_local(h: StrengthHistory, i: int) -> float:
     """Analytic counterpart when A and B measure locally (damping from B only)."""
-    if not 1 <= i <= h.pairs:
-        raise ConfigError(f"pair index {i} outside history of {h.pairs} pairs")
-    if h.gammas is None:
-        raise ConfigError("local closed form needs eta/gamma strengths")
-    return _closed_form(h.lambdas[i - 1], list(h.gammas[: i - 1]), i)
+    return _history_value(h, h.gammas, i)
 
 
 @dataclass(frozen=True)

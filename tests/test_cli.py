@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steershare.cli import main
+from steershare.scenario import records_to_csv, sweep_curve
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +40,14 @@ class TestScan:
         assert len(lines) == 37
 
 
+class TestScanErrors:
+    def test_too_many_pairs_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "scan", "--pairs", "4", "--grid", "3",
+                               "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert err.splitlines() == ["error: pairs=4 outside supported scan range 1..3"]
+
+
 class TestSweep:
     def test_writes_csv(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -56,6 +65,26 @@ class TestSweep:
                                "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "unknown parameter" in err
+
+
+    def test_out_of_range_strength_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sweep", "--vary", "lambda_1", "--from", "0.5",
+                               "--to", "1.5", "--samples", "5",
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err.splitlines() == ["error: strengths (1.25, 1.25) outside [0, 1]"]
+
+    def test_fix_values_do_not_leak_between_calls(self, capsys, tmp_path):
+        # The parser is built once per process; each call must still start
+        # from its own defaults.
+        out = tmp_path / "s.csv"
+        common = ["--vary", "lambda2_1", "--from", "0", "--to", "1",
+                  "--samples", "3", "--out", str(out)]
+        for fix in ({"lambda1_1": 0.3}, {}, {"lambda1_1": 0.3}):
+            argv = [a for k, v in fix.items() for a in ("--fix", f"{k}={v}")]
+            assert run_cli(capsys, "sweep", *argv, *common)[0] == 0
+            assert out.read_text() == records_to_csv(
+                sweep_curve(fix, "lambda2_1", 0, 1, 3), "sweep")
 
 
 class TestEllipsoids:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -156,6 +157,64 @@ class TestScanCsv:
         assert len(lines) == 26
         assert text == records_to_csv(scan_region(pairs=3, resolution=5,
                                                   mode="compare"), "scan")
+
+
+class TestGoldenOutputs:
+    # sha256 digests of the CSV bytes written by the per-history closed-form
+    # loops that the array kernel replaced; the kernel must reproduce them.
+    def test_scan_csv_bytes(self):
+        text = records_to_csv(scan_region(3, 41, "compare"), "scan")
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "b97fab1ef4b004c6057cef807175b3707ee2f0a5e754c66733db395bdc8e36ce"
+
+    def test_readme_sweep_csv_bytes(self):
+        records = sweep_curve({"lambda1_1": 0.70710678}, "lambda2_1", 0.6, 1.0, 81)
+        assert hashlib.sha256(records_to_csv(records, "sweep").encode()).hexdigest() == \
+            "0a74f248f8f53dab0de976f23fb37cd0934eb9dcc556031bc4365e9b6efadb3d"
+
+    def test_rows_hold_plain_floats(self):
+        for r in scan_region(2, 3, "compare") + sweep_curve({}, "lambda_1", 0, 1, 3):
+            assert all(type(v) is float for v in r.s + r.st + tuple(r.params.values()))
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("last", [1.5, -0.1, float("nan")])
+    def test_scan_rejects_bad_last_pair_strength(self, last):
+        with pytest.raises(ConfigError, match=r"strengths .* outside \[0, 1\]"):
+            scan_region(3, 3, last_pair_strength=last)
+
+    def test_sweep_rejects_out_of_range(self):
+        with pytest.raises(ConfigError, match=r"strengths \(1.25, 1.25\) outside"):
+            sweep_curve({}, "lambda_1", 0.5, 1.5, 5)
+        with pytest.raises(ConfigError, match="outside"):
+            sweep_curve({"lambda2_2": float("nan")}, "lambda_1", 0, 1, 3, mode="local")
+
+    def test_max_pairs_rejects_out_of_range(self):
+        with pytest.raises(ConfigError, match="outside"):
+            max_simultaneous_pairs(3, last_pair_strength=1.2)
+
+    def test_scan_rejects_unknown_mode(self):
+        with pytest.raises(ConfigError, match="unknown mode 'bogus'"):
+            scan_region(2, 3, mode="bogus")
+
+    def test_sweep_rejects_unknown_mode(self):
+        with pytest.raises(ConfigError, match="unknown mode 'bogus'"):
+            sweep_curve({}, "lambda_1", 0, 1, 3, mode="bogus")
+
+    @pytest.mark.parametrize("mode", ["bogus", "compare"])
+    def test_max_pairs_rejects_mode(self, mode):
+        with pytest.raises(ConfigError, match="mode"):
+            max_simultaneous_pairs(3, mode=mode)
+
+    @pytest.mark.parametrize("pairs", [0, 4])
+    def test_scan_rejects_pair_count(self, pairs):
+        with pytest.raises(ConfigError, match=f"pairs={pairs} outside"):
+            scan_region(pairs, 3)
+
+    @pytest.mark.parametrize("pairs", [0, 5])
+    def test_sweep_rejects_pair_count(self, pairs):
+        with pytest.raises(ConfigError, match=f"pairs={pairs} outside"):
+            sweep_curve({}, "lambda_1", 0, 1, 3, pairs=pairs)
 
 
 class TestWindows:

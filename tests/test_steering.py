@@ -15,6 +15,7 @@ from steershare.steering import (
     classical_bound,
     closed_form_local,
     closed_form_nonlocal,
+    closed_forms,
     coherence,
     direction_axis,
     ellipsoid,
@@ -32,6 +33,15 @@ YY = kron(SIGMA_Y, SIGMA_Y)
 YX = kron(SIGMA_Y, SIGMA_X)
 PAIR_DIRS = [-YY, YX]
 CHARLIE_DIRS = [SIGMA_X, -SIGMA_Y]
+
+
+def _reference_closed_form(lambdas, damping, i):
+    """Per-history closed form as coherence factors multiplied by np.prod."""
+    lam1, lam2 = lambdas[i - 1]
+    prior = damping[: i - 1]
+    prod1 = np.prod([1.0 + float(np.sqrt(1.0 - d * d)) for d, _ in prior]) if prior else 1.0
+    prod2 = np.prod([1.0 + float(np.sqrt(1.0 - d * d)) for _, d in prior]) if prior else 1.0
+    return float((lam2 * prod1 + lam1 * prod2) / 2 ** i)
 
 
 def _nonlocal_settings(lams):
@@ -183,6 +193,42 @@ class TestClosedForms:
         h = StrengthHistory.nonlocal_history([(0.5, 0.5)])
         with pytest.raises(ConfigError):
             closed_form_nonlocal(h, 2)
+
+    def test_local_needs_gammas(self):
+        with pytest.raises(ConfigError, match="eta/gamma"):
+            closed_form_local(StrengthHistory.nonlocal_history([(0.5, 0.5)]), 1)
+
+    def test_batch_kernel_bitwise_equals_scalar_wrappers(self):
+        # Array batch, scalar wrappers and the per-history product formula
+        # agree exactly (==), for nonlocal histories and for local ones
+        # whose eta and gamma differ.
+        rng = np.random.default_rng(71)
+        pairs, n = 4, 60
+        eta = rng.uniform(0, 1, (pairs, 2, n))
+        gamma = rng.uniform(0, 1, (pairs, 2, n))
+        lam = rng.uniform(0, 1, (pairs, 2, n))
+        local_lam = eta * gamma
+        batch = closed_forms(lam[:, 0], lam[:, 1], lam[:, 0], lam[:, 1])
+        local_batch = closed_forms(local_lam[:, 0], local_lam[:, 1],
+                                   gamma[:, 0], gamma[:, 1])
+        for k in range(n):
+            def col(a):
+                return tuple((float(a[j, 0, k]), float(a[j, 1, k])) for j in range(pairs))
+            h = StrengthHistory.nonlocal_history(list(col(lam)))
+            hl = StrengthHistory(col(local_lam), col(eta), col(gamma))
+            assert hl.etas != hl.gammas
+            for i in range(1, pairs + 1):
+                assert closed_form_nonlocal(h, i) == batch[i - 1][k] \
+                    == _reference_closed_form(h.lambdas, h.lambdas, i)
+                assert closed_form_local(hl, i) == local_batch[i - 1][k] \
+                    == _reference_closed_form(hl.lambdas, hl.gammas, i)
+
+    def test_kernel_takes_floats(self):
+        values = closed_forms([0.4, 0.8, 0.95], [0.4, 0.8, 0.95],
+                              [0.4, 0.8, 0.95], [0.4, 0.8, 0.95])
+        assert len(values) == 3
+        assert values[0] == pytest.approx(0.4)
+        assert values[2] == pytest.approx(0.7282757528166437, abs=1e-12)
 
 
 class TestStrengthHistory:
