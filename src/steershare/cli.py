@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import scenario
-from .errors import SteershareError
+from .errors import ConfigError, SteershareError
 from .steering import classical_bound, closed_forms
 
 
@@ -18,9 +18,11 @@ def _parse_fix(items: list[str]) -> dict[str, float]:
     fixed = {}
     for item in items:
         name, _, value = item.partition("=")
-        if not value:
-            raise SystemExit(f"--fix expects NAME=VAL, got {item!r}")
-        fixed[name] = float(value)
+        try:
+            fixed[name] = float(value)
+        except ValueError:
+            raise ConfigError(f"--fix expects NAME=VAL with a number VAL, "
+                              f"got {item!r}") from None
     return fixed
 
 
@@ -83,8 +85,14 @@ def cmd_bound(args) -> None:
 
 
 def cmd_run(args) -> None:
-    with open(args.config) as fh:
-        cfg = scenario.ScenarioConfig.from_json(json.load(fh))
+    try:
+        with open(args.config) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config!r}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from None
+    cfg = scenario.ScenarioConfig.from_json(obj)
     results = scenario.run_scenario(cfg)
     payload = []
     for r in results:
@@ -99,8 +107,7 @@ def cmd_run(args) -> None:
         })
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2) + "\n")
     for r in results:
         marker = ">" if r.steering_value > scenario.SQRT_HALF else "<="
         print(f"pair {r.pair}: S = {r.steering_value:.6f} {marker} C2")

@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -98,20 +99,24 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioConfig":
-        pairs = int(obj.get("pairs", 2))
-        raw = obj.get("strengths", [])
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(obj) - set(_CONFIG_TYPES))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; "
+                              f"expected a subset of {sorted(_CONFIG_TYPES)}")
+        for key, value in obj.items():
+            kind = _CONFIG_TYPES[key]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
+                                  f"got {value!r}")
+        pairs = obj.get("pairs", 2)
         lambdas = []
         equal = []
-        for entry in raw:
-            if isinstance(entry, (int, float)):
-                lambdas.append((float(entry), float(entry)))
-                equal.append(True)
-            else:
-                lam = tuple(float(x) for x in entry)
-                if len(lam) == 1:
-                    lam = (lam[0], lam[0])
-                lambdas.append(lam)
-                equal.append(lam[0] == lam[1])
+        for entry in obj.get("strengths", []):
+            lam = _strength_entry(entry)
+            lambdas.append(lam)
+            equal.append(lam[0] == lam[1])
         while len(lambdas) < pairs:  # final pair defaults to sharp
             lambdas.append((1.0, 1.0))
             equal.append(True)
@@ -132,13 +137,27 @@ class ScenarioConfig:
         )
 
 
+_CONFIG_TYPES = {"mode": str, "pairs": int, "strengths": list, "equal_strength": list,
+                 "charlie_directions": list, "compression": str}
+
+
+def _strength_entry(entry) -> tuple[float, float]:
+    """A pair's (lambda1, lambda2) from a scalar, [lam] or [lam1, lam2] entry."""
+    lam = list(entry) if isinstance(entry, (list, tuple, np.ndarray)) else [entry]
+    if not 1 <= len(lam) <= 2 or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in lam):
+        raise ConfigError(f"strength entry {entry!r} is neither a number nor "
+                          f"a list of one or two numbers")
+    return float(lam[0]), float(lam[-1])
+
+
 def make_config(mode: str, lambdas: list, pairs: int | None = None,
                 charlie_directions: tuple[str, ...] = ("x", "-y")) -> ScenarioConfig:
     """Convenience constructor; scalar entries mean equal strengths per pair."""
     return ScenarioConfig.from_json({
         "mode": mode,
         "pairs": pairs if pairs is not None else len(lambdas),
-        "strengths": lambdas,
+        "strengths": list(lambdas),
         "charlie_directions": list(charlie_directions),
     })
 
@@ -294,6 +313,10 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
         raise ConfigError("need at least two samples")
     if not 1 <= pairs <= 4:
         raise ConfigError(f"pairs={pairs} outside supported range 1..4")
+    for name in list(fixed) + [vary]:
+        if int(name[-1]) > pairs:
+            raise ConfigError(f"parameter {name!r} addresses pair {name[-1]}, "
+                              f"beyond pairs={pairs}")
     params = {name: np.full(samples, float(v)) for name, v in fixed.items()}
     params[vary] = values = np.linspace(start, stop, samples)
     both = [params.get(f"lambda_{i}", np.ones(samples)) for i in range(1, pairs + 1)]

@@ -15,12 +15,14 @@ import numpy as np
 
 from . import linalg
 from .errors import NotCompressibleError, ShapeError
-from .linalg import I2, PAULIS, dagger, kron, partial_trace
+from .linalg import I2, PAULIS, dagger, partial_trace
 
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-9
 COMPRESS_TOL = 1e-9
+
+_BASIS = np.stack((I2,) + PAULIS)  # sigma_0..sigma_3, shape (4, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,10 @@ class CompressionBasis:
 
     @classmethod
     def parse(cls, text: str) -> "CompressionBasis":
-        zero, one = (s.strip() for s in text.split(","))
-        return cls(zero, one)
+        parts = [s.strip() for s in text.split(",")]
+        if len(parts) != 2:
+            raise ShapeError(f"compression {text!r} is not two kets 'zero,one'")
+        return cls(*parts)
 
 
 def ket(label: str) -> np.ndarray:
@@ -146,19 +150,15 @@ def bloch_form(rho4: DensityMatrix) -> BlochForm:
     """Pauli decomposition (m~, n, T) of a (compressed) two-qubit state."""
     if rho4.qubits != 2:
         raise ShapeError("bloch_form expects a 2-qubit state")
-    m = np.array([rho4.expectation(kron(p, I2)) for p in PAULIS])
-    n = np.array([rho4.expectation(kron(I2, p)) for p in PAULIS])
-    T = np.array([[rho4.expectation(kron(pm, pn)) for pn in PAULIS] for pm in PAULIS])
-    return BlochForm(m, n, T)
+    # t[a, b] = Tr(rho (sigma_a x sigma_b)) with sigma_0 = I: 1, n in row 0,
+    # m~ in column 0, T in the rest.
+    t = np.einsum("aji,blk,ikjl->ab", _BASIS, _BASIS,
+                  rho4.mat.reshape(2, 2, 2, 2)).real
+    return BlochForm(t[1:, 0], t[0, 1:], t[1:, 1:])
 
 
 def reconstruct(b: BlochForm) -> DensityMatrix:
     """Inverse of bloch_form: rebuild the 4x4 state from (m~, n, T)."""
-    mat = kron(I2, I2).astype(complex)
-    for mu, p in enumerate(PAULIS):
-        mat += b.m_tilde[mu] * kron(p, I2)
-        mat += b.n_vec[mu] * kron(I2, p)
-    for mu, pm in enumerate(PAULIS):
-        for nu, pn in enumerate(PAULIS):
-            mat += b.T[mu, nu] * kron(pm, pn)
+    t = np.block([[np.ones((1, 1)), b.n_vec[None, :]], [b.m_tilde[:, None], b.T]])
+    mat = np.einsum("ab,aij,bkl->ikjl", t, _BASIS, _BASIS).reshape(4, 4)
     return DensityMatrix(2, mat / 4)

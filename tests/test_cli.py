@@ -74,6 +74,24 @@ class TestSweep:
         assert code == 2
         assert err.splitlines() == ["error: strengths (1.25, 1.25) outside [0, 1]"]
 
+    @pytest.mark.parametrize("fix", ["lambda1_1=abc", "lambda1_1"])
+    def test_bad_fix_exits_2(self, capsys, tmp_path, fix):
+        code, _, err = run_cli(capsys, "sweep", "--fix", fix, "--vary", "lambda2_1",
+                               "--from", "0", "--to", "1", "--samples", "3",
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: --fix expects NAME=VAL with a number VAL, got {fix!r}"]
+
+    def test_pair_beyond_pairs_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sweep", "--vary", "lambda_3", "--pairs", "2",
+                               "--from", "0", "--to", "1", "--samples", "3",
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err.splitlines() == [
+            "error: parameter 'lambda_3' addresses pair 3, beyond pairs=2"]
+        assert not (tmp_path / "x.csv").exists()
+
     def test_fix_values_do_not_leak_between_calls(self, capsys, tmp_path):
         # The parser is built once per process; each call must still start
         # from its own defaults.
@@ -115,6 +133,43 @@ class TestRun:
         payload = json.loads(out_file.read_text())
         assert payload[1]["steering_value"] == pytest.approx(0.74641016, abs=1e-8)
         assert payload[0]["state"]["qubits"] == 3
+
+
+class TestRunErrors:
+    def _run(self, capsys, tmp_path, text):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        return run_cli(capsys, "run", "--config", str(cfg_file))
+
+    def test_missing_config_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", "--config", str(tmp_path / "none.json"))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: cannot read config {str(tmp_path / 'none.json')!r}: "
+            "No such file or directory"]
+
+    def test_malformed_json_exits_2(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, tmp_path, '{"mode": "nonlocal",')
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: config ") and "is not valid JSON" in err
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"strenghts": [0.5]}, "unknown config keys ['strenghts']"),
+        ({"strengths": [[0.1, 0.2, 0.3]]}, "strength entry [0.1, 0.2, 0.3] is neither"),
+        ({"strengths": [[]]}, "strength entry [] is neither"),
+        ({"strengths": ["0.5"]}, "strength entry '0.5' is neither"),
+        ({"strengths": [True]}, "strength entry True is neither"),
+        ({"strengths": 0.5}, "config key 'strengths' must be of type list"),
+        ({"pairs": "2"}, "config key 'pairs' must be of type int"),
+        ([0.5], "config must be a JSON object"),
+        ({"compression": "00"}, "compression '00' is not two kets"),
+    ])
+    def test_bad_config_exits_2(self, capsys, tmp_path, cfg, message):
+        code, out, err = self._run(capsys, tmp_path, json.dumps(cfg))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
 
 
 class TestDemo:

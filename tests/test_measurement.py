@@ -34,6 +34,19 @@ def _random_setting(rng, acts_on=(0, 1)):
     return UnsharpSetting(sign * d, float(rng.uniform(0, 1)), acts_on)
 
 
+def _kraus_oracle(rho, branches):
+    """(1/n) sum_k sum_K K rho K^dag over n settings' full-register Kraus sets."""
+    out = sum(k @ rho.mat @ dagger(k) for branch in branches for k in branch)
+    return out / len(branches)
+
+
+def _padded_kraus(s, qubits=3):
+    return [embed(k, s.acts_on, qubits) for k in make_instrument(s).kraus]
+
+
+ORACLE_TOL = 1e-14  # channel form vs eigh-built Kraus operators, |rho| <= 1
+
+
 class TestMakeInstrument:
     def test_sharp_limit_is_projective(self):
         inst = make_instrument(UnsharpSetting(SIGMA_Z, 1.0, (0,)))
@@ -148,6 +161,17 @@ class TestLudersUpdate:
                 continue
             checked += 1
 
+    def test_matches_kraus_oracle(self):
+        rng = np.random.default_rng(47)
+        worst = 0.0
+        for trial in range(200):
+            rho = random_density(rng, 3)
+            acts_on = [(0,), (1,), (0, 1)][trial % 3]
+            settings = [_random_setting(rng, acts_on) for _ in range(rng.integers(1, 4))]
+            expected = _kraus_oracle(rho, [_padded_kraus(s) for s in settings])
+            worst = max(worst, np.max(np.abs(luders_update(rho, settings).mat - expected)))
+        assert worst <= ORACLE_TOL
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             luders_update(random_density(np.random.default_rng(1), 1),
@@ -192,6 +216,20 @@ class TestLocalPairUpdate:
             b = [_random_setting(rng, (1,)) for _ in range(n)]
             out = local_pair_update(rho, a, b)
             assert abs(np.trace(out.mat) - 1) <= 1e-12
+
+    def test_matches_kraus_oracle(self):
+        rng = np.random.default_rng(53)
+        worst = 0.0
+        for _ in range(200):
+            rho = random_density(rng, 3)
+            n = int(rng.integers(1, 4))
+            a = [_random_setting(rng, (0,)) for _ in range(n)]
+            b = [_random_setting(rng, (1,)) for _ in range(n)]
+            expected = _kraus_oracle(rho, [
+                [ka @ kb for ka in _padded_kraus(sa) for kb in _padded_kraus(sb)]
+                for sa, sb in zip(a, b)])
+            worst = max(worst, np.max(np.abs(local_pair_update(rho, a, b).mat - expected)))
+        assert worst <= ORACLE_TOL
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):

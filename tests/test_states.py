@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from steershare.errors import NotCompressibleError, ShapeError
-from steershare.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
+from steershare.linalg import I2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, kron, kron_all
 from steershare.measurement import UnsharpSetting, luders_update
 from steershare.states import (
     CompressionBasis,
@@ -97,6 +97,19 @@ class TestBlochForm:
         assert np.allclose(b.m_tilde, [0, 0, 1], atol=1e-12)
         assert np.allclose(b.n_vec, [0, 0, 1], atol=1e-12)
         assert np.allclose(b.T, np.diag([0, 0, 1]), atol=1e-12)
+
+    def test_matches_per_pauli_expectations(self):
+        # Reference: one kron'd Pauli product and one trace per coefficient.
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            rho = random_density(rng, 2)
+            b = bloch_form(rho)
+            m = [rho.expectation(kron(p, I2)) for p in PAULIS]
+            n = [rho.expectation(kron(I2, p)) for p in PAULIS]
+            T = [[rho.expectation(kron(p, q)) for q in PAULIS] for p in PAULIS]
+            assert np.max(np.abs(b.m_tilde - m)) <= 1e-14
+            assert np.max(np.abs(b.n_vec - n)) <= 1e-14
+            assert np.max(np.abs(b.T - T)) <= 1e-14
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(17)
