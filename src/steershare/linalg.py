@@ -78,14 +78,14 @@ def partial_trace(rho: np.ndarray, keep: set[int] | list[int] | tuple[int, ...],
     return t.reshape(d_keep, d_keep)
 
 
-def hermitian_eig(h: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns of a Hermitian matrix.
 
     Ties between equal eigenvalues are broken stably by original (ascending)
     position, so degenerate subspaces keep a deterministic but otherwise
     arbitrary basis.
     """
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {np.max(np.abs(h - dagger(h))):.3e}"
         )

@@ -50,7 +50,7 @@ def charlie_operator(label: str) -> np.ndarray:
 
 def _resolve_axis(label: str) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     sign = 1.0
-    axis = label.strip().lower()
+    axis = label.strip().lower() if isinstance(label, str) else ""
     if axis.startswith("-"):
         sign, axis = -1.0, axis[1:]
     if axis not in _AXIS_TABLE:
@@ -65,9 +65,6 @@ class ScenarioConfig:
 
     strengths: StrengthHistory
     mode: str = "nonlocal"
-    pairs: int = 2
-    settings_per_pair: int = 2
-    equal_strength: tuple[bool, ...] = ()
     charlie_directions: tuple[str, ...] = ("x", "-y")
     compression: str = "00,11"
 
@@ -76,23 +73,20 @@ class ScenarioConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not 1 <= self.pairs <= 4:
             raise ConfigError(f"pairs={self.pairs} outside supported range 1..4")
-        if self.settings_per_pair != 2:
-            raise ConfigError("only two settings per pair are supported")
-        if len(self.charlie_directions) != self.settings_per_pair:
+        if len(self.charlie_directions) != 2:  # one per setting of a pair
             raise ConfigError("need one Charlie direction per setting")
-        if self.strengths.pairs != self.pairs:
-            raise ConfigError(
-                f"history covers {self.strengths.pairs} pairs, config has {self.pairs}"
-            )
         if self.mode == "local" and self.strengths.gammas is None:
             raise ConfigError("local mode needs eta/gamma strengths")
+
+    @property
+    def pairs(self) -> int:
+        return self.strengths.pairs
 
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
             "pairs": self.pairs,
             "strengths": [list(p) for p in self.strengths.lambdas],
-            "equal_strength": list(self.equal_strength),
             "charlie_directions": list(self.charlie_directions),
             "compression": self.compression,
         }
@@ -111,33 +105,26 @@ class ScenarioConfig:
                 raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
                                   f"got {value!r}")
         pairs = obj.get("pairs", 2)
-        lambdas = []
-        equal = []
-        for entry in obj.get("strengths", []):
-            lam = _strength_entry(entry)
-            lambdas.append(lam)
-            equal.append(lam[0] == lam[1])
-        while len(lambdas) < pairs:  # final pair defaults to sharp
-            lambdas.append((1.0, 1.0))
-            equal.append(True)
+        if not 1 <= pairs <= 4:
+            raise ConfigError(f"pairs={pairs} outside supported range 1..4")
+        lambdas = [_strength_entry(entry) for entry in obj.get("strengths", [])]
+        if len(lambdas) > pairs:
+            raise ConfigError(f"history covers {len(lambdas)} pairs, config has {pairs}")
+        lambdas += [(1.0, 1.0)] * (pairs - len(lambdas))  # final pair defaults to sharp
         mode = obj.get("mode", "nonlocal")
         if mode == "local":
             history = StrengthHistory.local_sqrt(lambdas)
         else:
             history = StrengthHistory.nonlocal_history(lambdas)
-        if "equal_strength" in obj:
-            equal = [bool(x) for x in obj["equal_strength"]]
         return cls(
             strengths=history,
             mode=mode,
-            pairs=pairs,
-            equal_strength=tuple(equal),
             charlie_directions=tuple(obj.get("charlie_directions", ("x", "-y"))),
             compression=obj.get("compression", "00,11"),
         )
 
 
-_CONFIG_TYPES = {"mode": str, "pairs": int, "strengths": list, "equal_strength": list,
+_CONFIG_TYPES = {"mode": str, "pairs": int, "strengths": list,
                  "charlie_directions": list, "compression": str}
 
 
@@ -182,45 +169,30 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     pairs 1..i-1, with pair i's own strengths as prefactors; the reported
     state and ellipsoids are post-update.
     """
-    resolved = [_resolve_axis(lbl) for lbl in cfg.charlie_directions]
-    charlie_ops = [r[0] for r in resolved]
-    pair_ops = [r[1] for r in resolved]
-    if cfg.mode == "local" and any(r[2] is None for r in resolved):
+    charlie_ops, pair_ops, local_ops = zip(*[_resolve_axis(lbl)
+                                             for lbl in cfg.charlie_directions])
+    if cfg.mode == "local" and any(ops is None for ops in local_ops):
         raise ConfigError("local mode is only defined for x/y settings")
     basis = CompressionBasis.parse(cfg.compression)
     rho = ghz()
     results = []
-    for i in range(1, cfg.pairs + 1):
-        lam = cfg.strengths.lambdas[i - 1]
-        value = steering_parameter(rho, pair_ops, list(lam), charlie_ops)
-        if cfg.mode == "nonlocal":
-            settings = [
-                UnsharpSetting(op, s, (0, 1)) for op, s in zip(pair_ops, lam)
-            ]
-            rho = luders_update(rho, settings)
-        else:
-            a_settings = [
-                UnsharpSetting(r[2][0], e, (0,))
-                for r, e in zip(resolved, cfg.strengths.etas[i - 1])
-            ]
-            b_settings = [
-                UnsharpSetting(r[2][1], g, (1,))
-                for r, g in zip(resolved, cfg.strengths.gammas[i - 1])
-            ]
-            rho = local_pair_update(rho, a_settings, b_settings)
+    for i, lam in enumerate(cfg.strengths.lambdas, start=1):
+        value = steering_parameter(rho, pair_ops, lam, charlie_ops)
         ell_c = ell_ab = None
         if cfg.mode == "nonlocal":
-            compressed, _ = compress(rho, basis)
-            form = bloch_form(compressed)
-            ell_c = ellipsoid(form, "charlie")
-            ell_ab = ellipsoid(form, "ab")
-        results.append(PairResult(
-            pair=i,
-            steering_value=value,
-            state=rho,
-            charlie_ellipsoid=ell_c,
-            ab_ellipsoid=ell_ab,
-        ))
+            rho = luders_update(rho, [UnsharpSetting(op, s, (0, 1))
+                                      for op, s in zip(pair_ops, lam)])
+            form = bloch_form(compress(rho, basis)[0])
+            ell_c, ell_ab = ellipsoid(form, "charlie"), ellipsoid(form, "ab")
+        else:
+            rho = local_pair_update(
+                rho,
+                [UnsharpSetting(a, e, (0,))
+                 for (a, _), e in zip(local_ops, cfg.strengths.etas[i - 1])],
+                [UnsharpSetting(b, g, (1,))
+                 for (_, b), g in zip(local_ops, cfg.strengths.gammas[i - 1])])
+        results.append(PairResult(pair=i, steering_value=value, state=rho,
+                                  charlie_ellipsoid=ell_c, ab_ellipsoid=ell_ab))
     return results
 
 
@@ -240,15 +212,6 @@ def _region_label(s: tuple[float, ...], st: tuple[float, ...], bound: float) -> 
     return "+".join(n for n, a, b in zip(("I", "II"), s[1:], st[1:]) if a > bound >= b)
 
 
-def _check_strengths(lam1: list, lam2: list) -> None:
-    """Reject strengths outside [0, 1] or NaN, naming the first bad pair."""
-    a = np.asarray([lam1, lam2], dtype=float).reshape(2, len(lam1), -1)
-    bad = ~((a >= 0.0) & (a <= 1.0)).all(axis=0)  # (pair, history)
-    if bad.any():
-        k, j = np.argwhere(bad.T)[0]  # first bad history, then its first bad pair
-        raise ConfigError(f"strengths {tuple(a[:, j, k].tolist())} outside [0, 1]")
-
-
 def _mode_closed_forms(mode: str, lam1: list, lam2: list) -> tuple[list, list]:
     """Nonlocal S and local S~ of every pair, each [] where `mode` leaves it out.
 
@@ -264,7 +227,6 @@ def _mode_closed_forms(mode: str, lam1: list, lam2: list) -> tuple[list, list]:
 
 def _records(mode: str, lam1: list, lam2: list, params: list[dict]) -> list[ScanRecord]:
     """One record per history, i.e. per element of the pair strength arrays."""
-    _check_strengths(lam1, lam2)
     # Rows hold plain Python floats (tolist), never numpy scalars.
     rows = [zip(*[c.tolist() for c in cols]) if cols else itertools.repeat(())
             for cols in _mode_closed_forms(mode, lam1, lam2)]
@@ -272,27 +234,38 @@ def _records(mode: str, lam1: list, lam2: list, params: list[dict]) -> list[Scan
                        bound=SQRT_HALF) for p, s, st in zip(params, *rows)]
 
 
-def _grid_strengths(resolution: int, last_pair_strength: float) -> list[np.ndarray]:
-    """Per-pair strengths of every grid cell, row-major over (lambda1, lambda2)."""
+def _grid_strengths(resolution: int) -> list[np.ndarray]:
+    """Per-pair strengths of every grid cell, row-major over (lambda1, lambda2);
+    pair 3 is sharp."""
     grid = np.linspace(0.0, 1.0, resolution)
     l1, l2 = np.repeat(grid, resolution), np.tile(grid, resolution)
-    return [l1, l2, np.full_like(l1, last_pair_strength)]
+    return [l1, l2, np.ones_like(l1)]
 
 
-def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare",
-                last_pair_strength: float = 1.0) -> list[ScanRecord]:
+def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare"
+                ) -> list[ScanRecord]:
     """Equal-strength region scan over (lambda^(1), lambda^(2)).
 
-    Pair 3 (when present) uses `last_pair_strength` (sharp by default).
-    Rows are emitted row-major over the grid.
+    Pair 3 (when present) measures sharply.  Rows are emitted row-major
+    over the grid.
     """
     if resolution < 2:
         raise ConfigError("grid resolution must be at least 2")
     if not 1 <= pairs <= 3:
         raise ConfigError(f"pairs={pairs} outside supported scan range 1..3")
-    l1, l2, l3 = _grid_strengths(resolution, last_pair_strength)
-    params = [{"lambda1": a, "lambda2": b} for a, b in zip(l1.tolist(), l2.tolist())]
-    return _records(mode, [l1, l2, l3][:pairs], [l1, l2, l3][:pairs], params)
+    lams = _grid_strengths(resolution)
+    params = [{"lambda1": a, "lambda2": b}
+              for a, b in zip(lams[0].tolist(), lams[1].tolist())]
+    return _records(mode, lams[:pairs], lams[:pairs], params)
+
+
+def _check_strengths(lam1: list, lam2: list) -> None:
+    """Reject strengths outside [0, 1] or NaN, naming the first bad pair."""
+    a = np.asarray([lam1, lam2], dtype=float)  # (setting, pair, history)
+    bad = ~((a >= 0.0) & (a <= 1.0)).all(axis=0)
+    if bad.any():
+        k, j = np.argwhere(bad.T)[0]  # first bad history, then its first bad pair
+        raise ConfigError(f"strengths {tuple(a[:, j, k].tolist())} outside [0, 1]")
 
 
 _PARAM_RE = re.compile(r"^lambda([12]?)_([1-4])$")
@@ -322,6 +295,7 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
     both = [params.get(f"lambda_{i}", np.ones(samples)) for i in range(1, pairs + 1)]
     lam1 = [params.get(f"lambda1_{i}", b) for i, b in enumerate(both, start=1)]
     lam2 = [params.get(f"lambda2_{i}", b) for i, b in enumerate(both, start=1)]
+    _check_strengths(lam1, lam2)
     return _records(mode, lam1, lam2, [{"param": v} for v in values.tolist()])
 
 
@@ -352,13 +326,11 @@ def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[Ellipsoi
     return out
 
 
-def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal",
-                           last_pair_strength: float = 1.0) -> int:
+def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal") -> int:
     """Largest number of pairs that beat the bound anywhere on the strength grid."""
     if mode == "compare":
         raise ConfigError("max_simultaneous_pairs counts one mode, 'nonlocal' or 'local'")
-    lams = _grid_strengths(resolution, last_pair_strength)
-    _check_strengths(lams, lams)
+    lams = _grid_strengths(resolution)
     s, st = _mode_closed_forms(mode, lams, lams)
     count = sum(v > SQRT_HALF for v in s or st)
     return int(count.max(initial=0))

@@ -131,12 +131,9 @@ def compress(rho: DensityMatrix, basis: CompressionBasis = CompressionBasis()
     """
     if rho.qubits != 3:
         raise ShapeError("compression expects a 3-qubit state")
-    # Isometry mapping |0~,c> <- |zero_ket,c>, |1~,c> <- |one_ket,c>.
-    v = np.zeros((8, 4), dtype=complex)
-    for tilde, label in enumerate((basis.zero_ket, basis.one_ket)):
-        for c in range(2):
-            v[int(label + str(c), 2), 2 * tilde + c] = 1.0
-    small = dagger(v) @ rho.mat @ v
+    # Rows and columns |zero_ket,c>, |one_ket,c> become |0~,c>, |1~,c>.
+    idx = [int(label + c, 2) for label in (basis.zero_ket, basis.one_ket) for c in "01"]
+    small = rho.mat[np.ix_(idx, idx)]
     weight = float(np.trace(small).real)
     if weight < 1 - COMPRESS_TOL:
         raise NotCompressibleError(

@@ -181,7 +181,11 @@ def ellipsoid(b: BlochForm, steered_party: str = "charlie") -> SteeringEllipsoid
     """Steering ellipsoid of one party under all measurements of the other.
 
     For steered_party="charlie" the A,B pair steers; for "ab" the roles are
-    swapped (m~ <-> n, T -> T^T).
+    swapped (m~ <-> n, T -> T^T).  Orientation columns are canonical, so
+    inputs that differ by rounding noise give the same columns: within a
+    degenerate group of semiaxes they prefer the coordinate axes in order
+    x, y, z, and each is signed so its largest-magnitude component is
+    positive.
     """
     if steered_party == "charlie":
         m, n, T = b.m_tilde, b.n_vec, b.T
@@ -200,11 +204,14 @@ def ellipsoid(b: BlochForm, steered_party: str = "charlie") -> SteeringEllipsoid
     O = (O + O.T) / 2
     w, v = hermitian_eig(O.astype(complex))
     w = np.clip(w, 0.0, None)
+    semiaxes = np.sqrt(w)
+    axes = _tie_broken_axes(semiaxes, v.real)
+    axes = axes * np.sign(np.diag(axes[np.abs(axes).argmax(axis=0)]))
     return SteeringEllipsoid(
         center=center,
         matrix=O,
-        semiaxes=np.sqrt(w),
-        orientation=v.real,
+        semiaxes=semiaxes,
+        orientation=axes,
         volume=float(np.sqrt(np.prod(w))),
     )
 
@@ -248,17 +255,15 @@ def optimal_partner_setting(rho4: DensityMatrix,
 def optimal_settings_from_ellipsoid(e: SteeringEllipsoid, n: int) -> list[np.ndarray]:
     """Measurement directions along the n longest principal semiaxes.
 
-    Within a degenerate group of semiaxes the orientation is re-expressed
-    preferring the coordinate axes in order x, y, z.  Returns u . sigma
-    involutions.
+    Reads the orientation columns as `ellipsoid` leaves them.  Returns
+    u . sigma involutions.
     """
     if n > int(np.sum(e.semiaxes > AXIS_TOL)):
         raise AmbiguousSettingError(
             f"only {int(np.sum(e.semiaxes > AXIS_TOL))} nondegenerate axes, "
             f"{n} requested"
         )
-    axes = _tie_broken_axes(e.semiaxes, e.orientation)
-    return [pauli_dot(axes[:, k]) for k in range(n)]
+    return [pauli_dot(e.orientation[:, k]) for k in range(n)]
 
 
 def _tie_broken_axes(semiaxes: np.ndarray, orientation: np.ndarray) -> np.ndarray:

@@ -164,6 +164,11 @@ class TestRunErrors:
         ({"pairs": "2"}, "config key 'pairs' must be of type int"),
         ([0.5], "config must be a JSON object"),
         ({"compression": "00"}, "compression '00' is not two kets"),
+        ({"equal_strength": [True]}, "unknown config keys ['equal_strength']"),
+        ({"pairs": -1}, "pairs=-1 outside supported range 1..4"),
+        ({"pairs": 1, "strengths": [0.5, 0.8]}, "history covers 2 pairs, config has 1"),
+        ({"charlie_directions": ["x", "y", "z"]}, "need one Charlie direction per setting"),
+        ({"charlie_directions": [5, "x"]}, "unknown axis label 5"),
     ])
     def test_bad_config_exits_2(self, capsys, tmp_path, cfg, message):
         code, out, err = self._run(capsys, tmp_path, json.dumps(cfg))

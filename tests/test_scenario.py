@@ -178,20 +178,11 @@ class TestGoldenOutputs:
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize("last", [1.5, -0.1, float("nan")])
-    def test_scan_rejects_bad_last_pair_strength(self, last):
-        with pytest.raises(ConfigError, match=r"strengths .* outside \[0, 1\]"):
-            scan_region(3, 3, last_pair_strength=last)
-
     def test_sweep_rejects_out_of_range(self):
         with pytest.raises(ConfigError, match=r"strengths \(1.25, 1.25\) outside"):
             sweep_curve({}, "lambda_1", 0.5, 1.5, 5)
         with pytest.raises(ConfigError, match="outside"):
             sweep_curve({"lambda2_2": float("nan")}, "lambda_1", 0, 1, 3, mode="local")
-
-    def test_max_pairs_rejects_out_of_range(self):
-        with pytest.raises(ConfigError, match="outside"):
-            max_simultaneous_pairs(3, last_pair_strength=1.2)
 
     def test_scan_rejects_unknown_mode(self):
         with pytest.raises(ConfigError, match="unknown mode 'bogus'"):

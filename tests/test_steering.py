@@ -270,6 +270,22 @@ class TestEllipsoid:
             idx = np.argmax(np.abs(e.orientation[1, :]))
             assert e.semiaxes[idx] == pytest.approx(expected, abs=1e-10)
 
+    def test_orientation_stable_under_rounding_noise(self):
+        # Eigenvectors are fixed only up to sign (and rotation within equal
+        # semiaxes); the reported columns must not follow 1e-15 noise.
+        rng = np.random.default_rng(71)
+        for lams in rng.uniform(0, 1, (300, 2)):
+            rho4, _ = compress(luders_update(ghz(), _nonlocal_settings(list(lams))))
+            b = bloch_form(rho4)
+            for party in ("charlie", "ab"):
+                ref = ellipsoid(b, party).orientation
+                assert (np.diag(ref[np.abs(ref).argmax(axis=0)]) > 0).all()
+                for _ in range(3):
+                    noisy = BlochForm(*(x + rng.uniform(-1e-15, 1e-15, x.shape)
+                                        for x in (b.m_tilde, b.n_vec, b.T)))
+                    moved = np.abs(ellipsoid(noisy, party).orientation - ref)
+                    assert np.max(moved) <= 1e-6
+
     def test_ab_ellipsoid_matches_for_symmetric_state(self):
         rho = luders_update(ghz(), _nonlocal_settings([0.6, 0.3]))
         rho4, _ = compress(rho)
