@@ -8,7 +8,7 @@ from .measurement import Instrument, UnsharpSetting, local_pair_update, \
 from .steering import SteeringEllipsoid, StrengthHistory, classical_bound, \
     closed_form_local, closed_form_nonlocal, ellipsoid, ellipsoid_volume_check, \
     optimal_partner_setting, optimal_settings_from_ellipsoid, steering_parameter
-from .scenario import ScanRecord, ScenarioConfig, ellipsoid_series, make_config, \
+from .scenario import ScanTable, ScenarioConfig, ellipsoid_series, make_config, \
     max_simultaneous_pairs, run_scenario, scan_region, simultaneous_window, \
     sweep_curve
 
@@ -18,7 +18,7 @@ __all__ = [
     "luders_update", "make_instrument", "SteeringEllipsoid", "StrengthHistory",
     "classical_bound", "closed_form_local", "closed_form_nonlocal", "ellipsoid",
     "ellipsoid_volume_check", "optimal_partner_setting",
-    "optimal_settings_from_ellipsoid", "steering_parameter", "ScanRecord",
+    "optimal_settings_from_ellipsoid", "steering_parameter", "ScanTable",
     "ScenarioConfig", "ellipsoid_series", "make_config",
     "max_simultaneous_pairs", "run_scenario", "scan_region",
     "simultaneous_window", "sweep_curve",

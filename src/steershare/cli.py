@@ -26,6 +26,14 @@ def _parse_fix(items: list[str]) -> dict[str, float]:
     return fixed
 
 
+def _write_out(path: str, text: str, newline: str | None = None) -> None:
+    try:
+        with open(path, "w", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def cmd_demo(_args) -> None:
     c2 = scenario.SQRT_HALF
     print(f"two-setting classical bound C2 = {c2:.6f}")
@@ -56,23 +64,23 @@ def cmd_demo(_args) -> None:
 
 
 def cmd_scan(args) -> None:
-    records = scenario.scan_region(pairs=args.pairs, resolution=args.grid,
-                                   mode=args.mode)
-    scenario.save_records(records, "scan", args.out)
-    print(f"wrote {len(records)} rows to {args.out}")
+    table = scenario.scan_region(pairs=args.pairs, resolution=args.grid,
+                                 mode=args.mode)
+    _write_out(args.out, scenario.records_to_csv(table, "scan"), newline="")
+    print(f"wrote {len(table)} rows to {args.out}")
 
 
 def cmd_sweep(args) -> None:
-    records = scenario.sweep_curve(_parse_fix(args.fix), args.vary, args.from_,
-                                   args.to, args.samples, pairs=args.pairs,
-                                   mode=args.mode)
-    scenario.save_records(records, "sweep", args.out)
-    print(f"wrote {len(records)} rows to {args.out}")
+    table = scenario.sweep_curve(_parse_fix(args.fix), args.vary, args.from_,
+                                 args.to, args.samples, pairs=args.pairs,
+                                 mode=args.mode)
+    _write_out(args.out, scenario.records_to_csv(table, "sweep"), newline="")
+    print(f"wrote {len(table)} rows to {args.out}")
 
 
 def cmd_ellipsoids(args) -> None:
     records = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])
-    scenario.save_ellipsoids(records, args.out)
+    _write_out(args.out, json.dumps([r.to_json() for r in records], indent=2) + "\n")
     r = records[0]
     print(f"Charlie semiaxes: {np.round(r.charlie.semiaxes, 6).tolist()}, "
           f"volume {r.charlie.volume:.6f} -> {args.out}")
@@ -106,8 +114,7 @@ def cmd_run(args) -> None:
                 r.ab_ellipsoid.to_json() if r.ab_ellipsoid else None,
         })
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        _write_out(args.out, json.dumps(payload, indent=2) + "\n")
     for r in results:
         marker = ">" if r.steering_value > scenario.SQRT_HALF else "<="
         print(f"pair {r.pair}: S = {r.steering_value:.6f} {marker} C2")

@@ -9,10 +9,6 @@ x setting pairs with -(sigma_y x sigma_y) on A,B and his -y setting with
 
 from __future__ import annotations
 
-import csv
-import io
-import itertools
-import json
 import numbers
 import re
 from dataclasses import dataclass, field
@@ -197,19 +193,24 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    """One row of sweep/scan output."""
+class ScanTable:
+    """Scan or sweep output as columns, one row per history.
 
-    params: dict[str, float]
-    s: tuple[float, ...]
-    st: tuple[float, ...]
-    region: str
-    bound: float
+    `params` maps each parameter name to its float64 array; `s` and `st`
+    hold one float64 array per pair (`[]` where the mode leaves them out);
+    `region` holds each row's activation label.
+    """
+
+    params: dict[str, np.ndarray]
+    s: list[np.ndarray]
+    st: list[np.ndarray]
+    region: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.region)
 
 
-def _region_label(s: tuple[float, ...], st: tuple[float, ...], bound: float) -> str:
-    """Activation labels: I (II) marks pair 2 (pair 3) steering nonlocally only."""
-    return "+".join(n for n, a, b in zip(("I", "II"), s[1:], st[1:]) if a > bound >= b)
+_REGION_LABELS = np.array(["", "I", "II", "I+II"])
 
 
 def _mode_closed_forms(mode: str, lam1: list, lam2: list) -> tuple[list, list]:
@@ -225,13 +226,15 @@ def _mode_closed_forms(mode: str, lam1: list, lam2: list) -> tuple[list, list]:
     return s, st
 
 
-def _records(mode: str, lam1: list, lam2: list, params: list[dict]) -> list[ScanRecord]:
-    """One record per history, i.e. per element of the pair strength arrays."""
-    # Rows hold plain Python floats (tolist), never numpy scalars.
-    rows = [zip(*[c.tolist() for c in cols]) if cols else itertools.repeat(())
-            for cols in _mode_closed_forms(mode, lam1, lam2)]
-    return [ScanRecord(params=p, s=s, st=st, region=_region_label(s, st, SQRT_HALF),
-                       bound=SQRT_HALF) for p, s, st in zip(params, *rows)]
+def _table(mode: str, lam1: list, lam2: list, params: dict) -> ScanTable:
+    """Closed forms of every history, i.e. of every element of the pair
+    strength arrays, with activation labels: I (II) marks pair 2 (pair 3)
+    steering nonlocally only."""
+    s, st = _mode_closed_forms(mode, lam1, lam2)
+    code = np.zeros_like(lam1[0], dtype=np.intp)
+    for k, (a, b) in enumerate(zip(s[1:3], st[1:3])):
+        code |= ((a > SQRT_HALF) & (SQRT_HALF >= b)) << k
+    return ScanTable(params=params, s=s, st=st, region=_REGION_LABELS[code])
 
 
 def _grid_strengths(resolution: int) -> list[np.ndarray]:
@@ -243,7 +246,7 @@ def _grid_strengths(resolution: int) -> list[np.ndarray]:
 
 
 def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare"
-                ) -> list[ScanRecord]:
+                ) -> ScanTable:
     """Equal-strength region scan over (lambda^(1), lambda^(2)).
 
     Pair 3 (when present) measures sharply.  Rows are emitted row-major
@@ -254,9 +257,8 @@ def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare"
     if not 1 <= pairs <= 3:
         raise ConfigError(f"pairs={pairs} outside supported scan range 1..3")
     lams = _grid_strengths(resolution)
-    params = [{"lambda1": a, "lambda2": b}
-              for a, b in zip(lams[0].tolist(), lams[1].tolist())]
-    return _records(mode, lams[:pairs], lams[:pairs], params)
+    return _table(mode, lams[:pairs], lams[:pairs],
+                  {"lambda1": lams[0], "lambda2": lams[1]})
 
 
 def _check_strengths(lam1: list, lam2: list) -> None:
@@ -273,7 +275,7 @@ _PARAM_RE = re.compile(r"^lambda([12]?)_([1-4])$")
 
 def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
                 samples: int, pairs: int = 2, mode: str = "compare"
-                ) -> list[ScanRecord]:
+                ) -> ScanTable:
     """Sweep one strength parameter, reporting S (and S~ when comparing).
 
     Parameter ids: lambda1_i / lambda2_i address setting 1/2 of pair i,
@@ -282,6 +284,8 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
     for name in list(fixed) + [vary]:
         if not _PARAM_RE.match(name):
             raise ConfigError(f"unknown parameter id {name!r}")
+    if vary in fixed:
+        raise ConfigError(f"parameter {vary!r} is both varied and fixed")
     if samples < 2:
         raise ConfigError("need at least two samples")
     if not 1 <= pairs <= 4:
@@ -296,7 +300,7 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
     lam1 = [params.get(f"lambda1_{i}", b) for i, b in enumerate(both, start=1)]
     lam2 = [params.get(f"lambda2_{i}", b) for i, b in enumerate(both, start=1)]
     _check_strengths(lam1, lam2)
-    return _records(mode, lam1, lam2, [{"param": v} for v in values.tolist()])
+    return _table(mode, lam1, lam2, {"param": values})
 
 
 @dataclass(frozen=True)
@@ -377,39 +381,28 @@ def simultaneous_window(case: str, tol: float = 1e-9) -> tuple[float, float]:
     return lo, hi
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+# Per CSV kind: parameter columns, the number of S (and of St) columns, and
+# whether the region label is written.
+_CSV_LAYOUT = {"scan": (("lambda1", "lambda2"), 3, True),
+               "sweep": (("param",), 2, False)}
 
 
-def records_to_csv(records: list[ScanRecord], kind: str) -> str:
+def records_to_csv(table: ScanTable, kind: str) -> str:
     """Deterministic CSV for scan ("lambda1,lambda2,...") or sweep rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if kind == "scan":
-        writer.writerow(["lambda1", "lambda2", "S1", "S2", "S3",
-                         "St1", "St2", "St3", "region"])
-        for r in records:
-            s = [_fmt(v) for v in r.s] + [""] * (3 - len(r.s))
-            st = [_fmt(v) for v in r.st] + [""] * (3 - len(r.st))
-            writer.writerow([_fmt(r.params["lambda1"]), _fmt(r.params["lambda2"])]
-                            + s + st + [r.region])
-    elif kind == "sweep":
-        writer.writerow(["param", "S1", "S2", "St1", "St2"])
-        for r in records:
-            s = [_fmt(v) for v in r.s[:2]] + [""] * (2 - min(2, len(r.s)))
-            st = [_fmt(v) for v in r.st[:2]] + [""] * (2 - min(2, len(r.st)))
-            writer.writerow([_fmt(r.params["param"])] + s + st)
-    else:
+    if kind not in _CSV_LAYOUT:
         raise ConfigError(f"unknown CSV kind {kind!r}")
-    return buf.getvalue()
-
-
-def save_records(records: list[ScanRecord], kind: str, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(records_to_csv(records, kind))
-
-
-def save_ellipsoids(records: list[EllipsoidRecord], path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump([r.to_json() for r in records], fh, indent=2)
-        fh.write("\n")
+    names, width, with_region = _CSV_LAYOUT[kind]
+    header = [*names, *(f"{p}{i}" for p in ("S", "St") for i in range(1, width + 1))]
+    cols = [table.params[n] for n in names]
+    fields = ["%.12g"] * len(names)
+    for group in (table.s, table.st):
+        group = group[:width]
+        cols += group
+        fields += ["%.12g"] * len(group) + [""] * (width - len(group))
+    if with_region:
+        header.append("region")
+        cols.append(table.region)
+        fields.append("%s")
+    # One %-format per row; tolist gives Python floats, printed to 12 significant digits.
+    rows = map(",".join(fields).__mod__, zip(*(c.tolist() for c in cols)))
+    return "\n".join([",".join(header), *rows, ""])

@@ -92,6 +92,15 @@ class TestSweep:
             "error: parameter 'lambda_3' addresses pair 3, beyond pairs=2"]
         assert not (tmp_path / "x.csv").exists()
 
+    def test_fix_of_varied_parameter_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sweep", "--vary", "lambda_1",
+                                 "--fix", "lambda_1=0.3", "--from", "0", "--to", "1",
+                                 "--samples", "3", "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: parameter 'lambda_1' is both varied and fixed"]
+        assert not (tmp_path / "x.csv").exists()
+
     def test_fix_values_do_not_leak_between_calls(self, capsys, tmp_path):
         # The parser is built once per process; each call must still start
         # from its own defaults.
@@ -175,6 +184,24 @@ class TestRunErrors:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {message}")
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--grid", "3"],
+        ["sweep", "--vary", "lambda_1", "--from", "0", "--to", "1", "--samples", "3"],
+        ["ellipsoids", "--lambda1", "0.5", "--lambda2", "0.5"],
+        ["run", "--config", "CONFIG"],
+    ])
+    def test_missing_directory_exits_2(self, capsys, tmp_path, argv):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"strengths": [0.5, 0.8]}))
+        target = str(tmp_path / "missing" / "x.out")
+        argv = [str(cfg_file) if a == "CONFIG" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--out", target)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: cannot write {target!r}: No such file or directory"]
 
 
 class TestDemo:

@@ -74,43 +74,45 @@ class TestRunScenario:
                 closed_form_nonlocal(cfg.strengths, i), abs=1e-10)
 
 
+def _cell(table, lambda1, lambda2):
+    """Row index of the grid cell at (lambda1, lambda2), to 3 decimals."""
+    (k,) = np.flatnonzero((np.round(table.params["lambda1"], 3) == lambda1)
+                          & (np.round(table.params["lambda2"], 3) == lambda2))
+    return k
+
+
 class TestScanRegion:
     def test_pair_one_boundary_shared(self):
-        records = scan_region(pairs=1, resolution=21, mode="compare")
-        for r in records:
-            # First pair: local and nonlocal parameters coincide exactly.
-            assert r.s[0] == pytest.approx(r.st[0], abs=1e-14)
+        table = scan_region(pairs=1, resolution=21, mode="compare")
+        # First pair: local and nonlocal parameters coincide exactly.
+        assert np.all(np.abs(table.s[0] - table.st[0]) <= 1e-14)
 
     def test_region_one_cell(self):
-        records = scan_region(pairs=2, resolution=11, mode="compare")
-        lookup = {(round(r.params["lambda1"], 3), round(r.params["lambda2"], 3)): r
-                  for r in records}
-        cell = lookup[(0.5, 0.8)]
-        assert cell.s[1] > SQRT_HALF >= cell.st[1]
-        assert cell.region == "I"
+        table = scan_region(pairs=2, resolution=11, mode="compare")
+        k = _cell(table, 0.5, 0.8)
+        assert table.s[1][k] > SQRT_HALF >= table.st[1][k]
+        assert table.region[k] == "I"
 
     def test_outside_all_regions(self):
-        records = scan_region(pairs=2, resolution=101, mode="compare")
-        lookup = {(round(r.params["lambda1"], 3), round(r.params["lambda2"], 3)): r
-                  for r in records}
-        cell = lookup[(0.99, 0.99)]
-        assert cell.s[1] < SQRT_HALF and cell.st[1] < SQRT_HALF
-        assert cell.region == ""
+        table = scan_region(pairs=2, resolution=101, mode="compare")
+        k = _cell(table, 0.99, 0.99)
+        assert table.s[1][k] < SQRT_HALF and table.st[1][k] < SQRT_HALF
+        assert table.region[k] == ""
 
     def test_local_success_nested_in_nonlocal(self):
-        for r in scan_region(pairs=3, resolution=41, mode="compare"):
-            for i in (1, 2):
-                if r.st[i] > SQRT_HALF:
-                    assert r.s[i] > SQRT_HALF
+        table = scan_region(pairs=3, resolution=41, mode="compare")
+        for i in (1, 2):
+            assert np.all(table.s[i][table.st[i] > SQRT_HALF] > SQRT_HALF)
 
     def test_labels_consistent(self):
-        for r in scan_region(pairs=3, resolution=17, mode="compare"):
+        table = scan_region(pairs=3, resolution=17, mode="compare")
+        for k in range(len(table)):
             expect = []
-            if r.s[1] > SQRT_HALF >= r.st[1]:
+            if table.s[1][k] > SQRT_HALF >= table.st[1][k]:
                 expect.append("I")
-            if r.s[2] > SQRT_HALF >= r.st[2]:
+            if table.s[2][k] > SQRT_HALF >= table.st[2][k]:
                 expect.append("II")
-            assert r.region == "+".join(expect)
+            assert table.region[k] == "+".join(expect)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ConfigError):
@@ -119,16 +121,18 @@ class TestScanRegion:
 
 class TestSweepCurve:
     def test_window_case_iii(self):
-        records = sweep_curve({"lambda1_1": SQRT_HALF}, "lambda2_1", 0.6, 1.0, 81,
-                              mode="nonlocal")
-        inside = [r.params["param"] for r in records
-                  if r.s[0] > SQRT_HALF and r.s[1] > SQRT_HALF]
+        table = sweep_curve({"lambda1_1": SQRT_HALF}, "lambda2_1", 0.6, 1.0, 81,
+                            mode="nonlocal")
+        inside = table.params["param"][(table.s[0] > SQRT_HALF)
+                                       & (table.s[1] > SQRT_HALF)]
         assert min(inside) > SQRT_HALF
         assert 0.985 < max(inside) < 0.9926135
 
     def test_compare_includes_local(self):
-        records = sweep_curve({"lambda1_1": SQRT_HALF}, "lambda2_1", 0.7, 0.9, 5)
-        assert all(len(r.s) == 2 and len(r.st) == 2 for r in records)
+        table = sweep_curve({"lambda1_1": SQRT_HALF}, "lambda2_1", 0.7, 0.9, 5)
+        assert len(table) == 5
+        assert len(table.s) == 2 and len(table.st) == 2
+        assert all(len(col) == 5 for col in table.s + table.st)
 
     def test_unknown_parameter(self):
         with pytest.raises(ConfigError):
@@ -142,16 +146,16 @@ class TestSweepCurve:
         assert a == b
 
     def test_csv_schema(self):
-        records = sweep_curve({}, "lambda_1", 0, 1, 3, mode="nonlocal")
-        lines = records_to_csv(records, "sweep").splitlines()
+        table = sweep_curve({}, "lambda_1", 0, 1, 3, mode="nonlocal")
+        lines = records_to_csv(table, "sweep").splitlines()
         assert lines[0] == "param,S1,S2,St1,St2"
         assert lines[1].endswith(",,")  # St columns empty in nonlocal mode
 
 
 class TestScanCsv:
     def test_schema_and_determinism(self):
-        records = scan_region(pairs=3, resolution=5, mode="compare")
-        text = records_to_csv(records, "scan")
+        table = scan_region(pairs=3, resolution=5, mode="compare")
+        text = records_to_csv(table, "scan")
         lines = text.splitlines()
         assert lines[0] == "lambda1,lambda2,S1,S2,S3,St1,St2,St3,region"
         assert len(lines) == 26
@@ -168,13 +172,57 @@ class TestGoldenOutputs:
             "b97fab1ef4b004c6057cef807175b3707ee2f0a5e754c66733db395bdc8e36ce"
 
     def test_readme_sweep_csv_bytes(self):
-        records = sweep_curve({"lambda1_1": 0.70710678}, "lambda2_1", 0.6, 1.0, 81)
-        assert hashlib.sha256(records_to_csv(records, "sweep").encode()).hexdigest() == \
+        table = sweep_curve({"lambda1_1": 0.70710678}, "lambda2_1", 0.6, 1.0, 81)
+        assert hashlib.sha256(records_to_csv(table, "sweep").encode()).hexdigest() == \
             "0a74f248f8f53dab0de976f23fb37cd0934eb9dcc556031bc4365e9b6efadb3d"
 
-    def test_rows_hold_plain_floats(self):
-        for r in scan_region(2, 3, "compare") + sweep_curve({}, "lambda_1", 0, 1, 3):
-            assert all(type(v) is float for v in r.s + r.st + tuple(r.params.values()))
+    # Digests below were taken from the per-cell record writer that the
+    # column tables replaced; the tables must reproduce its bytes.
+    def test_readme_scan_csv_bytes(self):
+        # `steershare scan --pairs 3 --mode compare --grid 400`: 19,373,343 bytes.
+        data = records_to_csv(scan_region(3, 400, "compare"), "scan").encode()
+        assert len(data) == 19_373_343
+        assert hashlib.sha256(data).hexdigest() == \
+            "82f65ef2765ac0b3e468f7da79e5690bde066ee5ba259097eb742ef04c0b7eb7"
+
+    @pytest.mark.parametrize("mode, pairs, digest", [
+        ("nonlocal", 1, "7cfcafa6ab8caf4a4f82f9b7b2d44e31fb302a63f0ae8d82831f32ae0113ffb6"),
+        ("nonlocal", 2, "bb7fc528b70e00afc889fa6956e5cb213d9583c77a50c75975d721b147b5d3ea"),
+        ("nonlocal", 3, "13b8f8f3423761592f51f113db11c7f45e347b8f08d1be0c303eadc2dd29d3bf"),
+        ("local", 1, "c5790d8f552c2a7d7193cad948c25208af9cfb15c115b92a3ce69ca2726d035a"),
+        ("local", 2, "f392e56039135b7e18606e0083555c701992518f0752ecd3c0869cbe6e6a905f"),
+        ("local", 3, "9e9a827b3ea04a78d58a449d914f181f0912ec4f80dc26690ff8de2790a6d56f"),
+        ("compare", 1, "49a24521045c4febb6fbe554c58c94d84297537d5824cb40bad12a2fd9b02923"),
+        ("compare", 2, "fe56acae1b81c14690f4d0d51f2aeeca8b34b098a5368e27691544fc598306c5"),
+        ("compare", 3, "dcfc3e6bf2eed8e8832ab00c17598f7cc40526d2af98bfb8a92a95ca97e2601c"),
+    ])
+    def test_small_scan_csv_bytes(self, mode, pairs, digest):
+        text = records_to_csv(scan_region(pairs, 7, mode), "scan")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode, pairs, digest", [
+        ("nonlocal", 3, "2aa6ea2d1c48847843ec4131d5f914a9e4463c90d886b02b11c2cb100492c40a"),
+        ("nonlocal", 4, "2aa6ea2d1c48847843ec4131d5f914a9e4463c90d886b02b11c2cb100492c40a"),
+        ("local", 3, "d3cbee8abe8dd3a68a8d27de6439113784a4afe3ccb9596d4722eb83b5cc4357"),
+        ("local", 4, "d3cbee8abe8dd3a68a8d27de6439113784a4afe3ccb9596d4722eb83b5cc4357"),
+    ])
+    def test_one_mode_sweep_csv_bytes(self, mode, pairs, digest):
+        # One mode leaves the St (nonlocal) or S (local) columns empty; the
+        # sweep CSV holds pairs 1 and 2 only, so 3 and 4 pairs match.
+        table = sweep_curve({"lambda1_1": 0.6, "lambda_2": 0.8}, "lambda2_1", 0, 1, 9,
+                            pairs=pairs, mode=mode)
+        text = records_to_csv(table, "sweep")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_columns_are_float64_arrays(self):
+        for table, rows in ((scan_region(2, 3, "compare"), 9),
+                            (sweep_curve({}, "lambda_1", 0, 1, 3), 3)):
+            assert len(table) == rows
+            for col in [*table.params.values(), *table.s, *table.st]:
+                assert isinstance(col, np.ndarray)
+                assert col.dtype == np.float64 and col.shape == (rows,)
+            assert table.region.shape == (rows,)
+            assert all(type(label) is str for label in table.region.tolist())
 
 
 class TestInputValidation:
@@ -187,6 +235,11 @@ class TestInputValidation:
     def test_scan_rejects_unknown_mode(self):
         with pytest.raises(ConfigError, match="unknown mode 'bogus'"):
             scan_region(2, 3, mode="bogus")
+
+    def test_sweep_rejects_fixed_varied_parameter(self):
+        with pytest.raises(ConfigError,
+                           match="parameter 'lambda_1' is both varied and fixed"):
+            sweep_curve({"lambda_1": 0.3}, "lambda_1", 0, 1, 3)
 
     def test_sweep_rejects_unknown_mode(self):
         with pytest.raises(ConfigError, match="unknown mode 'bogus'"):
