@@ -16,43 +16,56 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
-from .measurement import UnsharpSetting, local_pair_update, luders_update
-from .states import CompressionBasis, DensityMatrix, bloch_form, compress, ghz
+from .linalg import PAULIS
+from .measurement import anticommuting, dephasing_scale
+from .states import GHZ_TENSOR, CompressionBasis, DensityMatrix, compressed_bloch, \
+    from_pauli_tensor
 from .steering import (
     SteeringEllipsoid,
     StrengthHistory,
     classical_bound,
     closed_forms,
+    coherence,
     ellipsoid,
-    steering_parameter,
 )
 
 SQRT_HALF = float(1 / np.sqrt(2))
 
-# Per axis: (Charlie operator, joint A,B operator, local (A, B) factors).
-# Signs are fixed so the sharp GHZ correlator <D x L> is +1.
-_AXIS_TABLE = {
-    "x": (SIGMA_X, -kron(SIGMA_Y, SIGMA_Y), (SIGMA_Y, SIGMA_Y)),
-    "y": (SIGMA_Y, -kron(SIGMA_Y, SIGMA_X), (SIGMA_Y, SIGMA_X)),
-    "z": (SIGMA_Z, kron(SIGMA_Z, I2), None),
-}
+# Per axis: Charlie's Pauli index c and the signed A,B Pauli product
+# sign * sigma_p x sigma_q paired with it, as (c, sign, p, q).  Signs are
+# fixed so the sharp GHZ correlator <D x L> = sign * t[p, q, c] is +1.  A
+# label's own sign flips D and L together, which changes neither that
+# correlator nor the dephasing channel of D.
+_AXIS_TABLE = {"x": (1, -1.0, 2, 2), "y": (2, -1.0, 2, 1), "z": (3, 1.0, 3, 0)}
+
+
+def _setting_masks(mode: str, p: int, q: int) -> np.ndarray:
+    """Anticommutation masks of the directions one setting measures, one per
+    measuring party (see `dephasing_scale`): sigma_p x sigma_q jointly, or
+    sigma_p on A and sigma_q on B locally."""
+    dirs = [(p, q, 0)] if mode == "nonlocal" else [(p, 0, 0), (0, q, 0)]
+    return np.stack([anticommuting(d) for d in dirs])
+
+
+# sigma_z x I does not split into local A and B factors.
+_MASKS = {(mode, axis): _setting_masks(mode, p, q)
+          for axis, (_, _, p, q) in _AXIS_TABLE.items()
+          for mode in ("nonlocal", "local") if mode == "nonlocal" or axis != "z"}
 
 
 def charlie_operator(label: str) -> np.ndarray:
-    op, _, _ = _resolve_axis(label)
-    return op
+    sign, axis = _resolve_axis(label)
+    return sign * PAULIS[_AXIS_TABLE[axis][0] - 1]
 
 
-def _resolve_axis(label: str) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+def _resolve_axis(label: str) -> tuple[float, str]:
     sign = 1.0
     axis = label.strip().lower() if isinstance(label, str) else ""
     if axis.startswith("-"):
         sign, axis = -1.0, axis[1:]
     if axis not in _AXIS_TABLE:
         raise ConfigError(f"unknown axis label {label!r}")
-    c_op, ab_op, local = _AXIS_TABLE[axis]
-    return sign * c_op, sign * ab_op, local
+    return sign, axis
 
 
 @dataclass(frozen=True)
@@ -163,31 +176,33 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
 
     Pair i's steering value is evaluated on the state evolved through
     pairs 1..i-1, with pair i's own strengths as prefactors; the reported
-    state and ellipsoids are post-update.
+    state and ellipsoids are post-update.  The run evolves the state's
+    Pauli tensor: every pair update multiplies it by a fixed factor
+    (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
+    times the product of the factors of pairs 1..i.
     """
-    charlie_ops, pair_ops, local_ops = zip(*[_resolve_axis(lbl)
-                                             for lbl in cfg.charlie_directions])
-    if cfg.mode == "local" and any(ops is None for ops in local_ops):
+    axes = [_resolve_axis(lbl)[1] for lbl in cfg.charlie_directions]
+    if cfg.mode == "local" and "z" in axes:
         raise ConfigError("local mode is only defined for x/y settings")
     basis = CompressionBasis.parse(cfg.compression)
-    rho = ghz()
+    lam = np.array(cfg.strengths.lambdas)  # (pair, setting)
+    if cfg.mode == "nonlocal":
+        c = coherence(lam)[..., None]
+    else:
+        c = coherence(np.stack([cfg.strengths.etas, cfg.strengths.gammas], axis=-1))
+    anti = np.stack([_MASKS[cfg.mode, axis] for axis in axes])
+    after = GHZ_TENSOR * np.cumprod(dephasing_scale(anti, c), axis=0)
+    before = np.concatenate([GHZ_TENSOR[None], after[:-1]])
+    charlie, sign, p, q = zip(*(_AXIS_TABLE[a] for a in axes))
+    values = (lam * sign * before[:, p, q, charlie]).mean(axis=1)
     results = []
-    for i, lam in enumerate(cfg.strengths.lambdas, start=1):
-        value = steering_parameter(rho, pair_ops, lam, charlie_ops)
+    for i, t in enumerate(after, start=1):
         ell_c = ell_ab = None
         if cfg.mode == "nonlocal":
-            rho = luders_update(rho, [UnsharpSetting(op, s, (0, 1))
-                                      for op, s in zip(pair_ops, lam)])
-            form = bloch_form(compress(rho, basis)[0])
+            form = compressed_bloch(t, basis)
             ell_c, ell_ab = ellipsoid(form, "charlie"), ellipsoid(form, "ab")
-        else:
-            rho = local_pair_update(
-                rho,
-                [UnsharpSetting(a, e, (0,))
-                 for (a, _), e in zip(local_ops, cfg.strengths.etas[i - 1])],
-                [UnsharpSetting(b, g, (1,))
-                 for (_, b), g in zip(local_ops, cfg.strengths.gammas[i - 1])])
-        results.append(PairResult(pair=i, steering_value=value, state=rho,
+        results.append(PairResult(pair=i, steering_value=float(values[i - 1]),
+                                  state=from_pauli_tensor(t),
                                   charlie_ellipsoid=ell_c, ab_ellipsoid=ell_ab))
     return results
 

@@ -1,10 +1,12 @@
 """Qubit-register density matrices, the GHZ state, and Bloch decomposition.
 
 Qubit order is fixed as A (leftmost) then B then Charlie; computational
-basis labels are bit strings "abc".  A three-qubit state whose A,B pair
-lives in a two-dimensional subspace can be compressed to an effective
-two-qubit state (compressed AB qubit tensor Charlie) for ellipsoid
-analysis.
+basis labels are bit strings "abc".  A state is also held as its real
+Pauli tensor t[a, b, ...] = Tr(rho sigma_a x sigma_b x ...), sigma_0 = I,
+from which rho = 2^-n sum t[a, b, ...] sigma_a x sigma_b x ....  A
+three-qubit state whose A,B pair lives in a two-dimensional subspace can
+be compressed to an effective two-qubit state (compressed AB qubit tensor
+Charlie) for ellipsoid analysis.
 """
 
 from __future__ import annotations
@@ -23,6 +25,19 @@ DENSITY_EIG_FLOOR = -1e-9
 COMPRESS_TOL = 1e-9
 
 _BASIS = np.stack((I2,) + PAULIS)  # sigma_0..sigma_3, shape (4, 2, 2)
+
+
+def _pauli_products(n: int) -> np.ndarray:
+    """sigma_a x sigma_b x ... for every index tuple, shape (4,)*n + (2^n, 2^n)."""
+    out = _BASIS
+    for _ in range(n - 1):
+        d = 2 * out.shape[-1]
+        out = np.einsum("...ij,bkl->...bikjl", out, _BASIS).reshape(
+            out.shape[:-2] + (4, d, d))
+    return out
+
+
+PAULI_PRODUCTS = {n: _pauli_products(n) for n in (1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -120,6 +135,45 @@ def ghz() -> DensityMatrix:
     return DensityMatrix(3, np.outer(psi, psi.conj()))
 
 
+def pauli_tensor(mat: np.ndarray) -> np.ndarray:
+    """Real parts of Tr(mat sigma_a x sigma_b x ...) for a 1-3 qubit matrix."""
+    qubits = {2: 1, 4: 2, 8: 3}.get(mat.shape[0])
+    if qubits is None or mat.shape != (2 ** qubits,) * 2:
+        raise ShapeError(f"matrix shape {mat.shape} is not that of 1-3 qubits")
+    products = PAULI_PRODUCTS[qubits]
+    # Tr(mat P) = sum_ij P[i, j] mat[j, i]: one product over flattened operators.
+    t = products.reshape(4 ** qubits, -1) @ mat.T.reshape(-1)
+    return t.real.reshape((4,) * qubits)
+
+
+def from_pauli_tensor(t: np.ndarray) -> DensityMatrix:
+    """The validated state 2^-n sum t[a, b, ...] sigma_a x sigma_b x ...."""
+    qubits = t.ndim
+    if not 1 <= qubits <= 3 or t.shape != (4,) * qubits:
+        raise ShapeError(f"Pauli tensor shape {t.shape} is not that of 1-3 qubits")
+    d = 2 ** qubits
+    mat = t.reshape(-1) @ PAULI_PRODUCTS[qubits].reshape(4 ** qubits, d * d)
+    return DensityMatrix(qubits, mat.reshape(d, d) / d)
+
+
+GHZ_TENSOR = pauli_tensor(ghz().mat)
+GHZ_TENSOR.setflags(write=False)
+
+
+def _compression_map(zero_ket: str, one_ket: str) -> np.ndarray:
+    """M with sum_pq M[a, p, q] t[p, q, c] = Tr(rho (V sigma_a V^dag) x sigma_c),
+    where V maps the compressed qubit's |0~>, |1~> to |zero_ket>, |one_ket>."""
+    v = np.stack([ket(zero_ket), ket(one_ket)], axis=1)
+    lifted = v @ _BASIS @ dagger(v)  # V sigma_a V^dag on A,B, shape (4, 4, 4)
+    return np.einsum("aij,pqji->apq", lifted, PAULI_PRODUCTS[2]).real / 4
+
+
+# One linear map of the three-qubit Pauli tensor per ordered pair of kets.
+_COMPRESSION_MAPS = {(z, o): _compression_map(z, o)
+                     for z in ("00", "01", "10", "11")
+                     for o in ("00", "01", "10", "11") if z != o}
+
+
 def compress(rho: DensityMatrix, basis: CompressionBasis = CompressionBasis()
              ) -> tuple[DensityMatrix, float]:
     """Project a 3-qubit state onto span{zero_ket, one_ket} x C2 and relabel.
@@ -143,19 +197,37 @@ def compress(rho: DensityMatrix, basis: CompressionBasis = CompressionBasis()
     return DensityMatrix(2, small / weight), weight
 
 
+def compressed_bloch(t: np.ndarray, basis: CompressionBasis = CompressionBasis()
+                     ) -> BlochForm:
+    """Bloch form of `compress` applied to the three-qubit state with Pauli
+    tensor `t`, read off `t` by one fixed linear map per basis.
+
+    Raises NotCompressibleError as `compress` does.
+    """
+    u = np.einsum("apq,pqc->ac", _COMPRESSION_MAPS[basis.zero_ket, basis.one_ket], t)
+    weight = float(u[0, 0])
+    if weight < 1 - COMPRESS_TOL:
+        # A weight is >= 0: a rounding residue below zero (or -0.0) prints as 0.
+        raise NotCompressibleError(
+            f"only {max(weight, 0.0) + 0.0:.12f} of the state lies in "
+            f"span{{|{basis.zero_ket}>, |{basis.one_ket}>}} x C2"
+        )
+    return _split(u / weight)
+
+
+def _split(t: np.ndarray) -> BlochForm:
+    # t[a, b] with sigma_0 = I: 1 and n in row 0, m~ in column 0, T in the rest.
+    return BlochForm(t[1:, 0], t[0, 1:], t[1:, 1:])
+
+
 def bloch_form(rho4: DensityMatrix) -> BlochForm:
     """Pauli decomposition (m~, n, T) of a (compressed) two-qubit state."""
     if rho4.qubits != 2:
         raise ShapeError("bloch_form expects a 2-qubit state")
-    # t[a, b] = Tr(rho (sigma_a x sigma_b)) with sigma_0 = I: 1, n in row 0,
-    # m~ in column 0, T in the rest.
-    t = np.einsum("aji,blk,ikjl->ab", _BASIS, _BASIS,
-                  rho4.mat.reshape(2, 2, 2, 2)).real
-    return BlochForm(t[1:, 0], t[0, 1:], t[1:, 1:])
+    return _split(pauli_tensor(rho4.mat))
 
 
 def reconstruct(b: BlochForm) -> DensityMatrix:
     """Inverse of bloch_form: rebuild the 4x4 state from (m~, n, T)."""
     t = np.block([[np.ones((1, 1)), b.n_vec[None, :]], [b.m_tilde[:, None], b.T]])
-    mat = np.einsum("ab,aij,bkl->ikjl", t, _BASIS, _BASIS).reshape(4, 4)
-    return DensityMatrix(2, mat / 4)
+    return from_pauli_tensor(t)

@@ -25,6 +25,8 @@ from .states import BlochForm, DensityMatrix
 
 DEGENERACY_TOL = 1e-9
 AXIS_TOL = 1e-9
+JOINT_STRENGTH_TOL = 1e-9
+AXIS_NORM_FLOOR = 1e-8
 
 
 def coherence(strength):
@@ -68,7 +70,7 @@ class StrengthHistory:
                 for lk, ek, gk in zip(lam, eta, gam):
                     if not (0.0 <= ek <= 1.0 and 0.0 <= gk <= 1.0):
                         raise ConfigError("local strengths outside [0, 1]")
-                    if abs(lk - ek * gk) > 1e-9:
+                    if abs(lk - ek * gk) > JOINT_STRENGTH_TOL:
                         raise ConfigError(
                             f"joint strength {lk} != eta*gamma = {ek * gk}"
                         )
@@ -283,7 +285,7 @@ def _tie_broken_axes(semiaxes: np.ndarray, orientation: np.ndarray) -> np.ndarra
                 for b in basis:
                     cand = cand - (b @ cand) * b
                 norm = np.linalg.norm(cand)
-                if norm > 1e-8:
+                if norm > AXIS_NORM_FLOOR:
                     basis.append(cand / norm)
                 if len(basis) == stop - start:
                     break

@@ -3,8 +3,7 @@
 import numpy as np
 
 from steershare.cli import main
-from steershare.linalg import kron
-from steershare.linalg import SIGMA_X, SIGMA_Y
+from steershare.linalg import I2, SIGMA_X, SIGMA_Y, kron
 from steershare.measurement import UnsharpSetting, local_pair_update, luders_update
 from steershare.scenario import (
     SQRT_HALF,
@@ -17,6 +16,7 @@ from steershare.scenario import (
 from steershare.states import bloch_form, compress, ghz
 from steershare.steering import (
     StrengthHistory,
+    closed_forms,
     closed_form_local,
     closed_form_nonlocal,
     ellipsoid,
@@ -127,6 +127,63 @@ def test_criterion_5_oracle_equivalence(capsys):
     with capsys.disabled():
         _report(f"oracle equivalence over 200 histories (worst {worst:.2e})",
                 worst <= 1e-10)
+
+
+def _phased_permutation(d):
+    """D as row i -> (perm[i], phase[i]): D[i, perm[i]] = phase[i], zero elsewhere."""
+    perm = np.abs(d).argmax(axis=1)
+    return perm, d[np.arange(len(d)), perm]
+
+
+def _dephase_batch(rho, d, c):
+    """((1+c)/2) rho + ((1-c)/2) D rho D for a stack of states, D applied as
+    a phased index permutation: (D rho D)[i, j] = v[i] rho[p[i], p[j]] v*[j]."""
+    perm, v = _phased_permutation(d)
+    out = rho[:, perm[:, None], perm]
+    out *= np.outer(v, v.conj()) * ((1 - c) / 2)[:, None, None]
+    out += ((1 + c) / 2)[:, None, None] * rho
+    return out
+
+
+def _pair_update_batch(rho, settings, c):
+    """Mean over settings of the channels of each setting's directions, in turn."""
+    total = np.zeros_like(rho)
+    for dirs in settings:
+        out = rho
+        for d in dirs:
+            out = _dephase_batch(out, d, c)
+        total += out
+    return total / len(settings)
+
+
+def test_criterion_5_whole_grid_oracle(capsys):
+    """Every cell of the 200x200 scan grid, simulated on 8x8 matrices in one
+    batch, against the array closed forms."""
+    grid = np.linspace(0.0, 1.0, 200)
+    lams = [np.repeat(grid, 200), np.tile(grid, 200), np.ones(200 * 200)]
+    corr = [kron(d, l) for d, l in zip(PAIR_DIRS, CHARLIE_DIRS)]
+    settings = {
+        "nonlocal": [[kron(d, I2)] for d in PAIR_DIRS],
+        "local": [[kron(kron(SIGMA_Y, I2), I2), kron(kron(I2, d), I2)]
+                  for d in (SIGMA_Y, SIGMA_X)],
+    }
+    worst = {}
+    for mode, dirs in settings.items():
+        damp = lams if mode == "nonlocal" else [np.sqrt(x) for x in lams]
+        closed = closed_forms(lams, lams, damp, damp)
+        rho = np.broadcast_to(ghz().mat, (len(lams[0]), 8, 8))
+        dev = 0.0
+        for i, (lam, d, want) in enumerate(zip(lams, damp, closed)):
+            # Both settings have strength lam: S = lam * mean_k <D_k x L_k>.
+            sim = lam * sum(np.einsum("nij,ji->n", rho, op).real for op in corr) / 2
+            dev = max(dev, float(np.max(np.abs(sim - want))))
+            if i < len(lams) - 1:  # the last pair damps no one
+                rho = _pair_update_batch(rho, dirs, np.sqrt(1 - d * d))
+        worst[mode] = dev
+    with capsys.disabled():
+        _report("whole 200x200 grid, 3 pairs, 8x8 batch vs closed forms "
+                f"(worst nonlocal {worst['nonlocal']:.2e}, "
+                f"local {worst['local']:.2e})", max(worst.values()) <= 1e-12)
 
 
 def test_criterion_6_ellipsoid_suite(capsys):

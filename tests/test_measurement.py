@@ -86,6 +86,26 @@ class TestMakeInstrument:
         with pytest.raises(ShapeError):
             UnsharpSetting(0.5 * SIGMA_Z, 0.5, (0,))
 
+    @pytest.mark.parametrize("direction, acts_on", [
+        (np.eye(4)[[0, 2, 1, 3]].astype(complex), (0, 1)),  # SWAP
+        ((SIGMA_X + SIGMA_Z) / np.sqrt(2), (0,)),
+    ])
+    def test_rejects_involution_that_is_not_a_pauli_product(self, direction, acts_on):
+        eye = np.eye(len(direction))
+        assert np.max(np.abs(direction - dagger(direction))) <= 1e-15
+        assert np.max(np.abs(direction @ direction - eye)) <= 1e-15
+        with pytest.raises(ShapeError):
+            UnsharpSetting(direction, 0.5, acts_on)
+
+    @pytest.mark.parametrize("acts_on", [(0, 0), (-1, 0)])
+    def test_rejects_bad_qubit_list(self, acts_on):
+        with pytest.raises(ShapeError):
+            UnsharpSetting(YY, 0.5, acts_on)
+
+    def test_records_pauli_indices(self):
+        assert UnsharpSetting(-YX, 0.5, (0, 1)).paulis == (2, 1)
+        assert UnsharpSetting(kron(SIGMA_Z, I2), 0.5, (1, 2)).paulis == (3, 0)
+
     def test_rejects_bad_strength(self):
         with pytest.raises(ConfigError):
             UnsharpSetting(SIGMA_Z, 1.2, (0,))

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from steershare.errors import ConfigError
+from steershare.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
+from steershare.measurement import UnsharpSetting
 from steershare.scenario import (
     SQRT_HALF,
     ScenarioConfig,
@@ -17,7 +19,49 @@ from steershare.scenario import (
     simultaneous_window,
     sweep_curve,
 )
-from steershare.steering import StrengthHistory, closed_form_local, closed_form_nonlocal
+from steershare.states import DensityMatrix, bloch_form, compress, ghz
+from steershare.steering import StrengthHistory, closed_form_local, closed_form_nonlocal, \
+    ellipsoid
+
+from test_measurement import ORACLE_TOL, _kraus_oracle, _padded_kraus
+
+# Per Charlie axis: L, the joint A,B direction D with <D x L> = +1 on GHZ,
+# and the local (A, B) factors of D (none for z).
+_AXES = {"x": (SIGMA_X, -kron(SIGMA_Y, SIGMA_Y), (SIGMA_Y, SIGMA_Y)),
+         "y": (SIGMA_Y, -kron(SIGMA_Y, SIGMA_X), (SIGMA_Y, SIGMA_X)),
+         "z": (SIGMA_Z, kron(SIGMA_Z, I2), None)}
+
+
+def _kraus_chain(cfg):
+    """Per pair: S, the post-update 8x8 state and the (Charlie, AB)
+    ellipsoids, from Kraus operators (make_instrument + embed, sum K rho K^dag),
+    then compress + bloch_form."""
+    ops = []
+    for label in cfg.charlie_directions:
+        sign = -1.0 if label.startswith("-") else 1.0
+        l_op, d_op, local = _AXES[label.lstrip("-")]
+        ops.append((sign * l_op, sign * d_op, local))
+    rho = ghz()
+    out = []
+    for i, lam in enumerate(cfg.strengths.lambdas):
+        s = sum(x * rho.expectation(kron(d_op, l_op))
+                for x, (l_op, d_op, _) in zip(lam, ops)) / len(lam)
+        if cfg.mode == "nonlocal":
+            branches = [_padded_kraus(UnsharpSetting(d_op, x, (0, 1)))
+                        for x, (_, d_op, _) in zip(lam, ops)]
+        else:
+            branches = [
+                [ka @ kb for ka in _padded_kraus(UnsharpSetting(a, eta, (0,)))
+                 for kb in _padded_kraus(UnsharpSetting(b, gamma, (1,)))]
+                for (_, _, (a, b)), eta, gamma
+                in zip(ops, cfg.strengths.etas[i], cfg.strengths.gammas[i])]
+        rho = DensityMatrix(3, _kraus_oracle(rho, branches))
+        ells = (None, None)
+        if cfg.mode == "nonlocal":
+            form = bloch_form(compress(rho)[0])
+            ells = (ellipsoid(form, "charlie"), ellipsoid(form, "ab"))
+        out.append((s, rho, ells))
+    return out
 
 
 class TestScenarioConfig:
@@ -72,6 +116,28 @@ class TestRunScenario:
         for i, r in enumerate(results, start=1):
             assert r.steering_value == pytest.approx(
                 closed_form_nonlocal(cfg.strengths, i), abs=1e-10)
+
+
+    def test_matches_kraus_chain(self):
+        rng = np.random.default_rng(61)
+        worst = 0.0
+        for trial in range(48):
+            mode = ("nonlocal", "local")[trial % 2]
+            labels = ("x", "-x", "y", "-y") + (("z", "-z") if mode == "nonlocal" else ())
+            pairs = trial // 2 % 4 + 1
+            cfg = make_config(mode, [list(rng.uniform(0, 1, 2)) for _ in range(pairs)],
+                              charlie_directions=tuple(rng.choice(labels, 2)))
+            for r, (s, rho, ells) in zip(run_scenario(cfg), _kraus_chain(cfg)):
+                worst = max(worst, abs(r.steering_value - s),
+                            np.max(np.abs(r.state.mat - rho.mat)))
+                for got, want in zip((r.charlie_ellipsoid, r.ab_ellipsoid), ells):
+                    if want is None:
+                        assert got is None
+                        continue
+                    worst = max(worst, np.max(np.abs(got.matrix - want.matrix)),
+                                np.max(np.abs(got.center - want.center)),
+                                abs(got.volume - want.volume))
+        assert worst <= ORACLE_TOL
 
 
 def _cell(table, lambda1, lambda2):

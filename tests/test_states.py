@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,16 @@ from steershare.errors import NotCompressibleError, ShapeError
 from steershare.linalg import I2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, kron, kron_all
 from steershare.measurement import UnsharpSetting, luders_update
 from steershare.states import (
+    GHZ_TENSOR,
     CompressionBasis,
     DensityMatrix,
     bloch_form,
     compress,
+    compressed_bloch,
+    from_pauli_tensor,
     ghz,
     ket,
+    pauli_tensor,
     reconstruct,
 )
 
@@ -76,6 +82,67 @@ class TestCompress:
         rho4, weight = compress(rho, CompressionBasis("01", "10"))
         assert weight == pytest.approx(1.0, abs=1e-12)
         assert rho4.purity() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestPauliTensor:
+    @pytest.mark.parametrize("qubits", [1, 2, 3])
+    def test_entries_are_pauli_expectations(self, qubits):
+        rho = random_density(np.random.default_rng(qubits), qubits)
+        t = pauli_tensor(rho.mat)
+        ops = (I2,) + PAULIS
+        for idx in itertools.product(range(4), repeat=qubits):
+            want = rho.expectation(kron_all(*(ops[i] for i in idx)))
+            assert abs(t[idx] - want) <= 1e-15
+
+    @pytest.mark.parametrize("qubits", [1, 2, 3])
+    def test_round_trip(self, qubits):
+        rho = random_density(np.random.default_rng(10 + qubits), qubits)
+        again = from_pauli_tensor(pauli_tensor(rho.mat))
+        assert np.max(np.abs(again.mat - rho.mat)) <= 1e-15
+
+    def test_ghz_tensor(self):
+        # Nonzero entries: 1 at III, +1 at IZZ, ZIZ, ZZI, XXX and -1 at the
+        # three Y-Y-X placements (up to float rounding of the GHZ amplitudes).
+        want = np.zeros((4, 4, 4))
+        for idx in [(0, 0, 0), (0, 3, 3), (3, 0, 3), (3, 3, 0), (1, 1, 1)]:
+            want[idx] = 1.0
+        for idx in [(1, 2, 2), (2, 1, 2), (2, 2, 1)]:
+            want[idx] = -1.0
+        assert np.max(np.abs(GHZ_TENSOR - want)) <= 1e-15
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ShapeError):
+            pauli_tensor(np.eye(3, dtype=complex))
+        with pytest.raises(ShapeError):
+            from_pauli_tensor(np.zeros((4, 4, 4, 4)))
+
+
+class TestCompressedBloch:
+    @pytest.mark.parametrize("zero, one", [
+        (z, o) for z, o in itertools.permutations(("00", "01", "10", "11"), 2)])
+    def test_matches_compress_then_bloch_form(self, zero, one):
+        # A random state supported on span{|zero>, |one>} x C2.
+        small = random_density(np.random.default_rng(int(zero + one, 2)), 2).mat
+        idx = [int(k + c, 2) for k in (zero, one) for c in "01"]
+        mat = np.zeros((8, 8), dtype=complex)
+        mat[np.ix_(idx, idx)] = small
+        basis = CompressionBasis(zero, one)
+        got = compressed_bloch(pauli_tensor(mat), basis)
+        want = bloch_form(compress(DensityMatrix(3, mat), basis)[0])
+        for a, b in ((got.m_tilde, want.m_tilde), (got.n_vec, want.n_vec),
+                     (got.T, want.T)):
+            assert np.max(np.abs(a - b)) <= 1e-15
+
+    @pytest.mark.parametrize("kets, weight", [(("001", "010", "100"), "0.333333333333"),
+                                              (("010",), "0.000000000000")])
+    def test_not_compressible_message_matches_compress(self, kets, weight):
+        psi = sum(ket(k) for k in kets) / np.sqrt(len(kets))
+        rho = DensityMatrix(3, np.outer(psi, psi.conj()))
+        with pytest.raises(NotCompressibleError) as want:
+            compress(rho)
+        with pytest.raises(NotCompressibleError, match=f"^only {weight} of") as got:
+            compressed_bloch(pauli_tensor(rho.mat))
+        assert str(got.value) == str(want.value)
 
 
 class TestBlochForm:
