@@ -129,10 +129,14 @@ def ket(label: str) -> np.ndarray:
     return v
 
 
+def _ghz_projector() -> np.ndarray:
+    psi = (ket("000") + ket("111")) / np.sqrt(2)
+    return np.outer(psi, psi.conj())
+
+
 def ghz() -> DensityMatrix:
     """The three-qubit state (|000> + |111>)/sqrt(2) as a projector."""
-    psi = (ket("000") + ket("111")) / np.sqrt(2)
-    return DensityMatrix(3, np.outer(psi, psi.conj()))
+    return DensityMatrix(3, _ghz_projector())
 
 
 def pauli_tensor(mat: np.ndarray) -> np.ndarray:
@@ -140,10 +144,7 @@ def pauli_tensor(mat: np.ndarray) -> np.ndarray:
     qubits = {2: 1, 4: 2, 8: 3}.get(mat.shape[0])
     if qubits is None or mat.shape != (2 ** qubits,) * 2:
         raise ShapeError(f"matrix shape {mat.shape} is not that of 1-3 qubits")
-    products = PAULI_PRODUCTS[qubits]
-    # Tr(mat P) = sum_ij P[i, j] mat[j, i]: one product over flattened operators.
-    t = products.reshape(4 ** qubits, -1) @ mat.T.reshape(-1)
-    return t.real.reshape((4,) * qubits)
+    return np.einsum("...ij,ji->...", PAULI_PRODUCTS[qubits], mat).real
 
 
 def from_pauli_tensor(t: np.ndarray) -> DensityMatrix:
@@ -156,7 +157,10 @@ def from_pauli_tensor(t: np.ndarray) -> DensityMatrix:
     return DensityMatrix(qubits, mat.reshape(d, d) / d)
 
 
-GHZ_TENSOR = pauli_tensor(ghz().mat)
+# Import-time constants avoid BLAS and LAPACK calls (validating ghz() would
+# call eigvalsh): their first use costs about 1 MB of resident memory, which
+# processes that only evaluate closed forms never otherwise pay.
+GHZ_TENSOR = pauli_tensor(_ghz_projector())
 GHZ_TENSOR.setflags(write=False)
 
 
@@ -164,7 +168,7 @@ def _compression_map(zero_ket: str, one_ket: str) -> np.ndarray:
     """M with sum_pq M[a, p, q] t[p, q, c] = Tr(rho (V sigma_a V^dag) x sigma_c),
     where V maps the compressed qubit's |0~>, |1~> to |zero_ket>, |one_ket>."""
     v = np.stack([ket(zero_ket), ket(one_ket)], axis=1)
-    lifted = v @ _BASIS @ dagger(v)  # V sigma_a V^dag on A,B, shape (4, 4, 4)
+    lifted = np.einsum("ia,kab,jb->kij", v, _BASIS, v.conj())  # V sigma_a V^dag
     return np.einsum("aij,pqji->apq", lifted, PAULI_PRODUCTS[2]).real / 4
 
 
@@ -204,6 +208,8 @@ def compressed_bloch(t: np.ndarray, basis: CompressionBasis = CompressionBasis()
 
     Raises NotCompressibleError as `compress` does.
     """
+    if t.shape != (4, 4, 4):
+        raise ShapeError(f"Pauli tensor shape {t.shape} is not that of 3 qubits")
     u = np.einsum("apq,pqc->ac", _COMPRESSION_MAPS[basis.zero_ket, basis.one_ket], t)
     weight = float(u[0, 0])
     if weight < 1 - COMPRESS_TOL:

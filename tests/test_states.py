@@ -115,6 +115,8 @@ class TestPauliTensor:
             pauli_tensor(np.eye(3, dtype=complex))
         with pytest.raises(ShapeError):
             from_pauli_tensor(np.zeros((4, 4, 4, 4)))
+        with pytest.raises(ShapeError):
+            compressed_bloch(np.zeros((4, 4)))
 
 
 class TestCompressedBloch:
