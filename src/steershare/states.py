@@ -153,7 +153,12 @@ def from_pauli_tensor(t: np.ndarray) -> DensityMatrix:
     if not 1 <= qubits <= 3 or t.shape != (4,) * qubits:
         raise ShapeError(f"Pauli tensor shape {t.shape} is not that of 1-3 qubits")
     d = 2 ** qubits
-    mat = t.reshape(-1) @ PAULI_PRODUCTS[qubits].reshape(4 ** qubits, d * d)
+    # t is real, so the product runs on the interleaved real and imaginary
+    # parts of the operators: a real matrix-vector product, which OpenBLAS
+    # keeps on one thread, where the complex one is split over threads and
+    # can stall for milliseconds on a busy host.
+    products = PAULI_PRODUCTS[qubits].reshape(4 ** qubits, d * d).view(float)
+    mat = (t.reshape(-1) @ products).view(complex)
     return DensityMatrix(qubits, mat.reshape(d, d) / d)
 
 
