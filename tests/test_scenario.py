@@ -117,7 +117,6 @@ class TestRunScenario:
             assert r.steering_value == pytest.approx(
                 closed_form_nonlocal(cfg.strengths, i), abs=1e-10)
 
-
     def test_matches_kraus_chain(self):
         rng = np.random.default_rng(61)
         worst = 0.0
