@@ -26,7 +26,7 @@ from .steering import (
     classical_bound,
     closed_forms,
     coherence,
-    ellipsoid,
+    ellipsoids,
 )
 
 SQRT_HALF = float(1 / np.sqrt(2))
@@ -179,7 +179,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     state and ellipsoids are post-update.  The run evolves the state's
     Pauli tensor: every pair update multiplies it by a fixed factor
     (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
-    times the product of the factors of pairs 1..i.
+    times the product of the factors of pairs 1..i.  One `ellipsoids`
+    call gives the ellipsoids of every pair.
     """
     axes = [_resolve_axis(lbl)[1] for lbl in cfg.charlie_directions]
     if cfg.mode == "local" and "z" in axes:
@@ -195,16 +196,19 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     before = np.concatenate([GHZ_TENSOR[None], after[:-1]])
     charlie, sign, p, q = zip(*(_AXIS_TABLE[a] for a in axes))
     values = (lam * sign * before[:, p, q, charlie]).mean(axis=1)
-    results = []
-    for i, t in enumerate(after, start=1):
-        ell_c = ell_ab = None
-        if cfg.mode == "nonlocal":
-            form = compressed_bloch(t, basis)
-            ell_c, ell_ab = ellipsoid(form, "charlie"), ellipsoid(form, "ab")
-        results.append(PairResult(pair=i, steering_value=float(values[i - 1]),
-                                  state=from_pauli_tensor(t),
-                                  charlie_ellipsoid=ell_c, ab_ellipsoid=ell_ab))
-    return results
+    ells = [None] * (2 * cfg.pairs)
+    if cfg.mode == "nonlocal":
+        forms = [compressed_bloch(t, basis) for t in after]
+        m = np.stack([f.m_tilde for f in forms])
+        n = np.stack([f.n_vec for f in forms])
+        T = np.stack([f.T for f in forms])
+        # Rows 0..P-1 steer Charlie; rows P..2P-1 swap the roles to steer AB.
+        ells = ellipsoids(np.concatenate([m, n]), np.concatenate([n, m]),
+                          np.concatenate([T, T.transpose(0, 2, 1)]))
+    return [PairResult(pair=i + 1, steering_value=float(values[i]),
+                       state=from_pauli_tensor(t), charlie_ellipsoid=ells[i],
+                       ab_ellipsoid=ells[cfg.pairs + i])
+            for i, t in enumerate(after)]
 
 
 @dataclass(frozen=True)

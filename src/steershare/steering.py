@@ -44,6 +44,12 @@ def direction_axis(op: np.ndarray) -> np.ndarray:
     return np.array([np.trace(op @ p).real / 2 for p in PAULIS])
 
 
+def _check_unit_interval(lambdas) -> None:
+    for pair in lambdas:
+        if any(not 0.0 <= s <= 1.0 for s in pair):
+            raise ConfigError(f"strengths {pair} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class StrengthHistory:
     """Per-pair, per-setting measurement strengths.
@@ -58,9 +64,7 @@ class StrengthHistory:
     gammas: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        for pair in self.lambdas:
-            if any(not 0.0 <= s <= 1.0 for s in pair):
-                raise ConfigError(f"strengths {pair} outside [0, 1]")
+        _check_unit_interval(self.lambdas)
         if (self.etas is None) != (self.gammas is None):
             raise ConfigError("etas and gammas must be given together")
         if self.etas is not None:
@@ -87,6 +91,7 @@ class StrengthHistory:
     def local_sqrt(cls, lambdas: list[tuple[float, float]]) -> "StrengthHistory":
         """Local history with eta = gamma = sqrt(lambda) for every setting."""
         lams = tuple(tuple(p) for p in lambdas)
+        _check_unit_interval(lams)  # before np.sqrt can warn on a negative strength
         roots = tuple(tuple(float(np.sqrt(s)) for s in p) for p in lams)
         return cls(lams, roots, roots)
 
@@ -183,11 +188,7 @@ def ellipsoid(b: BlochForm, steered_party: str = "charlie") -> SteeringEllipsoid
     """Steering ellipsoid of one party under all measurements of the other.
 
     For steered_party="charlie" the A,B pair steers; for "ab" the roles are
-    swapped (m~ <-> n, T -> T^T).  Orientation columns are canonical, so
-    inputs that differ by rounding noise give the same columns: within a
-    degenerate group of semiaxes they prefer the coordinate axes in order
-    x, y, z, and each is signed so its largest-magnitude component is
-    positive.
+    swapped (m~ <-> n, T -> T^T).  See `ellipsoids` for the geometry.
     """
     if steered_party == "charlie":
         m, n, T = b.m_tilde, b.n_vec, b.T
@@ -195,27 +196,44 @@ def ellipsoid(b: BlochForm, steered_party: str = "charlie") -> SteeringEllipsoid
         m, n, T = b.n_vec, b.m_tilde, b.T.T
     else:
         raise ConfigError(f"unknown steered party {steered_party!r}")
-    m2 = float(m @ m)
-    if m2 >= 1.0 - DEGENERACY_TOL:
+    return ellipsoids(m[None], n[None], T[None])[0]
+
+
+def ellipsoids(m: np.ndarray, n: np.ndarray, T: np.ndarray) -> list[SteeringEllipsoid]:
+    """Steering ellipsoid of each member of a stack of two-qubit Bloch forms.
+
+    Member k's steering party has Bloch vector m[k], the steered party n[k],
+    and T[k][i, j] correlates the steering party's axis i with the steered
+    party's axis j; shapes (k, 3), (k, 3) and (k, 3, 3).  One real `eigh`
+    solves the whole stack.  Orientation columns are canonical, so inputs
+    that differ by rounding noise give the same columns: within a
+    degenerate group of semiaxes they prefer the coordinate axes in order
+    x, y, z, and each is signed so its largest-magnitude component is
+    positive.
+    """
+    # Matrix-vector products round differently on strided operands: copies
+    # make each member's result independent of how its rows were stacked.
+    m, n, T = (np.ascontiguousarray(x, dtype=float) for x in (m, n, T))
+    m2 = (m[:, None, :] @ m[:, :, None])[:, 0, 0]
+    if (m2 >= 1.0 - DEGENERACY_TOL).any():
         raise DegenerateSteererError("steering party is pure; ellipsoid degenerates")
     gamma = 1.0 / (1.0 - m2)
-    center = gamma * (n - T.T @ m)
-    left = gamma * (T.T - np.outer(n, m))
-    middle = np.eye(3) + gamma * np.outer(m, m)
-    O = left @ middle @ (T - np.outer(m, n))
-    O = (O + O.T) / 2
-    w, v = hermitian_eig(O.astype(complex))
-    w = np.clip(w, 0.0, None)
+    Tt = T.transpose(0, 2, 1)
+    center = gamma[:, None] * (n - (Tt @ m[:, :, None])[..., 0])
+    left = gamma[:, None, None] * (Tt - n[:, :, None] * m[:, None, :])
+    middle = np.eye(3) + gamma[:, None, None] * (m[:, :, None] * m[:, None, :])
+    O = left @ middle @ (T - m[:, :, None] * n[:, None, :])
+    O = (O + O.transpose(0, 2, 1)) / 2
+    w, v = np.linalg.eigh(O)
+    w = np.clip(w[:, ::-1], 0.0, None)  # descending
     semiaxes = np.sqrt(w)
-    axes = _tie_broken_axes(semiaxes, v.real)
-    axes = axes * np.sign(np.diag(axes[np.abs(axes).argmax(axis=0)]))
-    return SteeringEllipsoid(
-        center=center,
-        matrix=O,
-        semiaxes=semiaxes,
-        orientation=axes,
-        volume=float(np.sqrt(np.prod(w))),
-    )
+    axes = np.stack([_tie_broken_axes(s, vk) for s, vk in zip(semiaxes, v[:, :, ::-1])])
+    lead = np.take_along_axis(axes, np.abs(axes).argmax(axis=1)[:, None, :], axis=1)
+    axes = axes * np.sign(lead)
+    volume = np.sqrt(w.prod(axis=1))
+    return [SteeringEllipsoid(center=c, matrix=o, semiaxes=s, orientation=a,
+                              volume=float(vol))
+            for c, o, s, a, vol in zip(center, O, semiaxes, axes, volume)]
 
 
 def ellipsoid_volume_check(b: BlochForm) -> float:

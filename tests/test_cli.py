@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steershare
 from steershare.cli import main
-from steershare.scenario import records_to_csv, sweep_curve
+from steershare.scenario import ScenarioConfig, records_to_csv, run_scenario, sweep_curve
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +149,85 @@ class TestRun:
         assert payload[0]["state"]["qubits"] == 3
 
 
+def _seeded_run_configs():
+    """Both modes, 1-4 pairs, final pairs given or omitted, signed x/y/z
+    labels and the compression bases each mode accepts."""
+    rng = np.random.default_rng(97)
+    configs = []
+    for k in range(48):
+        mode = ("nonlocal", "local")[k % 2]
+        pairs = k // 2 % 4 + 1
+        given = pairs - (k // 8 % 2) if pairs > 1 else 1
+        labels = ["x", "-x", "y", "-y"] + (["z", "-z"] if mode == "nonlocal" else [])
+        bases = ["00,11", "11,00"] + (["01,10", "10,00"] if mode == "local" else [])
+        strengths = [float(rng.uniform()) if rng.uniform() < 0.5
+                     else rng.uniform(0, 1, 2).tolist() for _ in range(given)]
+        configs.append({"mode": mode, "pairs": pairs, "strengths": strengths,
+                        "charlie_directions": rng.choice(labels, 2).tolist(),
+                        "compression": str(rng.choice(bases))})
+    return configs
+
+
+def _to_json_payload(results):
+    return [{"pair": r.pair, "steering_value": r.steering_value,
+             "state": r.state.to_json(),
+             "charlie_ellipsoid": r.charlie_ellipsoid and r.charlie_ellipsoid.to_json(),
+             "ab_ellipsoid": r.ab_ellipsoid and r.ab_ellipsoid.to_json()}
+            for r in results]
+
+
+def _python(code, *argv):
+    """Run `code` in a fresh interpreter that imports this steershare."""
+    env = dict(os.environ, PYTHONPATH=str(Path(steershare.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+
+
+class TestRunOut:
+    def test_text_equals_indented_json_dumps(self, capsys, tmp_path):
+        cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
+        configs = _seeded_run_configs()
+        layouts = set()
+        for cfg in configs:
+            cfg_file.write_text(json.dumps(cfg))
+            code, _, err = run_cli(capsys, "run", "--config", str(cfg_file),
+                                   "--out", str(out_file))
+            assert (code, err) == (0, "")
+            payload = _to_json_payload(run_scenario(ScenarioConfig.from_json(cfg)))
+            assert out_file.read_text() == json.dumps(payload, indent=2) + "\n"
+            layouts.add((cfg["mode"], cfg["pairs"]))
+        assert len(layouts) == 8
+        assert {c["compression"] for c in configs} == {"00,11", "11,00", "01,10", "10,00"}
+
+    def test_no_template_built_at_import(self):
+        code = "import steershare.cli as c; print(len(c._RUN_TEMPLATES))"
+        assert _python(code).stdout == "0\n"
+
+    def test_negative_local_strength_prints_one_stderr_line(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"mode": "local", "pairs": 2, "strengths": [-0.5]}')
+        proc = _python("from steershare.cli import main; raise SystemExit(main())",
+                       "run", "--config", str(cfg_file))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: strengths (-0.5, -0.5) outside [0, 1]\n"
+
+    @pytest.mark.filterwarnings("error")  # a warning would add stderr lines
+    @pytest.mark.parametrize("mode", ["nonlocal", "local"])
+    @pytest.mark.parametrize("strength, shown", [
+        ("NaN", "(nan, nan)"), ("Infinity", "(inf, inf)"), ("-Infinity", "(-inf, -inf)"),
+        ("-0.5", "(-0.5, -0.5)"), ("1.5", "(1.5, 1.5)"), ("[0.5, NaN]", "(0.5, nan)"),
+    ])
+    def test_bad_strength_exits_2_before_writing(self, capsys, tmp_path, mode,
+                                                 strength, shown):
+        cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_file.write_text(f'{{"mode": "{mode}", "pairs": 2, "strengths": [{strength}]}}')
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
+                                 "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: strengths {shown} outside [0, 1]"]
+        assert not out_file.exists()
+
+
 class TestRunErrors:
     def _run(self, capsys, tmp_path, text):
         cfg_file = tmp_path / "cfg.json"
@@ -217,3 +301,5 @@ class TestDemo:
         assert "S2(2) = 0.7464" in out
         assert "0.6828" in out
         assert "(0.7071, 0.9926)" in out
+        assert ("constant Charlie semiaxis at lambda1(1)=1/sqrt(2): 0.8536 "
+                "(spread 0.00e+00 over lambda2)") in out.splitlines()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from steershare import scenario
 from steershare.errors import (
     AmbiguousSettingError,
     ConfigError,
     DegenerateSteererError,
+    NotCompressibleError,
     UnsupportedSizeError,
 )
 from steershare.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
@@ -20,13 +22,14 @@ from steershare.steering import (
     direction_axis,
     ellipsoid,
     ellipsoid_volume_check,
+    ellipsoids,
     optimal_partner_setting,
     optimal_settings_from_ellipsoid,
     pauli_dot,
     steering_parameter,
 )
 
-from util import conditional_charlie_bloch, containment_violation
+from util import conditional_charlie_bloch, containment_violation, random_density
 
 SQRT_HALF = 1 / np.sqrt(2)
 YY = kron(SIGMA_Y, SIGMA_Y)
@@ -330,6 +333,108 @@ class TestEllipsoid:
             quad, residual = containment_violation(e, r)
             assert quad <= 1 + 1e-6
             assert residual <= 1e-8
+
+
+def _seeded_forms():
+    """Compressed post-pair-1 forms (special strengths give equal semiaxes),
+    the GHZ unit sphere, and generic two-qubit forms."""
+    rng = np.random.default_rng(83)
+    special = [0.0, 0.5, SQRT_HALF, 1.0]
+    lams = [(a, b) for a in special for b in special] + list(rng.uniform(0, 1, (20, 2)))
+    forms = [bloch_form(compress(luders_update(ghz(), _nonlocal_settings(list(x))))[0])
+             for x in lams]
+    forms.append(bloch_form(compress(ghz())[0]))
+    forms += [bloch_form(random_density(rng, 2)) for _ in range(20)]
+    return forms
+
+
+def _steering_rows(forms, party):
+    """(m, n, T) stacks with the steering party first, as `ellipsoid` reads a form."""
+    if party == "charlie":
+        rows = [(b.m_tilde, b.n_vec, b.T) for b in forms]
+    else:
+        rows = [(b.n_vec, b.m_tilde, b.T.T) for b in forms]
+    return [np.stack(x) for x in zip(*rows)]
+
+
+class TestEllipsoidStack:
+    @pytest.mark.parametrize("party", ["charlie", "ab"])
+    def test_members_equal_single_calls(self, party):
+        forms = _seeded_forms()
+        stacked = ellipsoids(*_steering_rows(forms, party))
+        ties = 0
+        for b, got in zip(forms, stacked):
+            want = ellipsoid(b, party)
+            for name in ("center", "matrix", "semiaxes", "orientation"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.volume == want.volume
+            ties += np.min(-np.diff(got.semiaxes)) <= 1e-9
+        assert ties >= 10  # degenerate semiaxis groups are covered
+
+    @pytest.mark.parametrize("party", ["charlie", "ab"])
+    def test_matrix_and_volume(self, party):
+        forms = _seeded_forms()
+        for b, e in zip(forms, ellipsoids(*_steering_rows(forms, party))):
+            rebuilt = e.orientation @ np.diag(e.semiaxes ** 2) @ e.orientation.T
+            assert np.max(np.abs(e.matrix - rebuilt)) <= 1e-14
+            if party == "ab":  # the volume check takes the steering party first
+                b = BlochForm(b.n_vec, b.m_tilde, b.T.T)
+            assert abs(e.volume - ellipsoid_volume_check(b)) <= 1e-12
+
+    def test_pure_member_raises(self):
+        m, n, T = _steering_rows(_seeded_forms()[:5], "charlie")
+        m[3] = [0.0, 0.6, 0.8]
+        with pytest.raises(DegenerateSteererError,
+                           match="steering party is pure; ellipsoid degenerates"):
+            ellipsoids(m, n, T)
+
+    def test_unknown_party(self):
+        with pytest.raises(ConfigError, match="unknown steered party"):
+            ellipsoid(_seeded_forms()[0], "charlie ")
+
+
+class TestRunScenarioErrors:
+    """A run that cannot compress or whose steering party is pure at pair i
+    fails with the error and message of that pair's own compression or
+    ellipsoid.  (Dephasing never changes the AB populations, so either every
+    pair of a run compresses or none does.)"""
+
+    def test_compression_failure(self):
+        cfg = scenario.ScenarioConfig.from_json(
+            {"pairs": 3, "strengths": [0.3, 0.6], "compression": "01,10"})
+        with pytest.raises(NotCompressibleError) as err:
+            scenario.run_scenario(cfg)
+        assert str(err.value) == "only 0.000000000000 of the state lies in " \
+            "span{|01>, |10>} x C2"
+
+    @pytest.mark.parametrize("pairs, fail_at",
+                             [(p, i) for p in range(1, 5) for i in range(1, p + 1)])
+    @pytest.mark.parametrize("fault", ["pure_ab_qubit", "pure_charlie", "not_compressible"])
+    def test_failure_at_pair(self, monkeypatch, pairs, fail_at, fault):
+        real = scenario.compressed_bloch
+        calls = []
+
+        def faulty(t, basis):
+            calls.append(t)
+            b = real(t, basis)
+            if len(calls) != fail_at:
+                return b
+            if fault == "not_compressible":
+                raise NotCompressibleError(f"pair {fail_at} left the span")
+            pure = np.array([0.6, 0.0, 0.8])
+            if fault == "pure_ab_qubit":
+                return BlochForm(pure, b.n_vec, b.T)
+            return BlochForm(b.m_tilde, pure, b.T)
+
+        monkeypatch.setattr(scenario, "compressed_bloch", faulty)
+        cfg = scenario.make_config("nonlocal", [0.4] * pairs)
+        kind, message = (
+            (NotCompressibleError, f"pair {fail_at} left the span")
+            if fault == "not_compressible"
+            else (DegenerateSteererError, "steering party is pure; ellipsoid degenerates"))
+        with pytest.raises(kind) as err:
+            scenario.run_scenario(cfg)
+        assert str(err.value) == message
 
 
 class TestOptimalSettings:
