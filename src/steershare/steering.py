@@ -214,6 +214,10 @@ def ellipsoids(m: np.ndarray, n: np.ndarray, T: np.ndarray) -> list[SteeringElli
     # Matrix-vector products round differently on strided operands: copies
     # make each member's result independent of how its rows were stacked.
     m, n, T = (np.ascontiguousarray(x, dtype=float) for x in (m, n, T))
+    k = m.shape[:1]
+    if m.shape != k + (3,) or n.shape != k + (3,) or T.shape != k + (3, 3):
+        raise ShapeError(f"stack shapes {m.shape}, {n.shape}, {T.shape} are not "
+                         f"(k, 3), (k, 3), (k, 3, 3)")
     m2 = (m[:, None, :] @ m[:, :, None])[:, 0, 0]
     if (m2 >= 1.0 - DEGENERACY_TOL).any():
         raise DegenerateSteererError("steering party is pure; ellipsoid degenerates")

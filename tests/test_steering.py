@@ -7,6 +7,7 @@ from steershare.errors import (
     ConfigError,
     DegenerateSteererError,
     NotCompressibleError,
+    ShapeError,
     UnsupportedSizeError,
 )
 from steershare.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
@@ -387,6 +388,14 @@ class TestEllipsoidStack:
         with pytest.raises(DegenerateSteererError,
                            match="steering party is pure; ellipsoid degenerates"):
             ellipsoids(m, n, T)
+
+    @pytest.mark.parametrize("shapes", [
+        ((3,), (3,), (3, 3)), ((2, 3), (1, 3), (2, 3, 3)), ((2, 3), (2, 3), (2, 3)),
+        ((2, 4), (2, 4), (2, 4, 4)), ((), (), ()),
+    ])
+    def test_bad_stack_shapes(self, shapes):
+        with pytest.raises(ShapeError, match="stack shapes"):
+            ellipsoids(*(np.zeros(s) for s in shapes))
 
     def test_unknown_party(self):
         with pytest.raises(ConfigError, match="unknown steered party"):
