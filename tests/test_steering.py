@@ -399,7 +399,7 @@ class TestEllipsoidStack:
 
     def test_unknown_party(self):
         with pytest.raises(ConfigError, match="unknown steered party"):
-            ellipsoid(_seeded_forms()[0], "charlie ")
+            ellipsoid(_seeded_forms()[0], "bob")
 
 
 class TestRunScenarioErrors:
