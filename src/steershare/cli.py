@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 
 import numpy as np
@@ -94,42 +93,6 @@ def cmd_bound(args) -> None:
     print(f"{classical_bound(ops):.12f}")
 
 
-def _payload(results: list) -> list[dict]:
-    return [{
-        "pair": r.pair,
-        "steering_value": r.steering_value,
-        "state": r.state.to_json(),
-        "charlie_ellipsoid": r.charlie_ellipsoid.to_json() if r.charlie_ellipsoid else None,
-        "ab_ellipsoid": r.ab_ellipsoid.to_json() if r.ab_ellipsoid else None,
-    } for r in results]
-
-
-def _pair_values(r) -> list:
-    """A pair's floats in the key order of its `_payload` entry."""
-    out = [[r.steering_value], r.state.mat.real, r.state.mat.imag]
-    for e in (r.charlie_ellipsoid, r.ab_ellipsoid):
-        if e is not None:
-            out += [e.center, e.matrix, e.semiaxes, e.orientation.T, [e.volume]]
-    return out
-
-
-# `run --out` %-formats by (mode, pairs), built on first use.
-_RUN_TEMPLATES: dict[tuple[str, int], str] = {}
-
-
-def _run_json(cfg, results: list) -> str:
-    """`json.dumps(_payload(results), indent=2) + "\n"`, filled into a
-    format with one %r per float: `json` writes a finite float as its repr,
-    and with `indent` its encoder runs in pure Python."""
-    key = (cfg.mode, cfg.pairs)
-    if key not in _RUN_TEMPLATES:
-        text = json.dumps(_payload(results), indent=2) + "\n"
-        # A float's repr has a "." or an exponent; the int leaves have neither.
-        _RUN_TEMPLATES[key] = re.sub(r"-?\d+(?:\.\d+(?:e[+-]\d+)?|e[+-]\d+)", "%r", text)
-    values = np.concatenate([np.ravel(v) for r in results for v in _pair_values(r)])
-    return _RUN_TEMPLATES[key] % tuple(values.tolist())
-
-
 def cmd_run(args) -> None:
     try:
         with open(args.config) as fh:
@@ -140,8 +103,19 @@ def cmd_run(args) -> None:
         raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from None
     cfg = scenario.ScenarioConfig.from_json(obj)
     results = scenario.run_scenario(cfg)
+    payload = []
+    for r in results:
+        payload.append({
+            "pair": r.pair,
+            "steering_value": r.steering_value,
+            "state": r.state.to_json(),
+            "charlie_ellipsoid":
+                r.charlie_ellipsoid.to_json() if r.charlie_ellipsoid else None,
+            "ab_ellipsoid":
+                r.ab_ellipsoid.to_json() if r.ab_ellipsoid else None,
+        })
     if args.out:
-        _write_out(args.out, _run_json(cfg, results))
+        _write_out(args.out, json.dumps(payload, indent=2) + "\n")
     for r in results:
         marker = ">" if r.steering_value > scenario.SQRT_HALF else "<="
         print(f"pair {r.pair}: S = {r.steering_value:.6f} {marker} C2")

@@ -199,10 +199,6 @@ class TestRunOut:
         assert len(layouts) == 8
         assert {c["compression"] for c in configs} == {"00,11", "11,00", "01,10", "10,00"}
 
-    def test_no_template_built_at_import(self):
-        code = "import steershare.cli as c; print(len(c._RUN_TEMPLATES))"
-        assert _python(code).stdout == "0\n"
-
     def test_negative_local_strength_prints_one_stderr_line(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text('{"mode": "local", "pairs": 2, "strengths": [-0.5]}')
