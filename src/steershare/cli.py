@@ -6,6 +6,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -32,6 +33,33 @@ def _write_out(path: str, text: str, newline: str | None = None) -> None:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
+def _indented_json(obj, pad: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)` for str-keyed dicts, lists and JSON scalars.
+
+    Any indent sends `json` to its pure-Python encoder, item by item; here
+    a list of floats is one C-level join of `float.__repr__`, the text json
+    writes for a finite float.  `pad` is a newline and the indent of the
+    line `obj` starts on.
+    """
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, dict) and obj:
+        body = sep.join([encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
+                         for k, v in obj.items()])
+        return "{" + inner + body + pad + "}"
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return json.dumps(obj)
+    body = "n"
+    if type(obj[0]) is float:
+        try:
+            body = sep.join(map(float.__repr__, obj))
+        except TypeError:  # an item after the first is no float
+            pass
+    if "n" in body:  # not all floats, or a nan/inf, which json spells NaN/Infinity
+        body = sep.join([_indented_json(v, inner) for v in obj])
+    return "[" + inner + body + pad + "]"
 
 
 def cmd_demo(_args) -> None:
@@ -81,7 +109,7 @@ def cmd_sweep(args) -> None:
 
 def cmd_ellipsoids(args) -> None:
     records = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])
-    _write_out(args.out, json.dumps([r.to_json() for r in records], indent=2) + "\n")
+    _write_out(args.out, _indented_json([r.to_json() for r in records]) + "\n")
     r = records[0]
     print(f"Charlie semiaxes: {np.round(r.charlie.semiaxes, 6).tolist()}, "
           f"volume {r.charlie.volume:.6f} -> {args.out}")
@@ -115,7 +143,7 @@ def cmd_run(args) -> None:
                 r.ab_ellipsoid.to_json() if r.ab_ellipsoid else None,
         })
     if args.out:
-        _write_out(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_out(args.out, _indented_json(payload) + "\n")
     for r in results:
         marker = ">" if r.steering_value > scenario.SQRT_HALF else "<="
         print(f"pair {r.pair}: S = {r.steering_value:.6f} {marker} C2")

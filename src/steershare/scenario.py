@@ -256,9 +256,19 @@ def _table(mode: str, lam1: list, lam2: list, params: dict) -> ScanTable:
     return ScanTable(params=params, s=s, st=st, region=_REGION_LABELS[code])
 
 
+# Size limits, checked before anything is allocated.  At the limit the
+# largest call of each kind (a 3-pair compare scan, a 4-pair compare sweep)
+# peaks at about 0.5 GB in `steershare scan`/`sweep`, output text included.
+MAX_GRID_RESOLUTION = 800
+MAX_SAMPLES = 1_000_000
+
+
 def _grid_strengths(resolution: int) -> list[np.ndarray]:
     """Per-pair strengths of every grid cell, row-major over (lambda1, lambda2);
     pair 3 is sharp."""
+    if not 2 <= resolution <= MAX_GRID_RESOLUTION:
+        raise ConfigError(f"grid resolution {resolution} outside supported "
+                          f"range 2..{MAX_GRID_RESOLUTION}")
     grid = np.linspace(0.0, 1.0, resolution)
     l1, l2 = np.repeat(grid, resolution), np.tile(grid, resolution)
     return [l1, l2, np.ones_like(l1)]
@@ -271,8 +281,6 @@ def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare"
     Pair 3 (when present) measures sharply.  Rows are emitted row-major
     over the grid.
     """
-    if resolution < 2:
-        raise ConfigError("grid resolution must be at least 2")
     if not 1 <= pairs <= 3:
         raise ConfigError(f"pairs={pairs} outside supported scan range 1..3")
     lams = _grid_strengths(resolution)
@@ -305,8 +313,8 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
             raise ConfigError(f"unknown parameter id {name!r}")
     if vary in fixed:
         raise ConfigError(f"parameter {vary!r} is both varied and fixed")
-    if samples < 2:
-        raise ConfigError("need at least two samples")
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise ConfigError(f"samples={samples} outside supported range 2..{MAX_SAMPLES}")
     if not 1 <= pairs <= 4:
         raise ConfigError(f"pairs={pairs} outside supported range 1..4")
     for name in list(fixed) + [vary]:

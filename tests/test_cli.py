@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import steershare
-from steershare.cli import main
-from steershare.scenario import ScenarioConfig, records_to_csv, run_scenario, sweep_curve
+from steershare.cli import _indented_json, main
+from steershare.scenario import ScenarioConfig, ellipsoid_series, records_to_csv, \
+    run_scenario, sweep_curve
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +120,29 @@ class TestSweep:
                 sweep_curve(fix, "lambda2_1", 0, 1, 3), "sweep")
 
 
+class TestSizeLimits:
+    @pytest.fixture(autouse=True)
+    def no_linspace(self, monkeypatch):
+        # A size that passed the checks would reach np.linspace first.
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linspace called for an oversized input")
+        monkeypatch.setattr(np, "linspace", refuse)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--grid", "100000000"],
+         "grid resolution 100000000 outside supported range 2..800"),
+        (["sweep", "--vary", "lambda_1", "--from", "0", "--to", "1",
+          "--samples", "100000000000"],
+         "samples=100000000000 outside supported range 2..1000000"),
+    ])
+    def test_oversized_exits_2_before_writing(self, capsys, tmp_path, argv, message):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+        assert not out_file.exists()
+
+
 class TestEllipsoids:
     def test_writes_json(self, capsys, tmp_path):
         out_file = tmp_path / "ell.json"
@@ -131,6 +155,35 @@ class TestEllipsoids:
         assert set(rec["charlie"]) == {"center", "matrix", "semiaxes",
                                        "orientation", "volume"}
         assert max(rec["charlie"]["semiaxes"]) <= 1 + 1e-8
+
+    # (1, 1) is degenerate: Charlie's ellipsoid is flat, with volume 0.
+    @pytest.mark.parametrize("lam1, lam2", [("0.70710678", "0.9"), ("0.5", "0.5"),
+                                            ("0", "0"), ("1", "1")])
+    def test_text_equals_indented_json_dumps(self, capsys, tmp_path, lam1, lam2):
+        out_file = tmp_path / "ell.json"
+        code, _, err = run_cli(capsys, "ellipsoids", "--lambda1", lam1,
+                               "--lambda2", lam2, "--out", str(out_file))
+        assert (code, err) == (0, "")
+        records = ellipsoid_series([(float(lam1), float(lam2))])
+        assert out_file.read_text() == json.dumps([r.to_json() for r in records],
+                                                  indent=2) + "\n"
+
+
+class TestIndentedJson:
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[], [{}]]],
+        [float("nan")], [0.5, float("inf"), float("-inf")], float("nan"), float("-inf"),
+        {"m": [[0.25, 0.5], [float("nan"), 1.0]]},
+        [-0.0, 5e-324, 1e16, 0.1], -0.0, 5e-324, 1e16,
+        [1, 2 ** 70, -3], 2 ** 70, [True, False, None], True, False, None,
+        np.float64(0.1), [np.float64(0.1), np.float64(-2.5)],
+        [0.5, np.float64(0.25)], [np.float64("nan"), 0.5],
+        [0.5, 1, 2.5], [1, 0.5], [0.5, True], [0.5, None], (0.5, 1.5),
+        {"\u00e9t\u00e9": "\u2603", 'q"uo\\te': "line\nbreak\t\"", "": ["\x00", ""]},
+        np.random.default_rng(5).normal(size=(3, 8)).tolist(),
+    ])
+    def test_equals_json_dumps(self, obj):
+        assert _indented_json(obj) == json.dumps(obj, indent=2)
 
 
 class TestRun:

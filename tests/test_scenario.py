@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from steershare.errors import ConfigError
 from steershare.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
 from steershare.measurement import UnsharpSetting
 from steershare.scenario import (
+    MAX_GRID_RESOLUTION,
+    MAX_SAMPLES,
     SQRT_HALF,
     ScenarioConfig,
     ellipsoid_series,
@@ -382,3 +385,34 @@ class TestMaxPairs:
 
     def test_local_mode(self):
         assert max_simultaneous_pairs(resolution=50, mode="local") == 2
+
+
+class _Allocating(Exception):
+    """Raised in place of `np.linspace`: the call passed every size check."""
+
+
+class TestSizeLimits:
+    """Each limit is accepted and the next size rejected, with `np.linspace`,
+    the first allocation of every grid and of an unfixed sweep, replaced so
+    that neither side allocates anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_linspace(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise _Allocating
+        monkeypatch.setattr(np, "linspace", refuse)
+
+    @pytest.mark.parametrize("call, limit, name", [
+        (lambda n: scan_region(resolution=n), MAX_GRID_RESOLUTION, "grid resolution {}"),
+        (lambda n: max_simultaneous_pairs(resolution=n), MAX_GRID_RESOLUTION,
+         "grid resolution {}"),
+        (lambda n: sweep_curve({}, "lambda_1", 0.0, 1.0, n, pairs=4), MAX_SAMPLES,
+         "samples={}"),
+    ], ids=["scan_region", "max_simultaneous_pairs", "sweep_curve"])
+    def test_limit_accepted_next_rejected(self, call, limit, name):
+        with pytest.raises(_Allocating):
+            call(limit)
+        for n in (limit + 1, 10 ** 11, 1):
+            message = f"{name.format(n)} outside supported range 2..{limit}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                call(n)
