@@ -19,6 +19,8 @@ def _parse_fix(items: list[str]) -> dict[str, float]:
     fixed = {}
     for item in items:
         name, _, value = item.partition("=")
+        if name in fixed:
+            raise ConfigError(f"--fix gives {name!r} more than once")
         try:
             fixed[name] = float(value)
         except ValueError:
@@ -145,7 +147,7 @@ def cmd_run(args) -> None:
     if args.out:
         _write_out(args.out, _indented_json(payload) + "\n")
     for r in results:
-        marker = ">" if r.steering_value > scenario.SQRT_HALF else "<="
+        marker = ">" if r.steering_value > cfg.bound else "<="
         print(f"pair {r.pair}: S = {r.steering_value:.6f} {marker} C2")
 
 

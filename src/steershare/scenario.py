@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import PAULIS
 from .measurement import anticommuting, dephasing_scale
-from .states import GHZ_TENSOR, CompressionBasis, DensityMatrix, compressed_bloch, \
+from .states import GHZ_TENSOR, CompressionBasis, DensityMatrix, bloch_form, compress, \
     from_pauli_tensor
 from .steering import (
     SteeringEllipsoid,
@@ -90,6 +90,13 @@ class ScenarioConfig:
     @property
     def pairs(self) -> int:
         return self.strengths.pairs
+
+    @property
+    def bound(self) -> float:
+        """Classical bound of the two Charlie settings (`classical_bound`):
+        C2 = 1/sqrt(2) for two different axes, 1 for one axis."""
+        axes = {_resolve_axis(label)[1] for label in self.charlie_directions}
+        return SQRT_HALF if len(axes) == 2 else 1.0
 
     def to_json(self) -> dict:
         return {
@@ -179,7 +186,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     state and ellipsoids are post-update.  The run evolves the state's
     Pauli tensor: every pair update multiplies it by a fixed factor
     (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
-    times the product of the factors of pairs 1..i.  One `ellipsoids`
+    times the product of the factors of pairs 1..i.  Each reported state
+    is compressed (`compress`) for its Bloch form, and one `ellipsoids`
     call gives the ellipsoids of every pair.
     """
     axes = [_resolve_axis(lbl)[1] for lbl in cfg.charlie_directions]
@@ -196,19 +204,19 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     before = np.concatenate([GHZ_TENSOR[None], after[:-1]])
     charlie, sign, p, q = zip(*(_AXIS_TABLE[a] for a in axes))
     values = (lam * sign * before[:, p, q, charlie]).mean(axis=1)
+    states = [from_pauli_tensor(t) for t in after]
     ells = [None] * (2 * cfg.pairs)
     if cfg.mode == "nonlocal":
-        forms = [compressed_bloch(t, basis) for t in after]
+        forms = [bloch_form(compress(state, basis)[0]) for state in states]
         m = np.stack([f.m_tilde for f in forms])
         n = np.stack([f.n_vec for f in forms])
         T = np.stack([f.T for f in forms])
         # Rows 0..P-1 steer Charlie; rows P..2P-1 swap the roles to steer AB.
         ells = ellipsoids(np.concatenate([m, n]), np.concatenate([n, m]),
                           np.concatenate([T, T.transpose(0, 2, 1)]))
-    return [PairResult(pair=i + 1, steering_value=float(values[i]),
-                       state=from_pauli_tensor(t), charlie_ellipsoid=ells[i],
-                       ab_ellipsoid=ells[cfg.pairs + i])
-            for i, t in enumerate(after)]
+    return [PairResult(pair=i + 1, steering_value=float(values[i]), state=state,
+                       charlie_ellipsoid=ells[i], ab_ellipsoid=ells[cfg.pairs + i])
+            for i, state in enumerate(states)]
 
 
 @dataclass(frozen=True)
@@ -321,6 +329,15 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
         if int(name[-1]) > pairs:
             raise ConfigError(f"parameter {name!r} addresses pair {name[-1]}, "
                               f"beyond pairs={pairs}")
+    # lambdaK_i sets setting K of pair i; lambda_i sets both settings.
+    owner = {}
+    for name in list(fixed) + [vary]:
+        setting, pair = _PARAM_RE.match(name).groups()
+        for k in setting or "12":
+            other = owner.setdefault((k, pair), name)
+            if other != name:
+                raise ConfigError(f"parameters {other!r} and {name!r} both set "
+                                  f"lambda{k}_{pair}")
     params = {name: np.full(samples, float(v)) for name, v in fixed.items()}
     params[vary] = values = np.linspace(start, stop, samples)
     both = [params.get(f"lambda_{i}", np.ones(samples)) for i in range(1, pairs + 1)]
@@ -368,7 +385,13 @@ def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal") -> int
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Plain bisection for a sign-changing continuous function."""
+    """Plain bisection for a sign-changing continuous function.
+
+    Stops once the bracket is at most `tol` wide (`tol` > 0) or no float
+    lies strictly inside it.
+    """
+    if not (isinstance(tol, numbers.Real) and tol > 0):
+        raise ConfigError(f"tol={tol!r} must be a positive number")
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo
@@ -378,6 +401,8 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-9) -> float:
         raise ValueError("no sign change on the bracket")
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:  # lo and hi are adjacent floats
+            break
         if f_lo * f(mid) <= 0:
             hi = mid
         else:

@@ -169,20 +169,6 @@ GHZ_TENSOR = pauli_tensor(_ghz_projector())
 GHZ_TENSOR.setflags(write=False)
 
 
-def _compression_map(zero_ket: str, one_ket: str) -> np.ndarray:
-    """M with sum_pq M[a, p, q] t[p, q, c] = Tr(rho (V sigma_a V^dag) x sigma_c),
-    where V maps the compressed qubit's |0~>, |1~> to |zero_ket>, |one_ket>."""
-    v = np.stack([ket(zero_ket), ket(one_ket)], axis=1)
-    lifted = np.einsum("ia,kab,jb->kij", v, _BASIS, v.conj())  # V sigma_a V^dag
-    return np.einsum("aij,pqji->apq", lifted, PAULI_PRODUCTS[2]).real / 4
-
-
-# One linear map of the three-qubit Pauli tensor per ordered pair of kets.
-_COMPRESSION_MAPS = {(z, o): _compression_map(z, o)
-                     for z in ("00", "01", "10", "11")
-                     for o in ("00", "01", "10", "11") if z != o}
-
-
 def compress(rho: DensityMatrix, basis: CompressionBasis = CompressionBasis()
              ) -> tuple[DensityMatrix, float]:
     """Project a 3-qubit state onto span{zero_ket, one_ket} x C2 and relabel.
@@ -199,43 +185,21 @@ def compress(rho: DensityMatrix, basis: CompressionBasis = CompressionBasis()
     small = rho.mat[np.ix_(idx, idx)]
     weight = float(np.trace(small).real)
     if weight < 1 - COMPRESS_TOL:
-        raise NotCompressibleError(
-            f"only {weight:.12f} of the state lies in span{{|{basis.zero_ket}>, "
-            f"|{basis.one_ket}>}} x C2"
-        )
-    return DensityMatrix(2, small / weight), weight
-
-
-def compressed_bloch(t: np.ndarray, basis: CompressionBasis = CompressionBasis()
-                     ) -> BlochForm:
-    """Bloch form of `compress` applied to the three-qubit state with Pauli
-    tensor `t`, read off `t` by one fixed linear map per basis.
-
-    Raises NotCompressibleError as `compress` does.
-    """
-    if t.shape != (4, 4, 4):
-        raise ShapeError(f"Pauli tensor shape {t.shape} is not that of 3 qubits")
-    u = np.einsum("apq,pqc->ac", _COMPRESSION_MAPS[basis.zero_ket, basis.one_ket], t)
-    weight = float(u[0, 0])
-    if weight < 1 - COMPRESS_TOL:
         # A weight is >= 0: a rounding residue below zero (or -0.0) prints as 0.
         raise NotCompressibleError(
             f"only {max(weight, 0.0) + 0.0:.12f} of the state lies in "
             f"span{{|{basis.zero_ket}>, |{basis.one_ket}>}} x C2"
         )
-    return _split(u / weight)
-
-
-def _split(t: np.ndarray) -> BlochForm:
-    # t[a, b] with sigma_0 = I: 1 and n in row 0, m~ in column 0, T in the rest.
-    return BlochForm(t[1:, 0], t[0, 1:], t[1:, 1:])
+    return DensityMatrix(2, small / weight), weight
 
 
 def bloch_form(rho4: DensityMatrix) -> BlochForm:
     """Pauli decomposition (m~, n, T) of a (compressed) two-qubit state."""
     if rho4.qubits != 2:
         raise ShapeError("bloch_form expects a 2-qubit state")
-    return _split(pauli_tensor(rho4.mat))
+    t = pauli_tensor(rho4.mat)
+    # t[a, b] with sigma_0 = I: 1 and n in row 0, m~ in column 0, T in the rest.
+    return BlochForm(t[1:, 0], t[0, 1:], t[1:, 1:])
 
 
 def reconstruct(b: BlochForm) -> DensityMatrix:

@@ -107,6 +107,21 @@ class TestSweep:
             "error: parameter 'lambda_1' is both varied and fixed"]
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--fix", "lambda_2=0.5", "--fix", "lambda_2=0.7", "--vary", "lambda_1"],
+         "--fix gives 'lambda_2' more than once"),
+        (["--vary", "lambda1_1", "--fix", "lambda_1=0.5"],
+         "parameters 'lambda_1' and 'lambda1_1' both set lambda1_1"),
+        (["--vary", "lambda_1", "--fix", "lambda1_1=0.3"],
+         "parameters 'lambda1_1' and 'lambda_1' both set lambda1_1"),
+    ])
+    def test_overlapping_ids_exit_2(self, capsys, tmp_path, argv, message):
+        code, out, err = run_cli(capsys, "sweep", *argv, "--from", "0", "--to", "1",
+                                 "--samples", "3", "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "x.csv").exists()
+
     def test_fix_values_do_not_leak_between_calls(self, capsys, tmp_path):
         # The parser is built once per process; each call must still start
         # from its own defaults.
@@ -200,6 +215,15 @@ class TestRun:
         payload = json.loads(out_file.read_text())
         assert payload[1]["steering_value"] == pytest.approx(0.74641016, abs=1e-8)
         assert payload[0]["state"]["qubits"] == 3
+
+    def test_same_axis_marker_uses_its_bound(self, capsys, tmp_path):
+        # `bound --settings x,-x` is 1: a classical strategy reaches S = 1.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"pairs": 2, "strengths": [0.5],
+                                        "charlie_directions": ["x", "-x"]}))
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg_file))
+        assert (code, out) == (0, "pair 1: S = 0.500000 <= C2\n"
+                                  "pair 2: S = 1.000000 <= C2\n")
 
 
 def _seeded_run_configs():

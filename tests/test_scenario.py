@@ -13,6 +13,7 @@ from steershare.scenario import (
     MAX_SAMPLES,
     SQRT_HALF,
     ScenarioConfig,
+    charlie_operator,
     ellipsoid_series,
     make_config,
     max_simultaneous_pairs,
@@ -23,8 +24,8 @@ from steershare.scenario import (
     sweep_curve,
 )
 from steershare.states import DensityMatrix, bloch_form, compress, ghz
-from steershare.steering import StrengthHistory, closed_form_local, closed_form_nonlocal, \
-    ellipsoid
+from steershare.steering import StrengthHistory, classical_bound, closed_form_local, \
+    closed_form_nonlocal, ellipsoid
 
 from test_measurement import ORACLE_TOL, _kraus_oracle, _padded_kraus
 
@@ -91,6 +92,14 @@ class TestScenarioConfig:
     def test_rejects_too_many_pairs(self):
         with pytest.raises(ConfigError):
             make_config("nonlocal", [0.5] * 5)
+
+    @pytest.mark.parametrize("first", ["x", "-x", "y", "-y", "z", "-z"])
+    @pytest.mark.parametrize("second", ["x", "-x", "y", "-y", "z", "-z"])
+    def test_bound_is_classical_bound_of_settings(self, first, second):
+        cfg = make_config("nonlocal", [0.5], charlie_directions=(first, second))
+        ops = [charlie_operator(first), charlie_operator(second)]
+        assert cfg.bound == pytest.approx(classical_bound(ops), abs=1e-12)
+        assert cfg.bound == (1.0 if first[-1] == second[-1] else SQRT_HALF)
 
 
 class TestRunScenario:
@@ -309,6 +318,18 @@ class TestInputValidation:
                            match="parameter 'lambda_1' is both varied and fixed"):
             sweep_curve({"lambda_1": 0.3}, "lambda_1", 0, 1, 3)
 
+    @pytest.mark.parametrize("fixed, vary, pair", [
+        ({"lambda_1": 0.5}, "lambda1_1", ("lambda_1", "lambda1_1", "lambda1_1")),
+        ({"lambda1_1": 0.3}, "lambda_1", ("lambda1_1", "lambda_1", "lambda1_1")),
+        ({"lambda2_2": 0.3, "lambda_2": 0.5}, "lambda1_1",
+         ("lambda2_2", "lambda_2", "lambda2_2")),
+    ])
+    def test_sweep_rejects_overlapping_ids(self, fixed, vary, pair):
+        first, second, target = pair
+        with pytest.raises(ConfigError, match=f"^parameters '{first}' and '{second}' "
+                                              f"both set {target}$"):
+            sweep_curve(fixed, vary, 0, 1, 3)
+
     def test_sweep_rejects_unknown_mode(self):
         with pytest.raises(ConfigError, match="unknown mode 'bogus'"):
             sweep_curve({}, "lambda_1", 0, 1, 3, mode="bogus")
@@ -349,6 +370,20 @@ class TestWindows:
     def test_unknown_case(self):
         with pytest.raises(ConfigError):
             simultaneous_window("adaptive")
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_tol(self, tol):
+        with pytest.raises(ConfigError, match=f"^tol={tol!r} must be a positive number$"):
+            simultaneous_window("equal_nonlocal", tol=tol)
+
+    def test_tiny_tol_stops_at_adjacent_floats(self):
+        # A tol below the float spacing ends once the bracket cannot shrink.
+        his = {"unequal_local": 1 - (2 * np.sqrt(2) - 2 - np.sqrt(1 - SQRT_HALF)) ** 2,
+               "equal_nonlocal": np.sqrt(2 * np.sqrt(2) - 2),
+               "unequal_nonlocal": np.sqrt(1 - (2 * np.sqrt(2) - 2 - SQRT_HALF) ** 2)}
+        for case, hi_want in his.items():
+            lo, hi = simultaneous_window(case, tol=1e-300)
+            assert abs(lo - SQRT_HALF) <= 1e-15 and abs(hi - hi_want) <= 1e-15
 
 
 class TestEllipsoidSeries:

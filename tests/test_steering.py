@@ -420,22 +420,23 @@ class TestRunScenarioErrors:
                              [(p, i) for p in range(1, 5) for i in range(1, p + 1)])
     @pytest.mark.parametrize("fault", ["pure_ab_qubit", "pure_charlie", "not_compressible"])
     def test_failure_at_pair(self, monkeypatch, pairs, fail_at, fault):
-        real = scenario.compressed_bloch
+        target = "compress" if fault == "not_compressible" else "bloch_form"
+        real = getattr(scenario, target)
         calls = []
 
-        def faulty(t, basis):
-            calls.append(t)
-            b = real(t, basis)
+        def faulty(*args):
+            calls.append(args)
+            out = real(*args)
             if len(calls) != fail_at:
-                return b
+                return out
             if fault == "not_compressible":
                 raise NotCompressibleError(f"pair {fail_at} left the span")
             pure = np.array([0.6, 0.0, 0.8])
             if fault == "pure_ab_qubit":
-                return BlochForm(pure, b.n_vec, b.T)
-            return BlochForm(b.m_tilde, pure, b.T)
+                return BlochForm(pure, out.n_vec, out.T)
+            return BlochForm(out.m_tilde, pure, out.T)
 
-        monkeypatch.setattr(scenario, "compressed_bloch", faulty)
+        monkeypatch.setattr(scenario, target, faulty)
         cfg = scenario.make_config("nonlocal", [0.4] * pairs)
         kind, message = (
             (NotCompressibleError, f"pair {fail_at} left the span")
