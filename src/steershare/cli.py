@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -30,9 +32,21 @@ def _parse_fix(items: list[str]) -> dict[str, float]:
 
 
 def _write_out(path: str, text: str, newline: str | None = None) -> None:
+    """Write `text` to `path` as `open(path, "w")` would.  Truncating a file
+    that still holds data costs more than writing it, so a regular file is
+    overwritten in place and then cut to the written length."""
     try:
-        with open(path, "w", newline=newline) as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", newline=newline) as fh:
+            try:
+                fh.write(text)
+                fh.flush()
+            finally:  # a failed write too leaves no old bytes after the new ones
+                st = os.fstat(fd)
+                if stat.S_ISREG(st.st_mode):
+                    end = os.lseek(fd, 0, os.SEEK_CUR)
+                    if st.st_size > end:
+                        os.ftruncate(fd, end)
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
 

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import PAULIS
 from .measurement import anticommuting, dephasing_scale
-from .states import GHZ_TENSOR, CompressionBasis, DensityMatrix, bloch_form, compress, \
-    from_pauli_tensor
+from .states import GHZ_TENSOR, CompressionBasis, DensityMatrix, bloch_stack, \
+    compress_stack, from_pauli_tensors
 from .steering import (
     SteeringEllipsoid,
     StrengthHistory,
@@ -186,9 +186,10 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     state and ellipsoids are post-update.  The run evolves the state's
     Pauli tensor: every pair update multiplies it by a fixed factor
     (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
-    times the product of the factors of pairs 1..i.  Each reported state
-    is compressed (`compress`) for its Bloch form, and one `ellipsoids`
-    call gives the ellipsoids of every pair.
+    times the product of the factors of pairs 1..i.  The reported states
+    are built, validated and compressed as one stack (`from_pauli_tensors`,
+    `compress_stack`), one contraction gives every pair's Bloch form, and
+    one `ellipsoids` call gives the ellipsoids of every pair.
     """
     axes = [_resolve_axis(lbl)[1] for lbl in cfg.charlie_directions]
     if cfg.mode == "local" and "z" in axes:
@@ -204,13 +205,10 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     before = np.concatenate([GHZ_TENSOR[None], after[:-1]])
     charlie, sign, p, q = zip(*(_AXIS_TABLE[a] for a in axes))
     values = (lam * sign * before[:, p, q, charlie]).mean(axis=1)
-    states = [from_pauli_tensor(t) for t in after]
+    states = from_pauli_tensors(after)
     ells = [None] * (2 * cfg.pairs)
     if cfg.mode == "nonlocal":
-        forms = [bloch_form(compress(state, basis)[0]) for state in states]
-        m = np.stack([f.m_tilde for f in forms])
-        n = np.stack([f.n_vec for f in forms])
-        T = np.stack([f.T for f in forms])
+        m, n, T = bloch_stack(compress_stack(states, basis)[0])
         # Rows 0..P-1 steer Charlie; rows P..2P-1 swap the roles to steer AB.
         ells = ellipsoids(np.concatenate([m, n]), np.concatenate([n, m]),
                           np.concatenate([T, T.transpose(0, 2, 1)]))

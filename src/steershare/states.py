@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .errors import NotCompressibleError, ShapeError
-from .linalg import I2, PAULIS, dagger, partial_trace
+from .linalg import I2, PAULIS, partial_trace
 
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
@@ -48,18 +47,16 @@ class DensityMatrix:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.qubits not in (1, 2, 3):
+            raise ShapeError(f"qubits={self.qubits!r} outside supported range 1..3")
+        if not isinstance(self.mat, np.ndarray):
+            raise ShapeError(f"matrix is a {type(self.mat).__name__}, not a numpy array")
+        if self.mat.dtype.kind not in "iufc":
+            raise ShapeError(f"matrix dtype {self.mat.dtype} is not numeric")
         d = 2 ** self.qubits
-        if not 1 <= self.qubits <= 3:
-            raise ShapeError(f"qubits={self.qubits} outside supported range 1..3")
         if self.mat.shape != (d, d):
             raise ShapeError(f"matrix shape {self.mat.shape}, expected ({d}, {d})")
-        if not linalg.is_hermitian(self.mat, DENSITY_HERM_TOL):
-            raise ShapeError("density matrix is not Hermitian")
-        if abs(np.trace(self.mat) - 1) > DENSITY_TRACE_TOL:
-            raise ShapeError(f"trace {np.trace(self.mat):.12f} != 1")
-        w = np.linalg.eigvalsh((self.mat + dagger(self.mat)) / 2)
-        if w[0] < DENSITY_EIG_FLOOR:
-            raise ShapeError(f"negative eigenvalue {w[0]:.3e}")
+        _check_stack(self.mat[None])
         self.mat.setflags(write=False)
 
     @property
@@ -86,8 +83,49 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DensityMatrix":
-        mat = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-        return cls(int(obj["qubits"]), mat)
+        try:
+            re, im = (np.array(obj[key], dtype=float) for key in ("re", "im"))
+            if re.shape != im.shape or type(obj["qubits"]) is not int:
+                raise ValueError
+        except (KeyError, TypeError, ValueError):
+            raise ShapeError("state JSON must hold an integer 'qubits' and equal-shape "
+                             "'re' and 'im' matrices of numbers") from None
+        return cls(obj["qubits"], re + 1j * im)
+
+
+def _check_stack(mats: np.ndarray) -> None:
+    """Raise the ShapeError `DensityMatrix` raises for the first invalid member
+    of a (k, d, d) stack, checking Hermiticity, then trace, then eigenvalues.
+
+    One `eigvalsh` covers the members before the first one that fails an
+    earlier check; those are finite, so it cannot fail to converge.
+    """
+    herm = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= DENSITY_HERM_TOL
+    bad = ~(herm & (np.abs(np.trace(mats, axis1=1, axis2=2) - 1) <= DENSITY_TRACE_TOL))
+    first = int(bad.argmax()) if bad.any() else len(mats)
+    if first:
+        good = mats[:first]
+        low = np.linalg.eigvalsh((good + good.conj().swapaxes(1, 2)) / 2)[:, 0]
+        negative = low < DENSITY_EIG_FLOOR
+        if negative.any():
+            raise ShapeError(f"negative eigenvalue {low[negative.argmax()]:.3e}")
+    if first < len(mats):
+        if not herm[first]:
+            raise ShapeError("density matrix is not Hermitian")
+        raise ShapeError(f"trace {np.trace(mats[first]):.12f} != 1")
+
+
+def _as_states(qubits: int, mats: np.ndarray) -> list[DensityMatrix]:
+    """The members of a (k, d, d) stack that passed `_check_stack` as states,
+    without checking each again."""
+    mats.setflags(write=False)
+    states = []
+    for mat in mats:
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "qubits", qubits)
+        object.__setattr__(rho, "mat", mat)
+        states.append(rho)
+    return states
 
 
 @dataclass(frozen=True)
@@ -147,19 +185,26 @@ def pauli_tensor(mat: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,ji->...", PAULI_PRODUCTS[qubits], mat).real
 
 
-def from_pauli_tensor(t: np.ndarray) -> DensityMatrix:
-    """The validated state 2^-n sum t[a, b, ...] sigma_a x sigma_b x ...."""
-    qubits = t.ndim
-    if not 1 <= qubits <= 3 or t.shape != (4,) * qubits:
-        raise ShapeError(f"Pauli tensor shape {t.shape} is not that of 1-3 qubits")
+def from_pauli_tensors(t: np.ndarray) -> list[DensityMatrix]:
+    """The validated states 2^-n sum t[k, a, b, ...] sigma_a x sigma_b x ...
+    of a stack of k Pauli tensors, validated as one stack."""
+    qubits = t.ndim - 1
+    if not 1 <= qubits <= 3 or t.shape[1:] != (4,) * qubits:
+        raise ShapeError(f"Pauli tensor shape {t.shape[1:]} is not that of 1-3 qubits")
     d = 2 ** qubits
     # t is real, so the product runs on the interleaved real and imaginary
-    # parts of the operators: a real matrix-vector product, which OpenBLAS
-    # keeps on one thread, where the complex one is split over threads and
-    # can stall for milliseconds on a busy host.
+    # parts of the operators: a real matrix product, which OpenBLAS keeps
+    # on one thread at these sizes, where the complex one is split over
+    # threads and can stall for milliseconds on a busy host.
     products = PAULI_PRODUCTS[qubits].reshape(4 ** qubits, d * d).view(float)
-    mat = (t.reshape(-1) @ products).view(complex)
-    return DensityMatrix(qubits, mat.reshape(d, d) / d)
+    mats = (t.reshape(len(t), -1) @ products).view(complex).reshape(-1, d, d) / d
+    _check_stack(mats)
+    return _as_states(qubits, mats)
+
+
+def from_pauli_tensor(t: np.ndarray) -> DensityMatrix:
+    """The validated state 2^-n sum t[a, b, ...] sigma_a x sigma_b x ...."""
+    return from_pauli_tensors(t[None])[0]
 
 
 # Import-time constants avoid BLAS and LAPACK calls (validating ghz() would
@@ -167,6 +212,37 @@ def from_pauli_tensor(t: np.ndarray) -> DensityMatrix:
 # processes that only evaluate closed forms never otherwise pay.
 GHZ_TENSOR = pauli_tensor(_ghz_projector())
 GHZ_TENSOR.setflags(write=False)
+
+
+def compress_stack(states: list[DensityMatrix],
+                   basis: CompressionBasis = CompressionBasis()
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """`compress` of every 3-qubit state of a list, as one (k, 4, 4) stack of
+    renormalized blocks, validated as one stack, and a (k,) weight vector.
+
+    Raises the error `compress` raises for the first state that fails.
+    """
+    if any(rho.qubits != 3 for rho in states):
+        raise ShapeError("compression expects a 3-qubit state")
+    # Rows and columns |zero_ket,c>, |one_ket,c> become |0~,c>, |1~,c>.  `take`
+    # returns C-ordered blocks (a fancy index puts the stack axis innermost),
+    # so each member's trace is summed in the order of a lone block's.
+    idx = [int(label + c, 2) for label in (basis.zero_ket, basis.one_ket) for c in "01"]
+    flat = [8 * i + j for i in idx for j in idx]
+    small = np.take(np.stack([rho.mat for rho in states]).reshape(-1, 64), flat,
+                    axis=1).reshape(-1, 4, 4)
+    weights = np.trace(small, axis1=1, axis2=2).real
+    low = weights < 1 - COMPRESS_TOL
+    first = int(low.argmax()) if low.any() else len(states)
+    blocks = small[:first] / weights[:first, None, None]
+    _check_stack(blocks)
+    if first < len(states):
+        # A weight is >= 0: a rounding residue below zero (or -0.0) prints as 0.
+        raise NotCompressibleError(
+            f"only {max(weights[first], 0.0) + 0.0:.12f} of the state lies in "
+            f"span{{|{basis.zero_ket}>, |{basis.one_ket}>}} x C2"
+        )
+    return blocks, weights
 
 
 def compress(rho: DensityMatrix, basis: CompressionBasis = CompressionBasis()
@@ -178,28 +254,23 @@ def compress(rho: DensityMatrix, basis: CompressionBasis = CompressionBasis()
     by the projection).  Raises NotCompressibleError if more than
     COMPRESS_TOL of the AB marginal lies outside the two chosen kets.
     """
-    if rho.qubits != 3:
-        raise ShapeError("compression expects a 3-qubit state")
-    # Rows and columns |zero_ket,c>, |one_ket,c> become |0~,c>, |1~,c>.
-    idx = [int(label + c, 2) for label in (basis.zero_ket, basis.one_ket) for c in "01"]
-    small = rho.mat[np.ix_(idx, idx)]
-    weight = float(np.trace(small).real)
-    if weight < 1 - COMPRESS_TOL:
-        # A weight is >= 0: a rounding residue below zero (or -0.0) prints as 0.
-        raise NotCompressibleError(
-            f"only {max(weight, 0.0) + 0.0:.12f} of the state lies in "
-            f"span{{|{basis.zero_ket}>, |{basis.one_ket}>}} x C2"
-        )
-    return DensityMatrix(2, small / weight), weight
+    blocks, weights = compress_stack([rho], basis)
+    return _as_states(2, blocks)[0], float(weights[0])
+
+
+def bloch_stack(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pauli decompositions (m~, n, T) of a (k, 4, 4) stack of two-qubit
+    states, as (k, 3), (k, 3) and (k, 3, 3) stacks."""
+    t = np.einsum("abij,kji->kab", PAULI_PRODUCTS[2], blocks).real
+    # t[k, a, b] with sigma_0 = I: 1 and n in row 0, m~ in column 0, T in the rest.
+    return t[:, 1:, 0], t[:, 0, 1:], t[:, 1:, 1:]
 
 
 def bloch_form(rho4: DensityMatrix) -> BlochForm:
     """Pauli decomposition (m~, n, T) of a (compressed) two-qubit state."""
     if rho4.qubits != 2:
         raise ShapeError("bloch_form expects a 2-qubit state")
-    t = pauli_tensor(rho4.mat)
-    # t[a, b] with sigma_0 = I: 1 and n in row 0, m~ in column 0, T in the rest.
-    return BlochForm(t[1:, 0], t[0, 1:], t[1:, 1:])
+    return BlochForm(*(x[0] for x in bloch_stack(rho4.mat[None])))
 
 
 def reconstruct(b: BlochForm) -> DensityMatrix:

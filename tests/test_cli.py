@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,108 @@ class TestUnwritableOut:
         assert (code, out) == (2, "")
         assert err.splitlines() == [
             f"error: cannot write {target!r}: No such file or directory"]
+
+
+class TestOutRewrite:
+    """`--out` is rewritten in place: its bytes equal those of a fresh write."""
+
+    def _run(self, capsys, tmp_path, cfg, out):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        return run_cli(capsys, "run", "--config", str(cfg_file), "--out", str(out))
+
+    def test_long_run_file_rewritten_short(self, capsys, tmp_path):
+        out, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
+        self._run(capsys, tmp_path, {"pairs": 4, "strengths": [0.3, 0.5, 0.7]}, out)
+        before = out.stat().st_size
+        for path in (out, fresh):
+            assert self._run(capsys, tmp_path, {"pairs": 1}, path)[0] == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert out.stat().st_size < before
+
+    def test_large_scan_rewritten_small(self, capsys, tmp_path):
+        out, fresh = tmp_path / "scan.csv", tmp_path / "fresh.csv"
+        run_cli(capsys, "scan", "--grid", "30", "--out", str(out))
+        before = out.stat().st_size
+        for path in (out, fresh):
+            assert run_cli(capsys, "scan", "--grid", "5", "--out", str(path))[0] == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert out.stat().st_size < before
+
+    def test_new_file_mode_matches_open(self, capsys, tmp_path):
+        with open(tmp_path / "ref.json", "w"):
+            pass
+        self._run(capsys, tmp_path, {"pairs": 1}, tmp_path / "new.json")
+        assert (tmp_path / "new.json").stat().st_mode == (tmp_path / "ref.json").stat().st_mode
+
+    def test_mode_bits_survive(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("x" * 10000)
+        out.chmod(0o640)
+        assert self._run(capsys, tmp_path, {"pairs": 1}, out)[0] == 0
+        assert out.stat().st_mode & 0o7777 == 0o640
+        assert json.loads(out.read_text())[0]["pair"] == 1
+
+    def test_symlink_rewrites_target(self, capsys, tmp_path):
+        target, link, fresh = tmp_path / "target.json", tmp_path / "link.json", \
+            tmp_path / "fresh.json"
+        target.write_text("x" * 10000)
+        link.symlink_to(target)
+        for path in (link, fresh):
+            assert self._run(capsys, tmp_path, {"pairs": 2}, path)[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_dev_null(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, tmp_path, {"pairs": 1}, os.devnull)
+        assert (code, err) == (0, "")
+        assert out.startswith("pair 1: S = ")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_is_written_uncut(self, capsys, tmp_path):
+        fifo, fresh = tmp_path / "fifo", tmp_path / "fresh.json"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert self._run(capsys, tmp_path, {"pairs": 2}, fifo)[0] == 0
+        reader.join(timeout=30)
+        self._run(capsys, tmp_path, {"pairs": 2}, fresh)
+        assert got == [fresh.read_bytes()]
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs RLIMIT_FSIZE")
+    def test_failed_write_leaves_no_old_tail(self, tmp_path):
+        # Writes past 50 kB fail (EFBIG), so the scan stops part way through a
+        # 200 kB file; as with a truncating open, only new bytes remain.
+        out = tmp_path / "scan.csv"
+        out.write_text("x" * 200_000)
+        res = _python("import resource, signal, sys\n"
+                      "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                      "resource.setrlimit(resource.RLIMIT_FSIZE, (50_000, 50_000))\n"
+                      "from steershare.cli import main\n"
+                      "sys.exit(main(['scan', '--grid', '100', '--out', sys.argv[1]]))",
+                      str(out))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == f"error: cannot write {str(out)!r}: File too large\n"
+        text = out.read_text()
+        assert 0 < len(text) <= 50_000 and "x" not in text
+        assert text.startswith("lambda1,lambda2,")
+
+    def test_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, tmp_path, {"pairs": 1}, tmp_path)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: cannot write {str(tmp_path)!r}: Is a directory"]
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="root writes files whatever their mode bits")
+    def test_read_only_file_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("old")
+        out.chmod(0o444)
+        code, stdout, err = self._run(capsys, tmp_path, {"pairs": 1}, out)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"error: cannot write {str(out)!r}: Permission denied"]
+        assert out.read_text() == "old"
 
 
 class TestDemo:

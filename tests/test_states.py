@@ -10,9 +10,13 @@ from steershare.states import (
     GHZ_TENSOR,
     CompressionBasis,
     DensityMatrix,
+    _check_stack,
     bloch_form,
+    bloch_stack,
     compress,
+    compress_stack,
     from_pauli_tensor,
+    from_pauli_tensors,
     ghz,
     ket,
     pauli_tensor,
@@ -50,6 +54,100 @@ class TestDensityMatrix:
         back = DensityMatrix.from_json(rho.to_json())
         assert back.qubits == 3
         assert np.max(np.abs(back.mat - rho.mat)) <= 1e-15
+
+    def test_accepts_real_matrices(self):
+        assert DensityMatrix(1, np.eye(2) / 2).purity() == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("mat, message", [
+        ([[1, 0], [0, 0]], "matrix is a list, not a numpy array"),
+        (np.array([["1", "0"], ["0", "0"]]), "matrix dtype <U1 is not numeric"),
+        (np.eye(2, dtype=bool), "matrix dtype bool is not numeric"),
+    ])
+    def test_rejects_non_numeric_arrays(self, mat, message):
+        with pytest.raises(ShapeError) as err:
+            DensityMatrix(1, mat)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("obj", [
+        {},
+        {"qubits": 1, "re": [[0.5, 0], [0]], "im": [[0, 0], [0, 0]]},
+        {"qubits": 1, "re": [["a", 0], [0, 0.5]], "im": [[0, 0], [0, 0]]},
+        {"qubits": None, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]},
+        {"qubits": 1.9, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]},
+        {"qubits": 1, "re": [[0.5, 0], [0, 0.5]], "im": [[0]]},
+        [],
+    ])
+    def test_json_rejects_malformed_objects(self, obj):
+        with pytest.raises(ShapeError) as err:
+            DensityMatrix.from_json(obj)
+        assert str(err.value) == ("state JSON must hold an integer 'qubits' and "
+                                  "equal-shape 're' and 'im' matrices of numbers")
+
+
+def _failing(kind: str, rng) -> np.ndarray:
+    """A two-qubit matrix that fails one check of `DensityMatrix`."""
+    mat = random_density(rng, 2).mat.copy()
+    if kind == "hermitian":
+        mat[0, 1] += 1e-6
+    elif kind == "trace":
+        mat *= 1.001
+    elif kind == "negative":
+        mat = np.diag([0.6, 0.5, 0.1, -0.2]).astype(complex)
+    elif kind == "nan":
+        mat[1, 2] = np.nan
+    return mat
+
+
+def _error(call):
+    """(type, message) of the error `call()` raises."""
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+_MESSAGES = {"hermitian": "density matrix is not Hermitian", "trace": "trace 1.001000000000",
+             "negative": "negative eigenvalue -2.000e-01", "nan": "density matrix is not Hermitian"}
+_KINDS = tuple(_MESSAGES)
+
+
+class TestStackValidation:
+    """A stack raises the error of its first failing member, as if each member
+    were built as a `DensityMatrix` in order."""
+
+    @pytest.mark.parametrize("size, at", [(k, i) for k in range(1, 5) for i in range(k)])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_one_failing_member(self, size, at, kind):
+        rng = np.random.default_rng(10 * size + at)
+        mats = np.stack([random_density(rng, 2).mat for _ in range(size)])
+        mats[at] = _failing(kind, rng)
+        want = _error(lambda: DensityMatrix(2, mats[at].copy()))
+        assert want[0] is ShapeError
+        assert want[1].startswith(_MESSAGES[kind])
+        assert _error(lambda: _check_stack(mats)) == want
+
+    @pytest.mark.parametrize("first, later", itertools.product(_KINDS, repeat=2))
+    def test_first_failing_member_wins(self, first, later):
+        rng = np.random.default_rng(7)
+        mats = np.stack([random_density(rng, 2).mat for _ in range(4)])
+        mats[1], mats[3] = _failing(first, rng), _failing(later, rng)
+        assert _error(lambda: _check_stack(mats)) == \
+            _error(lambda: DensityMatrix(2, mats[1].copy()))
+
+    def test_valid_stack_passes(self):
+        rng = np.random.default_rng(3)
+        _check_stack(np.stack([random_density(rng, 3).mat for _ in range(4)]))
+
+    def test_built_stack_equals_members_built_alone(self):
+        rng = np.random.default_rng(5)
+        t = np.stack([pauli_tensor(random_density(rng, 3).mat) for _ in range(4)])
+        for rho, t_k in zip(from_pauli_tensors(t), t):
+            assert rho.qubits == 3 and not rho.mat.flags.writeable
+            assert np.max(np.abs(rho.mat - from_pauli_tensor(t_k).mat)) <= 1e-15
+
+    def test_built_stack_rejects_invalid_member(self):
+        t = np.stack([GHZ_TENSOR, GHZ_TENSOR * 1.5, GHZ_TENSOR])
+        assert _error(lambda: from_pauli_tensors(t)) == \
+            _error(lambda: from_pauli_tensor(t[1]))
 
 
 class TestCompress:
@@ -143,6 +241,46 @@ class TestCompressedBloch:
         with pytest.raises(NotCompressibleError) as err:
             compress(rho)
         assert str(err.value) == f"only {weight} of the state lies in span{{|00>, |11>}} x C2"
+
+
+class TestCompressStack:
+    @pytest.mark.parametrize("zero, one", [("00", "11"), ("11", "00"), ("01", "10")])
+    def test_members_equal_compress(self, zero, one):
+        # Random states supported on span{|zero>, |one>} x C2: each member's
+        # block and weight are summed exactly as `compress` sums them alone.
+        rng = np.random.default_rng(int(zero + one, 2))
+        basis = CompressionBasis(zero, one)
+        idx = [int(k + c, 2) for k in (zero, one) for c in "01"]
+        states = []
+        for _ in range(4):
+            mat = np.zeros((8, 8), dtype=complex)
+            mat[np.ix_(idx, idx)] = random_density(rng, 2).mat
+            states.append(DensityMatrix(3, mat))
+        blocks, weights = compress_stack(states, basis)
+        m, n, T = bloch_stack(blocks)
+        for k, rho in enumerate(states):
+            rho4, w = compress(rho, basis)
+            assert np.array_equal(blocks[k], rho4.mat) and weights[k] == w
+            b = bloch_form(rho4)
+            assert np.max(np.abs(m[k] - b.m_tilde)) <= 1e-15
+            assert np.max(np.abs(n[k] - b.n_vec)) <= 1e-15
+            assert np.max(np.abs(T[k] - b.T)) <= 1e-15
+
+    @pytest.mark.parametrize("size, at", [(k, i) for k in range(1, 5) for i in range(k)])
+    def test_not_compressible_message_matches_compress(self, size, at):
+        # Members at and after `at` leak weight out of span{|00>, |11>} x C2,
+        # each a different amount.
+        leak = np.zeros((8, 8), dtype=complex)
+        leak[2, 2] = 1.0
+        states = [ghz()] * at + [DensityMatrix(3, (1 - j / 8) * ghz().mat + j / 8 * leak)
+                                 for j in range(at + 1, size + 1)]
+        want = _error(lambda: compress(states[at]))
+        assert want[0] is NotCompressibleError
+        assert _error(lambda: compress_stack(states)) == want
+
+    def test_rejects_other_qubit_counts(self):
+        with pytest.raises(ShapeError):
+            compress_stack([ghz(), DensityMatrix(2, np.eye(4) / 4)])
 
 
 class TestBlochForm:

@@ -420,26 +420,35 @@ class TestRunScenarioErrors:
                              [(p, i) for p in range(1, 5) for i in range(1, p + 1)])
     @pytest.mark.parametrize("fault", ["pure_ab_qubit", "pure_charlie", "not_compressible"])
     def test_failure_at_pair(self, monkeypatch, pairs, fail_at, fault):
-        target = "compress" if fault == "not_compressible" else "bloch_form"
-        real = getattr(scenario, target)
-        calls = []
+        # The fault enters member fail_at of the run's stacked compression or
+        # Bloch forms.  A not-compressible fault also enters every later
+        # member, each leaking a different weight, so the message names the
+        # first failing member.
+        if fault == "not_compressible":
+            real = scenario.compress_stack
+            leak = np.zeros((8, 8), dtype=complex)
+            leak[2, 2] = 1.0  # |010>, outside span{|00>, |11>} x C2
 
-        def faulty(*args):
-            calls.append(args)
-            out = real(*args)
-            if len(calls) != fail_at:
-                return out
-            if fault == "not_compressible":
-                raise NotCompressibleError(f"pair {fail_at} left the span")
-            pure = np.array([0.6, 0.0, 0.8])
-            if fault == "pure_ab_qubit":
-                return BlochForm(pure, out.n_vec, out.T)
-            return BlochForm(out.m_tilde, pure, out.T)
+            def faulty(states, basis):
+                states = states[:fail_at - 1] + [
+                    DensityMatrix(3, (1 - j / 10) * rho.mat + j / 10 * leak)
+                    for j, rho in enumerate(states[fail_at - 1:], start=fail_at)]
+                return real(states, basis)
 
-        monkeypatch.setattr(scenario, target, faulty)
+            monkeypatch.setattr(scenario, "compress_stack", faulty)
+        else:
+            real = scenario.bloch_stack
+
+            def faulty(blocks):
+                m, n, T = (x.copy() for x in real(blocks))
+                (m if fault == "pure_ab_qubit" else n)[fail_at - 1] = [0.6, 0.0, 0.8]
+                return m, n, T
+
+            monkeypatch.setattr(scenario, "bloch_stack", faulty)
         cfg = scenario.make_config("nonlocal", [0.4] * pairs)
         kind, message = (
-            (NotCompressibleError, f"pair {fail_at} left the span")
+            (NotCompressibleError, f"only {1 - fail_at / 10:.12f} of the state lies in "
+                                   f"span{{|00>, |11>}} x C2")
             if fault == "not_compressible"
             else (DegenerateSteererError, "steering party is pure; ellipsoid degenerates"))
         with pytest.raises(kind) as err:
