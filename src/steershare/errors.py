@@ -17,10 +17,6 @@ class NotHermitianError(SteershareError):
     """Operation requires a Hermitian matrix."""
 
 
-class NotPSDError(SteershareError):
-    """Matrix has an eigenvalue below the PSD clamping threshold."""
-
-
 class NotCompressibleError(SteershareError):
     """State has weight outside the two-basis compression subspace."""
 

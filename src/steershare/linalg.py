@@ -1,25 +1,19 @@
 """Dense complex matrix kernel for small (<= 8x8) operator algebra.
 
-Products, tensor products, partial traces, Hermitian eigendecompositions
-and PSD square roots for qubit-register sized matrices.  Everything here
-is a pure function on numpy arrays; nothing mutates its inputs.
+Products, tensor products, partial traces and Hermitian eigendecompositions
+for qubit-register sized matrices.  Everything here is a pure function on
+numpy arrays; nothing mutates its inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionOverflowError,
-    NotHermitianError,
-    NotPSDError,
-    ShapeError,
-)
+from .errors import DimensionOverflowError, NotHermitianError, ShapeError
 
 MAX_DIM = 64
 
 HERMITIAN_TOL = 1e-12
-PSD_CLAMP = 1e-10
 
 # Single-qubit operator palette.
 I2 = np.eye(2, dtype=complex)
@@ -45,13 +39,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"tensor product dimension {out_dim} exceeds limit {MAX_DIM}"
         )
     return np.kron(a, b)
-
-
-def kron_all(*ops: np.ndarray) -> np.ndarray:
-    out = ops[0]
-    for op in ops[1:]:
-        out = kron(out, op)
-    return out
 
 
 def partial_trace(rho: np.ndarray, keep: set[int] | list[int] | tuple[int, ...],
@@ -92,34 +79,3 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh((h + dagger(h)) / 2)
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
-
-
-def psd_sqrt(h: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root, clamping eigenvalues in [-1e-10, 0) to zero."""
-    w, v = hermitian_eig(h)
-    if w[-1] < -PSD_CLAMP:
-        raise NotPSDError(f"eigenvalue {w[-1]:.3e} below PSD threshold -{PSD_CLAMP:.0e}")
-    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
-    return (s + dagger(s)) / 2
-
-
-def embed(op: np.ndarray, acts_on: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Pad a k-qubit operator with identities to act on an n-qubit register.
-
-    `acts_on` gives the register positions of the operator's tensor factors,
-    in the order the operator was built.
-    """
-    acts_on = tuple(acts_on)
-    k = len(acts_on)
-    if op.shape != (2 ** k, 2 ** k):
-        raise ShapeError(f"operator shape {op.shape} does not match {k} qubits")
-    if len(set(acts_on)) != k or any(q < 0 or q >= n_qubits for q in acts_on):
-        raise ShapeError(f"acts_on={acts_on} invalid for an {n_qubits}-qubit register")
-    rest = [q for q in range(n_qubits) if q not in acts_on]
-    full = kron(op, np.eye(2 ** len(rest), dtype=complex))
-    # `full` is ordered acts_on + rest; permute back to register order.
-    src = list(acts_on) + rest
-    perm = [src.index(q) for q in range(n_qubits)]
-    t = full.reshape((2,) * (2 * n_qubits))
-    t = t.transpose(perm + [p + n_qubits for p in perm])
-    return t.reshape(2 ** n_qubits, 2 ** n_qubits)

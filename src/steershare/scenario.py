@@ -117,10 +117,12 @@ class ScenarioConfig:
                               f"expected a subset of {sorted(_CONFIG_TYPES)}")
         for key, value in obj.items():
             kind = _CONFIG_TYPES[key]
-            if not isinstance(value, kind) or isinstance(value, bool):
+            # numpy integer scalars count as int; bool and 2.0 do not
+            if not isinstance(value, numbers.Integral if kind is int else kind) \
+                    or isinstance(value, bool):
                 raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
                                   f"got {value!r}")
-        pairs = obj.get("pairs", 2)
+        pairs = int(obj.get("pairs", 2))
         if not 1 <= pairs <= 4:
             raise ConfigError(f"pairs={pairs} outside supported range 1..4")
         lambdas = [_strength_entry(entry) for entry in obj.get("strengths", [])]
@@ -217,7 +219,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
             for i, state in enumerate(states)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanTable:
     """Scan or sweep output as columns, one row per history.
 

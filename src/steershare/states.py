@@ -39,7 +39,7 @@ def _pauli_products(n: int) -> np.ndarray:
 PAULI_PRODUCTS = {n: _pauli_products(n) for n in (1, 2, 3)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix over 1-3 qubits."""
 
@@ -128,7 +128,7 @@ def _as_states(qubits: int, mats: np.ndarray) -> list[DensityMatrix]:
     return states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochForm:
     """Bloch vectors and correlation matrix of a two-qubit state."""
 

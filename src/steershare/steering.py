@@ -1,9 +1,9 @@
-"""Steering functionals, classical bounds, closed-form oracles and ellipsoids.
+"""Classical bounds, closed-form oracles, strength histories and ellipsoids.
 
-The linear steering parameter is evaluated as sharp-direction correlators
-on the evolved state, multiplied once by the current pair's strength.
-Closed-form expressions for the two-setting GHZ scenario serve as analytic
-oracles for the full measurement pipeline.
+The closed-form linear steering parameter of the two-setting GHZ scenario
+is the analytic oracle for `run_scenario`, which reads the same parameter
+off the evolved state as sharp-direction correlators, multiplied once by
+the current pair's strength.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ def pauli_dot(u: np.ndarray) -> np.ndarray:
     return sum(c * p for c, p in zip(u, PAULIS))
 
 
-def direction_axis(op: np.ndarray) -> np.ndarray:
-    """Bloch 3-vector of a traceless qubit involution (inverse of pauli_dot)."""
-    return np.array([np.trace(op @ p).real / 2 for p in PAULIS])
-
-
 def _check_unit_interval(lambdas) -> None:
     for pair in lambdas:
         if any(not 0.0 <= s <= 1.0 for s in pair):
@@ -54,7 +49,8 @@ def _check_unit_interval(lambdas) -> None:
 class StrengthHistory:
     """Per-pair, per-setting measurement strengths.
 
-    `lambdas[j][k]` is the joint strength of setting k+1 used by pair j+1.
+    `lambdas[j][k]` is the joint strength of setting k+1 used by pair j+1;
+    every pair has two settings.
     For local-measurement comparisons `etas`/`gammas` hold the individual
     strengths of A and B; they must multiply back to the joint strengths.
     """
@@ -67,6 +63,9 @@ class StrengthHistory:
         _check_unit_interval(self.lambdas)
         if (self.etas is None) != (self.gammas is None):
             raise ConfigError("etas and gammas must be given together")
+        rows = [self.lambdas] if self.etas is None else [self.lambdas, self.etas, self.gammas]
+        if any(len(p) != 2 for h in rows for p in h):
+            raise ConfigError("every pair needs one strength for each of its two settings")
         if self.etas is not None:
             if len(self.etas) != len(self.lambdas) or len(self.gammas) != len(self.lambdas):
                 raise ConfigError("local strengths must cover every pair")
@@ -94,20 +93,6 @@ class StrengthHistory:
         _check_unit_interval(lams)  # before np.sqrt can warn on a negative strength
         roots = tuple(tuple(float(np.sqrt(s)) for s in p) for p in lams)
         return cls(lams, roots, roots)
-
-
-def steering_parameter(rho_evolved: DensityMatrix, pair_directions: list[np.ndarray],
-                       pair_strengths: list[float],
-                       charlie_directions: list[np.ndarray]) -> float:
-    """(1/n) sum_k strength_k * <D_k tensor L_k> on the evolved state."""
-    n = len(pair_directions)
-    if len(pair_strengths) != n or len(charlie_directions) != n:
-        raise ConfigError("pair directions, strengths and Charlie directions "
-                          "must have equal length")
-    total = 0.0
-    for d_ab, lam, l_c in zip(pair_directions, pair_strengths, charlie_directions):
-        total += lam * rho_evolved.expectation(kron(d_ab, l_c))
-    return total / n
 
 
 def classical_bound(charlie_directions: list[np.ndarray]) -> float:
@@ -164,7 +149,7 @@ def closed_form_local(h: StrengthHistory, i: int) -> float:
     return _history_value(h, h.gammas, i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteeringEllipsoid:
     """Geometry of the steered party's reachable Bloch vectors."""
 

@@ -3,10 +3,9 @@
 import numpy as np
 
 from steershare.cli import main
-from steershare.linalg import I2, SIGMA_X, SIGMA_Y, kron
-from steershare.measurement import UnsharpSetting, local_pair_update, luders_update
 from steershare.scenario import (
     SQRT_HALF,
+    ScenarioConfig,
     ellipsoid_series,
     make_config,
     max_simultaneous_pairs,
@@ -22,15 +21,12 @@ from steershare.steering import (
     ellipsoid,
     ellipsoid_volume_check,
     pauli_dot,
-    steering_parameter,
 )
 
-from util import conditional_charlie_bloch, containment_violation
+from oracles import chain, direction, make_instrument, pair_update, steering_value, update
+from util import conditional_charlie_bloch, containment_violation, random_density
 
-YY = kron(SIGMA_Y, SIGMA_Y)
-YX = kron(SIGMA_Y, SIGMA_X)
-PAIR_DIRS = [-YY, YX]
-CHARLIE_DIRS = [SIGMA_X, -SIGMA_Y]
+LABELS = ("x", "-y")  # Charlie's default directions
 
 
 def _report(name, ok):
@@ -92,6 +88,7 @@ def test_criterion_4_simultaneous_windows(capsys):
 
 
 def test_criterion_5_oracle_equivalence(capsys):
+    """`run_scenario` and the 8x8 Kraus oracle, each against the closed forms."""
     rng = np.random.default_rng(101)
     worst = 0.0
     for trial in range(200):
@@ -99,91 +96,57 @@ def test_criterion_5_oracle_equivalence(capsys):
         if trial % 2 == 0:
             h = StrengthHistory.nonlocal_history(
                 [tuple(rng.uniform(0, 1, 2)) for _ in range(pairs)])
-            closed = closed_form_nonlocal
-            rho = ghz()
-            for i in range(1, pairs + 1):
-                sim = steering_parameter(rho, PAIR_DIRS, list(h.lambdas[i - 1]),
-                                         CHARLIE_DIRS)
-                worst = max(worst, abs(sim - closed(h, i)))
-                rho = luders_update(rho, [
-                    UnsharpSetting(d, s, (0, 1))
-                    for d, s in zip(PAIR_DIRS, h.lambdas[i - 1])])
+            mode, closed = "nonlocal", closed_form_nonlocal
         else:
             etas = [tuple(rng.uniform(0, 1, 2)) for _ in range(pairs)]
             gammas = [tuple(rng.uniform(0, 1, 2)) for _ in range(pairs)]
             lams = [tuple(e * g for e, g in zip(pe, pg))
                     for pe, pg in zip(etas, gammas)]
             h = StrengthHistory(tuple(lams), tuple(etas), tuple(gammas))
-            rho = ghz()
-            for i in range(1, pairs + 1):
-                sim = steering_parameter(rho, PAIR_DIRS, list(h.lambdas[i - 1]),
-                                         CHARLIE_DIRS)
-                worst = max(worst, abs(sim - closed_form_local(h, i)))
-                a = [UnsharpSetting(d, e, (0,))
-                     for d, e in zip((SIGMA_Y, SIGMA_Y), h.etas[i - 1])]
-                b = [UnsharpSetting(d, g, (1,))
-                     for d, g in zip((SIGMA_Y, SIGMA_X), h.gammas[i - 1])]
-                rho = local_pair_update(rho, a, b)
+            mode, closed = "local", closed_form_local
+        runs = run_scenario(ScenarioConfig(strengths=h, mode=mode))
+        kraus = chain(mode, LABELS, h.lambdas, h.etas, h.gammas)
+        for i, (r, (s, _)) in enumerate(zip(runs, kraus), start=1):
+            worst = max(worst, abs(r.steering_value - closed(h, i)), abs(s - closed(h, i)))
     with capsys.disabled():
         _report(f"oracle equivalence over 200 histories (worst {worst:.2e})",
                 worst <= 1e-10)
 
 
-def _phased_permutation(d):
-    """D as row i -> (perm[i], phase[i]): D[i, perm[i]] = phase[i], zero elsewhere."""
-    perm = np.abs(d).argmax(axis=1)
-    return perm, d[np.arange(len(d)), perm]
-
-
-def _dephase_batch(rho, d, c):
-    """((1+c)/2) rho + ((1-c)/2) D rho D for a stack of states, D applied as
-    a phased index permutation: (D rho D)[i, j] = v[i] rho[p[i], p[j]] v*[j]."""
-    perm, v = _phased_permutation(d)
-    out = rho[:, perm[:, None], perm]
-    out *= np.outer(v, v.conj()) * ((1 - c) / 2)[:, None, None]
-    out += ((1 + c) / 2)[:, None, None] * rho
-    return out
-
-
-def _pair_update_batch(rho, settings, c):
-    """Mean over settings of the channels of each setting's directions, in turn."""
-    total = np.zeros_like(rho)
-    for dirs in settings:
-        out = rho
-        for d in dirs:
-            out = _dephase_batch(out, d, c)
-        total += out
-    return total / len(settings)
-
-
 def test_criterion_5_whole_grid_oracle(capsys):
-    """Every cell of the 200x200 scan grid, simulated on 8x8 matrices in one
-    batch, against the array closed forms."""
+    """Every cell of the 200x200 scan grid, simulated on 8x8 matrices by the
+    Kraus oracle, against the array closed forms.  Pair 1's strength runs
+    along grid rows and pair 2's along columns, so pair 1 updates 200
+    states and pair 2 all 40,000 cells, in one broadcast batch each."""
     grid = np.linspace(0.0, 1.0, 200)
-    lams = [np.repeat(grid, 200), np.tile(grid, 200), np.ones(200 * 200)]
-    corr = [kron(d, l) for d, l in zip(PAIR_DIRS, CHARLIE_DIRS)]
-    settings = {
-        "nonlocal": [[kron(d, I2)] for d in PAIR_DIRS],
-        "local": [[kron(kron(SIGMA_Y, I2), I2), kron(kron(I2, d), I2)]
-                  for d in (SIGMA_Y, SIGMA_X)],
-    }
+    lams = [grid[:, None], grid[None, :], np.ones((1, 1))]
     worst = {}
-    for mode, dirs in settings.items():
+    for mode in ("nonlocal", "local"):
         damp = lams if mode == "nonlocal" else [np.sqrt(x) for x in lams]
         closed = closed_forms(lams, lams, damp, damp)
-        rho = np.broadcast_to(ghz().mat, (len(lams[0]), 8, 8))
+        rho = ghz().mat
         dev = 0.0
         for i, (lam, d, want) in enumerate(zip(lams, damp, closed)):
-            # Both settings have strength lam: S = lam * mean_k <D_k x L_k>.
-            sim = lam * sum(np.einsum("nij,ji->n", rho, op).real for op in corr) / 2
+            # Both settings have strength lam; local pairs split it as eta = gamma = d.
+            sim = steering_value(rho, LABELS, (lam, lam))
             dev = max(dev, float(np.max(np.abs(sim - want))))
             if i < len(lams) - 1:  # the last pair damps no one
-                rho = _pair_update_batch(rho, dirs, np.sqrt(1 - d * d))
+                rho = pair_update(rho, mode, LABELS, (lam, lam), (d, d), (d, d))
         worst[mode] = dev
     with capsys.disabled():
         _report("whole 200x200 grid, 3 pairs, 8x8 batch vs closed forms "
                 f"(worst nonlocal {worst['nonlocal']:.2e}, "
                 f"local {worst['local']:.2e})", max(worst.values()) <= 1e-12)
+
+
+def _closed_form_semiaxes(lams):
+    """Per pair of a nonlocal run with default directions, the descending
+    semiaxes of both ellipsoids: prod_{j<=i} (1+c2_j)/2, (1+c1_j)/2 and
+    (c1_j+c2_j)/2 with c = sqrt(1 - lambda^2).  The run stays in the span of
+    GHZ's Pauli components, so m~ = n = 0 and T is diagonal."""
+    c = np.sqrt(1 - np.asarray(lams) ** 2)  # (pair, setting)
+    axes = np.stack([1 + c[:, 1], 1 + c[:, 0], c[:, 0] + c[:, 1]], axis=1) / 2
+    return -np.sort(-np.cumprod(axes, axis=0), axis=1)
 
 
 def test_criterion_6_ellipsoid_suite(capsys):
@@ -211,8 +174,7 @@ def test_criterion_6_ellipsoid_suite(capsys):
     worst_vol = 0.0
     for _ in range(25):
         lams = rng.uniform(0, 1, 2)
-        rho = luders_update(ghz(), [UnsharpSetting(d, s, (0, 1))
-                                    for d, s in zip(PAIR_DIRS, lams)])
+        rho = run_scenario(make_config("nonlocal", [list(lams)]))[0].state
         b = bloch_form(compress(rho)[0])
         worst_vol = max(worst_vol,
                         abs(ellipsoid_volume_check(b) - ellipsoid(b).volume))
@@ -223,8 +185,7 @@ def test_criterion_6_ellipsoid_suite(capsys):
     ok_contain = True
     states = []
     for lams in ((0.8, 0.35), (0.5, 0.5), (1.0, 0.6), (0.25, 0.9), (1.0, 1.0)):
-        rho = luders_update(ghz(), [UnsharpSetting(d, s, (0, 1))
-                                    for d, s in zip(PAIR_DIRS, lams)])
+        rho = run_scenario(make_config("nonlocal", [list(lams)]))[0].state
         states.append(compress(rho)[0])
     while sampled < 500:
         rho4 = states[sampled % len(states)]
@@ -240,6 +201,28 @@ def test_criterion_6_ellipsoid_suite(capsys):
         sampled += 1
     checks.append(("conditional states contained over 500 samples", ok_contain))
 
+    # 300 seeded runs of 1-4 pairs with unequal strengths, some sharp, and
+    # the demo and README `ellipsoids` strengths.
+    rng = np.random.default_rng(131)
+    worst_closed = 0.0
+    runs = []
+    for k in range(300):
+        lams = rng.uniform(0, 1, (k % 4 + 1, 2))
+        lams[rng.uniform(0, 1, lams.shape) < 0.1] = 1.0
+        runs.append((lams, [(r.charlie_ellipsoid, r.ab_ellipsoid)
+                            for r in run_scenario(make_config("nonlocal", lams.tolist()))]))
+    for l1, l2 in [(SQRT_HALF, 0.75), (SQRT_HALF, 0.85), (SQRT_HALF, 0.95), (0.70710678, 0.9)]:
+        rec = ellipsoid_series([(l1, l2)])[0]
+        runs.append(([(l1, l2)], [(rec.charlie, rec.ab)]))
+    for lams, ells in runs:
+        for want, pair in zip(_closed_form_semiaxes(lams), ells):
+            for e in pair:
+                worst_closed = max(worst_closed, np.max(np.abs(e.center)),
+                                   np.max(np.abs(e.semiaxes - want)),
+                                   abs(e.volume - np.prod(want)))
+    checks.append((f"closed-form ellipsoids over 304 runs: centre 0, semiaxes, volume "
+                   f"(worst {worst_closed:.2e})", worst_closed <= 1e-12))
+
     with capsys.disabled():
         for name, ok in checks:
             _report(name, ok)
@@ -253,51 +236,36 @@ def test_criterion_7_max_sharing(capsys):
 
 
 def test_criterion_8_instrument_properties(capsys):
-    from test_measurement import _random_setting
+    """The dephasing kernel against the Kraus instrument of the oracle."""
+    from test_measurement import _dephase, _projective, _random_setting
 
     rng = np.random.default_rng(127)
-    from steershare.measurement import make_instrument
-    from steershare.linalg import I2, PAULIS, embed
-    from util import random_density
-
     ok_complete = ok_trace = ok_sharp = ok_damping = True
-    checked_damping = 0
     for case in range(120):
-        s = _random_setting(rng)
-        inst = make_instrument(s)
-        ok_complete &= np.max(np.abs(inst.effects[0] + inst.effects[1]
-                                     - np.eye(4))) <= 1e-10
+        paulis, sign, lam = _random_setting(rng)
+        effects, kraus = make_instrument(direction(paulis, sign), lam)
+        ok_complete &= max(np.max(np.abs(effects[0] + effects[1] - np.eye(8))),
+                           np.max(np.abs(kraus[0] @ kraus[0] + kraus[1] @ kraus[1]
+                                         - np.eye(8)))) <= 1e-10
 
-        rho = random_density(rng, 3)
-        out = luders_update(rho, [s])
-        ok_trace &= abs(np.trace(out.mat) - 1) <= 1e-12
+        rho = random_density(rng, 3).mat
+        for out in (_dephase(rho, [[(paulis, sign, lam)]]), update(rho, [[(paulis, sign, lam)]])):
+            ok_trace &= abs(np.trace(out) - 1) <= 1e-12
 
-        sharp = UnsharpSetting(s.direction, 1.0, s.acts_on)
-        d = embed(s.direction, s.acts_on, 3)
-        projective = np.zeros_like(rho.mat)
-        for sign in (1, -1):
-            p = (np.eye(8) + sign * d) / 2
-            projective += p @ rho.mat @ p
-        ok_sharp &= np.max(np.abs(luders_update(rho, [sharp]).mat
-                                  - projective)) <= 1e-10
+        sharp = [[(paulis, sign, 1.0)]]
+        projective = _projective(rho, paulis, sign)
+        for out in (_dephase(rho, sharp), update(rho, sharp)):
+            ok_sharp &= np.max(np.abs(out - projective)) <= 1e-10
 
-    ops = (I2,) + PAULIS
-    while checked_damping < 100:
-        s = _random_setting(rng)
-        p_ab = kron(ops[rng.integers(0, 4)], ops[rng.integers(0, 4)])
-        p_abc = kron(p_ab, ops[rng.integers(0, 4)])
-        comm = s.direction @ p_ab - p_ab @ s.direction
-        anti = s.direction @ p_ab + p_ab @ s.direction
-        before = ghz().expectation(p_abc)
-        after = luders_update(ghz(), [s]).expectation(p_abc)
-        if np.max(np.abs(comm)) <= 1e-12:
-            ok_damping &= abs(after - before) <= 1e-10
-        elif np.max(np.abs(anti)) <= 1e-12:
-            f = np.sqrt(1 - s.strength ** 2)
-            ok_damping &= abs(after - f * before) <= 1e-10
-        else:
-            continue
-        checked_damping += 1
+    for _ in range(100):
+        paulis, sign, lam = _random_setting(rng)
+        d = direction(paulis, sign)
+        obs = direction(tuple(int(i) for i in rng.integers(0, 4, 3)))
+        factor = 1.0 if np.max(np.abs(d @ obs - obs @ d)) == 0.0 else np.sqrt(1 - lam ** 2)
+        before = ghz().expectation(obs)
+        for out in (_dephase(ghz().mat, [[(paulis, sign, lam)]]),
+                    update(ghz().mat, [[(paulis, sign, lam)]])):
+            ok_damping &= abs(np.trace(out @ obs).real - factor * before) <= 1e-10
 
     with capsys.disabled():
         _report("instrument completeness over randomized settings", ok_complete)

@@ -1,23 +1,16 @@
 import numpy as np
 import pytest
 
-from steershare.errors import (
-    DimensionOverflowError,
-    NotHermitianError,
-    NotPSDError,
-    ShapeError,
-)
+from steershare.errors import DimensionOverflowError, NotHermitianError, ShapeError
 from steershare.linalg import (
     I2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     dagger,
-    embed,
     hermitian_eig,
     kron,
     partial_trace,
-    psd_sqrt,
 )
 from steershare.states import ghz, ket
 
@@ -114,49 +107,3 @@ class TestHermitianEig:
         with pytest.raises(NotHermitianError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(4, dtype=complex)), np.eye(4))
-
-    def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 1.0]).astype(complex)),
-                           np.diag([2.0, 1.0]))
-
-    def test_unsharp_effect_closed_form(self):
-        # sqrt((I + lam*YY)/2) = alpha*I + beta*YY since (YY)^2 = I
-        lam = 0.6
-        yy = kron(SIGMA_Y, SIGMA_Y)
-        effect = (np.eye(4) + lam * yy) / 2
-        alpha = (np.sqrt((1 + lam) / 2) + np.sqrt((1 - lam) / 2)) / 2
-        beta = (np.sqrt((1 + lam) / 2) - np.sqrt((1 - lam) / 2)) / 2
-        s = psd_sqrt(effect)
-        assert np.max(np.abs(s - (alpha * np.eye(4) + beta * yy))) <= 1e-12
-        assert np.max(np.abs(s @ s - effect)) <= 1e-10
-
-    def test_squares_back_random(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            h = random_psd(rng, 8)
-            s = psd_sqrt(h)
-            assert np.max(np.abs(s @ s - h)) <= 1e-10
-            assert np.max(np.abs(s - dagger(s))) <= 1e-12
-
-    def test_rejects_negative(self):
-        with pytest.raises(NotPSDError):
-            psd_sqrt(np.diag([1.0, -1e-6]).astype(complex))
-
-
-class TestEmbed:
-    def test_single_qubit_positions(self):
-        assert np.allclose(embed(SIGMA_Z, (0,), 3), kron(kron(SIGMA_Z, I2), I2))
-        assert np.allclose(embed(SIGMA_Z, (1,), 3), kron(kron(I2, SIGMA_Z), I2))
-        assert np.allclose(embed(SIGMA_Z, (2,), 3), kron(kron(I2, I2), SIGMA_Z))
-
-    def test_two_qubit_block(self):
-        op = kron(SIGMA_X, SIGMA_Y)
-        assert np.allclose(embed(op, (0, 1), 3), kron(op, I2))
-
-    def test_bad_shape(self):
-        with pytest.raises(ShapeError):
-            embed(SIGMA_X, (0, 1), 3)

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from steershare.errors import ConfigError
-from steershare.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
-from steershare.measurement import UnsharpSetting
 from steershare.scenario import (
     MAX_GRID_RESOLUTION,
     MAX_SAMPLES,
@@ -23,43 +21,20 @@ from steershare.scenario import (
     simultaneous_window,
     sweep_curve,
 )
-from steershare.states import DensityMatrix, bloch_form, compress, ghz
+from steershare.states import DensityMatrix, bloch_form, compress
 from steershare.steering import StrengthHistory, classical_bound, closed_form_local, \
     closed_form_nonlocal, ellipsoid
 
-from test_measurement import ORACLE_TOL, _kraus_oracle, _padded_kraus
-
-# Per Charlie axis: L, the joint A,B direction D with <D x L> = +1 on GHZ,
-# and the local (A, B) factors of D (none for z).
-_AXES = {"x": (SIGMA_X, -kron(SIGMA_Y, SIGMA_Y), (SIGMA_Y, SIGMA_Y)),
-         "y": (SIGMA_Y, -kron(SIGMA_Y, SIGMA_X), (SIGMA_Y, SIGMA_X)),
-         "z": (SIGMA_Z, kron(SIGMA_Z, I2), None)}
+from oracles import ORACLE_TOL, chain
 
 
 def _kraus_chain(cfg):
     """Per pair: S, the post-update 8x8 state and the (Charlie, AB)
-    ellipsoids, from Kraus operators (make_instrument + embed, sum K rho K^dag),
-    then compress + bloch_form."""
-    ops = []
-    for label in cfg.charlie_directions:
-        sign = -1.0 if label.startswith("-") else 1.0
-        l_op, d_op, local = _AXES[label.lstrip("-")]
-        ops.append((sign * l_op, sign * d_op, local))
-    rho = ghz()
+    ellipsoids, from the Kraus oracle, then compress + bloch_form."""
+    h = cfg.strengths
     out = []
-    for i, lam in enumerate(cfg.strengths.lambdas):
-        s = sum(x * rho.expectation(kron(d_op, l_op))
-                for x, (l_op, d_op, _) in zip(lam, ops)) / len(lam)
-        if cfg.mode == "nonlocal":
-            branches = [_padded_kraus(UnsharpSetting(d_op, x, (0, 1)))
-                        for x, (_, d_op, _) in zip(lam, ops)]
-        else:
-            branches = [
-                [ka @ kb for ka in _padded_kraus(UnsharpSetting(a, eta, (0,)))
-                 for kb in _padded_kraus(UnsharpSetting(b, gamma, (1,)))]
-                for (_, _, (a, b)), eta, gamma
-                in zip(ops, cfg.strengths.etas[i], cfg.strengths.gammas[i])]
-        rho = DensityMatrix(3, _kraus_oracle(rho, branches))
+    for s, mat in chain(cfg.mode, cfg.charlie_directions, h.lambdas, h.etas, h.gammas):
+        rho = DensityMatrix(3, mat)
         ells = (None, None)
         if cfg.mode == "nonlocal":
             form = bloch_form(compress(rho)[0])
@@ -88,6 +63,15 @@ class TestScenarioConfig:
     def test_rejects_bad_mode(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json({"mode": "telepathic", "strengths": [0.5]})
+
+    def test_pairs_accepts_numpy_integers(self):
+        cfg = make_config("nonlocal", [[0.5, 0.5]], pairs=np.int64(1))
+        assert type(cfg.to_json()["pairs"]) is int and cfg.pairs == 1
+
+    @pytest.mark.parametrize("pairs", [True, 2.0])
+    def test_pairs_rejects_bool_and_float(self, pairs):
+        with pytest.raises(ConfigError, match="config key 'pairs' must be of type int"):
+            make_config("nonlocal", [[0.5, 0.5]], pairs=pairs)
 
     def test_rejects_too_many_pairs(self):
         with pytest.raises(ConfigError):
@@ -128,6 +112,12 @@ class TestRunScenario:
         for i, r in enumerate(results, start=1):
             assert r.steering_value == pytest.approx(
                 closed_form_nonlocal(cfg.strengths, i), abs=1e-10)
+
+    def test_results_compare_by_state_identity(self):
+        a, b = (run_scenario(make_config("nonlocal", [0.5, 0.8])) for _ in range(2))
+        assert a[0] != b[0] and a[0] == a[0]
+        table = scan_region(2, 3, "compare")
+        assert table == table and table != scan_region(2, 3, "compare")
 
     def test_matches_kraus_chain(self):
         rng = np.random.default_rng(61)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from steershare.errors import NotCompressibleError, ShapeError
-from steershare.linalg import I2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, kron, kron_all
-from steershare.measurement import UnsharpSetting, luders_update
+from steershare.linalg import I2, PAULIS, kron
+from steershare.scenario import make_config, run_scenario
 from steershare.states import (
     GHZ_TENSOR,
     CompressionBasis,
@@ -23,15 +23,16 @@ from steershare.states import (
     reconstruct,
 )
 
+from oracles import direction
 from util import random_density
 
 
 class TestGhz:
     def test_stabilizer_xxx(self):
-        assert ghz().expectation(kron_all(SIGMA_X, SIGMA_X, SIGMA_X)) == pytest.approx(1.0)
+        assert ghz().expectation(direction((1, 1, 1))) == pytest.approx(1.0)
 
     def test_stabilizer_yyx(self):
-        assert ghz().expectation(kron_all(SIGMA_Y, SIGMA_Y, SIGMA_X)) == pytest.approx(-1.0)
+        assert ghz().expectation(direction((2, 2, 1))) == pytest.approx(-1.0)
 
     def test_maximally_mixed_marginal(self):
         assert np.allclose(ghz().reduced({0}).mat, np.eye(2) / 2, atol=1e-12)
@@ -54,6 +55,13 @@ class TestDensityMatrix:
         back = DensityMatrix.from_json(rho.to_json())
         assert back.qubits == 3
         assert np.max(np.abs(back.mat - rho.mat)) <= 1e-15
+
+    def test_identity_equality_and_hash(self):
+        rho = ghz()
+        assert (ghz() == ghz()) is False and (rho == rho) is True
+        assert len({ghz(), rho, rho}) == 2
+        b = bloch_form(compress(rho)[0])
+        assert b == b and b != bloch_form(compress(rho)[0])
 
     def test_accepts_real_matrices(self):
         assert DensityMatrix(1, np.eye(2) / 2).purity() == pytest.approx(0.5)
@@ -159,11 +167,7 @@ class TestCompress:
         assert rho4.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_post_measurement_state_stays_supported(self):
-        settings = [
-            UnsharpSetting(-np.kron(SIGMA_Y, SIGMA_Y), 0.7, (0, 1)),
-            UnsharpSetting(np.kron(SIGMA_Y, SIGMA_X), 0.3, (0, 1)),
-        ]
-        rho = luders_update(ghz(), settings)
+        rho = run_scenario(make_config("nonlocal", [[0.7, 0.3]]))[0].state
         _, weight = compress(rho)
         assert weight == pytest.approx(1.0, abs=1e-12)
 
@@ -186,9 +190,8 @@ class TestPauliTensor:
     def test_entries_are_pauli_expectations(self, qubits):
         rho = random_density(np.random.default_rng(qubits), qubits)
         t = pauli_tensor(rho.mat)
-        ops = (I2,) + PAULIS
         for idx in itertools.product(range(4), repeat=qubits):
-            want = rho.expectation(kron_all(*(ops[i] for i in idx)))
+            want = rho.expectation(direction(idx))
             assert abs(t[idx] - want) <= 1e-15
 
     @pytest.mark.parametrize("qubits", [1, 2, 3])

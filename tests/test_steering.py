@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,7 @@ from steershare.errors import (
     ShapeError,
     UnsupportedSizeError,
 )
-from steershare.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
-from steershare.measurement import UnsharpSetting, local_pair_update, luders_update
+from steershare.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from steershare.states import BlochForm, DensityMatrix, bloch_form, compress, ghz
 from steershare.steering import (
     StrengthHistory,
@@ -20,23 +21,17 @@ from steershare.steering import (
     closed_form_nonlocal,
     closed_forms,
     coherence,
-    direction_axis,
     ellipsoid,
     ellipsoid_volume_check,
     ellipsoids,
     optimal_partner_setting,
     optimal_settings_from_ellipsoid,
     pauli_dot,
-    steering_parameter,
 )
 
 from util import conditional_charlie_bloch, containment_violation, random_density
 
 SQRT_HALF = 1 / np.sqrt(2)
-YY = kron(SIGMA_Y, SIGMA_Y)
-YX = kron(SIGMA_Y, SIGMA_X)
-PAIR_DIRS = [-YY, YX]
-CHARLIE_DIRS = [SIGMA_X, -SIGMA_Y]
 
 
 def _reference_closed_form(lambdas, damping, i):
@@ -48,26 +43,13 @@ def _reference_closed_form(lambdas, damping, i):
     return float((lam2 * prod1 + lam1 * prod2) / 2 ** i)
 
 
-def _nonlocal_settings(lams):
-    return [UnsharpSetting(d, s, (0, 1)) for d, s in zip(PAIR_DIRS, lams)]
+def _post_pair_one(lams):
+    """The 8x8 state after one nonlocal pair with strengths (lambda1, lambda2)."""
+    return scenario.run_scenario(scenario.make_config("nonlocal", [list(lams)]))[0].state
 
 
-def _evolve_nonlocal(history, upto):
-    rho = ghz()
-    for j in range(upto):
-        rho = luders_update(rho, _nonlocal_settings(history.lambdas[j]))
-    return rho
-
-
-def _evolve_local(history, upto):
-    rho = ghz()
-    a_dirs = [SIGMA_Y, SIGMA_Y]
-    b_dirs = [SIGMA_Y, SIGMA_X]
-    for j in range(upto):
-        a = [UnsharpSetting(d, e, (0,)) for d, e in zip(a_dirs, history.etas[j])]
-        b = [UnsharpSetting(d, g, (1,)) for d, g in zip(b_dirs, history.gammas[j])]
-        rho = local_pair_update(rho, a, b)
-    return rho
+def _steering_values(cfg):
+    return [r.steering_value for r in scenario.run_scenario(cfg)]
 
 
 class TestClassicalBound:
@@ -90,30 +72,35 @@ class TestClassicalBound:
 
 
 class TestSteeringParameter:
+    """The linear steering parameter as `run_scenario` reads it off the
+    evolved state."""
+
     def test_sharp_ghz(self):
-        assert steering_parameter(ghz(), PAIR_DIRS, [1.0, 1.0], CHARLIE_DIRS) == \
-            pytest.approx(1.0, abs=1e-12)
+        # Every sharp GHZ correlator is +1, whatever the signed axis labels.
+        for labels in itertools.product(("x", "-x", "y", "-y", "z", "-z"), repeat=2):
+            cfg = scenario.make_config("nonlocal", [1.0], charlie_directions=labels)
+            assert _steering_values(cfg) == [pytest.approx(1.0, abs=1e-12)]
 
     def test_zero_strengths(self):
-        assert steering_parameter(ghz(), PAIR_DIRS, [0.0, 0.0], CHARLIE_DIRS) == 0.0
+        assert _steering_values(scenario.make_config("nonlocal", [0.0])) == [0.0]
 
     def test_headline_value(self):
-        h = StrengthHistory.nonlocal_history([(0.5, 0.5), (0.8, 0.8)])
-        rho = _evolve_nonlocal(h, 1)
-        s = steering_parameter(rho, PAIR_DIRS, [0.8, 0.8], CHARLIE_DIRS)
+        s = _steering_values(scenario.make_config("nonlocal", [0.5, 0.8]))[1]
         assert s == pytest.approx(0.7464101615137755, abs=1e-10)
 
     def test_length_mismatch(self):
+        # One strength and one Charlie direction per setting, two settings.
         with pytest.raises(ConfigError):
-            steering_parameter(ghz(), PAIR_DIRS, [1.0], CHARLIE_DIRS)
+            scenario.make_config("nonlocal", [1.0], charlie_directions=("x",))
+        with pytest.raises(ConfigError):
+            scenario.ScenarioConfig(StrengthHistory(((1.0,),)))
 
     def test_sign_convention_invariance(self):
-        h = StrengthHistory.nonlocal_history([(0.6, 0.3)])
-        rho = _evolve_nonlocal(h, 1)
-        s = steering_parameter(rho, PAIR_DIRS, [0.9, 0.7], CHARLIE_DIRS)
-        flipped = steering_parameter(rho, [-PAIR_DIRS[0], PAIR_DIRS[1]], [0.9, 0.7],
-                                     [-CHARLIE_DIRS[0], CHARLIE_DIRS[1]])
-        assert s == flipped
+        for mode in ("nonlocal", "local"):
+            cfg = scenario.make_config(mode, [[0.6, 0.3], [0.9, 0.7]])
+            flipped = scenario.make_config(mode, [[0.6, 0.3], [0.9, 0.7]],
+                                           charlie_directions=("-x", "y"))
+            assert _steering_values(cfg) == _steering_values(flipped)
 
 
 class TestClosedForms:
@@ -146,28 +133,23 @@ class TestClosedForms:
     def test_oracle_equivalence_nonlocal(self):
         rng = np.random.default_rng(53)
         for _ in range(40):
-            pairs = int(rng.integers(1, 4))
+            pairs = int(rng.integers(1, 5))
             h = StrengthHistory.nonlocal_history(
                 [tuple(rng.uniform(0, 1, 2)) for _ in range(pairs)])
-            for i in range(1, pairs + 1):
-                rho = _evolve_nonlocal(h, i - 1)
-                sim = steering_parameter(rho, PAIR_DIRS, list(h.lambdas[i - 1]),
-                                         CHARLIE_DIRS)
+            for i, sim in enumerate(_steering_values(scenario.ScenarioConfig(h)), start=1):
                 assert abs(sim - closed_form_nonlocal(h, i)) <= 1e-10
 
     def test_oracle_equivalence_local(self):
         rng = np.random.default_rng(59)
         for _ in range(40):
-            pairs = int(rng.integers(1, 4))
+            pairs = int(rng.integers(1, 5))
             etas = [tuple(rng.uniform(0, 1, 2)) for _ in range(pairs)]
             gammas = [tuple(rng.uniform(0, 1, 2)) for _ in range(pairs)]
             lams = [tuple(e * g for e, g in zip(pe, pg))
                     for pe, pg in zip(etas, gammas)]
             h = StrengthHistory(tuple(lams), tuple(etas), tuple(gammas))
-            for i in range(1, pairs + 1):
-                rho = _evolve_local(h, i - 1)
-                sim = steering_parameter(rho, PAIR_DIRS, list(h.lambdas[i - 1]),
-                                         CHARLIE_DIRS)
+            cfg = scenario.ScenarioConfig(h, mode="local")
+            for i, sim in enumerate(_steering_values(cfg), start=1):
                 assert abs(sim - closed_form_local(h, i)) <= 1e-10
 
     def test_monotone_in_prior_strengths(self):
@@ -267,8 +249,7 @@ class TestEllipsoid:
     def test_constant_semiaxis_when_first_strength_fixed(self):
         expected = (1 + coherence(SQRT_HALF)) / 2
         for lam2 in (0.2, 0.55, 0.9):
-            rho = luders_update(ghz(), _nonlocal_settings([SQRT_HALF, lam2]))
-            rho4, _ = compress(rho)
+            rho4, _ = compress(_post_pair_one([SQRT_HALF, lam2]))
             e = ellipsoid(bloch_form(rho4))
             # The invariant axis lies along the Bloch y direction.
             idx = np.argmax(np.abs(e.orientation[1, :]))
@@ -279,7 +260,7 @@ class TestEllipsoid:
         # semiaxes); the reported columns must not follow 1e-15 noise.
         rng = np.random.default_rng(71)
         for lams in rng.uniform(0, 1, (300, 2)):
-            rho4, _ = compress(luders_update(ghz(), _nonlocal_settings(list(lams))))
+            rho4, _ = compress(_post_pair_one(lams))
             b = bloch_form(rho4)
             for party in ("charlie", "ab"):
                 ref = ellipsoid(b, party).orientation
@@ -291,8 +272,7 @@ class TestEllipsoid:
                     assert np.max(moved) <= 1e-6
 
     def test_ab_ellipsoid_matches_for_symmetric_state(self):
-        rho = luders_update(ghz(), _nonlocal_settings([0.6, 0.3]))
-        rho4, _ = compress(rho)
+        rho4, _ = compress(_post_pair_one([0.6, 0.3]))
         b = bloch_form(rho4)
         ec, eab = ellipsoid(b, "charlie"), ellipsoid(b, "ab")
         assert np.allclose(np.sort(ec.semiaxes), np.sort(eab.semiaxes), atol=1e-10)
@@ -309,8 +289,7 @@ class TestEllipsoid:
         rng = np.random.default_rng(67)
         for _ in range(30):
             lams = rng.uniform(0, 1, 2)
-            rho = luders_update(ghz(), _nonlocal_settings(list(lams)))
-            rho4, _ = compress(rho)
+            rho4, _ = compress(_post_pair_one(lams))
             b = bloch_form(rho4)
             assert abs(ellipsoid_volume_check(b) - ellipsoid(b).volume) <= 1e-10
 
@@ -321,8 +300,7 @@ class TestEllipsoid:
 
     def test_containment(self):
         rng = np.random.default_rng(71)
-        rho = luders_update(ghz(), _nonlocal_settings([0.8, 0.35]))
-        rho4, _ = compress(rho)
+        rho4, _ = compress(_post_pair_one([0.8, 0.35]))
         e = ellipsoid(bloch_form(rho4))
         for _ in range(100):
             u = rng.normal(size=3)
@@ -342,8 +320,7 @@ def _seeded_forms():
     rng = np.random.default_rng(83)
     special = [0.0, 0.5, SQRT_HALF, 1.0]
     lams = [(a, b) for a in special for b in special] + list(rng.uniform(0, 1, (20, 2)))
-    forms = [bloch_form(compress(luders_update(ghz(), _nonlocal_settings(list(x))))[0])
-             for x in lams]
+    forms = [bloch_form(compress(_post_pair_one(x))[0]) for x in lams]
     forms.append(bloch_form(compress(ghz())[0]))
     forms += [bloch_form(random_density(rng, 2)) for _ in range(20)]
     return forms
@@ -479,11 +456,12 @@ class TestOptimalSettings:
             assert np.max(np.abs(op - expected)) <= 1e-10
 
     def test_post_pair_one_axes(self):
-        rho = luders_update(ghz(), _nonlocal_settings([0.6, 0.6]))
-        rho4, _ = compress(rho)
+        rho4, _ = compress(_post_pair_one([0.6, 0.6]))
         ops = optimal_settings_from_ellipsoid(ellipsoid(bloch_form(rho4)), 2)
-        axes = sorted(tuple(np.abs(np.round(direction_axis(op)))) for op in ops)
-        assert axes == [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
+        # One setting is +-sigma_x, the other +-sigma_y.
+        axes = sorted(k for op in ops for k, p in enumerate((SIGMA_X, SIGMA_Y, SIGMA_Z))
+                      if min(np.max(np.abs(op - p)), np.max(np.abs(op + p))) <= 1e-10)
+        assert axes == [0, 1]
 
     def test_explicit_semiaxes(self):
         # Ellipsoid with known principal frame: rotate diag(0.81, 0.25, 0.01).
@@ -499,8 +477,8 @@ class TestOptimalSettings:
         ops = optimal_settings_from_ellipsoid(e, 2)
         expect = [rot[:, 0], rot[:, 1]]
         for op, u in zip(ops, expect):
-            got = direction_axis(op)
-            assert min(np.linalg.norm(got - u), np.linalg.norm(got + u)) <= 1e-10
+            want = pauli_dot(u)
+            assert min(np.max(np.abs(op - want)), np.max(np.abs(op + want))) <= 1e-10
 
     def test_insufficient_axes(self):
         b = bloch_form(DensityMatrix(2, np.eye(4, dtype=complex) / 4))
