@@ -8,6 +8,7 @@ import json
 import os
 import stat
 import sys
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -31,15 +32,16 @@ def _parse_fix(items: list[str]) -> dict[str, float]:
     return fixed
 
 
-def _write_out(path: str, text: str, newline: str | None = None) -> None:
-    """Write `text` to `path` as `open(path, "w")` would.  Truncating a file
-    that still holds data costs more than writing it, so a regular file is
-    overwritten in place and then cut to the written length."""
+def _write_out(path: str, chunks: Iterable[str], newline: str | None = None) -> None:
+    """Write the strings of `chunks` in turn to `path` as `open(path, "w")`
+    would.  Truncating a file that still holds data costs more than writing
+    it, so a regular file is overwritten in place and then cut to the
+    written length."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         with open(fd, "w", newline=newline) as fh:
             try:
-                fh.write(text)
+                fh.writelines(chunks)
                 fh.flush()
             finally:  # a failed write too leaves no old bytes after the new ones
                 st = os.fstat(fd)
@@ -111,7 +113,7 @@ def cmd_demo(_args) -> None:
 def cmd_scan(args) -> None:
     table = scenario.scan_region(pairs=args.pairs, resolution=args.grid,
                                  mode=args.mode)
-    _write_out(args.out, scenario.records_to_csv(table, "scan"), newline="")
+    _write_out(args.out, scenario.iter_csv(table, "scan"), newline="")
     print(f"wrote {len(table)} rows to {args.out}")
 
 
@@ -119,13 +121,13 @@ def cmd_sweep(args) -> None:
     table = scenario.sweep_curve(_parse_fix(args.fix), args.vary, args.from_,
                                  args.to, args.samples, pairs=args.pairs,
                                  mode=args.mode)
-    _write_out(args.out, scenario.records_to_csv(table, "sweep"), newline="")
+    _write_out(args.out, scenario.iter_csv(table, "sweep"), newline="")
     print(f"wrote {len(table)} rows to {args.out}")
 
 
 def cmd_ellipsoids(args) -> None:
     records = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])
-    _write_out(args.out, _indented_json([r.to_json() for r in records]) + "\n")
+    _write_out(args.out, [_indented_json([r.to_json() for r in records]) + "\n"])
     r = records[0]
     print(f"Charlie semiaxes: {np.round(r.charlie.semiaxes, 6).tolist()}, "
           f"volume {r.charlie.volume:.6f} -> {args.out}")
@@ -159,7 +161,7 @@ def cmd_run(args) -> None:
                 r.ab_ellipsoid.to_json() if r.ab_ellipsoid else None,
         })
     if args.out:
-        _write_out(args.out, _indented_json(payload) + "\n")
+        _write_out(args.out, [_indented_json(payload) + "\n"])
     for r in results:
         marker = ">" if r.steering_value > cfg.bound else "<="
         print(f"pair {r.pair}: S = {r.steering_value:.6f} {marker} C2")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numbers
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,6 @@ from .states import GHZ_TENSOR, CompressionBasis, DensityMatrix, bloch_stack, \
 from .steering import (
     SteeringEllipsoid,
     StrengthHistory,
-    classical_bound,
     closed_forms,
     coherence,
     ellipsoids,
@@ -265,8 +265,9 @@ def _table(mode: str, lam1: list, lam2: list, params: dict) -> ScanTable:
 
 
 # Size limits, checked before anything is allocated.  At the limit the
-# largest call of each kind (a 3-pair compare scan, a 4-pair compare sweep)
-# peaks at about 0.5 GB in `steershare scan`/`sweep`, output text included.
+# largest call of each kind peaks in `steershare scan`/`sweep`, which write
+# the text in blocks, at about 120 MiB RSS (a 3-pair compare scan) and
+# 215 MiB (a 4-pair compare sweep).
 MAX_GRID_RESOLUTION = 800
 MAX_SAMPLES = 1_000_000
 
@@ -438,9 +439,17 @@ def simultaneous_window(case: str, tol: float = 1e-9) -> tuple[float, float]:
 _CSV_LAYOUT = {"scan": (("lambda1", "lambda2"), 3, True),
                "sweep": (("param",), 2, False)}
 
+# Rows per CSV text block: a block's text and `tolist` copies stay a few
+# hundred kB, while per-block overhead stays far below the formatting cost.
+CSV_BLOCK_ROWS = 2048
 
-def records_to_csv(table: ScanTable, kind: str) -> str:
-    """Deterministic CSV for scan ("lambda1,lambda2,...") or sweep rows."""
+
+def iter_csv(table: ScanTable, kind: str) -> Iterator[str]:
+    """Deterministic CSV for scan ("lambda1,lambda2,...") or sweep rows, as
+    the header line and then blocks of at most `CSV_BLOCK_ROWS` rows.
+
+    The layout is checked when this is called, before any text is made.
+    """
     if kind not in _CSV_LAYOUT:
         raise ConfigError(f"unknown CSV kind {kind!r}")
     names, width, with_region = _CSV_LAYOUT[kind]
@@ -456,5 +465,17 @@ def records_to_csv(table: ScanTable, kind: str) -> str:
         cols.append(table.region)
         fields.append("%s")
     # One %-format per row; tolist gives Python floats, printed to 12 significant digits.
-    rows = map(",".join(fields).__mod__, zip(*(c.tolist() for c in cols)))
-    return "\n".join([",".join(header), *rows, ""])
+    row = ",".join(fields) + "\n"
+    step = CSV_BLOCK_ROWS
+
+    def blocks() -> Iterator[str]:
+        yield ",".join(header) + "\n"
+        for i in range(0, len(table), step):
+            yield "".join(map(row.__mod__, zip(*(c[i:i + step].tolist() for c in cols))))
+
+    return blocks()
+
+
+def records_to_csv(table: ScanTable, kind: str) -> str:
+    """The whole text of `iter_csv(table, kind)`."""
+    return "".join(iter_csv(table, kind))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import steershare
+from steershare import scenario
 from steershare.cli import _indented_json, main
 from steershare.scenario import ScenarioConfig, ellipsoid_series, records_to_csv, \
     run_scenario, sweep_curve
@@ -387,6 +388,34 @@ class TestOutRewrite:
             assert run_cli(capsys, "scan", "--grid", "5", "--out", str(path))[0] == 0
         assert out.read_bytes() == fresh.read_bytes()
         assert out.stat().st_size < before
+
+    _SWEEP = ("sweep", "--vary", "lambda_1", "--from", "0", "--to", "1")
+
+    @pytest.mark.parametrize("longer, shorter", [
+        (("scan", "--grid", "30"), ("scan", "--grid", "5", "--mode", "local")),
+        (_SWEEP + ("--samples", "500"), _SWEEP + ("--samples", "9", "--mode", "nonlocal")),
+    ])
+    def test_blocked_csv_rewritten_short(self, capsys, tmp_path, monkeypatch,
+                                         longer, shorter):
+        monkeypatch.setattr(scenario, "CSV_BLOCK_ROWS", 4)
+        out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        assert run_cli(capsys, *longer, "--out", str(out))[0] == 0
+        before = out.stat().st_size
+        for path in (out, fresh):
+            assert run_cli(capsys, *shorter, "--out", str(path))[0] == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert out.stat().st_size < before
+
+    @pytest.mark.parametrize("argv", [("scan", "--grid", "1"), ("scan", "--grid", "801"),
+                                      _SWEEP + ("--samples", "1")])
+    def test_rejected_size_leaves_file_unchanged(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(scenario, "CSV_BLOCK_ROWS", 4)
+        out = tmp_path / "out.csv"
+        assert run_cli(capsys, "scan", "--grid", "6", "--out", str(out))[0] == 0
+        old = out.read_bytes()
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "") and err.startswith("error: ")
+        assert out.read_bytes() == old
 
     def test_new_file_mode_matches_open(self, capsys, tmp_path):
         with open(tmp_path / "ref.json", "w"):

@@ -1,18 +1,20 @@
 import hashlib
-import json
 import re
 
 import numpy as np
 import pytest
 
+from steershare import scenario
 from steershare.errors import ConfigError
 from steershare.scenario import (
     MAX_GRID_RESOLUTION,
     MAX_SAMPLES,
     SQRT_HALF,
+    ScanTable,
     ScenarioConfig,
     charlie_operator,
     ellipsoid_series,
+    iter_csv,
     make_config,
     max_simultaneous_pairs,
     records_to_csv,
@@ -22,8 +24,7 @@ from steershare.scenario import (
     sweep_curve,
 )
 from steershare.states import DensityMatrix, bloch_form, compress
-from steershare.steering import StrengthHistory, classical_bound, closed_form_local, \
-    closed_form_nonlocal, ellipsoid
+from steershare.steering import classical_bound, closed_form_nonlocal, ellipsoid
 
 from oracles import ORACLE_TOL, chain
 
@@ -290,6 +291,54 @@ class TestGoldenOutputs:
                 assert col.dtype == np.float64 and col.shape == (rows,)
             assert table.region.shape == (rows,)
             assert all(type(label) is str for label in table.region.tolist())
+
+
+def _head(table: ScanTable, rows: int) -> ScanTable:
+    """The first `rows` rows of `table`."""
+    return ScanTable(params={k: v[:rows] for k, v in table.params.items()},
+                     s=[c[:rows] for c in table.s], st=[c[:rows] for c in table.st],
+                     region=table.region[:rows])
+
+
+class TestCsvBlocks:
+    """`iter_csv` yields the header, then blocks of at most CSV_BLOCK_ROWS rows
+    that join to the one-block text (pinned by the digests above)."""
+
+    B = 4
+
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("mode", ["nonlocal", "local", "compare"])
+    @pytest.mark.parametrize("kind", ["scan", "sweep"])
+    def test_blocks_join_to_one_block_text(self, monkeypatch, kind, mode, rows):
+        full = (scan_region(3, 5, mode) if kind == "scan" else
+                sweep_curve({"lambda1_1": 0.6, "lambda_2": 0.8}, "lambda2_1", 0, 1, 9,
+                            pairs=3, mode=mode))
+        table = _head(full, rows)
+        assert len(table) == rows < scenario.CSV_BLOCK_ROWS
+        whole = records_to_csv(table, kind)  # one block at the default size
+        monkeypatch.setattr(scenario, "CSV_BLOCK_ROWS", self.B)
+        chunks = list(iter_csv(table, kind))
+        assert "".join(chunks) == whole
+        assert len(chunks) == 1 + -(-rows // self.B)
+        assert chunks[0] == whole.partition("\n")[0] + "\n"
+        assert all(c.count("\n") == self.B for c in chunks[1:-1])
+
+    @pytest.mark.parametrize("block, kind, digest", [
+        (24, "scan", "dcfc3e6bf2eed8e8832ab00c17598f7cc40526d2af98bfb8a92a95ca97e2601c"),
+        (40, "sweep", "0a74f248f8f53dab0de976f23fb37cd0934eb9dcc556031bc4365e9b6efadb3d"),
+    ])
+    def test_blocked_text_keeps_digest(self, monkeypatch, block, kind, digest):
+        # 49 grid-7 scan rows and 81 README sweep rows: 2 * block + 1 each.
+        table = (scan_region(3, 7, "compare") if kind == "scan" else
+                 sweep_curve({"lambda1_1": 0.70710678}, "lambda2_1", 0.6, 1.0, 81))
+        monkeypatch.setattr(scenario, "CSV_BLOCK_ROWS", block)
+        chunks = list(iter_csv(table, kind))
+        assert len(chunks) == 4
+        assert hashlib.sha256("".join(chunks).encode()).hexdigest() == digest
+
+    def test_unknown_kind_raises_on_call(self):
+        with pytest.raises(ConfigError, match="unknown CSV kind 'bogus'"):
+            iter_csv(scan_region(2, 3, "compare"), "bogus")
 
 
 class TestInputValidation:
