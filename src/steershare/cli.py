@@ -15,7 +15,7 @@ import numpy as np
 
 from . import scenario
 from .errors import ConfigError, SteershareError
-from .steering import classical_bound, closed_forms
+from .steering import classical_bound
 
 
 def _parse_fix(items: list[str]) -> dict[str, float]:
@@ -89,9 +89,8 @@ def cmd_demo(_args) -> None:
     print(f"lambda(1)=0.5, lambda(2)=0.8:  S2(2) = {results[1].steering_value:.4f}"
           f"  (local S~2(2) = {local[1].steering_value:.4f})")
 
-    lams, gammas = [0.4, 0.8, 0.95], np.sqrt([0.4, 0.8, 0.95])
-    _, s2, s3 = closed_forms(lams, lams, lams, lams)
-    _, st2, st3 = closed_forms(lams, lams, gammas, gammas)
+    lams = [0.4, 0.8, 0.95]
+    (_, s2, s3), (_, st2, st3) = scenario._mode_closed_forms("compare", lams, lams)
     print(f"lambda = 0.4 / 0.8 / 0.95:  S2(2) = {s2:.4f}, S2(3) = {s3:.4f}, "
           f"S~2(2) = {st2:.4f}, S~2(3) = {st3:.4f}")
 

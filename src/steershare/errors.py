@@ -5,10 +5,6 @@ class SteershareError(ValueError):
     """Base class for all steershare errors."""
 
 
-class DimensionOverflowError(SteershareError):
-    """Tensor product would exceed the supported 64-dimensional limit."""
-
-
 class ShapeError(SteershareError):
     """Matrix dimensions inconsistent with the requested operation."""
 

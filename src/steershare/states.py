@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotCompressibleError, ShapeError
-from .linalg import I2, PAULIS, partial_trace
+from .linalg import I2, PAULIS
 
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
@@ -59,10 +59,6 @@ class DensityMatrix:
         _check_stack(self.mat[None])
         self.mat.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.qubits
-
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)
 
@@ -70,9 +66,13 @@ class DensityMatrix:
         return float(np.trace(self.mat @ op).real)
 
     def reduced(self, keep: set[int] | tuple[int, ...]) -> "DensityMatrix":
+        """The state of the qubits in `keep`, in their register order: the
+        Pauli tensor at sigma_0 on every traced-out qubit."""
         keep = sorted(set(keep))
-        sub = partial_trace(self.mat, keep, [2] * self.qubits)
-        return DensityMatrix(len(keep), sub)
+        if not keep or any(not 0 <= k < self.qubits for k in keep):
+            raise ShapeError(f"keep={keep} is not a nonempty subset of 0..{self.qubits - 1}")
+        index = tuple(slice(None) if q in keep else 0 for q in range(self.qubits))
+        return from_pauli_tensor(pauli_tensor(self.mat)[index])
 
     def to_json(self) -> dict:
         return {

@@ -9,6 +9,7 @@ the current pair's strength.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,12 +18,14 @@ from .errors import (
     AmbiguousSettingError,
     ConfigError,
     DegenerateSteererError,
+    NotHermitianError,
     ShapeError,
     UnsupportedSizeError,
 )
-from .linalg import I2, PAULIS, dagger, hermitian_eig, kron, partial_trace
-from .states import BlochForm, DensityMatrix
+from .linalg import I2, PAULIS
+from .states import BlochForm, DensityMatrix, pauli_tensor
 
+HERMITIAN_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
 AXIS_TOL = 1e-9
 JOINT_STRENGTH_TOL = 1e-9
@@ -99,17 +102,24 @@ def classical_bound(charlie_directions: list[np.ndarray]) -> float:
     """Largest steering parameter reachable by deterministic outcome strategies.
 
     Maximizes the top eigenvalue of (1/n) sum_k s_k L_k over all 2^n sign
-    vectors s.
+    vectors s, with one `eigvalsh` of the stack of signed averages.  The
+    settings must be Hermitian square matrices of one shape.
     """
     n = len(charlie_directions)
     if not 1 <= n <= 6:
         raise UnsupportedSizeError(f"{n} settings outside supported range 1..6")
-    best = -np.inf
-    for signs in itertools.product((-1.0, 1.0), repeat=n):
-        avg = sum(s * op for s, op in zip(signs, charlie_directions)) / n
-        w, _ = hermitian_eig(avg)
-        best = max(best, w[0])
-    return float(best)
+    try:
+        ops = np.asarray(charlie_directions, dtype=complex)
+    except (TypeError, ValueError):  # ragged or non-numeric
+        ops = np.empty(0)
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[1] == 0:
+        raise ShapeError("settings are not numeric square matrices of one shape")
+    deviation = np.abs(ops - ops.conj().swapaxes(1, 2)).max()
+    if not deviation <= HERMITIAN_TOL:  # NaN included
+        raise NotHermitianError(f"setting deviates from Hermitian by {deviation:.3e}")
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    avg = np.einsum("sk,kij->sij", signs, ops) / n
+    return float(np.linalg.eigvalsh((avg + avg.conj().swapaxes(1, 2)) / 2).max())
 
 
 def closed_forms(lam1, lam2, damp1, damp2) -> list:
@@ -244,21 +254,25 @@ def optimal_partner_setting(rho4: DensityMatrix,
 
     Conditions on Charlie's +1 outcome and returns the involution whose
     +1/-1 eigenvectors are the conditional AB state's eigenvectors ordered
-    by descending eigenvalue.
+    by descending eigenvalue: r . sigma / |r| for the conditional state's
+    Bloch vector r.  With t the state's Pauli tensor and e that of the
+    effect (I + D)/2, v = t @ e holds the conditional state's unnormalized
+    Pauli components, so v[0]/2 is the outcome's weight, r = v[1:]/v[0],
+    and the eigenvalue gap (1 + |r|)/2 - (1 - |r|)/2 is |r|.
     """
     if rho4.qubits != 2:
         raise ShapeError("expects a compressed two-qubit state")
-    proj = (I2 + charlie_direction) / 2
-    cond = partial_trace(rho4.mat @ kron(I2, proj), [0], [2, 2])
-    p = float(np.trace(cond).real)
-    if p <= DEGENERACY_TOL:
+    if np.shape(charlie_direction) != (2, 2):
+        raise ShapeError(f"Charlie direction of shape {np.shape(charlie_direction)} "
+                         f"is not 2x2")
+    v = pauli_tensor(rho4.mat) @ pauli_tensor((I2 + charlie_direction) / 2)
+    if not v[0] / 2 > DEGENERACY_TOL:  # NaN included
         raise AmbiguousSettingError("Charlie's +1 outcome has no weight")
-    w, v = hermitian_eig((cond + dagger(cond)) / (2 * p))
-    if w[0] - w[1] <= DEGENERACY_TOL:
-        raise AmbiguousSettingError(
-            f"conditional state degenerate (gap {w[0] - w[1]:.3e})"
-        )
-    return np.outer(v[:, 0], v[:, 0].conj()) - np.outer(v[:, 1], v[:, 1].conj())
+    r = v[1:] / v[0]
+    gap = np.linalg.norm(r)
+    if not gap > DEGENERACY_TOL:
+        raise AmbiguousSettingError(f"conditional state degenerate (gap {gap:.3e})")
+    return pauli_dot(r / gap)
 
 
 def optimal_settings_from_ellipsoid(e: SteeringEllipsoid, n: int) -> list[np.ndarray]:
@@ -267,6 +281,8 @@ def optimal_settings_from_ellipsoid(e: SteeringEllipsoid, n: int) -> list[np.nda
     Reads the orientation columns as `ellipsoid` leaves them.  Returns
     u . sigma involutions.
     """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise ConfigError(f"setting count {n!r} is not an integer >= 1")
     if n > int(np.sum(e.semiaxes > AXIS_TOL)):
         raise AmbiguousSettingError(
             f"only {int(np.sum(e.semiaxes > AXIS_TOL))} nondegenerate axes, "

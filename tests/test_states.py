@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steershare.errors import NotCompressibleError, ShapeError
-from steershare.linalg import I2, PAULIS, kron
+from steershare.linalg import I2, PAULIS
 from steershare.scenario import make_config, run_scenario
 from steershare.states import (
     GHZ_TENSOR,
@@ -230,7 +230,7 @@ class TestCompressedBloch:
         mat[np.ix_(idx, idx)] = small
         v = np.stack([ket(zero), ket(one)], axis=1)
         paulis = (I2,) + PAULIS
-        t = np.array([[np.trace(mat @ kron(v @ a @ v.conj().T, c)).real for c in paulis]
+        t = np.array([[np.trace(mat @ np.kron(v @ a @ v.conj().T, c)).real for c in paulis]
                       for a in paulis])
         got = bloch_form(compress(DensityMatrix(3, mat), CompressionBasis(zero, one))[0])
         for x, want in ((got.m_tilde, t[1:, 0]), (got.n_vec, t[0, 1:]), (got.T, t[1:, 1:])):
@@ -312,9 +312,9 @@ class TestBlochForm:
         for _ in range(100):
             rho = random_density(rng, 2)
             b = bloch_form(rho)
-            m = [rho.expectation(kron(p, I2)) for p in PAULIS]
-            n = [rho.expectation(kron(I2, p)) for p in PAULIS]
-            T = [[rho.expectation(kron(p, q)) for q in PAULIS] for p in PAULIS]
+            m = [rho.expectation(np.kron(p, I2)) for p in PAULIS]
+            n = [rho.expectation(np.kron(I2, p)) for p in PAULIS]
+            T = [[rho.expectation(np.kron(p, q)) for q in PAULIS] for p in PAULIS]
             assert np.max(np.abs(b.m_tilde - m)) <= 1e-14
             assert np.max(np.abs(b.n_vec - n)) <= 1e-14
             assert np.max(np.abs(b.T - T)) <= 1e-14

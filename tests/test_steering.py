@@ -9,6 +9,7 @@ from steershare.errors import (
     ConfigError,
     DegenerateSteererError,
     NotCompressibleError,
+    NotHermitianError,
     ShapeError,
     UnsupportedSizeError,
 )
@@ -69,6 +70,34 @@ class TestClassicalBound:
     def test_too_many(self):
         with pytest.raises(UnsupportedSizeError):
             classical_bound([SIGMA_X] * 7)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitianError):
+            classical_bound([SIGMA_X, np.array([[0, 1], [0, 0]], dtype=complex)])
+
+    @pytest.mark.parametrize("ops", [
+        [SIGMA_X, np.eye(4)],
+        [np.ones((2, 3))],
+        [np.ones(2), np.ones(2)],
+        [np.zeros((0, 0))],
+        [SIGMA_X, [[1, 0], [0]]],
+        [np.array([["a", "b"], ["c", "d"]])],
+    ])
+    def test_rejects_mismatched_shapes(self, ops):
+        with pytest.raises(ShapeError):
+            classical_bound(ops)
+
+    def test_matches_qubit_formula(self):
+        # For qubit settings u_k . sigma the signed average has top
+        # eigenvalue |sum_k s_k u_k| / n.
+        rng = np.random.default_rng(5954)
+        for n in range(1, 7):
+            signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+            for _ in range(20):
+                u = rng.normal(size=(n, 3))
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                want = np.linalg.norm(signs @ u, axis=1).max() / n
+                assert abs(classical_bound([pauli_dot(x) for x in u]) - want) <= 1e-12
 
 
 class TestSteeringParameter:
@@ -449,6 +478,25 @@ class TestOptimalSettings:
         with pytest.raises(AmbiguousSettingError):
             optimal_partner_setting(mixed, SIGMA_X)
 
+    def test_partner_matches_conditional_eigenvectors(self):
+        # Oracle: condition on Charlie's +1 effect with an einsum partial
+        # trace, then take eigh's eigenvectors (ascending eigenvalues).
+        rng = np.random.default_rng(1303)
+        for _ in range(200):
+            rho4 = random_density(rng, 2)
+            u = rng.normal(size=3)
+            d = pauli_dot(u / np.linalg.norm(u))
+            prod = (rho4.mat @ np.kron(np.eye(2), (np.eye(2) + d) / 2)).reshape(2, 2, 2, 2)
+            _, v = np.linalg.eigh(np.einsum("icjc->ij", prod))
+            want = np.outer(v[:, 1], v[:, 1].conj()) - np.outer(v[:, 0], v[:, 0].conj())
+            assert np.max(np.abs(optimal_partner_setting(rho4, d) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("direction", [np.eye(4), np.ones(2), SIGMA_X[:1]])
+    def test_partner_rejects_non_2x2_direction(self, direction):
+        rho4, _ = compress(ghz())
+        with pytest.raises(ShapeError):
+            optimal_partner_setting(rho4, direction)
+
     def test_sphere_tie_break(self):
         rho4, _ = compress(ghz())
         ops = optimal_settings_from_ellipsoid(ellipsoid(bloch_form(rho4)), 3)
@@ -470,15 +518,26 @@ class TestOptimalSettings:
                         [np.sin(theta), np.cos(theta), 0],
                         [0, 0, 1]])
         O = rot @ np.diag([0.81, 0.25, 0.01]) @ rot.T
-        from steershare.steering import SteeringEllipsoid, hermitian_eig
-        w, v = hermitian_eig(O.astype(complex))
-        e = SteeringEllipsoid(np.zeros(3), O, np.sqrt(w), v.real,
+        from steershare.steering import SteeringEllipsoid
+        w, v = np.linalg.eigh(O)
+        w, v = w[::-1], v[:, ::-1]  # descending
+        e = SteeringEllipsoid(np.zeros(3), O, np.sqrt(w), v,
                               float(np.sqrt(np.prod(w))))
         ops = optimal_settings_from_ellipsoid(e, 2)
         expect = [rot[:, 0], rot[:, 1]]
         for op, u in zip(ops, expect):
             want = pauli_dot(u)
             assert min(np.max(np.abs(op - want)), np.max(np.abs(op + want))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [0, -2, 1.0, 2.5, True, "2", None])
+    def test_setting_count_must_be_positive_integer(self, n):
+        rho4, _ = compress(ghz())
+        with pytest.raises(ConfigError):
+            optimal_settings_from_ellipsoid(ellipsoid(bloch_form(rho4)), n)
+
+    def test_setting_count_accepts_numpy_integers(self):
+        rho4, _ = compress(ghz())
+        assert len(optimal_settings_from_ellipsoid(ellipsoid(bloch_form(rho4)), np.int64(2))) == 2
 
     def test_insufficient_axes(self):
         b = bloch_form(DensityMatrix(2, np.eye(4, dtype=complex) / 4))

@@ -5,11 +5,6 @@ import numpy as np
 from steershare.states import DensityMatrix
 
 
-def random_hermitian(rng, dim):
-    a = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
-    return (a + a.conj().T) / 2
-
-
 def random_density(rng, qubits):
     d = 2 ** qubits
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -17,16 +12,12 @@ def random_density(rng, qubits):
     return DensityMatrix(qubits, rho / np.trace(rho))
 
 
-def random_psd(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return g @ g.conj().T
-
-
 def conditional_charlie_bloch(rho4, effect):
     """Charlie's Bloch vector conditioned on an AB-side effect, or None."""
-    from steershare.linalg import PAULIS, partial_trace
+    from steershare.linalg import PAULIS
 
-    cond = partial_trace(np.kron(effect, np.eye(2)) @ rho4.mat, [1], [2, 2])
+    # Rows and columns split into (AB, Charlie); the AB pair is traced out.
+    cond = np.einsum("ibid->bd", (np.kron(effect, np.eye(2)) @ rho4.mat).reshape(2, 2, 2, 2))
     p = np.trace(cond).real
     if p < 1e-12:
         return None
