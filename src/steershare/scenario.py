@@ -24,6 +24,7 @@ from .states import GHZ_TENSOR, CompressionBasis, DensityMatrix, bloch_stack, \
 from .steering import (
     SteeringEllipsoid,
     StrengthHistory,
+    _sqrt,
     closed_forms,
     coherence,
     ellipsoids,
@@ -248,7 +249,7 @@ def _mode_closed_forms(mode: str, lam1: list, lam2: list) -> tuple[list, list]:
     if mode not in ("nonlocal", "local", "compare"):
         raise ConfigError(f"unknown mode {mode!r}")
     s = closed_forms(lam1, lam2, lam1, lam2) if mode != "local" else []
-    st = (closed_forms(lam1, lam2, [np.sqrt(x) for x in lam1], [np.sqrt(x) for x in lam2])
+    st = (closed_forms(lam1, lam2, [_sqrt(x) for x in lam1], [_sqrt(x) for x in lam2])
           if mode != "nonlocal" else [])
     return s, st
 
@@ -298,12 +299,16 @@ def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare"
 
 
 def _check_strengths(lam1: list, lam2: list) -> None:
-    """Reject strengths outside [0, 1] or NaN, naming the first bad pair."""
-    a = np.asarray([lam1, lam2], dtype=float)  # (setting, pair, history)
-    bad = ~((a >= 0.0) & (a <= 1.0)).all(axis=0)
+    """Reject strengths outside [0, 1] or NaN, naming the first bad history's
+    first bad pair.  Entry j of each list is pair j+1's 1-D float array; each
+    is checked where it lies, so no stacked copy is made."""
+    bad = np.zeros(len(lam1[0]), dtype=bool)
+    for a in (*lam1, *lam2):
+        bad |= ~((a >= 0.0) & (a <= 1.0))
     if bad.any():
-        k, j = np.argwhere(bad.T)[0]  # first bad history, then its first bad pair
-        raise ConfigError(f"strengths {tuple(a[:, j, k].tolist())} outside [0, 1]")
+        k = bad.argmax()
+        pair = next(p for p in zip(lam1, lam2) if not all(0.0 <= a[k] <= 1.0 for a in p))
+        raise ConfigError(f"strengths {tuple(float(a[k]) for a in pair)} outside [0, 1]")
 
 
 _PARAM_RE = re.compile(r"^lambda([12]?)_([1-4])$")
@@ -388,10 +393,10 @@ def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal") -> int
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-9) -> float:
     """Plain bisection for a sign-changing continuous function.
 
-    Stops once the bracket is at most `tol` wide (`tol` > 0) or no float
-    lies strictly inside it.
+    Stops once the bracket is at most `tol` wide (`tol` > 0, not a bool) or
+    no float lies strictly inside it.
     """
-    if not (isinstance(tol, numbers.Real) and tol > 0):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol > 0):
         raise ConfigError(f"tol={tol!r} must be a positive number")
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:

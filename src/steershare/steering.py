@@ -9,6 +9,7 @@ the current pair's strength.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -32,9 +33,18 @@ JOINT_STRENGTH_TOL = 1e-9
 AXIS_NORM_FLOOR = 1e-8
 
 
+def _sqrt(x):
+    """`math.sqrt` of a float >= 0 (np.float64 included), else `np.sqrt`.
+
+    Both round correctly, so a float gives an array element's bits without
+    numpy's per-scalar cost; arrays, negatives and NaN keep numpy's warnings.
+    """
+    return math.sqrt(x) if isinstance(x, float) and x >= 0.0 else np.sqrt(x)
+
+
 def coherence(strength):
     """Coherence retained after an unsharp measurement, sqrt(1 - strength^2)."""
-    return np.sqrt(1.0 - strength * strength)
+    return _sqrt(1.0 - strength * strength)
 
 
 def pauli_dot(u: np.ndarray) -> np.ndarray:
@@ -93,8 +103,8 @@ class StrengthHistory:
     def local_sqrt(cls, lambdas: list[tuple[float, float]]) -> "StrengthHistory":
         """Local history with eta = gamma = sqrt(lambda) for every setting."""
         lams = tuple(tuple(p) for p in lambdas)
-        _check_unit_interval(lams)  # before np.sqrt can warn on a negative strength
-        roots = tuple(tuple(float(np.sqrt(s)) for s in p) for p in lams)
+        _check_unit_interval(lams)  # before _sqrt can warn on a negative strength
+        roots = tuple(tuple(float(_sqrt(s)) for s in p) for p in lams)
         return cls(lams, roots, roots)
 
 
@@ -262,10 +272,14 @@ def optimal_partner_setting(rho4: DensityMatrix,
     """
     if rho4.qubits != 2:
         raise ShapeError("expects a compressed two-qubit state")
-    if np.shape(charlie_direction) != (2, 2):
-        raise ShapeError(f"Charlie direction of shape {np.shape(charlie_direction)} "
-                         f"is not 2x2")
-    v = pauli_tensor(rho4.mat) @ pauli_tensor((I2 + charlie_direction) / 2)
+    try:
+        d = np.asarray(charlie_direction)
+    except ValueError:  # ragged
+        d = np.empty(0)
+    if d.shape != (2, 2) or not np.issubdtype(d.dtype, np.number) \
+            or not np.isfinite(d).all():
+        raise ShapeError("Charlie direction is not a finite numeric 2x2 matrix")
+    v = pauli_tensor(rho4.mat) @ pauli_tensor((I2 + d) / 2)
     if not v[0] / 2 > DEGENERACY_TOL:  # NaN included
         raise AmbiguousSettingError("Charlie's +1 outcome has no weight")
     r = v[1:] / v[0]

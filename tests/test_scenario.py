@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,35 @@ class TestInputValidation:
         with pytest.raises(ConfigError, match=f"pairs={pairs} outside"):
             sweep_curve({}, "lambda_1", 0, 1, 3, pairs=pairs)
 
+    def test_strength_check_names_first_history_then_first_pair(self):
+        lam1, lam2 = [np.full(10, 0.5) for _ in range(4)], [np.full(10, 0.5) for _ in range(4)]
+        lam1[0][9] = -1.0  # a later history, in an earlier pair
+        lam2[3][7] = np.nan
+        lam2[1][7] = 1.5
+        with pytest.raises(ConfigError, match=r"^strengths \(0\.5, 1\.5\) outside \[0, 1\]$"):
+            scenario._check_strengths(lam1, lam2)
+
+    def test_strength_check_peak_memory(self):
+        # A stacked float copy of 4 pairs x 2 settings x 1e5 samples is 6.4 MB.
+        lam1, lam2 = ([np.full(100_000, 0.5) for _ in range(4)] for _ in range(2))
+
+        def check():
+            error = None
+            tracemalloc.start()
+            try:
+                scenario._check_strengths(lam1, lam2)
+            except ConfigError as e:
+                error = str(e)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak, error
+
+        peak, error = check()
+        assert peak < 2e6 and error is None
+        lam2[3][-1] = 1.5  # found only after every array is scanned
+        peak, error = check()
+        assert peak < 2e6 and error == "strengths (0.5, 1.5) outside [0, 1]"
+
 
 class TestWindows:
     def test_published_windows(self):
@@ -410,7 +440,7 @@ class TestWindows:
         with pytest.raises(ConfigError):
             simultaneous_window("adaptive")
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), True, False])
     def test_rejects_non_positive_tol(self, tol):
         with pytest.raises(ConfigError, match=f"^tol={tol!r} must be a positive number$"):
             simultaneous_window("equal_nonlocal", tol=tol)

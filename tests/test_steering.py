@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from steershare.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from steershare.states import BlochForm, DensityMatrix, bloch_form, compress, ghz
 from steershare.steering import (
     StrengthHistory,
+    _sqrt,
     classical_bound,
     closed_form_local,
     closed_form_nonlocal,
@@ -244,6 +246,54 @@ class TestClosedForms:
         assert len(values) == 3
         assert values[0] == pytest.approx(0.4)
         assert values[2] == pytest.approx(0.7282757528166437, abs=1e-12)
+
+
+class TestScalarPath:
+    """Float strengths take `math.sqrt` (`_sqrt`); results keep the array path's bits."""
+
+    def test_coherence_of_floats_matches_numpy_bits(self):
+        xs = np.random.default_rng(79).uniform(-1, 1, 10_000).tolist() + [0.0, -0.0, 1.0]
+        batch = coherence(np.array(xs))
+        for x, b in zip(xs, batch):
+            got = coherence(x)
+            assert type(got) is float and type(coherence(np.float64(x))) is float
+            assert got.hex() == float(np.sqrt(1 - x * x)).hex() == float(b).hex()
+
+    def test_sqrt_keeps_numpy_for_everything_else(self):
+        assert type(_sqrt(np.array([0.25, 1.0]))) is np.ndarray
+        assert type(_sqrt(4)) is np.float64
+
+    @pytest.mark.parametrize("x", [1.5, -1.0 - 2e-16, -3.0, float("inf"), float("nan")])
+    def test_coherence_outside_unit_interval_warns_as_numpy(self, x):
+        def run(f):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = f()
+            return value, [(w.category, str(w.message)) for w in caught]
+
+        value, caught = run(lambda: coherence(x))
+        want, want_caught = run(lambda: np.sqrt(1 - x * x))
+        assert np.isnan(value) and np.isnan(want)
+        assert caught == want_caught
+        assert bool(caught) == (not np.isnan(x))  # NaN passes through silently
+
+    def test_mode_closed_forms_of_floats_match_batch(self):
+        rng = np.random.default_rng(83)
+        n = 500
+        lam = rng.uniform(0, 1, (2, 4, n))
+        edge = rng.random(lam.shape) < 0.05
+        lam[edge] = rng.integers(0, 2, edge.sum())  # exact 0 and 1 strengths
+        pairs = rng.integers(1, 5, n)
+        for mode in ("nonlocal", "local", "compare"):
+            batch = {p: scenario._mode_closed_forms(mode, list(lam[0, :p]), list(lam[1, :p]))
+                     for p in range(1, 5)}
+            for k, p in enumerate(pairs):
+                s, st = scenario._mode_closed_forms(mode, lam[0, :p, k].tolist(),
+                                                    lam[1, :p, k].tolist())
+                bs, bst = batch[p]
+                assert len(s) == len(bs) and len(st) == len(bst)
+                assert all(type(v) is float for v in s + st)
+                assert [v.hex() for v in s + st] == [float(b[k]).hex() for b in bs + bst]
 
 
 class TestStrengthHistory:
@@ -491,7 +541,10 @@ class TestOptimalSettings:
             want = np.outer(v[:, 1], v[:, 1].conj()) - np.outer(v[:, 0], v[:, 0].conj())
             assert np.max(np.abs(optimal_partner_setting(rho4, d) - want)) <= 1e-12
 
-    @pytest.mark.parametrize("direction", [np.eye(4), np.ones(2), SIGMA_X[:1]])
+    @pytest.mark.parametrize("direction", [
+        np.eye(4), np.ones(2), SIGMA_X[:1], np.array([["a", "b"], ["c", "d"]]),
+        np.full((2, 2), np.inf), np.full((2, 2), np.nan), [[1.0, 0.0], [0.0]],
+    ])
     def test_partner_rejects_non_2x2_direction(self, direction):
         rho4, _ = compress(ghz())
         with pytest.raises(ShapeError):
