@@ -1,4 +1,5 @@
-"""Declarative scenarios, the sweep/scan harness and window searches.
+"""Declarative scenarios, the sweep/scan harness and the simultaneous-steering
+windows.
 
 The canonical scenario starts from the GHZ state with two measurement
 settings per pair.  Signs are absorbed into the stored directions so that
@@ -9,7 +10,7 @@ x setting pairs with -(sigma_y x sigma_y) on A,B and his -y setting with
 
 from __future__ import annotations
 
-import numbers
+import math
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -19,8 +20,8 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import PAULIS
 from .measurement import anticommuting, dephasing_scale
-from .states import GHZ_TENSOR, CompressionBasis, DensityMatrix, bloch_stack, \
-    compress_stack, from_pauli_tensors
+from .states import GHZ_TENSOR, CompressionBasis, DensityMatrix, _is_int, _is_real, \
+    bloch_stack, compress_stack, from_pauli_tensors
 from .steering import (
     SteeringEllipsoid,
     StrengthHistory,
@@ -118,9 +119,7 @@ class ScenarioConfig:
                               f"expected a subset of {sorted(_CONFIG_TYPES)}")
         for key, value in obj.items():
             kind = _CONFIG_TYPES[key]
-            # numpy integer scalars count as int; bool and 2.0 do not
-            if not isinstance(value, numbers.Integral if kind is int else kind) \
-                    or isinstance(value, bool):
+            if not (_is_int(value) if kind is int else isinstance(value, kind)):
                 raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
                                   f"got {value!r}")
         pairs = int(obj.get("pairs", 2))
@@ -150,8 +149,7 @@ _CONFIG_TYPES = {"mode": str, "pairs": int, "strengths": list,
 def _strength_entry(entry) -> tuple[float, float]:
     """A pair's (lambda1, lambda2) from a scalar, [lam] or [lam1, lam2] entry."""
     lam = list(entry) if isinstance(entry, (list, tuple, np.ndarray)) else [entry]
-    if not 1 <= len(lam) <= 2 or not all(
-            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in lam):
+    if not 1 <= len(lam) <= 2 or not all(_is_real(x) for x in lam):
         raise ConfigError(f"strength entry {entry!r} is neither a number nor "
                           f"a list of one or two numbers")
     return float(lam[0]), float(lam[-1])
@@ -276,7 +274,7 @@ MAX_SAMPLES = 1_000_000
 def _grid_strengths(resolution: int) -> list[np.ndarray]:
     """Per-pair strengths of every grid cell, row-major over (lambda1, lambda2);
     pair 3 is sharp."""
-    if not 2 <= resolution <= MAX_GRID_RESOLUTION:
+    if not _is_int(resolution) or not 2 <= resolution <= MAX_GRID_RESOLUTION:
         raise ConfigError(f"grid resolution {resolution} outside supported "
                           f"range 2..{MAX_GRID_RESOLUTION}")
     grid = np.linspace(0.0, 1.0, resolution)
@@ -291,7 +289,7 @@ def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare"
     Pair 3 (when present) measures sharply.  Rows are emitted row-major
     over the grid.
     """
-    if not 1 <= pairs <= 3:
+    if not _is_int(pairs) or not 1 <= pairs <= 3:
         raise ConfigError(f"pairs={pairs} outside supported scan range 1..3")
     lams = _grid_strengths(resolution)
     return _table(mode, lams[:pairs], lams[:pairs],
@@ -327,9 +325,12 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
             raise ConfigError(f"unknown parameter id {name!r}")
     if vary in fixed:
         raise ConfigError(f"parameter {vary!r} is both varied and fixed")
-    if not 2 <= samples <= MAX_SAMPLES:
+    for name, v in [*fixed.items(), ("start", start), ("stop", stop)]:
+        if not _is_real(v):
+            raise ConfigError(f"{name}={v!r} is not a number")
+    if not _is_int(samples) or not 2 <= samples <= MAX_SAMPLES:
         raise ConfigError(f"samples={samples} outside supported range 2..{MAX_SAMPLES}")
-    if not 1 <= pairs <= 4:
+    if not _is_int(pairs) or not 1 <= pairs <= 4:
         raise ConfigError(f"pairs={pairs} outside supported range 1..4")
     for name in list(fixed) + [vary]:
         if int(name[-1]) > pairs:
@@ -390,30 +391,17 @@ def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal") -> int
     return int(count.max(initial=0))
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Plain bisection for a sign-changing continuous function.
-
-    Stops once the bracket is at most `tol` wide (`tol` > 0, not a bool) or
-    no float lies strictly inside it.
-    """
-    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol > 0):
-        raise ConfigError(f"tol={tol!r} must be a positive number")
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise ValueError("no sign change on the bracket")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if mid == lo or mid == hi:  # lo and hi are adjacent floats
-            break
-        if f_lo * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
+# Both window ends are exact.  Pair 1's S = (lambda1 + lambda2)/2 passes
+# 1/sqrt(2) at lambda2 = 1/sqrt(2) in every case.  Pair 2 is sharp, so its
+# S = (2 + c1 + c2)/4, with c = coherence of pair 1's damping strengths,
+# passes 1/sqrt(2) where c1 + c2 = 2 sqrt(2) - 2.  Damping is by lambda
+# (nonlocal) or by B's gamma = sqrt(lambda) (local, c = sqrt(1 - lambda)).
+_R = 2 * math.sqrt(2) - 2
+_WINDOW_UPPER = {
+    "unequal_local": 1.0 - (_R - math.sqrt(1.0 - SQRT_HALF)) ** 2,
+    "equal_nonlocal": math.sqrt(_R),
+    "unequal_nonlocal": coherence(_R - SQRT_HALF),
+}
 
 
 def simultaneous_window(case: str, tol: float = 1e-9) -> tuple[float, float]:
@@ -421,22 +409,14 @@ def simultaneous_window(case: str, tol: float = 1e-9) -> tuple[float, float]:
 
     Cases: "unequal_local" and "unequal_nonlocal" fix lambda1^(1) at
     1/sqrt(2) and sweep lambda2^(1); "equal_nonlocal" sweeps both pair-1
-    strengths together.  Pair 2 measures sharply.
+    strengths together.  Pair 2 measures sharply.  The ends are the exact
+    closed forms, so they meet every precision `tol` (> 0, not a bool).
     """
-    if case not in ("unequal_local", "equal_nonlocal", "unequal_nonlocal"):
+    if not isinstance(case, str) or case not in _WINDOW_UPPER:
         raise ConfigError(f"unknown case {case!r}")
-    mode = case.split("_")[1]
-
-    def values(l2: float) -> list:
-        first = l2 if case == "equal_nonlocal" else SQRT_HALF
-        s, st = _mode_closed_forms(mode, [first, 1.0], [l2, 1.0])
-        return s or st
-
-    # Pair 1's parameter rises with lambda2 while pair 2's falls, so the
-    # window endpoints are single roots on [0, 1].
-    lo = bisect_root(lambda l2: values(l2)[0] - SQRT_HALF, 0.0, 1.0, tol)
-    hi = bisect_root(lambda l2: values(l2)[1] - SQRT_HALF, lo, 1.0, tol)
-    return lo, hi
+    if not (_is_real(tol) and tol > 0):
+        raise ConfigError(f"tol={tol!r} must be a positive number")
+    return SQRT_HALF, _WINDOW_UPPER[case]
 
 
 # Per CSV kind: parameter columns, the number of S (and of St) columns, and

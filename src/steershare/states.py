@@ -11,6 +11,7 @@ Charlie) for ellipsoid analysis.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,18 @@ DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-9
 COMPRESS_TOL = 1e-9
+
+
+# Exact type tests first: an ABC isinstance costs about 0.5 us on a float.
+def _is_int(x) -> bool:
+    """A Python or numpy integer that is not a bool: counts and indices."""
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A Python or numpy real number that is not a bool: strengths, tolerances."""
+    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
 
 _BASIS = np.stack((I2,) + PAULIS)  # sigma_0..sigma_3, shape (4, 2, 2)
 
@@ -47,8 +60,9 @@ class DensityMatrix:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.qubits not in (1, 2, 3):
+        if not _is_int(self.qubits) or self.qubits not in (1, 2, 3):
             raise ShapeError(f"qubits={self.qubits!r} outside supported range 1..3")
+        object.__setattr__(self, "qubits", int(self.qubits))  # to_json writes an int
         if not isinstance(self.mat, np.ndarray):
             raise ShapeError(f"matrix is a {type(self.mat).__name__}, not a numpy array")
         if self.mat.dtype.kind not in "iufc":
@@ -68,8 +82,8 @@ class DensityMatrix:
     def reduced(self, keep: set[int] | tuple[int, ...]) -> "DensityMatrix":
         """The state of the qubits in `keep`, in their register order: the
         Pauli tensor at sigma_0 on every traced-out qubit."""
-        keep = sorted(set(keep))
-        if not keep or any(not 0 <= k < self.qubits for k in keep):
+        keep = list(keep)
+        if not keep or any(not _is_int(k) or not 0 <= k < self.qubits for k in keep):
             raise ShapeError(f"keep={keep} is not a nonempty subset of 0..{self.qubits - 1}")
         index = tuple(slice(None) if q in keep else 0 for q in range(self.qubits))
         return from_pauli_tensor(pauli_tensor(self.mat)[index])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .linalg import I2, PAULIS
-from .states import BlochForm, DensityMatrix, pauli_tensor
+from .states import BlochForm, DensityMatrix, _is_int, _is_real, pauli_tensor
 
 HERMITIAN_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
@@ -54,6 +53,8 @@ def pauli_dot(u: np.ndarray) -> np.ndarray:
 
 def _check_unit_interval(lambdas) -> None:
     for pair in lambdas:
+        if not all(map(_is_real, pair)):
+            raise ConfigError(f"strengths {pair} are not all numbers")
         if any(not 0.0 <= s <= 1.0 for s in pair):
             raise ConfigError(f"strengths {pair} outside [0, 1]")
 
@@ -82,10 +83,10 @@ class StrengthHistory:
         if self.etas is not None:
             if len(self.etas) != len(self.lambdas) or len(self.gammas) != len(self.lambdas):
                 raise ConfigError("local strengths must cover every pair")
+            _check_unit_interval(self.etas)
+            _check_unit_interval(self.gammas)
             for lam, eta, gam in zip(self.lambdas, self.etas, self.gammas):
                 for lk, ek, gk in zip(lam, eta, gam):
-                    if not (0.0 <= ek <= 1.0 and 0.0 <= gk <= 1.0):
-                        raise ConfigError("local strengths outside [0, 1]")
                     if abs(lk - ek * gk) > JOINT_STRENGTH_TOL:
                         raise ConfigError(
                             f"joint strength {lk} != eta*gamma = {ek * gk}"
@@ -151,7 +152,7 @@ def closed_forms(lam1, lam2, damp1, damp2) -> list:
 
 
 def _history_value(h: StrengthHistory, damping, i: int) -> float:
-    if not 1 <= i <= h.pairs:
+    if not _is_int(i) or not 1 <= i <= h.pairs:
         raise ConfigError(f"pair index {i} outside history of {h.pairs} pairs")
     if damping is None:
         raise ConfigError("local closed form needs eta/gamma strengths")
@@ -295,7 +296,7 @@ def optimal_settings_from_ellipsoid(e: SteeringEllipsoid, n: int) -> list[np.nda
     Reads the orientation columns as `ellipsoid` leaves them.  Returns
     u . sigma involutions.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ConfigError(f"setting count {n!r} is not an integer >= 1")
     if n > int(np.sum(e.semiaxes > AXIS_TOL)):
         raise AmbiguousSettingError(

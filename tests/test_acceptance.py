@@ -83,7 +83,7 @@ def test_criterion_4_simultaneous_windows(capsys):
             lo, hi = simultaneous_window(case, tol=1e-7)
             ok = (abs(lo - SQRT_HALF) <= 5e-4
                   and abs(hi - published) <= 5e-4
-                  and abs(hi - analytic) <= 1e-6)
+                  and abs(hi - analytic) <= 1e-15)
             _report(f"window {case}: (1/sqrt(2), {published})", ok)
 
 

@@ -25,7 +25,8 @@ from steershare.scenario import (
     sweep_curve,
 )
 from steershare.states import DensityMatrix, bloch_form, compress
-from steershare.steering import classical_bound, closed_form_nonlocal, ellipsoid
+from steershare.steering import StrengthHistory, classical_bound, closed_form_nonlocal, \
+    ellipsoid
 
 from oracles import ORACLE_TOL, chain
 
@@ -342,6 +343,9 @@ class TestCsvBlocks:
             iter_csv(scan_region(2, 3, "compare"), "bogus")
 
 
+_HISTORY = StrengthHistory.nonlocal_history([(0.5, 0.8), (1.0, 1.0)])
+
+
 class TestInputValidation:
     def test_sweep_rejects_out_of_range(self):
         with pytest.raises(ConfigError, match=r"strengths \(1.25, 1.25\) outside"):
@@ -389,6 +393,45 @@ class TestInputValidation:
         with pytest.raises(ConfigError, match=f"pairs={pairs} outside"):
             sweep_curve({}, "lambda_1", 0, 1, 3, pairs=pairs)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: scan_region(pairs=2.5), "pairs=2.5 outside supported scan range 1..3"),
+        (lambda: scan_region(pairs=True), "pairs=True outside supported scan range 1..3"),
+        (lambda: scan_region(resolution=4.5),
+         f"grid resolution 4.5 outside supported range 2..{MAX_GRID_RESOLUTION}"),
+        (lambda: max_simultaneous_pairs(resolution=3.5),
+         f"grid resolution 3.5 outside supported range 2..{MAX_GRID_RESOLUTION}"),
+        (lambda: sweep_curve({}, "lambda_1", 0, 1, 3.5),
+         f"samples=3.5 outside supported range 2..{MAX_SAMPLES}"),
+        (lambda: sweep_curve({}, "lambda_1", 0, 1, 3, pairs=2.5),
+         "pairs=2.5 outside supported range 1..4"),
+        (lambda: closed_form_nonlocal(_HISTORY, 1.5), "pair index 1.5 outside history of 2 pairs"),
+        (lambda: closed_form_nonlocal(_HISTORY, True),
+         "pair index True outside history of 2 pairs"),
+    ], ids=["scan-pairs-float", "scan-pairs-bool", "scan-resolution", "max-pairs-resolution",
+            "sweep-samples", "sweep-pairs", "closed-form-index-float", "closed-form-index-bool"])
+    def test_counts_and_indices_reject_non_integers(self, call, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_counts_and_indices_accept_numpy_integers(self):
+        assert scan_region(np.int64(2), np.int32(4)).region.tolist() \
+            == scan_region(2, 4).region.tolist()
+        assert max_simultaneous_pairs(np.int16(9)) == max_simultaneous_pairs(9)
+        sweep = sweep_curve({}, "lambda_1", 0, 1, np.int64(3), pairs=np.int8(2))
+        assert [a.tolist() for a in sweep.s] == [a.tolist() for a in
+                                                 sweep_curve({}, "lambda_1", 0, 1, 3).s]
+        assert closed_form_nonlocal(_HISTORY, np.int64(2)) == closed_form_nonlocal(_HISTORY, 2)
+
+    @pytest.mark.parametrize("fixed, start, stop, message", [
+        ({"lambda1_1": "0.5"}, 0.0, 1.0, "lambda1_1='0.5' is not a number"),
+        ({"lambda1_1": None}, 0.0, 1.0, "lambda1_1=None is not a number"),
+        ({}, None, 1.0, "start=None is not a number"),
+        ({}, 0.0, "1", "stop='1' is not a number"),
+    ], ids=["fixed-string", "fixed-none", "start-none", "stop-string"])
+    def test_sweep_rejects_non_numeric_values(self, fixed, start, stop, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            sweep_curve(fixed, "lambda2_1", start, stop, 3)
+
     def test_strength_check_names_first_history_then_first_pair(self):
         lam1, lam2 = [np.full(10, 0.5) for _ in range(4)], [np.full(10, 0.5) for _ in range(4)]
         lam1[0][9] = -1.0  # a later history, in an earlier pair
@@ -419,6 +462,9 @@ class TestInputValidation:
         assert peak < 2e6 and error == "strengths (0.5, 1.5) outside [0, 1]"
 
 
+WINDOW_CASES = ("unequal_local", "equal_nonlocal", "unequal_nonlocal")
+
+
 class TestWindows:
     def test_published_windows(self):
         local = simultaneous_window("unequal_local")
@@ -439,20 +485,45 @@ class TestWindows:
     def test_unknown_case(self):
         with pytest.raises(ConfigError):
             simultaneous_window("adaptive")
+        with pytest.raises(ConfigError, match=r"^unknown case \['equal_nonlocal'\]$"):
+            simultaneous_window(["equal_nonlocal"])
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), True, False])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), True, False, None, "1e-9"])
     def test_rejects_non_positive_tol(self, tol):
         with pytest.raises(ConfigError, match=f"^tol={tol!r} must be a positive number$"):
             simultaneous_window("equal_nonlocal", tol=tol)
 
     def test_tiny_tol_stops_at_adjacent_floats(self):
-        # A tol below the float spacing ends once the bracket cannot shrink.
+        # The ends are exact, so a tol below the float spacing changes nothing.
         his = {"unequal_local": 1 - (2 * np.sqrt(2) - 2 - np.sqrt(1 - SQRT_HALF)) ** 2,
                "equal_nonlocal": np.sqrt(2 * np.sqrt(2) - 2),
                "unequal_nonlocal": np.sqrt(1 - (2 * np.sqrt(2) - 2 - SQRT_HALF) ** 2)}
         for case, hi_want in his.items():
             lo, hi = simultaneous_window(case, tol=1e-300)
             assert abs(lo - SQRT_HALF) <= 1e-15 and abs(hi - hi_want) <= 1e-15
+
+    def test_ends_do_not_depend_on_tol(self):
+        for case in WINDOW_CASES:
+            ends = {simultaneous_window(case, tol) for tol in (1e-3, 1e-9, 1e-12, 1e-300)}
+            assert len(ends) == 1 and ends.pop()[0] == SQRT_HALF
+
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_ends_against_kraus_oracle(self, case):
+        """Just inside either end both pairs of the Kraus oracle beat 1/sqrt(2);
+        just below the lower end pair 1 does not, just above the upper end
+        pair 2 does not."""
+        mode = case.split("_")[1]
+        lo, hi = simultaneous_window(case)
+
+        def beats(l2):
+            lam = [(l2 if case == "equal_nonlocal" else SQRT_HALF, l2), (1.0, 1.0)]
+            roots = [tuple(np.sqrt(p)) for p in lam] if mode == "local" else None
+            return [s > SQRT_HALF for s, _ in chain(mode, ("x", "-y"), lam, roots, roots)]
+
+        assert beats(lo * (1 - 1e-9)) == [False, True]
+        assert beats(lo * (1 + 1e-9)) == [True, True]
+        assert beats(hi * (1 - 1e-9)) == [True, True]
+        assert beats(hi * (1 + 1e-9)) == [True, False]
 
 
 class TestEllipsoidSeries:

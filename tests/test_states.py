@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +57,28 @@ class TestDensityMatrix:
         back = DensityMatrix.from_json(rho.to_json())
         assert back.qubits == 3
         assert np.max(np.abs(back.mat - rho.mat)) <= 1e-15
+
+    @pytest.mark.parametrize("qubits", [3.0, True, "3", None])
+    def test_rejects_non_integer_qubits(self, qubits):
+        message = f"qubits={qubits!r} outside supported range 1..3"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            DensityMatrix(qubits, ghz().mat)
+
+    def test_numpy_integer_qubits_round_trip(self):
+        rho = DensityMatrix(np.int64(2), np.eye(4) / 4)
+        text = json.dumps(rho.to_json())
+        back = DensityMatrix.from_json(json.loads(text))
+        assert type(rho.qubits) is int and back.qubits == 2
+        assert np.array_equal(back.mat, rho.mat)
+
+    @pytest.mark.parametrize("keep", [{True}, [0.5], ["a"], [3], [-1], set()])
+    def test_reduced_rejects_non_indices(self, keep):
+        message = f"keep={list(keep)} is not a nonempty subset of 0..2"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            ghz().reduced(keep)
+
+    def test_reduced_accepts_numpy_indices(self):
+        assert np.array_equal(ghz().reduced([np.int64(0)]).mat, ghz().reduced({0}).mat)
 
     def test_identity_equality_and_hash(self):
         rho = ghz()

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -300,6 +301,19 @@ class TestStrengthHistory:
     def test_rejects_out_of_range(self):
         with pytest.raises(ConfigError):
             StrengthHistory(((1.2, 0.5),))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: StrengthHistory((("a", "b"),)), "strengths ('a', 'b') are not all numbers"),
+        (lambda: StrengthHistory(((None, 0.5),)), "strengths (None, 0.5) are not all numbers"),
+        (lambda: StrengthHistory(((True, 0.5),)), "strengths (True, 0.5) are not all numbers"),
+        (lambda: StrengthHistory.local_sqrt([("a", 0.5)]),
+         "strengths ('a', 0.5) are not all numbers"),
+        (lambda: StrengthHistory(((0.25, 0.25),), (("a", 0.5),), ((0.5, 0.5),)),
+         "strengths ('a', 0.5) are not all numbers"),
+    ], ids=["strings", "none", "bool", "local-sqrt", "local-etas"])
+    def test_rejects_non_numeric(self, make, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_rejects_mismatched_product(self):
         with pytest.raises(ConfigError):
