@@ -21,10 +21,6 @@ class DegenerateSteererError(SteershareError):
     """Steering party is (numerically) pure; ellipsoid formulas degenerate."""
 
 
-class AmbiguousSettingError(SteershareError):
-    """Degenerate spectrum leaves the optimal setting undetermined."""
-
-
 class ConfigError(SteershareError):
     """Invalid or inconsistent scenario configuration."""
 

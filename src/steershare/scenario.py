@@ -25,6 +25,7 @@ from .states import GHZ_TENSOR, CompressionBasis, DensityMatrix, _is_int, _is_re
 from .steering import (
     SteeringEllipsoid,
     StrengthHistory,
+    _SEQUENCES,
     _sqrt,
     closed_forms,
     coherence,
@@ -80,6 +81,10 @@ class ScenarioConfig:
     compression: str = "00,11"
 
     def __post_init__(self):
+        for name, kind in (("strengths", StrengthHistory), ("charlie_directions", tuple),
+                           ("compression", str)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name}={getattr(self, name)!r} is not a {kind.__name__}")
         if self.mode not in ("nonlocal", "local"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not 1 <= self.pairs <= 4:
@@ -157,12 +162,15 @@ def _strength_entry(entry) -> tuple[float, float]:
 
 def make_config(mode: str, lambdas: list, pairs: int | None = None,
                 charlie_directions: tuple[str, ...] = ("x", "-y")) -> ScenarioConfig:
-    """Convenience constructor; scalar entries mean equal strengths per pair."""
+    """Convenience constructor; scalar entries mean equal strengths per pair.
+    Arguments are type-checked as `ScenarioConfig.from_json` checks keys."""
+    lambdas, directions = (list(x) if isinstance(x, _SEQUENCES) else x
+                           for x in (lambdas, charlie_directions))
     return ScenarioConfig.from_json({
         "mode": mode,
-        "pairs": pairs if pairs is not None else len(lambdas),
-        "strengths": list(lambdas),
-        "charlie_directions": list(charlie_directions),
+        "strengths": lambdas,  # checked first: pairs stays None when it is no list
+        "pairs": len(lambdas) if pairs is None and isinstance(lambdas, list) else pairs,
+        "charlie_directions": directions,
     })
 
 
@@ -320,8 +328,10 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
     Parameter ids: lambda1_i / lambda2_i address setting 1/2 of pair i,
     lambda_i sets both settings of pair i.  Unset pairs default to sharp.
     """
+    if not isinstance(fixed, dict):
+        raise ConfigError(f"fixed parameters {fixed!r} are not a dict")
     for name in list(fixed) + [vary]:
-        if not _PARAM_RE.match(name):
+        if not isinstance(name, str) or not _PARAM_RE.match(name):
             raise ConfigError(f"unknown parameter id {name!r}")
     if vary in fixed:
         raise ConfigError(f"parameter {vary!r} is both varied and fixed")
@@ -373,7 +383,7 @@ class EllipsoidRecord:
 def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[EllipsoidRecord]:
     """Charlie/AB steering ellipsoids of the post-pair-1 state per sample."""
     out = []
-    for l1, l2 in strength_pairs:
+    for l1, l2 in StrengthHistory.nonlocal_history(strength_pairs).lambdas:
         cfg = make_config("nonlocal", [[l1, l2]], pairs=1)
         result = run_scenario(cfg)[0]
         out.append(EllipsoidRecord(l1, l2, result.charlie_ellipsoid,
@@ -459,8 +469,3 @@ def iter_csv(table: ScanTable, kind: str) -> Iterator[str]:
             yield "".join(map(row.__mod__, zip(*(c[i:i + step].tolist() for c in cols))))
 
     return blocks()
-
-
-def records_to_csv(table: ScanTable, kind: str) -> str:
-    """The whole text of `iter_csv(table, kind)`."""
-    return "".join(iter_csv(table, kind))

@@ -73,38 +73,12 @@ class DensityMatrix:
         _check_stack(self.mat[None])
         self.mat.setflags(write=False)
 
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
-
-    def expectation(self, op: np.ndarray) -> float:
-        return float(np.trace(self.mat @ op).real)
-
-    def reduced(self, keep: set[int] | tuple[int, ...]) -> "DensityMatrix":
-        """The state of the qubits in `keep`, in their register order: the
-        Pauli tensor at sigma_0 on every traced-out qubit."""
-        keep = list(keep)
-        if not keep or any(not _is_int(k) or not 0 <= k < self.qubits for k in keep):
-            raise ShapeError(f"keep={keep} is not a nonempty subset of 0..{self.qubits - 1}")
-        index = tuple(slice(None) if q in keep else 0 for q in range(self.qubits))
-        return from_pauli_tensor(pauli_tensor(self.mat)[index])
-
     def to_json(self) -> dict:
         return {
             "qubits": self.qubits,
             "re": self.mat.real.tolist(),
             "im": self.mat.imag.tolist(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DensityMatrix":
-        try:
-            re, im = (np.array(obj[key], dtype=float) for key in ("re", "im"))
-            if re.shape != im.shape or type(obj["qubits"]) is not int:
-                raise ValueError
-        except (KeyError, TypeError, ValueError):
-            raise ShapeError("state JSON must hold an integer 'qubits' and equal-shape "
-                             "'re' and 'im' matrices of numbers") from None
-        return cls(obj["qubits"], re + 1j * im)
 
 
 def _check_stack(mats: np.ndarray) -> None:
@@ -216,11 +190,6 @@ def from_pauli_tensors(t: np.ndarray) -> list[DensityMatrix]:
     return _as_states(qubits, mats)
 
 
-def from_pauli_tensor(t: np.ndarray) -> DensityMatrix:
-    """The validated state 2^-n sum t[a, b, ...] sigma_a x sigma_b x ...."""
-    return from_pauli_tensors(t[None])[0]
-
-
 # Import-time constants avoid BLAS and LAPACK calls (validating ghz() would
 # call eigvalsh): their first use costs about 1 MB of resident memory, which
 # processes that only evaluate closed forms never otherwise pay.
@@ -286,8 +255,3 @@ def bloch_form(rho4: DensityMatrix) -> BlochForm:
         raise ShapeError("bloch_form expects a 2-qubit state")
     return BlochForm(*(x[0] for x in bloch_stack(rho4.mat[None])))
 
-
-def reconstruct(b: BlochForm) -> DensityMatrix:
-    """Inverse of bloch_form: rebuild the 4x4 state from (m~, n, T)."""
-    t = np.block([[np.ones((1, 1)), b.n_vec[None, :]], [b.m_tilde[:, None], b.T]])
-    return from_pauli_tensor(t)

@@ -15,19 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    AmbiguousSettingError,
     ConfigError,
     DegenerateSteererError,
     NotHermitianError,
     ShapeError,
     UnsupportedSizeError,
 )
-from .linalg import I2, PAULIS
-from .states import BlochForm, DensityMatrix, _is_int, _is_real, pauli_tensor
+from .states import BlochForm, _is_int, _is_real
 
 HERMITIAN_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
-AXIS_TOL = 1e-9
 JOINT_STRENGTH_TOL = 1e-9
 AXIS_NORM_FLOOR = 1e-8
 
@@ -46,9 +43,13 @@ def coherence(strength):
     return _sqrt(1.0 - strength * strength)
 
 
-def pauli_dot(u: np.ndarray) -> np.ndarray:
-    """The qubit operator u . sigma for a real 3-vector u."""
-    return sum(c * p for c, p in zip(u, PAULIS))
+_SEQUENCES = (tuple, list, np.ndarray)  # what a history and each of its pairs may be
+
+
+def _check_pairs(*histories) -> None:
+    for h in histories:
+        if not isinstance(h, _SEQUENCES) or not all(isinstance(p, _SEQUENCES) for p in h):
+            raise ConfigError(f"strengths {h!r} are not a sequence of per-pair sequences")
 
 
 def _check_unit_interval(lambdas) -> None:
@@ -74,6 +75,7 @@ class StrengthHistory:
     gammas: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
+        _check_pairs(*(h for h in (self.lambdas, self.etas, self.gammas) if h is not None))
         _check_unit_interval(self.lambdas)
         if (self.etas is None) != (self.gammas is None):
             raise ConfigError("etas and gammas must be given together")
@@ -98,11 +100,13 @@ class StrengthHistory:
 
     @classmethod
     def nonlocal_history(cls, lambdas: list[tuple[float, float]]) -> "StrengthHistory":
+        _check_pairs(lambdas)
         return cls(tuple(tuple(p) for p in lambdas))
 
     @classmethod
     def local_sqrt(cls, lambdas: list[tuple[float, float]]) -> "StrengthHistory":
         """Local history with eta = gamma = sqrt(lambda) for every setting."""
+        _check_pairs(lambdas)
         lams = tuple(tuple(p) for p in lambdas)
         _check_unit_interval(lams)  # before _sqrt can warn on a negative strength
         roots = tuple(tuple(float(_sqrt(s)) for s in p) for p in lams)
@@ -257,53 +261,6 @@ def ellipsoid_volume_check(b: BlochForm) -> float:
     if m2 >= 1.0 - DEGENERACY_TOL:
         raise DegenerateSteererError("steering party is pure; volume degenerates")
     return float(abs(np.linalg.det(T - np.outer(m, n))) / (1.0 - m2) ** 2)
-
-
-def optimal_partner_setting(rho4: DensityMatrix,
-                            charlie_direction: np.ndarray) -> np.ndarray:
-    """Best compressed-AB involution for a fixed Charlie direction.
-
-    Conditions on Charlie's +1 outcome and returns the involution whose
-    +1/-1 eigenvectors are the conditional AB state's eigenvectors ordered
-    by descending eigenvalue: r . sigma / |r| for the conditional state's
-    Bloch vector r.  With t the state's Pauli tensor and e that of the
-    effect (I + D)/2, v = t @ e holds the conditional state's unnormalized
-    Pauli components, so v[0]/2 is the outcome's weight, r = v[1:]/v[0],
-    and the eigenvalue gap (1 + |r|)/2 - (1 - |r|)/2 is |r|.
-    """
-    if rho4.qubits != 2:
-        raise ShapeError("expects a compressed two-qubit state")
-    try:
-        d = np.asarray(charlie_direction)
-    except ValueError:  # ragged
-        d = np.empty(0)
-    if d.shape != (2, 2) or not np.issubdtype(d.dtype, np.number) \
-            or not np.isfinite(d).all():
-        raise ShapeError("Charlie direction is not a finite numeric 2x2 matrix")
-    v = pauli_tensor(rho4.mat) @ pauli_tensor((I2 + d) / 2)
-    if not v[0] / 2 > DEGENERACY_TOL:  # NaN included
-        raise AmbiguousSettingError("Charlie's +1 outcome has no weight")
-    r = v[1:] / v[0]
-    gap = np.linalg.norm(r)
-    if not gap > DEGENERACY_TOL:
-        raise AmbiguousSettingError(f"conditional state degenerate (gap {gap:.3e})")
-    return pauli_dot(r / gap)
-
-
-def optimal_settings_from_ellipsoid(e: SteeringEllipsoid, n: int) -> list[np.ndarray]:
-    """Measurement directions along the n longest principal semiaxes.
-
-    Reads the orientation columns as `ellipsoid` leaves them.  Returns
-    u . sigma involutions.
-    """
-    if not _is_int(n) or n < 1:
-        raise ConfigError(f"setting count {n!r} is not an integer >= 1")
-    if n > int(np.sum(e.semiaxes > AXIS_TOL)):
-        raise AmbiguousSettingError(
-            f"only {int(np.sum(e.semiaxes > AXIS_TOL))} nondegenerate axes, "
-            f"{n} requested"
-        )
-    return [pauli_dot(e.orientation[:, k]) for k in range(n)]
 
 
 def _tie_broken_axes(semiaxes: np.ndarray, orientation: np.ndarray) -> np.ndarray:

@@ -20,11 +20,10 @@ from steershare.steering import (
     closed_form_nonlocal,
     ellipsoid,
     ellipsoid_volume_check,
-    pauli_dot,
 )
 
 from oracles import chain, direction, make_instrument, pair_update, steering_value, update
-from util import conditional_charlie_bloch, containment_violation, random_density
+from util import conditional_charlie_bloch, containment_violation, pauli_dot, random_density
 
 LABELS = ("x", "-y")  # Charlie's default directions
 
@@ -214,14 +213,22 @@ def test_criterion_6_ellipsoid_suite(capsys):
     for l1, l2 in [(SQRT_HALF, 0.75), (SQRT_HALF, 0.85), (SQRT_HALF, 0.95), (0.70710678, 0.9)]:
         rec = ellipsoid_series([(l1, l2)])[0]
         runs.append(([(l1, l2)], [(rec.charlie, rec.ab)]))
+    # The longest two semiaxes, prod (1+c2)/2 and prod (1+c1)/2, lie along
+    # Bloch x and y: the ellipsoid-optimal settings are the fixed x/-y ones.
+    xy = {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)}
+    on_xy = total = 0
     for lams, ells in runs:
         for want, pair in zip(_closed_form_semiaxes(lams), ells):
             for e in pair:
                 worst_closed = max(worst_closed, np.max(np.abs(e.center)),
                                    np.max(np.abs(e.semiaxes - want)),
                                    abs(e.volume - np.prod(want)))
+                on_xy += {tuple(np.abs(u).tolist()) for u in e.orientation[:, :2].T} == xy
+                total += 1
     checks.append((f"closed-form ellipsoids over 304 runs: centre 0, semiaxes, volume "
                    f"(worst {worst_closed:.2e})", worst_closed <= 1e-12))
+    checks.append((f"x/-y settings ellipsoid-optimal: two longest semiaxes exactly along "
+                   f"+-x and +-y in {on_xy} of {total} ellipsoids", on_xy == total))
 
     with capsys.disabled():
         for name, ok in checks:
@@ -262,7 +269,7 @@ def test_criterion_8_instrument_properties(capsys):
         d = direction(paulis, sign)
         obs = direction(tuple(int(i) for i in rng.integers(0, 4, 3)))
         factor = 1.0 if np.max(np.abs(d @ obs - obs @ d)) == 0.0 else np.sqrt(1 - lam ** 2)
-        before = ghz().expectation(obs)
+        before = np.trace(ghz().mat @ obs).real
         for out in (_dephase(ghz().mat, [[(paulis, sign, lam)]]),
                     update(ghz().mat, [[(paulis, sign, lam)]])):
             ok_damping &= abs(np.trace(out @ obs).real - factor * before) <= 1e-10

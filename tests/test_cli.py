@@ -11,7 +11,7 @@ import pytest
 import steershare
 from steershare import scenario
 from steershare.cli import _indented_json, main
-from steershare.scenario import ScenarioConfig, ellipsoid_series, records_to_csv, \
+from steershare.scenario import ScenarioConfig, ellipsoid_series, iter_csv, \
     run_scenario, sweep_curve
 
 
@@ -133,8 +133,8 @@ class TestSweep:
         for fix in ({"lambda1_1": 0.3}, {}, {"lambda1_1": 0.3}):
             argv = [a for k, v in fix.items() for a in ("--fix", f"{k}={v}")]
             assert run_cli(capsys, "sweep", *argv, *common)[0] == 0
-            assert out.read_text() == records_to_csv(
-                sweep_curve(fix, "lambda2_1", 0, 1, 3), "sweep")
+            assert out.read_text() == "".join(iter_csv(
+                sweep_curve(fix, "lambda2_1", 0, 1, 3), "sweep"))
 
 
 class TestSizeLimits:

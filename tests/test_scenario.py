@@ -18,7 +18,6 @@ from steershare.scenario import (
     iter_csv,
     make_config,
     max_simultaneous_pairs,
-    records_to_csv,
     run_scenario,
     scan_region,
     simultaneous_window,
@@ -29,6 +28,11 @@ from steershare.steering import StrengthHistory, classical_bound, closed_form_no
     ellipsoid
 
 from oracles import ORACLE_TOL, chain
+
+
+def _csv(table, kind):
+    """The whole CSV text of a table."""
+    return "".join(iter_csv(table, kind))
 
 
 def _kraus_chain(cfg):
@@ -209,15 +213,15 @@ class TestSweepCurve:
             sweep_curve({}, "kappa_1", 0, 1, 5)
 
     def test_deterministic_csv(self):
-        a = records_to_csv(sweep_curve({"lambda_1": 0.4}, "lambda2_2", 0, 1, 30),
+        a = _csv(sweep_curve({"lambda_1": 0.4}, "lambda2_2", 0, 1, 30),
                            "sweep")
-        b = records_to_csv(sweep_curve({"lambda_1": 0.4}, "lambda2_2", 0, 1, 30),
+        b = _csv(sweep_curve({"lambda_1": 0.4}, "lambda2_2", 0, 1, 30),
                            "sweep")
         assert a == b
 
     def test_csv_schema(self):
         table = sweep_curve({}, "lambda_1", 0, 1, 3, mode="nonlocal")
-        lines = records_to_csv(table, "sweep").splitlines()
+        lines = _csv(table, "sweep").splitlines()
         assert lines[0] == "param,S1,S2,St1,St2"
         assert lines[1].endswith(",,")  # St columns empty in nonlocal mode
 
@@ -225,11 +229,11 @@ class TestSweepCurve:
 class TestScanCsv:
     def test_schema_and_determinism(self):
         table = scan_region(pairs=3, resolution=5, mode="compare")
-        text = records_to_csv(table, "scan")
+        text = _csv(table, "scan")
         lines = text.splitlines()
         assert lines[0] == "lambda1,lambda2,S1,S2,S3,St1,St2,St3,region"
         assert len(lines) == 26
-        assert text == records_to_csv(scan_region(pairs=3, resolution=5,
+        assert text == _csv(scan_region(pairs=3, resolution=5,
                                                   mode="compare"), "scan")
 
 
@@ -237,20 +241,20 @@ class TestGoldenOutputs:
     # sha256 digests of the CSV bytes written by the per-history closed-form
     # loops that the array kernel replaced; the kernel must reproduce them.
     def test_scan_csv_bytes(self):
-        text = records_to_csv(scan_region(3, 41, "compare"), "scan")
+        text = _csv(scan_region(3, 41, "compare"), "scan")
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "b97fab1ef4b004c6057cef807175b3707ee2f0a5e754c66733db395bdc8e36ce"
 
     def test_readme_sweep_csv_bytes(self):
         table = sweep_curve({"lambda1_1": 0.70710678}, "lambda2_1", 0.6, 1.0, 81)
-        assert hashlib.sha256(records_to_csv(table, "sweep").encode()).hexdigest() == \
+        assert hashlib.sha256(_csv(table, "sweep").encode()).hexdigest() == \
             "0a74f248f8f53dab0de976f23fb37cd0934eb9dcc556031bc4365e9b6efadb3d"
 
     # Digests below were taken from the per-cell record writer that the
     # column tables replaced; the tables must reproduce its bytes.
     def test_readme_scan_csv_bytes(self):
         # `steershare scan --pairs 3 --mode compare --grid 400`: 19,373,343 bytes.
-        data = records_to_csv(scan_region(3, 400, "compare"), "scan").encode()
+        data = _csv(scan_region(3, 400, "compare"), "scan").encode()
         assert len(data) == 19_373_343
         assert hashlib.sha256(data).hexdigest() == \
             "82f65ef2765ac0b3e468f7da79e5690bde066ee5ba259097eb742ef04c0b7eb7"
@@ -267,7 +271,7 @@ class TestGoldenOutputs:
         ("compare", 3, "dcfc3e6bf2eed8e8832ab00c17598f7cc40526d2af98bfb8a92a95ca97e2601c"),
     ])
     def test_small_scan_csv_bytes(self, mode, pairs, digest):
-        text = records_to_csv(scan_region(pairs, 7, mode), "scan")
+        text = _csv(scan_region(pairs, 7, mode), "scan")
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("mode, pairs, digest", [
@@ -281,7 +285,7 @@ class TestGoldenOutputs:
         # sweep CSV holds pairs 1 and 2 only, so 3 and 4 pairs match.
         table = sweep_curve({"lambda1_1": 0.6, "lambda_2": 0.8}, "lambda2_1", 0, 1, 9,
                             pairs=pairs, mode=mode)
-        text = records_to_csv(table, "sweep")
+        text = _csv(table, "sweep")
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_columns_are_float64_arrays(self):
@@ -317,7 +321,7 @@ class TestCsvBlocks:
                             pairs=3, mode=mode))
         table = _head(full, rows)
         assert len(table) == rows < scenario.CSV_BLOCK_ROWS
-        whole = records_to_csv(table, kind)  # one block at the default size
+        whole = _csv(table, kind)  # one block at the default size
         monkeypatch.setattr(scenario, "CSV_BLOCK_ROWS", self.B)
         chunks = list(iter_csv(table, kind))
         assert "".join(chunks) == whole
@@ -431,6 +435,38 @@ class TestInputValidation:
     def test_sweep_rejects_non_numeric_values(self, fixed, start, stop, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             sweep_curve(fixed, "lambda2_1", start, stop, 3)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: StrengthHistory((0.5,)),
+         "strengths (0.5,) are not a sequence of per-pair sequences"),
+        (lambda: StrengthHistory(((0.25, 0.25),), (0.5,), ((0.5, 0.5),)),
+         "strengths (0.5,) are not a sequence of per-pair sequences"),
+        (lambda: StrengthHistory.nonlocal_history([0.5]),
+         "strengths [0.5] are not a sequence of per-pair sequences"),
+        (lambda: StrengthHistory.local_sqrt([0.5]),
+         "strengths [0.5] are not a sequence of per-pair sequences"),
+        (lambda: sweep_curve({1: 0.5}, "lambda_1", 0, 1, 3), "unknown parameter id 1"),
+        (lambda: sweep_curve({}, 3, 0, 1, 3), "unknown parameter id 3"),
+        (lambda: sweep_curve(None, "lambda_1", 0, 1, 3), "fixed parameters None are not a dict"),
+        (lambda: ellipsoid_series([(0.5,)]),
+         "every pair needs one strength for each of its two settings"),
+        (lambda: ellipsoid_series(0.5), "strengths 0.5 are not a sequence of per-pair sequences"),
+        (lambda: make_config("nonlocal", [0.5], charlie_directions="xy"),
+         "config key 'charlie_directions' must be of type list, got 'xy'"),
+        (lambda: make_config("nonlocal", 0.5),
+         "config key 'strengths' must be of type list, got 0.5"),
+        (lambda: ScenarioConfig(_HISTORY, compression=3), "compression=3 is not a str"),
+        (lambda: ScenarioConfig(_HISTORY, charlie_directions="xy"),
+         "charlie_directions='xy' is not a tuple"),
+        (lambda: ScenarioConfig(strengths=(0.5, 0.5)),
+         "strengths=(0.5, 0.5) is not a StrengthHistory"),
+    ], ids=["history-pair", "history-etas", "nonlocal-history", "local-sqrt",
+            "sweep-fixed-id", "sweep-vary-id", "sweep-fixed-none", "ellipsoid-pair",
+            "ellipsoid-scalar", "make-config-directions", "make-config-strengths",
+            "config-compression", "config-directions", "config-strengths"])
+    def test_wrong_types_raise_config_error(self, call, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_strength_check_names_first_history_then_first_pair(self):
         lam1, lam2 = [np.full(10, 0.5) for _ in range(4)], [np.full(10, 0.5) for _ in range(4)]

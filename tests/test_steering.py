@@ -7,7 +7,6 @@ import pytest
 
 from steershare import scenario
 from steershare.errors import (
-    AmbiguousSettingError,
     ConfigError,
     DegenerateSteererError,
     NotCompressibleError,
@@ -28,12 +27,9 @@ from steershare.steering import (
     ellipsoid,
     ellipsoid_volume_check,
     ellipsoids,
-    optimal_partner_setting,
-    optimal_settings_from_ellipsoid,
-    pauli_dot,
 )
 
-from util import conditional_charlie_bloch, containment_violation, random_density
+from util import conditional_charlie_bloch, containment_violation, pauli_dot, random_density
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -525,88 +521,3 @@ class TestRunScenarioErrors:
             scenario.run_scenario(cfg)
         assert str(err.value) == message
 
-
-class TestOptimalSettings:
-    def test_partner_for_x(self):
-        rho4, _ = compress(ghz())
-        op = optimal_partner_setting(rho4, SIGMA_X)
-        assert np.max(np.abs(op - SIGMA_X)) <= 1e-10
-
-    def test_partner_for_y(self):
-        rho4, _ = compress(ghz())
-        op = optimal_partner_setting(rho4, SIGMA_Y)
-        assert np.max(np.abs(op + SIGMA_Y)) <= 1e-10
-
-    def test_partner_degenerate(self):
-        mixed = DensityMatrix(2, np.eye(4, dtype=complex) / 4)
-        with pytest.raises(AmbiguousSettingError):
-            optimal_partner_setting(mixed, SIGMA_X)
-
-    def test_partner_matches_conditional_eigenvectors(self):
-        # Oracle: condition on Charlie's +1 effect with an einsum partial
-        # trace, then take eigh's eigenvectors (ascending eigenvalues).
-        rng = np.random.default_rng(1303)
-        for _ in range(200):
-            rho4 = random_density(rng, 2)
-            u = rng.normal(size=3)
-            d = pauli_dot(u / np.linalg.norm(u))
-            prod = (rho4.mat @ np.kron(np.eye(2), (np.eye(2) + d) / 2)).reshape(2, 2, 2, 2)
-            _, v = np.linalg.eigh(np.einsum("icjc->ij", prod))
-            want = np.outer(v[:, 1], v[:, 1].conj()) - np.outer(v[:, 0], v[:, 0].conj())
-            assert np.max(np.abs(optimal_partner_setting(rho4, d) - want)) <= 1e-12
-
-    @pytest.mark.parametrize("direction", [
-        np.eye(4), np.ones(2), SIGMA_X[:1], np.array([["a", "b"], ["c", "d"]]),
-        np.full((2, 2), np.inf), np.full((2, 2), np.nan), [[1.0, 0.0], [0.0]],
-    ])
-    def test_partner_rejects_non_2x2_direction(self, direction):
-        rho4, _ = compress(ghz())
-        with pytest.raises(ShapeError):
-            optimal_partner_setting(rho4, direction)
-
-    def test_sphere_tie_break(self):
-        rho4, _ = compress(ghz())
-        ops = optimal_settings_from_ellipsoid(ellipsoid(bloch_form(rho4)), 3)
-        for op, expected in zip(ops, (SIGMA_X, SIGMA_Y, SIGMA_Z)):
-            assert np.max(np.abs(op - expected)) <= 1e-10
-
-    def test_post_pair_one_axes(self):
-        rho4, _ = compress(_post_pair_one([0.6, 0.6]))
-        ops = optimal_settings_from_ellipsoid(ellipsoid(bloch_form(rho4)), 2)
-        # One setting is +-sigma_x, the other +-sigma_y.
-        axes = sorted(k for op in ops for k, p in enumerate((SIGMA_X, SIGMA_Y, SIGMA_Z))
-                      if min(np.max(np.abs(op - p)), np.max(np.abs(op + p))) <= 1e-10)
-        assert axes == [0, 1]
-
-    def test_explicit_semiaxes(self):
-        # Ellipsoid with known principal frame: rotate diag(0.81, 0.25, 0.01).
-        theta = 0.4
-        rot = np.array([[np.cos(theta), -np.sin(theta), 0],
-                        [np.sin(theta), np.cos(theta), 0],
-                        [0, 0, 1]])
-        O = rot @ np.diag([0.81, 0.25, 0.01]) @ rot.T
-        from steershare.steering import SteeringEllipsoid
-        w, v = np.linalg.eigh(O)
-        w, v = w[::-1], v[:, ::-1]  # descending
-        e = SteeringEllipsoid(np.zeros(3), O, np.sqrt(w), v,
-                              float(np.sqrt(np.prod(w))))
-        ops = optimal_settings_from_ellipsoid(e, 2)
-        expect = [rot[:, 0], rot[:, 1]]
-        for op, u in zip(ops, expect):
-            want = pauli_dot(u)
-            assert min(np.max(np.abs(op - want)), np.max(np.abs(op + want))) <= 1e-10
-
-    @pytest.mark.parametrize("n", [0, -2, 1.0, 2.5, True, "2", None])
-    def test_setting_count_must_be_positive_integer(self, n):
-        rho4, _ = compress(ghz())
-        with pytest.raises(ConfigError):
-            optimal_settings_from_ellipsoid(ellipsoid(bloch_form(rho4)), n)
-
-    def test_setting_count_accepts_numpy_integers(self):
-        rho4, _ = compress(ghz())
-        assert len(optimal_settings_from_ellipsoid(ellipsoid(bloch_form(rho4)), np.int64(2))) == 2
-
-    def test_insufficient_axes(self):
-        b = bloch_form(DensityMatrix(2, np.eye(4, dtype=complex) / 4))
-        with pytest.raises(AmbiguousSettingError):
-            optimal_settings_from_ellipsoid(ellipsoid(b), 2)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from steershare.linalg import PAULIS
 from steershare.states import DensityMatrix
 
 
@@ -12,10 +13,13 @@ def random_density(rng, qubits):
     return DensityMatrix(qubits, rho / np.trace(rho))
 
 
+def pauli_dot(u):
+    """The qubit operator u . sigma for a real 3-vector u."""
+    return sum(c * p for c, p in zip(u, PAULIS))
+
+
 def conditional_charlie_bloch(rho4, effect):
     """Charlie's Bloch vector conditioned on an AB-side effect, or None."""
-    from steershare.linalg import PAULIS
-
     # Rows and columns split into (AB, Charlie); the AB pair is traced out.
     cond = np.einsum("ibid->bd", (np.kron(effect, np.eye(2)) @ rho4.mat).reshape(2, 2, 2, 2))
     p = np.trace(cond).real
