@@ -144,7 +144,9 @@ def cmd_run(args) -> None:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and integers past
+    # Python's digit limit; RecursionError, arrays nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from None
     cfg = scenario.ScenarioConfig.from_json(obj)
     results = scenario.run_scenario(cfg)

@@ -14,7 +14,7 @@ class NotHermitianError(SteershareError):
 
 
 class NotCompressibleError(SteershareError):
-    """State has weight outside the two-basis compression subspace."""
+    """State has weight outside the compression span{|00>, |11>} x C2."""
 
 
 class DegenerateSteererError(SteershareError):

@@ -20,13 +20,12 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import PAULIS
 from .measurement import anticommuting, dephasing_scale
-from .states import GHZ_TENSOR, CompressionBasis, DensityMatrix, _is_int, _is_real, \
-    bloch_stack, compress_stack, from_pauli_tensors
+from .states import GHZ_TENSOR, DensityMatrix, _is_int, _is_real, bloch_stack, \
+    compress_stack, from_pauli_tensors
 from .steering import (
     SteeringEllipsoid,
     StrengthHistory,
     _SEQUENCES,
-    _sqrt,
     closed_forms,
     coherence,
     ellipsoids,
@@ -78,11 +77,9 @@ class ScenarioConfig:
     strengths: StrengthHistory
     mode: str = "nonlocal"
     charlie_directions: tuple[str, ...] = ("x", "-y")
-    compression: str = "00,11"
 
     def __post_init__(self):
-        for name, kind in (("strengths", StrengthHistory), ("charlie_directions", tuple),
-                           ("compression", str)):
+        for name, kind in (("strengths", StrengthHistory), ("charlie_directions", tuple)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name}={getattr(self, name)!r} is not a {kind.__name__}")
         if self.mode not in ("nonlocal", "local"):
@@ -111,7 +108,6 @@ class ScenarioConfig:
             "pairs": self.pairs,
             "strengths": [list(p) for p in self.strengths.lambdas],
             "charlie_directions": list(self.charlie_directions),
-            "compression": self.compression,
         }
 
     @classmethod
@@ -127,6 +123,10 @@ class ScenarioConfig:
             if not (_is_int(value) if kind is int else isinstance(value, kind)):
                 raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
                                   f"got {value!r}")
+        # The one span every nonlocal setting keeps (see `states.compress`).
+        if obj.get("compression", "00,11") != "00,11":
+            raise ConfigError(f"config key 'compression' must be '00,11', "
+                              f"got {obj['compression']!r}")
         pairs = int(obj.get("pairs", 2))
         if not 1 <= pairs <= 4:
             raise ConfigError(f"pairs={pairs} outside supported range 1..4")
@@ -143,7 +143,6 @@ class ScenarioConfig:
             strengths=history,
             mode=mode,
             charlie_directions=tuple(obj.get("charlie_directions", ("x", "-y"))),
-            compression=obj.get("compression", "00,11"),
         )
 
 
@@ -203,7 +202,6 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     axes = [_resolve_axis(lbl)[1] for lbl in cfg.charlie_directions]
     if cfg.mode == "local" and "z" in axes:
         raise ConfigError("local mode is only defined for x/y settings")
-    basis = CompressionBasis.parse(cfg.compression)
     lam = np.array(cfg.strengths.lambdas)  # (pair, setting)
     if cfg.mode == "nonlocal":
         c = coherence(lam)[..., None]
@@ -217,7 +215,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     states = from_pauli_tensors(after)
     ells = [None] * (2 * cfg.pairs)
     if cfg.mode == "nonlocal":
-        m, n, T = bloch_stack(compress_stack(states, basis)[0])
+        m, n, T = bloch_stack(compress_stack(states)[0])
         # Rows 0..P-1 steer Charlie; rows P..2P-1 swap the roles to steer AB.
         ells = ellipsoids(np.concatenate([m, n]), np.concatenate([n, m]),
                           np.concatenate([T, T.transpose(0, 2, 1)]))
@@ -255,7 +253,7 @@ def _mode_closed_forms(mode: str, lam1: list, lam2: list) -> tuple[list, list]:
     if mode not in ("nonlocal", "local", "compare"):
         raise ConfigError(f"unknown mode {mode!r}")
     s = closed_forms(lam1, lam2, lam1, lam2) if mode != "local" else []
-    st = (closed_forms(lam1, lam2, [_sqrt(x) for x in lam1], [_sqrt(x) for x in lam2])
+    st = (closed_forms(lam1, lam2, [np.sqrt(x) for x in lam1], [np.sqrt(x) for x in lam2])
           if mode != "nonlocal" else [])
     return s, st
 

@@ -4,8 +4,8 @@ Qubit order is fixed as A (leftmost) then B then Charlie; computational
 basis labels are bit strings "abc".  A state is also held as its real
 Pauli tensor t[a, b, ...] = Tr(rho sigma_a x sigma_b x ...), sigma_0 = I,
 from which rho = 2^-n sum t[a, b, ...] sigma_a x sigma_b x ....  A
-three-qubit state whose A,B pair lives in a two-dimensional subspace can
-be compressed to an effective two-qubit state (compressed AB qubit tensor
+three-qubit state whose A,B pair lives in span{|00>, |11>} can be
+compressed to an effective two-qubit state (compressed AB qubit tensor
 Charlie) for ellipsoid analysis.
 """
 
@@ -125,28 +125,6 @@ class BlochForm:
     T: np.ndarray        # 3x3 correlation matrix
 
 
-@dataclass(frozen=True)
-class CompressionBasis:
-    """Which two AB computational basis kets span the compressed qubit."""
-
-    zero_ket: str = "00"
-    one_ket: str = "11"
-
-    def __post_init__(self):
-        valid = {"00", "01", "10", "11"}
-        if self.zero_ket not in valid or self.one_ket not in valid:
-            raise ShapeError(f"kets must come from {sorted(valid)}")
-        if self.zero_ket == self.one_ket:
-            raise ShapeError("zero_ket and one_ket must differ")
-
-    @classmethod
-    def parse(cls, text: str) -> "CompressionBasis":
-        parts = [s.strip() for s in text.split(",")]
-        if len(parts) != 2:
-            raise ShapeError(f"compression {text!r} is not two kets 'zero,one'")
-        return cls(*parts)
-
-
 def ket(label: str) -> np.ndarray:
     """Computational basis column vector from a bit-string label."""
     n = len(label)
@@ -197,9 +175,14 @@ GHZ_TENSOR = pauli_tensor(_ghz_projector())
 GHZ_TENSOR.setflags(write=False)
 
 
-def compress_stack(states: list[DensityMatrix],
-                   basis: CompressionBasis = CompressionBasis()
-                   ) -> tuple[np.ndarray, np.ndarray]:
+# Every direction a nonlocal pair measures (sigma_y x sigma_y, sigma_y x
+# sigma_x, sigma_z x I) maps span{|00>, |11>} into itself, so the compressed
+# AB qubit is that span: |00,c>, |11,c> become |0~,c>, |1~,c>.  Flat indices
+# of those rows and columns in a flattened 8x8 matrix.
+_COMPRESS_INDEX = np.array([8 * i + j for i in (0, 1, 6, 7) for j in (0, 1, 6, 7)])
+
+
+def compress_stack(states: list[DensityMatrix]) -> tuple[np.ndarray, np.ndarray]:
     """`compress` of every 3-qubit state of a list, as one (k, 4, 4) stack of
     renormalized blocks, validated as one stack, and a (k,) weight vector.
 
@@ -207,12 +190,9 @@ def compress_stack(states: list[DensityMatrix],
     """
     if any(rho.qubits != 3 for rho in states):
         raise ShapeError("compression expects a 3-qubit state")
-    # Rows and columns |zero_ket,c>, |one_ket,c> become |0~,c>, |1~,c>.  `take`
-    # returns C-ordered blocks (a fancy index puts the stack axis innermost),
-    # so each member's trace is summed in the order of a lone block's.
-    idx = [int(label + c, 2) for label in (basis.zero_ket, basis.one_ket) for c in "01"]
-    flat = [8 * i + j for i in idx for j in idx]
-    small = np.take(np.stack([rho.mat for rho in states]).reshape(-1, 64), flat,
+    # `take` returns C-ordered blocks (a fancy index puts the stack axis
+    # innermost), so each member's trace is summed in the order of a lone block's.
+    small = np.take(np.stack([rho.mat for rho in states]).reshape(-1, 64), _COMPRESS_INDEX,
                     axis=1).reshape(-1, 4, 4)
     weights = np.trace(small, axis1=1, axis2=2).real
     low = weights < 1 - COMPRESS_TOL
@@ -223,21 +203,20 @@ def compress_stack(states: list[DensityMatrix],
         # A weight is >= 0: a rounding residue below zero (or -0.0) prints as 0.
         raise NotCompressibleError(
             f"only {max(weights[first], 0.0) + 0.0:.12f} of the state lies in "
-            f"span{{|{basis.zero_ket}>, |{basis.one_ket}>}} x C2"
+            "span{|00>, |11>} x C2"
         )
     return blocks, weights
 
 
-def compress(rho: DensityMatrix, basis: CompressionBasis = CompressionBasis()
-             ) -> tuple[DensityMatrix, float]:
-    """Project a 3-qubit state onto span{zero_ket, one_ket} x C2 and relabel.
+def compress(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
+    """Project a 3-qubit state onto span{|00>, |11>} x C2 and relabel.
 
     Returns the renormalized 4x4 density matrix (compressed AB qubit tensor
     Charlie) together with the renormalization factor (the weight retained
     by the projection).  Raises NotCompressibleError if more than
-    COMPRESS_TOL of the AB marginal lies outside the two chosen kets.
+    COMPRESS_TOL of the AB marginal lies outside |00> and |11>.
     """
-    blocks, weights = compress_stack([rho], basis)
+    blocks, weights = compress_stack([rho])
     return _as_states(2, blocks)[0], float(weights[0])
 
 

@@ -9,7 +9,6 @@ the current pair's strength.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,18 +28,9 @@ JOINT_STRENGTH_TOL = 1e-9
 AXIS_NORM_FLOOR = 1e-8
 
 
-def _sqrt(x):
-    """`math.sqrt` of a float >= 0 (np.float64 included), else `np.sqrt`.
-
-    Both round correctly, so a float gives an array element's bits without
-    numpy's per-scalar cost; arrays, negatives and NaN keep numpy's warnings.
-    """
-    return math.sqrt(x) if isinstance(x, float) and x >= 0.0 else np.sqrt(x)
-
-
 def coherence(strength):
     """Coherence retained after an unsharp measurement, sqrt(1 - strength^2)."""
-    return _sqrt(1.0 - strength * strength)
+    return np.sqrt(1.0 - strength * strength)
 
 
 _SEQUENCES = (tuple, list, np.ndarray)  # what a history and each of its pairs may be
@@ -108,8 +98,8 @@ class StrengthHistory:
         """Local history with eta = gamma = sqrt(lambda) for every setting."""
         _check_pairs(lambdas)
         lams = tuple(tuple(p) for p in lambdas)
-        _check_unit_interval(lams)  # before _sqrt can warn on a negative strength
-        roots = tuple(tuple(float(_sqrt(s)) for s in p) for p in lams)
+        _check_unit_interval(lams)  # before np.sqrt can warn on a negative strength
+        roots = tuple(tuple(float(np.sqrt(s)) for s in p) for p in lams)
         return cls(lams, roots, roots)
 
 

@@ -230,7 +230,7 @@ class TestRun:
 
 def _seeded_run_configs():
     """Both modes, 1-4 pairs, final pairs given or omitted, signed x/y/z
-    labels and the compression bases each mode accepts."""
+    labels, and the compression key given or omitted."""
     rng = np.random.default_rng(97)
     configs = []
     for k in range(48):
@@ -238,12 +238,11 @@ def _seeded_run_configs():
         pairs = k // 2 % 4 + 1
         given = pairs - (k // 8 % 2) if pairs > 1 else 1
         labels = ["x", "-x", "y", "-y"] + (["z", "-z"] if mode == "nonlocal" else [])
-        bases = ["00,11", "11,00"] + (["01,10", "10,00"] if mode == "local" else [])
         strengths = [float(rng.uniform()) if rng.uniform() < 0.5
                      else rng.uniform(0, 1, 2).tolist() for _ in range(given)]
         configs.append({"mode": mode, "pairs": pairs, "strengths": strengths,
                         "charlie_directions": rng.choice(labels, 2).tolist(),
-                        "compression": str(rng.choice(bases))})
+                        **({"compression": "00,11"} if k % 3 else {})})
     return configs
 
 
@@ -276,7 +275,9 @@ class TestRunOut:
             assert out_file.read_text() == json.dumps(payload, indent=2) + "\n"
             layouts.add((cfg["mode"], cfg["pairs"]))
         assert len(layouts) == 8
-        assert {c["compression"] for c in configs} == {"00,11", "11,00", "01,10", "10,00"}
+        assert {(c["mode"], c.get("compression")) for c in configs} == {
+            (mode, compression) for mode in ("nonlocal", "local")
+            for compression in ("00,11", None)}
 
     def test_negative_local_strength_prints_one_stderr_line(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -317,10 +318,14 @@ class TestRunErrors:
             "No such file or directory"]
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
-        code, out, err = self._run(capsys, tmp_path, '{"mode": "nonlocal",')
-        assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: config ") and "is not valid JSON" in err
+        # Truncated text, arrays nested past the recursion limit, and an
+        # integer past Python's 4,300-digit int-string limit.
+        for text in ('{"mode": "nonlocal",', "[" * 100_000 + "]" * 100_000,
+                     '{"pairs": ' + "1" * 5000 + "}"):
+            code, out, err = self._run(capsys, tmp_path, text)
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: config ") and "is not valid JSON" in err
 
     @pytest.mark.parametrize("cfg, message", [
         ({"strenghts": [0.5]}, "unknown config keys ['strenghts']"),
@@ -331,12 +336,18 @@ class TestRunErrors:
         ({"strengths": 0.5}, "config key 'strengths' must be of type list"),
         ({"pairs": "2"}, "config key 'pairs' must be of type int"),
         ([0.5], "config must be a JSON object"),
-        ({"compression": "00"}, "compression '00' is not two kets"),
+        ({"compression": "00"}, "config key 'compression' must be '00,11', got '00'"),
         ({"equal_strength": [True]}, "unknown config keys ['equal_strength']"),
         ({"pairs": -1}, "pairs=-1 outside supported range 1..4"),
         ({"pairs": 1, "strengths": [0.5, 0.8]}, "history covers 2 pairs, config has 1"),
         ({"charlie_directions": ["x", "y", "z"]}, "need one Charlie direction per setting"),
         ({"charlie_directions": [5, "x"]}, "unknown axis label 5"),
+        ({"compression": "11,00"}, "config key 'compression' must be '00,11', got '11,00'"),
+        ({"mode": "local", "compression": "01,10"},
+         "config key 'compression' must be '00,11', got '01,10'"),
+        ({"mode": "local", "compression": "00"},
+         "config key 'compression' must be '00,11', got '00'"),
+        ({"compression": 11}, "config key 'compression' must be of type str"),
     ])
     def test_bad_config_exits_2(self, capsys, tmp_path, cfg, message):
         code, out, err = self._run(capsys, tmp_path, json.dumps(cfg))

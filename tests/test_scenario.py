@@ -455,7 +455,6 @@ class TestInputValidation:
          "config key 'charlie_directions' must be of type list, got 'xy'"),
         (lambda: make_config("nonlocal", 0.5),
          "config key 'strengths' must be of type list, got 0.5"),
-        (lambda: ScenarioConfig(_HISTORY, compression=3), "compression=3 is not a str"),
         (lambda: ScenarioConfig(_HISTORY, charlie_directions="xy"),
          "charlie_directions='xy' is not a tuple"),
         (lambda: ScenarioConfig(strengths=(0.5, 0.5)),
@@ -463,7 +462,7 @@ class TestInputValidation:
     ], ids=["history-pair", "history-etas", "nonlocal-history", "local-sqrt",
             "sweep-fixed-id", "sweep-vary-id", "sweep-fixed-none", "ellipsoid-pair",
             "ellipsoid-scalar", "make-config-directions", "make-config-strengths",
-            "config-compression", "config-directions", "config-strengths"])
+            "config-directions", "config-strengths"])
     def test_wrong_types_raise_config_error(self, call, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             call()

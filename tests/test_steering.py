@@ -18,7 +18,6 @@ from steershare.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from steershare.states import BlochForm, DensityMatrix, bloch_form, compress, ghz
 from steershare.steering import (
     StrengthHistory,
-    _sqrt,
     classical_bound,
     closed_form_local,
     closed_form_nonlocal,
@@ -246,19 +245,14 @@ class TestClosedForms:
 
 
 class TestScalarPath:
-    """Float strengths take `math.sqrt` (`_sqrt`); results keep the array path's bits."""
+    """One-history (float) strengths keep the array path's bits and warnings."""
 
     def test_coherence_of_floats_matches_numpy_bits(self):
         xs = np.random.default_rng(79).uniform(-1, 1, 10_000).tolist() + [0.0, -0.0, 1.0]
         batch = coherence(np.array(xs))
         for x, b in zip(xs, batch):
             got = coherence(x)
-            assert type(got) is float and type(coherence(np.float64(x))) is float
             assert got.hex() == float(np.sqrt(1 - x * x)).hex() == float(b).hex()
-
-    def test_sqrt_keeps_numpy_for_everything_else(self):
-        assert type(_sqrt(np.array([0.25, 1.0]))) is np.ndarray
-        assert type(_sqrt(4)) is np.float64
 
     @pytest.mark.parametrize("x", [1.5, -1.0 - 2e-16, -3.0, float("inf"), float("nan")])
     def test_coherence_outside_unit_interval_warns_as_numpy(self, x):
@@ -289,7 +283,6 @@ class TestScalarPath:
                                                     lam[1, :p, k].tolist())
                 bs, bst = batch[p]
                 assert len(s) == len(bs) and len(st) == len(bst)
-                assert all(type(v) is float for v in s + st)
                 assert [v.hex() for v in s + st] == [float(b[k]).hex() for b in bs + bst]
 
 
@@ -475,12 +468,10 @@ class TestRunScenarioErrors:
     pair of a run compresses or none does.)"""
 
     def test_compression_failure(self):
-        cfg = scenario.ScenarioConfig.from_json(
-            {"pairs": 3, "strengths": [0.3, 0.6], "compression": "01,10"})
-        with pytest.raises(NotCompressibleError) as err:
-            scenario.run_scenario(cfg)
-        assert str(err.value) == "only 0.000000000000 of the state lies in " \
-            "span{|01>, |10>} x C2"
+        with pytest.raises(ConfigError) as err:
+            scenario.ScenarioConfig.from_json(
+                {"pairs": 3, "strengths": [0.3, 0.6], "compression": "01,10"})
+        assert str(err.value) == "config key 'compression' must be '00,11', got '01,10'"
 
     @pytest.mark.parametrize("pairs, fail_at",
                              [(p, i) for p in range(1, 5) for i in range(1, p + 1)])
@@ -495,11 +486,11 @@ class TestRunScenarioErrors:
             leak = np.zeros((8, 8), dtype=complex)
             leak[2, 2] = 1.0  # |010>, outside span{|00>, |11>} x C2
 
-            def faulty(states, basis):
+            def faulty(states):
                 states = states[:fail_at - 1] + [
                     DensityMatrix(3, (1 - j / 10) * rho.mat + j / 10 * leak)
                     for j, rho in enumerate(states[fail_at - 1:], start=fail_at)]
-                return real(states, basis)
+                return real(states)
 
             monkeypatch.setattr(scenario, "compress_stack", faulty)
         else:
