@@ -56,10 +56,9 @@ def _write_out(path: str, chunks: Iterable[str], newline: str | None = None) -> 
 def _indented_json(obj, pad: str = "\n") -> str:
     """`json.dumps(obj, indent=2)` for str-keyed dicts, lists and JSON scalars.
 
-    Any indent sends `json` to its pure-Python encoder, item by item; here
-    a list of floats is one C-level join of `float.__repr__`, the text json
-    writes for a finite float.  `pad` is a newline and the indent of the
-    line `obj` starts on.
+    Any indent sends `json` to its pure-Python encoder, item by item; this
+    writer leaves each scalar to one C-level `json.dumps`.  `pad` is a
+    newline and the indent of the line `obj` starts on.
     """
     inner = pad + "  "
     sep = "," + inner
@@ -69,15 +68,7 @@ def _indented_json(obj, pad: str = "\n") -> str:
         return "{" + inner + body + pad + "}"
     if not isinstance(obj, (list, tuple)) or not obj:
         return json.dumps(obj)
-    body = "n"
-    if type(obj[0]) is float:
-        try:
-            body = sep.join(map(float.__repr__, obj))
-        except TypeError:  # an item after the first is no float
-            pass
-    if "n" in body:  # not all floats, or a nan/inf, which json spells NaN/Infinity
-        body = sep.join([_indented_json(v, inner) for v in obj])
-    return "[" + inner + body + pad + "]"
+    return "[" + inner + sep.join([_indented_json(v, inner) for v in obj]) + pad + "]"
 
 
 def cmd_demo(_args) -> None:
@@ -138,6 +129,38 @@ def cmd_bound(args) -> None:
     print(f"{classical_bound(ops):.12f}")
 
 
+@functools.cache
+def _run_layout(pairs: int, with_ellipsoids: bool) -> str:
+    """The `run --out` text of `pairs` results, with `%s` for each float.
+
+    Floats come in `_run_floats` order: per pair the steering value, the
+    state's real then imaginary entries, then the Charlie and AB ellipsoids
+    in `SteeringEllipsoid.to_json` order.  A run's states are 3-qubit and
+    its pair numbers count from 1.
+    """
+    ell = {"center": ["%s"] * 3, "matrix": [["%s"] * 3] * 3, "semiaxes": ["%s"] * 3,
+           "orientation": [["%s"] * 3] * 3, "volume": "%s"} if with_ellipsoids else None
+    skeleton = [{"pair": i, "steering_value": "%s",
+                 "state": {"qubits": 3, "re": [["%s"] * 8] * 8, "im": [["%s"] * 8] * 8},
+                 "charlie_ellipsoid": ell, "ab_ellipsoid": ell}
+                for i in range(1, pairs + 1)]
+    return _indented_json(skeleton).replace('"%s"', "%s") + "\n"
+
+
+def _run_floats(results, with_ellipsoids: bool) -> tuple[str, ...]:
+    """The text json writes for each float of `results`, in `_run_layout`
+    order.  One C-level `json.dumps` of the flat list spells every float,
+    NaN and Infinity included, as `json.dumps(..., indent=2)` would."""
+    parts = []
+    for r in results:
+        parts += [(r.steering_value,), r.state.mat.real.ravel(), r.state.mat.imag.ravel()]
+        if with_ellipsoids:
+            for e in (r.charlie_ellipsoid, r.ab_ellipsoid):
+                parts += [e.center, e.matrix.ravel(), e.semiaxes,
+                          e.orientation.T.ravel(), (e.volume,)]
+    return tuple(json.dumps(np.concatenate(parts).tolist())[1:-1].split(", "))
+
+
 def cmd_run(args) -> None:
     try:
         with open(args.config) as fh:
@@ -150,21 +173,15 @@ def cmd_run(args) -> None:
         raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from None
     cfg = scenario.ScenarioConfig.from_json(obj)
     results = scenario.run_scenario(cfg)
-    payload = []
-    for r in results:
-        payload.append({
-            "pair": r.pair,
-            "steering_value": r.steering_value,
-            "state": r.state.to_json(),
-            "charlie_ellipsoid":
-                r.charlie_ellipsoid.to_json() if r.charlie_ellipsoid else None,
-            "ab_ellipsoid":
-                r.ab_ellipsoid.to_json() if r.ab_ellipsoid else None,
-        })
     if args.out:
-        _write_out(args.out, [_indented_json(payload) + "\n"])
+        # Nonlocal runs give every pair both ellipsoids, local runs none.
+        with_ellipsoids = results[0].charlie_ellipsoid is not None
+        text = _run_layout(len(results), with_ellipsoids) % _run_floats(results,
+                                                                        with_ellipsoids)
+        _write_out(args.out, [text])
+    bound = cfg.bound
     for r in results:
-        marker = ">" if r.steering_value > cfg.bound else "<="
+        marker = ">" if r.steering_value > bound else "<="
         print(f"pair {r.pair}: S = {r.steering_value:.6f} {marker} C2")
 
 

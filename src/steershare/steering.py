@@ -9,6 +9,7 @@ the current pair's strength.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,7 +232,7 @@ def ellipsoids(m: np.ndarray, n: np.ndarray, T: np.ndarray) -> list[SteeringElli
     w, v = np.linalg.eigh(O)
     w = np.clip(w[:, ::-1], 0.0, None)  # descending
     semiaxes = np.sqrt(w)
-    axes = np.stack([_tie_broken_axes(s, vk) for s, vk in zip(semiaxes, v[:, :, ::-1])])
+    axes = _tie_broken_axes(semiaxes, v[:, :, ::-1])
     lead = np.take_along_axis(axes, np.abs(axes).argmax(axis=1)[:, None, :], axis=1)
     axes = axes * np.sign(lead)
     volume = np.sqrt(w.prod(axis=1))
@@ -253,27 +254,35 @@ def ellipsoid_volume_check(b: BlochForm) -> float:
     return float(abs(np.linalg.det(T - np.outer(m, n))) / (1.0 - m2) ** 2)
 
 
-def _tie_broken_axes(semiaxes: np.ndarray, orientation: np.ndarray) -> np.ndarray:
-    """Re-basis degenerate semiaxis groups onto coordinate axes where possible."""
-    out = orientation.copy()
-    start = 0
-    while start < 3:
-        stop = start + 1
-        while stop < 3 and semiaxes[start] - semiaxes[stop] <= DEGENERACY_TOL:
-            stop += 1
-        if stop - start > 1:
-            sub = orientation[:, start:stop]
-            proj = sub @ sub.T  # projector onto the degenerate subspace
-            basis = []
-            for axis in np.eye(3):
-                cand = proj @ axis
-                for b in basis:
-                    cand = cand - (b @ cand) * b
-                norm = np.linalg.norm(cand)
-                if norm > AXIS_NORM_FLOOR:
-                    basis.append(cand / norm)
-                if len(basis) == stop - start:
-                    break
-            out[:, start:stop] = np.column_stack(basis)
-        start = stop
+def _tie_broken_axes(semiaxes: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Copy of the orientation stack `vecs` with each degenerate semiaxis
+    group re-based onto coordinate axes where possible.
+
+    A group runs from a semiaxis through the later ones within
+    DEGENERACY_TOL of it.  Only members with such a group are re-based, one
+    at a time: the group's projector, applied to x, y and z in turn, is
+    Gram-Schmidt orthonormalized until the group is spanned.
+    """
+    out = vecs.copy()
+    for k, (s0, s1, s2) in enumerate(semiaxes.tolist()):
+        if s0 - s1 <= DEGENERACY_TOL:
+            start, stop = 0, 3 if s0 - s2 <= DEGENERACY_TOL else 2
+        elif s1 - s2 <= DEGENERACY_TOL:
+            start, stop = 1, 3
+        else:
+            continue
+        sub = vecs[k, :, start:stop]
+        proj = sub @ sub.T  # projector onto the degenerate subspace
+        basis = []
+        for axis in np.eye(3):
+            cand = proj @ axis
+            for b in basis:
+                cand = cand - (b @ cand) * b
+            norm = math.sqrt(cand @ cand)
+            if norm > AXIS_NORM_FLOOR:
+                cand = cand / norm
+                out[k, :, start + len(basis)] = cand
+                basis.append(cand)
+            if len(basis) == stop - start:
+                break
     return out

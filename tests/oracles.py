@@ -1,6 +1,7 @@
-"""Kraus-operator oracle for the dephasing kernel `run_scenario` evolves with.
+"""Oracles: the Kraus-operator one for the dephasing kernel `run_scenario`
+evolves with, and the per-member loop of the ellipsoid tie-break.
 
-Everything here follows the definitions on full-register matrices and
+The Kraus oracle follows the definitions on full-register matrices and
 shares no code with the package's Pauli-tensor path.  A measurement is a
 signed Pauli product D, built with np.kron, and a strength lam.  Its
 effects are E+- = (I +- lam D)/2 and its Kraus operators are
@@ -15,6 +16,7 @@ import itertools
 import numpy as np
 
 from steershare.states import ghz
+from steershare.steering import AXIS_NORM_FLOOR, DEGENERACY_TOL
 
 ORACLE_TOL = 1e-14  # kernel vs Kraus sum, entrywise, for |rho| <= 1
 
@@ -106,4 +108,34 @@ def chain(mode, labels, lambdas, etas=None, gammas=None):
         rho = pair_update(rho, mode, labels, lam,
                           *(None if x is None else x[i] for x in (etas, gammas)))
         out.append((s, rho))
+    return out
+
+
+def tie_broken_axes(semiaxes, orientation):
+    """One ellipsoid's orientation columns with each degenerate semiaxis
+    group re-based onto coordinate axes where possible: the group's
+    projector applied to x, y and z in turn, Gram-Schmidt orthonormalized
+    until the group is spanned.  `ellipsoids` must give these columns, up to
+    its sign convention, bit for bit."""
+    out = orientation.copy()
+    start = 0
+    while start < 3:
+        stop = start + 1
+        while stop < 3 and semiaxes[start] - semiaxes[stop] <= DEGENERACY_TOL:
+            stop += 1
+        if stop - start > 1:
+            sub = orientation[:, start:stop]
+            proj = sub @ sub.T  # projector onto the degenerate subspace
+            basis = []
+            for axis in np.eye(3):
+                cand = proj @ axis
+                for b in basis:
+                    cand = cand - (b @ cand) * b
+                norm = np.linalg.norm(cand)
+                if norm > AXIS_NORM_FLOOR:
+                    basis.append(cand / norm)
+                if len(basis) == stop - start:
+                    break
+            out[:, start:stop] = np.column_stack(basis)
+        start = stop
     return out

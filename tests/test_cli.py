@@ -11,8 +11,10 @@ import pytest
 import steershare
 from steershare import scenario
 from steershare.cli import _indented_json, main
-from steershare.scenario import ScenarioConfig, ellipsoid_series, iter_csv, \
+from steershare.scenario import PairResult, ScenarioConfig, ellipsoid_series, iter_csv, \
     run_scenario, sweep_curve
+from steershare.states import DensityMatrix
+from steershare.steering import SteeringEllipsoid
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +280,49 @@ class TestRunOut:
         assert {(c["mode"], c.get("compression")) for c in configs} == {
             (mode, compression) for mode in ("nonlocal", "local")
             for compression in ("00,11", None)}
+
+    @pytest.mark.parametrize("mode", ["nonlocal", "local"])
+    def test_special_floats_spelled_as_json_dumps(self, capsys, tmp_path, monkeypatch,
+                                                  mode):
+        """NaN, +-Infinity and -0.0 in every kind of field: steering values,
+        state entries and each ellipsoid field."""
+        specials = [float("nan"), float("inf"), float("-inf"), -0.0]
+        rng = np.random.default_rng(41)
+
+        def spiked(a):
+            a = a.copy()
+            idx = rng.choice(a.size, min(a.size, len(specials)), replace=False)
+            a.reshape(-1)[idx] = rng.permutation(specials)[:len(idx)]
+            return a
+
+        def state(mat):  # DensityMatrix would reject non-finite entries
+            dm = object.__new__(DensityMatrix)
+            object.__setattr__(dm, "qubits", 3)
+            object.__setattr__(dm, "mat", np.empty_like(mat))
+            dm.mat.real, dm.mat.imag = spiked(mat.real), spiked(mat.imag)
+            return dm
+
+        def ell(e, volume):
+            return e and SteeringEllipsoid(spiked(e.center), spiked(e.matrix),
+                                           spiked(e.semiaxes), spiked(e.orientation),
+                                           volume)
+
+        cfg = {"mode": mode, "pairs": 4, "strengths": [0.5, [0.3, 0.8], 0.9]}
+        results = [PairResult(r.pair, x, state(r.state.mat), ell(r.charlie_ellipsoid, x),
+                              ell(r.ab_ellipsoid, x))
+                   for r, x in zip(run_scenario(ScenarioConfig.from_json(cfg)), specials)]
+        assert (results[0].charlie_ellipsoid is None) == (mode == "local")
+        monkeypatch.setattr(scenario, "run_scenario", lambda _cfg: results)
+        cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_file.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
+                                 "--out", str(out_file))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "pair 1: S = nan <= C2"
+        text = out_file.read_text()
+        assert text == json.dumps(_to_json_payload(results), indent=2) + "\n"
+        for word in ("NaN", "Infinity", "-Infinity", "-0.0"):
+            assert word in text
 
     def test_negative_local_strength_prints_one_stderr_line(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -28,6 +28,7 @@ from steershare.steering import (
     ellipsoids,
 )
 
+from oracles import tie_broken_axes
 from util import conditional_charlie_bloch, containment_violation, pauli_dot, random_density
 
 SQRT_HALF = 1 / np.sqrt(2)
@@ -459,6 +460,42 @@ class TestEllipsoidStack:
     def test_unknown_party(self):
         with pytest.raises(ConfigError, match="unknown steered party"):
             ellipsoid(_seeded_forms()[0], "bob")
+
+
+def _seeded_run_stacks():
+    """Nonlocal runs of 1-4 pairs with signed x/y/z Charlie directions and
+    mostly scalar strengths, many of them special values, so that semiaxes
+    tie: each run's Charlie and AB ellipsoids are one `ellipsoids` stack."""
+    rng = np.random.default_rng(29)
+    labels = ["x", "-x", "y", "-y", "z", "-z"]
+    special = [0.0, 0.5, SQRT_HALF, 1.0]
+    for k in range(300):
+        lams = [float(rng.choice(special)) if rng.uniform() < 0.3
+                else float(rng.uniform()) if rng.uniform() < 0.7
+                else rng.uniform(0, 1, 2).tolist() for _ in range(k % 4 + 1)]
+        cfg = scenario.make_config("nonlocal", lams,
+                                   charlie_directions=rng.choice(labels, 2).tolist())
+        yield [e for r in scenario.run_scenario(cfg)
+               for e in (r.charlie_ellipsoid, r.ab_ellipsoid)]
+
+
+class TestTieBreakOracle:
+    def test_orientation_equals_per_member_oracle(self):
+        stacks = list(_seeded_run_stacks())
+        stacks += [[ellipsoid(b, party) for b in _seeded_forms()] for party in ("charlie", "ab")]
+        members = ties = 0
+        for e in itertools.chain.from_iterable(stacks):
+            # One member's `eigh` gives the bits of the stacked call.
+            w, v = np.linalg.eigh(e.matrix)
+            semiaxes = np.sqrt(np.clip(w[::-1], 0.0, None))
+            assert np.array_equal(semiaxes.view(np.int64), e.semiaxes.view(np.int64))
+            want = tie_broken_axes(semiaxes, v[:, ::-1])
+            lead = np.take_along_axis(want, np.abs(want).argmax(axis=0)[None], axis=0)
+            want = want * np.sign(lead)
+            assert np.array_equal(e.orientation.view(np.int64), want.view(np.int64))
+            members += 1
+            ties += np.min(-np.diff(semiaxes)) <= 1e-9
+        assert ties >= 100 and members - ties >= 100  # tied and untied members covered
 
 
 class TestRunScenarioErrors:
