@@ -9,7 +9,6 @@ import os
 import stat
 import sys
 from collections.abc import Iterable
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -53,22 +52,29 @@ def _write_out(path: str, chunks: Iterable[str], newline: str | None = None) -> 
         raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
-def _indented_json(obj, pad: str = "\n") -> str:
-    """`json.dumps(obj, indent=2)` for str-keyed dicts, lists and JSON scalars.
+# Both `--out` files hold `json.dumps(payload, indent=2)` and a newline.  Any
+# indent puts json on its pure-Python encoder, so the text is a layout, the
+# indented skeleton payload with a `%s` slot per float, filled by one
+# C-level `json.dumps` of the flat float list.  An ellipsoid's orientation
+# is written one axis per row.
+_ELLIPSOID = {"center": ["%s"] * 3, "matrix": [["%s"] * 3] * 3, "semiaxes": ["%s"] * 3,
+              "orientation": [["%s"] * 3] * 3, "volume": "%s"}
 
-    Any indent sends `json` to its pure-Python encoder, item by item; this
-    writer leaves each scalar to one C-level `json.dumps`.  `pad` is a
-    newline and the indent of the line `obj` starts on.
-    """
-    inner = pad + "  "
-    sep = "," + inner
-    if isinstance(obj, dict) and obj:
-        body = sep.join([encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
-                         for k, v in obj.items()])
-        return "{" + inner + body + pad + "}"
-    if not isinstance(obj, (list, tuple)) or not obj:
-        return json.dumps(obj)
-    return "[" + inner + sep.join([_indented_json(v, inner) for v in obj]) + pad + "]"
+
+def _ellipsoid_floats(e) -> list:
+    """The floats of ellipsoid `e` in `_ELLIPSOID` slot order, as arrays."""
+    return [e.center, e.matrix.ravel(), e.semiaxes, e.orientation.T.ravel(), (e.volume,)]
+
+
+def _layout(skeleton) -> str:
+    """The `--out` text of `skeleton` with a bare `%s` for each "%s" string."""
+    return json.dumps(skeleton, indent=2).replace('"%s"', "%s") + "\n"
+
+
+def _fill(layout: str, parts: list) -> str:
+    """`layout` with its slots filled, in order, by the floats of the arrays
+    `parts`, each spelled as json spells it, NaN and Infinity included."""
+    return layout % tuple(json.dumps(np.concatenate(parts).tolist())[1:-1].split(", "))
 
 
 def cmd_demo(_args) -> None:
@@ -116,9 +122,11 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_ellipsoids(args) -> None:
-    records = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])
-    _write_out(args.out, [_indented_json([r.to_json() for r in records]) + "\n"])
-    r = records[0]
+    r = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])[0]
+    record = {"lambda1": "%s", "lambda2": "%s", "charlie": _ELLIPSOID, "ab": _ELLIPSOID}
+    _write_out(args.out, [_fill(_layout([record]), [(r.lambda1, r.lambda2),
+                                                     *_ellipsoid_floats(r.charlie),
+                                                     *_ellipsoid_floats(r.ab)])])
     print(f"Charlie semiaxes: {np.round(r.charlie.semiaxes, 6).tolist()}, "
           f"volume {r.charlie.volume:.6f} -> {args.out}")
 
@@ -131,34 +139,24 @@ def cmd_bound(args) -> None:
 
 @functools.cache
 def _run_layout(pairs: int, with_ellipsoids: bool) -> str:
-    """The `run --out` text of `pairs` results, with `%s` for each float.
-
-    Floats come in `_run_floats` order: per pair the steering value, the
-    state's real then imaginary entries, then the Charlie and AB ellipsoids
-    in `SteeringEllipsoid.to_json` order.  A run's states are 3-qubit and
-    its pair numbers count from 1.
-    """
-    ell = {"center": ["%s"] * 3, "matrix": [["%s"] * 3] * 3, "semiaxes": ["%s"] * 3,
-           "orientation": [["%s"] * 3] * 3, "volume": "%s"} if with_ellipsoids else None
-    skeleton = [{"pair": i, "steering_value": "%s",
-                 "state": {"qubits": 3, "re": [["%s"] * 8] * 8, "im": [["%s"] * 8] * 8},
-                 "charlie_ellipsoid": ell, "ab_ellipsoid": ell}
-                for i in range(1, pairs + 1)]
-    return _indented_json(skeleton).replace('"%s"', "%s") + "\n"
+    """The `run --out` layout of `pairs` results, filled in `_run_floats`
+    order.  A run's states are 3-qubit and its pair numbers count from 1."""
+    ell = _ELLIPSOID if with_ellipsoids else None
+    return _layout([{"pair": i, "steering_value": "%s",
+                     "state": {"qubits": 3, "re": [["%s"] * 8] * 8, "im": [["%s"] * 8] * 8},
+                     "charlie_ellipsoid": ell, "ab_ellipsoid": ell}
+                    for i in range(1, pairs + 1)])
 
 
-def _run_floats(results, with_ellipsoids: bool) -> tuple[str, ...]:
-    """The text json writes for each float of `results`, in `_run_layout`
-    order.  One C-level `json.dumps` of the flat list spells every float,
-    NaN and Infinity included, as `json.dumps(..., indent=2)` would."""
+def _run_floats(results, with_ellipsoids: bool) -> list:
+    """Per pair the steering value, the state's real then imaginary
+    entries, then the Charlie and AB ellipsoids' floats."""
     parts = []
     for r in results:
         parts += [(r.steering_value,), r.state.mat.real.ravel(), r.state.mat.imag.ravel()]
         if with_ellipsoids:
-            for e in (r.charlie_ellipsoid, r.ab_ellipsoid):
-                parts += [e.center, e.matrix.ravel(), e.semiaxes,
-                          e.orientation.T.ravel(), (e.volume,)]
-    return tuple(json.dumps(np.concatenate(parts).tolist())[1:-1].split(", "))
+            parts += _ellipsoid_floats(r.charlie_ellipsoid) + _ellipsoid_floats(r.ab_ellipsoid)
+    return parts
 
 
 def cmd_run(args) -> None:
@@ -176,9 +174,8 @@ def cmd_run(args) -> None:
     if args.out:
         # Nonlocal runs give every pair both ellipsoids, local runs none.
         with_ellipsoids = results[0].charlie_ellipsoid is not None
-        text = _run_layout(len(results), with_ellipsoids) % _run_floats(results,
-                                                                        with_ellipsoids)
-        _write_out(args.out, [text])
+        _write_out(args.out, [_fill(_run_layout(len(results), with_ellipsoids),
+                                    _run_floats(results, with_ellipsoids))])
     bound = cfg.bound
     for r in results:
         marker = ">" if r.steering_value > bound else "<="

@@ -90,6 +90,9 @@ class ScenarioConfig:
             raise ConfigError("need one Charlie direction per setting")
         if self.mode == "local" and self.strengths.gammas is None:
             raise ConfigError("local mode needs eta/gamma strengths")
+        axes = [_resolve_axis(label)[1] for label in self.charlie_directions]
+        if self.mode == "local" and "z" in axes:
+            raise ConfigError("local mode is only defined for x/y settings")
 
     @property
     def pairs(self) -> int:
@@ -101,14 +104,6 @@ class ScenarioConfig:
         C2 = 1/sqrt(2) for two different axes, 1 for one axis."""
         axes = {_resolve_axis(label)[1] for label in self.charlie_directions}
         return SQRT_HALF if len(axes) == 2 else 1.0
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "pairs": self.pairs,
-            "strengths": [list(p) for p in self.strengths.lambdas],
-            "charlie_directions": list(self.charlie_directions),
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioConfig":
@@ -200,8 +195,6 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     one `ellipsoids` call gives the ellipsoids of every pair.
     """
     axes = [_resolve_axis(lbl)[1] for lbl in cfg.charlie_directions]
-    if cfg.mode == "local" and "z" in axes:
-        raise ConfigError("local mode is only defined for x/y settings")
     lam = np.array(cfg.strengths.lambdas)  # (pair, setting)
     if cfg.mode == "nonlocal":
         c = coherence(lam)[..., None]
@@ -369,14 +362,6 @@ class EllipsoidRecord:
     charlie: SteeringEllipsoid
     ab: SteeringEllipsoid
 
-    def to_json(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "charlie": self.charlie.to_json(),
-            "ab": self.ab.to_json(),
-        }
-
 
 def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[EllipsoidRecord]:
     """Charlie/AB steering ellipsoids of the post-pair-1 state per sample."""
@@ -446,6 +431,9 @@ def iter_csv(table: ScanTable, kind: str) -> Iterator[str]:
     if kind not in _CSV_LAYOUT:
         raise ConfigError(f"unknown CSV kind {kind!r}")
     names, width, with_region = _CSV_LAYOUT[kind]
+    if not set(names) <= table.params.keys():
+        raise ConfigError(f"a {kind} CSV needs parameter columns {list(names)}, "
+                          f"the table has {list(table.params)}")
     header = [*names, *(f"{p}{i}" for p in ("S", "St") for i in range(1, width + 1))]
     cols = [table.params[n] for n in names]
     fields = ["%.12g"] * len(names)

@@ -36,6 +36,12 @@ def _is_real(x) -> bool:
     return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _check_type(x, kind: type) -> None:
+    """Raise ShapeError unless `x` is a `kind`: a state or Bloch form argument."""
+    if not isinstance(x, kind):
+        raise ShapeError(f"expected a {kind.__name__}, got {type(x).__name__}")
+
+
 _BASIS = np.stack((I2,) + PAULIS)  # sigma_0..sigma_3, shape (4, 2, 2)
 
 
@@ -62,7 +68,7 @@ class DensityMatrix:
     def __post_init__(self):
         if not _is_int(self.qubits) or self.qubits not in (1, 2, 3):
             raise ShapeError(f"qubits={self.qubits!r} outside supported range 1..3")
-        object.__setattr__(self, "qubits", int(self.qubits))  # to_json writes an int
+        object.__setattr__(self, "qubits", int(self.qubits))  # a numpy integer too
         if not isinstance(self.mat, np.ndarray):
             raise ShapeError(f"matrix is a {type(self.mat).__name__}, not a numpy array")
         if self.mat.dtype.kind not in "iufc":
@@ -72,13 +78,6 @@ class DensityMatrix:
             raise ShapeError(f"matrix shape {self.mat.shape}, expected ({d}, {d})")
         _check_stack(self.mat[None])
         self.mat.setflags(write=False)
-
-    def to_json(self) -> dict:
-        return {
-            "qubits": self.qubits,
-            "re": self.mat.real.tolist(),
-            "im": self.mat.imag.tolist(),
-        }
 
 
 def _check_stack(mats: np.ndarray) -> None:
@@ -216,6 +215,7 @@ def compress(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     by the projection).  Raises NotCompressibleError if more than
     COMPRESS_TOL of the AB marginal lies outside |00> and |11>.
     """
+    _check_type(rho, DensityMatrix)
     blocks, weights = compress_stack([rho])
     return _as_states(2, blocks)[0], float(weights[0])
 
@@ -230,6 +230,7 @@ def bloch_stack(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def bloch_form(rho4: DensityMatrix) -> BlochForm:
     """Pauli decomposition (m~, n, T) of a (compressed) two-qubit state."""
+    _check_type(rho4, DensityMatrix)
     if rho4.qubits != 2:
         raise ShapeError("bloch_form expects a 2-qubit state")
     return BlochForm(*(x[0] for x in bloch_stack(rho4.mat[None])))

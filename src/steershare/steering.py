@@ -21,7 +21,7 @@ from .errors import (
     ShapeError,
     UnsupportedSizeError,
 )
-from .states import BlochForm, _is_int, _is_real
+from .states import BlochForm, _check_type, _is_int, _is_real
 
 HERMITIAN_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
@@ -175,15 +175,6 @@ class SteeringEllipsoid:
     orientation: np.ndarray = field(repr=False)  # columns match semiaxes
     volume: float                  # normalized to the unit Bloch ball
 
-    def to_json(self) -> dict:
-        return {
-            "center": self.center.tolist(),
-            "matrix": self.matrix.tolist(),
-            "semiaxes": self.semiaxes.tolist(),
-            "orientation": self.orientation.T.tolist(),
-            "volume": self.volume,
-        }
-
 
 def ellipsoid(b: BlochForm, steered_party: str = "charlie") -> SteeringEllipsoid:
     """Steering ellipsoid of one party under all measurements of the other.
@@ -191,6 +182,7 @@ def ellipsoid(b: BlochForm, steered_party: str = "charlie") -> SteeringEllipsoid
     For steered_party="charlie" the A,B pair steers; for "ab" the roles are
     swapped (m~ <-> n, T -> T^T).  See `ellipsoids` for the geometry.
     """
+    _check_type(b, BlochForm)
     if steered_party == "charlie":
         m, n, T = b.m_tilde, b.n_vec, b.T
     elif steered_party == "ab":
@@ -247,6 +239,7 @@ def ellipsoid_volume_check(b: BlochForm) -> float:
     Computed as |det(T - m~ n^T)| / (1 - |m~|^2)^2; agrees with
     sqrt(det(O)) of the ellipsoid matrix.
     """
+    _check_type(b, BlochForm)
     m, n, T = b.m_tilde, b.n_vec, b.T
     m2 = float(m @ m)
     if m2 >= 1.0 - DEGENERACY_TOL:

@@ -10,7 +10,7 @@ import pytest
 
 import steershare
 from steershare import scenario
-from steershare.cli import _indented_json, main
+from steershare.cli import main
 from steershare.scenario import PairResult, ScenarioConfig, ellipsoid_series, iter_csv, \
     run_scenario, sweep_curve
 from steershare.states import DensityMatrix
@@ -184,25 +184,10 @@ class TestEllipsoids:
                                "--lambda2", lam2, "--out", str(out_file))
         assert (code, err) == (0, "")
         records = ellipsoid_series([(float(lam1), float(lam2))])
-        assert out_file.read_text() == json.dumps([r.to_json() for r in records],
-                                                  indent=2) + "\n"
-
-
-class TestIndentedJson:
-    @pytest.mark.parametrize("obj", [
-        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[], [{}]]],
-        [float("nan")], [0.5, float("inf"), float("-inf")], float("nan"), float("-inf"),
-        {"m": [[0.25, 0.5], [float("nan"), 1.0]]},
-        [-0.0, 5e-324, 1e16, 0.1], -0.0, 5e-324, 1e16,
-        [1, 2 ** 70, -3], 2 ** 70, [True, False, None], True, False, None,
-        np.float64(0.1), [np.float64(0.1), np.float64(-2.5)],
-        [0.5, np.float64(0.25)], [np.float64("nan"), 0.5],
-        [0.5, 1, 2.5], [1, 0.5], [0.5, True], [0.5, None], (0.5, 1.5),
-        {"\u00e9t\u00e9": "\u2603", 'q"uo\\te': "line\nbreak\t\"", "": ["\x00", ""]},
-        np.random.default_rng(5).normal(size=(3, 8)).tolist(),
-    ])
-    def test_equals_json_dumps(self, obj):
-        assert _indented_json(obj) == json.dumps(obj, indent=2)
+        payload = [{"lambda1": r.lambda1, "lambda2": r.lambda2,
+                    "charlie": _ellipsoid_payload(r.charlie), "ab": _ellipsoid_payload(r.ab)}
+                   for r in records]
+        assert out_file.read_text() == json.dumps(payload, indent=2) + "\n"
 
 
 class TestRun:
@@ -248,11 +233,19 @@ def _seeded_run_configs():
     return configs
 
 
-def _to_json_payload(results):
+def _ellipsoid_payload(e):
+    """The `--out` JSON of one ellipsoid: orientation rows are its axes."""
+    return e and {"center": e.center.tolist(), "matrix": e.matrix.tolist(),
+                  "semiaxes": e.semiaxes.tolist(), "orientation": e.orientation.T.tolist(),
+                  "volume": e.volume}
+
+
+def _run_payload(results):
     return [{"pair": r.pair, "steering_value": r.steering_value,
-             "state": r.state.to_json(),
-             "charlie_ellipsoid": r.charlie_ellipsoid and r.charlie_ellipsoid.to_json(),
-             "ab_ellipsoid": r.ab_ellipsoid and r.ab_ellipsoid.to_json()}
+             "state": {"qubits": r.state.qubits, "re": r.state.mat.real.tolist(),
+                       "im": r.state.mat.imag.tolist()},
+             "charlie_ellipsoid": _ellipsoid_payload(r.charlie_ellipsoid),
+             "ab_ellipsoid": _ellipsoid_payload(r.ab_ellipsoid)}
             for r in results]
 
 
@@ -273,7 +266,7 @@ class TestRunOut:
             code, _, err = run_cli(capsys, "run", "--config", str(cfg_file),
                                    "--out", str(out_file))
             assert (code, err) == (0, "")
-            payload = _to_json_payload(run_scenario(ScenarioConfig.from_json(cfg)))
+            payload = _run_payload(run_scenario(ScenarioConfig.from_json(cfg)))
             assert out_file.read_text() == json.dumps(payload, indent=2) + "\n"
             layouts.add((cfg["mode"], cfg["pairs"]))
         assert len(layouts) == 8
@@ -320,7 +313,7 @@ class TestRunOut:
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == "pair 1: S = nan <= C2"
         text = out_file.read_text()
-        assert text == json.dumps(_to_json_payload(results), indent=2) + "\n"
+        assert text == json.dumps(_run_payload(results), indent=2) + "\n"
         for word in ("NaN", "Infinity", "-Infinity", "-0.0"):
             assert word in text
 
@@ -393,6 +386,8 @@ class TestRunErrors:
         ({"mode": "local", "compression": "00"},
          "config key 'compression' must be '00,11', got '00'"),
         ({"compression": 11}, "config key 'compression' must be of type str"),
+        ({"mode": "local", "charlie_directions": ["x", "z"]},
+         "local mode is only defined for x/y settings"),
     ])
     def test_bad_config_exits_2(self, capsys, tmp_path, cfg, message):
         code, out, err = self._run(capsys, tmp_path, json.dumps(cfg))

@@ -53,9 +53,9 @@ def _kraus_chain(cfg):
 class TestScenarioConfig:
     def test_json_round_trip(self):
         cfg = make_config("nonlocal", [[0.5, 0.7], 0.8], pairs=3)
-        again = ScenarioConfig.from_json(cfg.to_json())
-        assert again == cfg
-        assert again.strengths.lambdas == ((0.5, 0.7), (0.8, 0.8), (1.0, 1.0))
+        assert cfg == ScenarioConfig.from_json({"mode": "nonlocal", "pairs": 3,
+                                                "strengths": [[0.5, 0.7], 0.8]})
+        assert cfg.strengths.lambdas == ((0.5, 0.7), (0.8, 0.8), (1.0, 1.0))
 
     def test_final_pair_defaults_sharp(self):
         cfg = ScenarioConfig.from_json({"mode": "nonlocal", "pairs": 2,
@@ -73,7 +73,16 @@ class TestScenarioConfig:
 
     def test_pairs_accepts_numpy_integers(self):
         cfg = make_config("nonlocal", [[0.5, 0.5]], pairs=np.int64(1))
-        assert type(cfg.to_json()["pairs"]) is int and cfg.pairs == 1
+        assert cfg.pairs == 1
+
+    @pytest.mark.parametrize("mode, directions, message", [
+        ("nonlocal", ("x", "q"), "unknown axis label 'q'"),
+        ("local", ("x", "z"), "local mode is only defined for x/y settings"),
+    ])
+    def test_directions_checked_when_built(self, mode, directions, message):
+        h = StrengthHistory.local_sqrt([(0.5, 0.5)])
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig(h, mode=mode, charlie_directions=directions)
 
     @pytest.mark.parametrize("pairs", [True, 2.0])
     def test_pairs_rejects_bool_and_float(self, pairs):
@@ -345,6 +354,8 @@ class TestCsvBlocks:
     def test_unknown_kind_raises_on_call(self):
         with pytest.raises(ConfigError, match="unknown CSV kind 'bogus'"):
             iter_csv(scan_region(2, 3, "compare"), "bogus")
+        with pytest.raises(ConfigError, match=r"a sweep CSV needs parameter columns \['param'\]"):
+            iter_csv(scan_region(2, 3, "compare"), "sweep")
 
 
 _HISTORY = StrengthHistory.nonlocal_history([(0.5, 0.8), (1.0, 1.0)])

@@ -368,6 +368,15 @@ class TestEllipsoid:
         with pytest.raises(DegenerateSteererError):
             ellipsoid_volume_check(b)
 
+    @pytest.mark.parametrize("call, arg, kind", [
+        (compress, "x", "DensityMatrix"), (bloch_form, "x", "DensityMatrix"),
+        (ellipsoid, None, "BlochForm"), (ellipsoid_volume_check, ghz(), "BlochForm"),
+    ], ids=["compress", "bloch_form", "ellipsoid", "ellipsoid_volume_check"])
+    def test_single_state_helpers_reject_other_types(self, call, arg, kind):
+        with pytest.raises(ShapeError,
+                           match=f"^expected a {kind}, got {type(arg).__name__}$"):
+            call(arg)
+
     def test_volume_formula_matches_matrix(self):
         rng = np.random.default_rng(67)
         for _ in range(30):
