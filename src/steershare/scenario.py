@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import PAULIS
 from .measurement import anticommuting, dephasing_scale
-from .states import GHZ_TENSOR, DensityMatrix, _is_int, _is_real, bloch_stack, \
-    compress_stack, from_pauli_tensors
+from .states import GHZ_TENSOR, DensityMatrix, _is_int, _is_real, \
+    compressed_tensors, from_pauli_tensors
 from .steering import (
     SteeringEllipsoid,
     StrengthHistory,
@@ -190,9 +190,10 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     Pauli tensor: every pair update multiplies it by a fixed factor
     (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
     times the product of the factors of pairs 1..i.  The reported states
-    are built, validated and compressed as one stack (`from_pauli_tensors`,
-    `compress_stack`), one contraction gives every pair's Bloch form, and
-    one `ellipsoids` call gives the ellipsoids of every pair.
+    are built and validated as one stack (`from_pauli_tensors`), one
+    contraction of the tensors compresses every pair's state to its Bloch
+    form (`compressed_tensors`), and one `ellipsoids` call gives the
+    ellipsoids of every pair.
     """
     axes = [_resolve_axis(lbl)[1] for lbl in cfg.charlie_directions]
     lam = np.array(cfg.strengths.lambdas)  # (pair, setting)
@@ -208,7 +209,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     states = from_pauli_tensors(after)
     ells = [None] * (2 * cfg.pairs)
     if cfg.mode == "nonlocal":
-        m, n, T = bloch_stack(compress_stack(states)[0])
+        t = compressed_tensors(after)[0]  # as in `bloch_form`
+        m, n, T = t[:, 1:, 0], t[:, 0, 1:], t[:, 1:, 1:]
         # Rows 0..P-1 steer Charlie; rows P..2P-1 swap the roles to steer AB.
         ells = ellipsoids(np.concatenate([m, n]), np.concatenate([n, m]),
                           np.concatenate([T, T.transpose(0, 2, 1)]))

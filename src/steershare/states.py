@@ -6,7 +6,7 @@ Pauli tensor t[a, b, ...] = Tr(rho sigma_a x sigma_b x ...), sigma_0 = I,
 from which rho = 2^-n sum t[a, b, ...] sigma_a x sigma_b x ....  A
 three-qubit state whose A,B pair lives in span{|00>, |11>} can be
 compressed to an effective two-qubit state (compressed AB qubit tensor
-Charlie) for ellipsoid analysis.
+Charlie) for ellipsoid analysis, by one fixed contraction of its tensor.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ def _check_type(x, kind: type) -> None:
         raise ShapeError(f"expected a {kind.__name__}, got {type(x).__name__}")
 
 
+def _check_array(x, name: str, real: bool = False) -> None:
+    """Raise ShapeError unless `x` is a numpy array of numbers (of real ones
+    if `real`); a bool array is not one."""
+    if not isinstance(x, np.ndarray):
+        raise ShapeError(f"{name} is a {type(x).__name__}, not a numpy array")
+    if x.dtype.kind not in ("iuf" if real else "iufc"):
+        raise ShapeError(f"{name} dtype {x.dtype} is not {'real' if real else 'numeric'}")
+
+
 _BASIS = np.stack((I2,) + PAULIS)  # sigma_0..sigma_3, shape (4, 2, 2)
 
 
@@ -69,10 +78,7 @@ class DensityMatrix:
         if not _is_int(self.qubits) or self.qubits not in (1, 2, 3):
             raise ShapeError(f"qubits={self.qubits!r} outside supported range 1..3")
         object.__setattr__(self, "qubits", int(self.qubits))  # a numpy integer too
-        if not isinstance(self.mat, np.ndarray):
-            raise ShapeError(f"matrix is a {type(self.mat).__name__}, not a numpy array")
-        if self.mat.dtype.kind not in "iufc":
-            raise ShapeError(f"matrix dtype {self.mat.dtype} is not numeric")
+        _check_array(self.mat, "matrix")
         d = 2 ** self.qubits
         if self.mat.shape != (d, d):
             raise ShapeError(f"matrix shape {self.mat.shape}, expected ({d}, {d})")
@@ -102,19 +108,6 @@ def _check_stack(mats: np.ndarray) -> None:
         raise ShapeError(f"trace {np.trace(mats[first]):.12f} != 1")
 
 
-def _as_states(qubits: int, mats: np.ndarray) -> list[DensityMatrix]:
-    """The members of a (k, d, d) stack that passed `_check_stack` as states,
-    without checking each again."""
-    mats.setflags(write=False)
-    states = []
-    for mat in mats:
-        rho = object.__new__(DensityMatrix)
-        object.__setattr__(rho, "qubits", qubits)
-        object.__setattr__(rho, "mat", mat)
-        states.append(rho)
-    return states
-
-
 @dataclass(frozen=True, eq=False)
 class BlochForm:
     """Bloch vectors and correlation matrix of a two-qubit state."""
@@ -122,6 +115,13 @@ class BlochForm:
     m_tilde: np.ndarray  # Bloch vector of the compressed AB qubit
     n_vec: np.ndarray    # Bloch vector of Charlie
     T: np.ndarray        # 3x3 correlation matrix
+
+    def __post_init__(self):
+        for name, shape in (("m_tilde", (3,)), ("n_vec", (3,)), ("T", (3, 3))):
+            x = getattr(self, name)
+            _check_array(x, name, real=True)
+            if x.shape != shape:
+                raise ShapeError(f"{name} shape {x.shape}, expected {shape}")
 
 
 def ket(label: str) -> np.ndarray:
@@ -144,8 +144,9 @@ def ghz() -> DensityMatrix:
 
 def pauli_tensor(mat: np.ndarray) -> np.ndarray:
     """Real parts of Tr(mat sigma_a x sigma_b x ...) for a 1-3 qubit matrix."""
-    qubits = {2: 1, 4: 2, 8: 3}.get(mat.shape[0])
-    if qubits is None or mat.shape != (2 ** qubits,) * 2:
+    _check_array(mat, "matrix")
+    qubits = {(2, 2): 1, (4, 4): 2, (8, 8): 3}.get(mat.shape)
+    if qubits is None:
         raise ShapeError(f"matrix shape {mat.shape} is not that of 1-3 qubits")
     return np.einsum("...ij,ji->...", PAULI_PRODUCTS[qubits], mat).real
 
@@ -153,6 +154,7 @@ def pauli_tensor(mat: np.ndarray) -> np.ndarray:
 def from_pauli_tensors(t: np.ndarray) -> list[DensityMatrix]:
     """The validated states 2^-n sum t[k, a, b, ...] sigma_a x sigma_b x ...
     of a stack of k Pauli tensors, validated as one stack."""
+    _check_array(t, "Pauli tensor stack", real=True)
     qubits = t.ndim - 1
     if not 1 <= qubits <= 3 or t.shape[1:] != (4,) * qubits:
         raise ShapeError(f"Pauli tensor shape {t.shape[1:]} is not that of 1-3 qubits")
@@ -164,7 +166,14 @@ def from_pauli_tensors(t: np.ndarray) -> list[DensityMatrix]:
     products = PAULI_PRODUCTS[qubits].reshape(4 ** qubits, d * d).view(float)
     mats = (t.reshape(len(t), -1) @ products).view(complex).reshape(-1, d, d) / d
     _check_stack(mats)
-    return _as_states(qubits, mats)
+    mats.setflags(write=False)
+    states = []
+    for mat in mats:  # checked above as one stack, so not again one by one
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "qubits", qubits)
+        object.__setattr__(rho, "mat", mat)
+        states.append(rho)
+    return states
 
 
 # Import-time constants avoid BLAS and LAPACK calls (validating ghz() would
@@ -176,35 +185,31 @@ GHZ_TENSOR.setflags(write=False)
 
 # Every direction a nonlocal pair measures (sigma_y x sigma_y, sigma_y x
 # sigma_x, sigma_z x I) maps span{|00>, |11>} into itself, so the compressed
-# AB qubit is that span: |00,c>, |11,c> become |0~,c>, |1~,c>.  Flat indices
-# of those rows and columns in a flattened 8x8 matrix.
-_COMPRESS_INDEX = np.array([8 * i + j for i in (0, 1, 6, 7) for j in (0, 1, 6, 7)])
+# AB qubit is that span: |00>, |11> become |0~>, |1~>.  Its I, X, Y and Z are
+# the A,B operators (II + ZZ)/2, (XX - YY)/2, (XY + YX)/2 and (ZI + IZ)/2:
+# _COMPRESS_MAP[a, p, q] is the weight of sigma_p x sigma_q in the a-th.
+_COMPRESS_MAP = np.zeros((4, 4, 4))
+_COMPRESS_MAP[[0, 0, 1, 1, 2, 2, 3, 3], [0, 3, 1, 2, 1, 2, 3, 0], [0, 3, 1, 2, 2, 1, 0, 3]] = \
+    [0.5, 0.5, 0.5, -0.5, 0.5, 0.5, 0.5, 0.5]
 
 
-def compress_stack(states: list[DensityMatrix]) -> tuple[np.ndarray, np.ndarray]:
-    """`compress` of every 3-qubit state of a list, as one (k, 4, 4) stack of
-    renormalized blocks, validated as one stack, and a (k,) weight vector.
-
-    Raises the error `compress` raises for the first state that fails.
+def compressed_tensors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`compress` of a (k, 4, 4, 4) stack of three-qubit Pauli tensors: the
+    (k, 4, 4) tensors of the renormalized two-qubit states and the (k,)
+    weights (entry [0, 0] before renormalizing).  Raises the error `compress`
+    raises for the first low-weight member.  Each result is a principal
+    block of a valid state over its weight, so it is not validated again.
     """
-    if any(rho.qubits != 3 for rho in states):
-        raise ShapeError("compression expects a 3-qubit state")
-    # `take` returns C-ordered blocks (a fancy index puts the stack axis
-    # innermost), so each member's trace is summed in the order of a lone block's.
-    small = np.take(np.stack([rho.mat for rho in states]).reshape(-1, 64), _COMPRESS_INDEX,
-                    axis=1).reshape(-1, 4, 4)
-    weights = np.trace(small, axis1=1, axis2=2).real
+    _check_array(t, "Pauli tensor stack", real=True)
+    if t.shape[1:] != (4, 4, 4):
+        raise ShapeError(f"compression expects (k, 4, 4, 4) Pauli tensors, got {t.shape}")
+    small = _COMPRESS_MAP.reshape(4, 16) @ t.reshape(-1, 16, 4)  # [k, a, c]
+    weights = small[:, 0, 0]
     low = weights < 1 - COMPRESS_TOL
-    first = int(low.argmax()) if low.any() else len(states)
-    blocks = small[:first] / weights[:first, None, None]
-    _check_stack(blocks)
-    if first < len(states):
-        # A weight is >= 0: a rounding residue below zero (or -0.0) prints as 0.
-        raise NotCompressibleError(
-            f"only {max(weights[first], 0.0) + 0.0:.12f} of the state lies in "
-            "span{|00>, |11>} x C2"
-        )
-    return blocks, weights
+    if low.any():  # a weight is >= 0: a residue below zero (or -0.0) prints as 0
+        raise NotCompressibleError(f"only {max(weights[low.argmax()], 0.0) + 0.0:.12f} "
+                                   "of the state lies in span{|00>, |11>} x C2")
+    return small / weights[:, None, None], weights
 
 
 def compress(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
@@ -216,16 +221,8 @@ def compress(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     COMPRESS_TOL of the AB marginal lies outside |00> and |11>.
     """
     _check_type(rho, DensityMatrix)
-    blocks, weights = compress_stack([rho])
-    return _as_states(2, blocks)[0], float(weights[0])
-
-
-def bloch_stack(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pauli decompositions (m~, n, T) of a (k, 4, 4) stack of two-qubit
-    states, as (k, 3), (k, 3) and (k, 3, 3) stacks."""
-    t = np.einsum("abij,kji->kab", PAULI_PRODUCTS[2], blocks).real
-    # t[k, a, b] with sigma_0 = I: 1 and n in row 0, m~ in column 0, T in the rest.
-    return t[:, 1:, 0], t[:, 0, 1:], t[:, 1:, 1:]
+    t, weights = compressed_tensors(pauli_tensor(rho.mat)[None])
+    return from_pauli_tensors(t)[0], float(weights[0])
 
 
 def bloch_form(rho4: DensityMatrix) -> BlochForm:
@@ -233,5 +230,5 @@ def bloch_form(rho4: DensityMatrix) -> BlochForm:
     _check_type(rho4, DensityMatrix)
     if rho4.qubits != 2:
         raise ShapeError("bloch_form expects a 2-qubit state")
-    return BlochForm(*(x[0] for x in bloch_stack(rho4.mat[None])))
-
+    t = pauli_tensor(rho4.mat)  # t[a, c]: m~ in column 0, n in row 0, T in the rest
+    return BlochForm(t[1:, 0], t[0, 1:], t[1:, 1:])

@@ -13,9 +13,8 @@ from steershare.states import (
     DensityMatrix,
     _check_stack,
     bloch_form,
-    bloch_stack,
     compress,
-    compress_stack,
+    compressed_tensors,
     from_pauli_tensors,
     ghz,
     ket,
@@ -176,7 +175,8 @@ class TestCompress:
             for pairs in [1, 2, 3, 4] * 5:
                 cfg = make_config("nonlocal", rng.uniform(0, 1, (pairs, 2)).tolist(),
                                   charlie_directions=directions)
-                _, weights = compress_stack([r.state for r in run_scenario(cfg)])
+                t = np.stack([pauli_tensor(r.state.mat) for r in run_scenario(cfg)])
+                _, weights = compressed_tensors(t)
                 assert np.max(np.abs(weights - 1)) <= 1e-15
 
     def test_w_state_not_compressible(self):
@@ -216,6 +216,21 @@ class TestPauliTensor:
             pauli_tensor(np.eye(3, dtype=complex))
         with pytest.raises(ShapeError):
             from_pauli_tensors(np.zeros((4, 4, 4, 4))[None])
+        # Arguments that are not numeric numpy arrays, each with its message.
+        for call, arg, message in [
+            (pauli_tensor, [[1, 0], [0, 0]], "matrix is a list, not a numpy array"),
+            (pauli_tensor, np.array([["1", "0"], ["0", "0"]]), "matrix dtype <U1 is not numeric"),
+            (pauli_tensor, np.eye(2, dtype=bool), "matrix dtype bool is not numeric"),
+            (pauli_tensor, np.array(0.5), "matrix shape () is not that of 1-3 qubits"),
+            (from_pauli_tensors, [[1, 0, 0, 0]], "Pauli tensor stack is a list, not a numpy array"),
+            (from_pauli_tensors, np.array([["1", "0", "0", "0"]]),
+             "Pauli tensor stack dtype <U1 is not real"),
+            (from_pauli_tensors, np.array([[1, 0, 0, 0j]]),
+             "Pauli tensor stack dtype complex128 is not real"),
+        ]:
+            with pytest.raises(ShapeError) as err:
+                call(arg)
+            assert str(err.value) == message
 
 
 class TestCompressedBloch:
@@ -246,27 +261,25 @@ class TestCompressedBloch:
         assert str(err.value) == f"only {weight} of the state lies in span{{|00>, |11>}} x C2"
 
 
-class TestCompressStack:
-    @pytest.mark.parametrize("zero, one", [("00", "11")])
-    def test_members_equal_compress(self, zero, one):
-        # Random states supported on span{|zero>, |one>} x C2: each member's
-        # block and weight are summed exactly as `compress` sums them alone.
-        rng = np.random.default_rng(int(zero + one, 2))
-        idx = [int(k + c, 2) for k in (zero, one) for c in "01"]
+class TestCompressedTensors:
+    def test_members_equal_lone_calls(self):
+        # Random states supported on span{|00>, |11>} x C2.
+        rng = np.random.default_rng(3)
+        idx = [int(k + c, 2) for k in ("00", "11") for c in "01"]
         states = []
         for _ in range(4):
             mat = np.zeros((8, 8), dtype=complex)
             mat[np.ix_(idx, idx)] = random_density(rng, 2).mat
             states.append(DensityMatrix(3, mat))
-        blocks, weights = compress_stack(states)
-        m, n, T = bloch_stack(blocks)
+        t = np.stack([pauli_tensor(rho.mat) for rho in states])
+        small, weights = compressed_tensors(t)
         for k, rho in enumerate(states):
-            rho4, w = compress(rho)
-            assert np.array_equal(blocks[k], rho4.mat) and weights[k] == w
-            b = bloch_form(rho4)
-            assert np.max(np.abs(m[k] - b.m_tilde)) <= 1e-15
-            assert np.max(np.abs(n[k] - b.n_vec)) <= 1e-15
-            assert np.max(np.abs(T[k] - b.T)) <= 1e-15
+            alone, w = compressed_tensors(t[k][None])
+            assert np.array_equal(small[k], alone[0]) and weights[k] == w[0]
+            b = bloch_form(compress(rho)[0])
+            assert np.max(np.abs(small[k, 1:, 0] - b.m_tilde)) <= 1e-15
+            assert np.max(np.abs(small[k, 0, 1:] - b.n_vec)) <= 1e-15
+            assert np.max(np.abs(small[k, 1:, 1:] - b.T)) <= 1e-15
 
     @pytest.mark.parametrize("size, at", [(k, i) for k in range(1, 5) for i in range(k)])
     def test_not_compressible_message_matches_compress(self, size, at):
@@ -278,11 +291,21 @@ class TestCompressStack:
                                  for j in range(at + 1, size + 1)]
         want = _error(lambda: compress(states[at]))
         assert want[0] is NotCompressibleError
-        assert _error(lambda: compress_stack(states)) == want
+        t = np.stack([pauli_tensor(rho.mat) for rho in states])
+        assert _error(lambda: compressed_tensors(t)) == want
 
-    def test_rejects_other_qubit_counts(self):
+    @pytest.mark.parametrize("t", [GHZ_TENSOR, GHZ_TENSOR[None, 0], GHZ_TENSOR[None, None],
+                                   np.zeros((2, 4, 4, 3)), GHZ_TENSOR[None].tolist(),
+                                   GHZ_TENSOR[None] + 0j],
+                             ids=["unstacked", "2-qubit", "4-qubit", "short-axis", "list",
+                                  "complex"])
+    def test_rejects_other_stacks(self, t):
         with pytest.raises(ShapeError):
-            compress_stack([ghz(), DensityMatrix(2, np.eye(4) / 4)])
+            compressed_tensors(t)
+
+    def test_compress_rejects_two_qubit_state(self):
+        with pytest.raises(ShapeError):
+            compress(DensityMatrix(2, np.eye(4) / 4))
 
 
 class TestBlochForm:

@@ -15,7 +15,7 @@ from steershare.errors import (
     UnsupportedSizeError,
 )
 from steershare.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from steershare.states import BlochForm, DensityMatrix, bloch_form, compress, ghz
+from steershare.states import BlochForm, DensityMatrix, bloch_form, compress, ghz, pauli_tensor
 from steershare.steering import (
     StrengthHistory,
     classical_bound,
@@ -377,6 +377,21 @@ class TestEllipsoid:
                            match=f"^expected a {kind}, got {type(arg).__name__}$"):
             call(arg)
 
+    @pytest.mark.parametrize("fields, message", [
+        ((np.zeros(2), np.zeros(3), np.eye(3)), "m_tilde shape (2,), expected (3,)"),
+        (("abc", "abc", "abc"), "m_tilde is a str, not a numpy array"),
+        ((np.zeros(3), [0.0, 0.0, 0.0], np.eye(3)), "n_vec is a list, not a numpy array"),
+        ((np.zeros(3), np.zeros(3), np.eye(3).astype(str)), "T dtype <U32 is not real"),
+        ((np.zeros(3), np.zeros(3), np.eye(3) + 0j), "T dtype complex128 is not real"),
+        ((np.zeros(3), np.zeros(3), np.eye(2)), "T shape (2, 2), expected (3, 3)"),
+    ], ids=["short-vector", "str", "list", "str-array", "complex", "small-T"])
+    @pytest.mark.parametrize("call", [ellipsoid, ellipsoid_volume_check],
+                             ids=["ellipsoid", "ellipsoid_volume_check"])
+    def test_malformed_bloch_form_raises_shape_error(self, call, fields, message):
+        with pytest.raises(ShapeError) as err:
+            call(BlochForm(*fields))
+        assert str(err.value) == message
+
     def test_volume_formula_matches_matrix(self):
         rng = np.random.default_rng(67)
         for _ in range(30):
@@ -488,6 +503,31 @@ def _seeded_run_stacks():
                for e in (r.charlie_ellipsoid, r.ab_ellipsoid)]
 
 
+class TestRunEllipsoids:
+    def test_equal_compress_then_bloch_form_with_exact_centres(self):
+        # GHZ dephased by nonlocal pairs keeps m~ = n = 0 exactly, so every
+        # centre is an exact 0.0; read off the evolved tensor, each ellipsoid
+        # also equals the one of the reported state's own compression.
+        rng = np.random.default_rng(43)
+        labels = ["x", "-x", "y", "-y", "z", "-z"]
+        count = 0
+        for directions in itertools.product(labels, repeat=2):
+            for pairs in [1, 2, 3, 4] * 3:
+                cfg = scenario.make_config("nonlocal", rng.uniform(0, 1, (pairs, 2)).tolist(),
+                                           charlie_directions=directions)
+                for r in scenario.run_scenario(cfg):
+                    b = bloch_form(compress(r.state)[0])
+                    for party, got in (("charlie", r.charlie_ellipsoid), ("ab", r.ab_ellipsoid)):
+                        assert np.all(got.center == 0.0)
+                        want = ellipsoid(b, party)
+                        for name in ("center", "matrix", "semiaxes", "orientation"):
+                            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) \
+                                <= 1e-14, name
+                        assert abs(got.volume - want.volume) <= 1e-14
+                        count += 1
+        assert count == 2160
+
+
 class TestTieBreakOracle:
     def test_orientation_equals_per_member_oracle(self):
         stacks = list(_seeded_run_stacks())
@@ -523,31 +563,33 @@ class TestRunScenarioErrors:
                              [(p, i) for p in range(1, 5) for i in range(1, p + 1)])
     @pytest.mark.parametrize("fault", ["pure_ab_qubit", "pure_charlie", "not_compressible"])
     def test_failure_at_pair(self, monkeypatch, pairs, fail_at, fault):
-        # The fault enters member fail_at of the run's stacked compression or
-        # Bloch forms.  A not-compressible fault also enters every later
-        # member, each leaking a different weight, so the message names the
-        # first failing member.
+        # The fault enters member fail_at of the run's stacked compression:
+        # its input tensors or its output Bloch forms.  A not-compressible
+        # fault also enters every later member, each leaking a different
+        # weight, so the message names the first failing member.
+        real = scenario.compressed_tensors
         if fault == "not_compressible":
-            real = scenario.compress_stack
             leak = np.zeros((8, 8), dtype=complex)
             leak[2, 2] = 1.0  # |010>, outside span{|00>, |11>} x C2
+            leak = pauli_tensor(leak)
 
-            def faulty(states):
-                states = states[:fail_at - 1] + [
-                    DensityMatrix(3, (1 - j / 10) * rho.mat + j / 10 * leak)
-                    for j, rho in enumerate(states[fail_at - 1:], start=fail_at)]
-                return real(states)
-
-            monkeypatch.setattr(scenario, "compress_stack", faulty)
+            def faulty(t):
+                t = t.copy()
+                for j in range(fail_at, len(t) + 1):
+                    t[j - 1] = (1 - j / 10) * t[j - 1] + j / 10 * leak
+                return real(t)
         else:
-            real = scenario.bloch_stack
+            def faulty(t):
+                small, weights = real(t)
+                # m~ is column 0 of a compressed tensor, Charlie's n row 0.
+                k = fail_at - 1
+                if fault == "pure_ab_qubit":
+                    small[k, 1:, 0] = [0.6, 0.0, 0.8]
+                else:
+                    small[k, 0, 1:] = [0.6, 0.0, 0.8]
+                return small, weights
 
-            def faulty(blocks):
-                m, n, T = (x.copy() for x in real(blocks))
-                (m if fault == "pure_ab_qubit" else n)[fail_at - 1] = [0.6, 0.0, 0.8]
-                return m, n, T
-
-            monkeypatch.setattr(scenario, "bloch_stack", faulty)
+        monkeypatch.setattr(scenario, "compressed_tensors", faulty)
         cfg = scenario.make_config("nonlocal", [0.4] * pairs)
         kind, message = (
             (NotCompressibleError, f"only {1 - fail_at / 10:.12f} of the state lies in "
