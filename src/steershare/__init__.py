@@ -1,17 +1,16 @@
 """Simulator for activating and sharing quantum steering with sequential
 unsharp nonlocal measurements on a three-qubit state."""
 
-from .states import BlochForm, DensityMatrix, bloch_form, compress, ghz
+from .states import DensityMatrix, ghz
 from .steering import SteeringEllipsoid, StrengthHistory, classical_bound, \
-    closed_form_local, closed_form_nonlocal, ellipsoid, ellipsoid_volume_check
+    closed_form_local, closed_form_nonlocal
 from .scenario import ScanTable, ScenarioConfig, ellipsoid_series, make_config, \
     max_simultaneous_pairs, run_scenario, scan_region, simultaneous_window, \
     sweep_curve
 
 __all__ = [
-    "BlochForm", "DensityMatrix", "bloch_form", "compress", "ghz",
-    "SteeringEllipsoid", "StrengthHistory", "classical_bound", "closed_form_local",
-    "closed_form_nonlocal", "ellipsoid", "ellipsoid_volume_check", "ScanTable",
+    "DensityMatrix", "ghz", "SteeringEllipsoid", "StrengthHistory", "classical_bound",
+    "closed_form_local", "closed_form_nonlocal", "ScanTable",
     "ScenarioConfig", "ellipsoid_series", "make_config", "max_simultaneous_pairs",
     "run_scenario", "scan_region", "simultaneous_window", "sweep_curve",
 ]

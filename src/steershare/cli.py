@@ -13,7 +13,8 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import scenario
-from .errors import ConfigError, SteershareError
+from .errors import ConfigError, InvariantError, SteershareError
+from .states import GHZ_COMPONENTS, PAULI_PRODUCTS
 from .steering import classical_bound
 
 
@@ -55,15 +56,41 @@ def _write_out(path: str, chunks: Iterable[str], newline: str | None = None) -> 
 # Both `--out` files hold `json.dumps(payload, indent=2)` and a newline.  Any
 # indent puts json on its pure-Python encoder, so the text is a layout, the
 # indented skeleton payload with a `%s` slot per float, filled by one
-# C-level `json.dumps` of the flat float list.  An ellipsoid's orientation
-# is written one axis per row.
-_ELLIPSOID = {"center": ["%s"] * 3, "matrix": [["%s"] * 3] * 3, "semiaxes": ["%s"] * 3,
-              "orientation": [["%s"] * 3] * 3, "volume": "%s"}
+# C-level `json.dumps` of the flat float list.  A run never leaves the Pauli
+# components of GHZ, so the layout holds a literal 0.0 where those leave a
+# float zero: a state's entries outside their support (every imaginary part
+# among them) and a T-state ellipsoid's centre and off-diagonal matrix
+# entries.  Each such float is checked to be +0.0 before the rest are
+# spelled.  An ellipsoid's orientation is written one axis per row.
+_SUPPORT = PAULI_PRODUCTS[3][GHZ_COMPONENTS]
+_SUPPORT_RE, _SUPPORT_IM = ((part != 0).any(axis=0) for part in (_SUPPORT.real, _SUPPORT.imag))
+# Positions in a state's float view (real and imaginary part of each entry
+# in turn, row-major): those spelled, in slot order, and the literal rest.
+_STATE_SPELLED, _STATE_LITERAL = (
+    np.concatenate([2 * np.flatnonzero(re), 2 * np.flatnonzero(im) + 1])
+    for re, im in ((_SUPPORT_RE, _SUPPORT_IM), (~_SUPPORT_RE, ~_SUPPORT_IM)))
+_ELLIPSOID = {"center": [0.0] * 3,
+              "matrix": [["%s" if i == j else 0.0 for j in range(3)] for i in range(3)],
+              "semiaxes": ["%s"] * 3, "orientation": [["%s"] * 3] * 3, "volume": "%s"}
+_OFF_DIAGONAL = ~np.eye(3, dtype=bool).ravel()
 
 
-def _ellipsoid_floats(e) -> list:
-    """The floats of ellipsoid `e` in `_ELLIPSOID` slot order, as arrays."""
-    return [e.center, e.matrix.ravel(), e.semiaxes, e.orientation.T.ravel(), (e.volume,)]
+def _ellipsoid_floats(e) -> tuple[list, list]:
+    """The floats of ellipsoid `e` as arrays: those spelled, in `_ELLIPSOID`
+    slot order, and those its literal 0.0 slots stand for."""
+    return ([e.matrix.diagonal(), e.semiaxes, e.orientation.T.ravel(), (e.volume,)],
+            [e.center, e.matrix.reshape(-1)[_OFF_DIAGONAL]])
+
+
+def _checked(spelled: list, literal: list, what: str) -> list:
+    """`spelled`, once every float of the arrays `literal`, which the layout
+    writes as a literal 0.0, is +0.0 (else InvariantError)."""
+    x = np.concatenate(literal)
+    bits = x.view(np.int64)  # tells -0.0 from 0.0
+    if bits.any():
+        raise InvariantError(f"{what} holds {float(x[bits != 0][0])!r} "
+                             "outside the Pauli components of GHZ")
+    return spelled
 
 
 def _layout(skeleton) -> str:
@@ -124,9 +151,10 @@ def cmd_sweep(args) -> None:
 def cmd_ellipsoids(args) -> None:
     r = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])[0]
     record = {"lambda1": "%s", "lambda2": "%s", "charlie": _ELLIPSOID, "ab": _ELLIPSOID}
-    _write_out(args.out, [_fill(_layout([record]), [(r.lambda1, r.lambda2),
-                                                     *_ellipsoid_floats(r.charlie),
-                                                     *_ellipsoid_floats(r.ab)])])
+    (charlie, charlie_zeros), (ab, ab_zeros) = map(_ellipsoid_floats, (r.charlie, r.ab))
+    parts = _checked([(r.lambda1, r.lambda2), *charlie, *ab], charlie_zeros + ab_zeros,
+                     "an ellipsoid")
+    _write_out(args.out, [_fill(_layout([record]), parts)])
     print(f"Charlie semiaxes: {np.round(r.charlie.semiaxes, 6).tolist()}, "
           f"volume {r.charlie.volume:.6f} -> {args.out}")
 
@@ -142,21 +170,29 @@ def _run_layout(pairs: int, with_ellipsoids: bool) -> str:
     """The `run --out` layout of `pairs` results, filled in `_run_floats`
     order.  A run's states are 3-qubit and its pair numbers count from 1."""
     ell = _ELLIPSOID if with_ellipsoids else None
+    re, im = ([["%s" if x else 0.0 for x in row] for row in s.tolist()]
+              for s in (_SUPPORT_RE, _SUPPORT_IM))
     return _layout([{"pair": i, "steering_value": "%s",
-                     "state": {"qubits": 3, "re": [["%s"] * 8] * 8, "im": [["%s"] * 8] * 8},
+                     "state": {"qubits": 3, "re": re, "im": im},
                      "charlie_ellipsoid": ell, "ab_ellipsoid": ell}
                     for i in range(1, pairs + 1)])
 
 
 def _run_floats(results, with_ellipsoids: bool) -> list:
-    """Per pair the steering value, the state's real then imaginary
-    entries, then the Charlie and AB ellipsoids' floats."""
-    parts = []
+    """Per pair the steering value, the state's spelled real then imaginary
+    entries, then the Charlie and AB ellipsoids' spelled floats, once every
+    float of the run's literal slots is checked to be +0.0."""
+    parts, literal = [], []
     for r in results:
-        parts += [(r.steering_value,), r.state.mat.real.ravel(), r.state.mat.imag.ravel()]
+        floats = r.state.mat.reshape(-1).view(float)
+        parts += [(r.steering_value,), floats[_STATE_SPELLED]]
+        literal.append(floats[_STATE_LITERAL])
         if with_ellipsoids:
-            parts += _ellipsoid_floats(r.charlie_ellipsoid) + _ellipsoid_floats(r.ab_ellipsoid)
-    return parts
+            for e in (r.charlie_ellipsoid, r.ab_ellipsoid):
+                spelled, zeros = _ellipsoid_floats(e)
+                parts += spelled
+                literal += zeros
+    return _checked(parts, literal, "the run")
 
 
 def cmd_run(args) -> None:

@@ -6,7 +6,8 @@ class SteershareError(ValueError):
 
 
 class ShapeError(SteershareError):
-    """Matrix dimensions inconsistent with the requested operation."""
+    """Argument of the wrong type, or matrix dimensions inconsistent with the
+    requested operation."""
 
 
 class NotHermitianError(SteershareError):
@@ -17,8 +18,9 @@ class NotCompressibleError(SteershareError):
     """State has weight outside the compression span{|00>, |11>} x C2."""
 
 
-class DegenerateSteererError(SteershareError):
-    """Steering party is (numerically) pure; ellipsoid formulas degenerate."""
+class InvariantError(SteershareError):
+    """A run left the Pauli components of GHZ that its closed-form
+    ellipsoids and `--out` layout rest on: a broken invariant, not an input."""
 
 
 class ConfigError(SteershareError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import PAULIS
 from .measurement import anticommuting, dephasing_scale
-from .states import GHZ_TENSOR, DensityMatrix, _is_int, _is_real, \
+from .states import GHZ_TENSOR, DensityMatrix, _check_type, _is_int, _is_real, \
     compressed_tensors, from_pauli_tensors
 from .steering import (
     SteeringEllipsoid,
@@ -28,7 +29,7 @@ from .steering import (
     _SEQUENCES,
     closed_forms,
     coherence,
-    ellipsoids,
+    t_state_ellipsoids,
 )
 
 SQRT_HALF = float(1 / np.sqrt(2))
@@ -79,7 +80,8 @@ class ScenarioConfig:
     charlie_directions: tuple[str, ...] = ("x", "-y")
 
     def __post_init__(self):
-        for name, kind in (("strengths", StrengthHistory), ("charlie_directions", tuple)):
+        for name, kind in (("strengths", StrengthHistory), ("mode", str),
+                           ("charlie_directions", tuple)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name}={getattr(self, name)!r} is not a {kind.__name__}")
         if self.mode not in ("nonlocal", "local"):
@@ -118,7 +120,7 @@ class ScenarioConfig:
             if not (_is_int(value) if kind is int else isinstance(value, kind)):
                 raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
                                   f"got {value!r}")
-        # The one span every nonlocal setting keeps (see `states.compress`).
+        # The one span every nonlocal setting keeps (see `states.compressed_tensors`).
         if obj.get("compression", "00,11") != "00,11":
             raise ConfigError(f"config key 'compression' must be '00,11', "
                               f"got {obj['compression']!r}")
@@ -176,7 +178,9 @@ class PairResult:
     steering_value: float
     state: DensityMatrix = field(repr=False)
     # Ellipsoids need the compressed two-qubit form; local Kraus operators
-    # leak out of the compression span, leaving them undefined (None).
+    # leak out of the compression span, leaving them undefined (None).  A
+    # nonlocal run's states are T-states, which steer both parties onto the
+    # same ellipsoid: both fields hold that one (read-only) object.
     charlie_ellipsoid: SteeringEllipsoid | None = field(repr=False, default=None)
     ab_ellipsoid: SteeringEllipsoid | None = field(repr=False, default=None)
 
@@ -190,11 +194,12 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     Pauli tensor: every pair update multiplies it by a fixed factor
     (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
     times the product of the factors of pairs 1..i.  The reported states
-    are built and validated as one stack (`from_pauli_tensors`), one
-    contraction of the tensors compresses every pair's state to its Bloch
-    form (`compressed_tensors`), and one `ellipsoids` call gives the
-    ellipsoids of every pair.
+    are built and validated as one stack (`from_pauli_tensors`).  In a
+    nonlocal run, one contraction of the tensors compresses every pair's
+    state (`compressed_tensors`), and the ellipsoids of every pair are read
+    off the diagonals of the compressed T-states (`t_state_ellipsoids`).
     """
+    _check_type(cfg, ScenarioConfig)
     axes = [_resolve_axis(lbl)[1] for lbl in cfg.charlie_directions]
     lam = np.array(cfg.strengths.lambdas)  # (pair, setting)
     if cfg.mode == "nonlocal":
@@ -207,16 +212,12 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     charlie, sign, p, q = zip(*(_AXIS_TABLE[a] for a in axes))
     values = (lam * sign * before[:, p, q, charlie]).mean(axis=1)
     states = from_pauli_tensors(after)
-    ells = [None] * (2 * cfg.pairs)
+    ells = [None] * cfg.pairs
     if cfg.mode == "nonlocal":
-        t = compressed_tensors(after)[0]  # as in `bloch_form`
-        m, n, T = t[:, 1:, 0], t[:, 0, 1:], t[:, 1:, 1:]
-        # Rows 0..P-1 steer Charlie; rows P..2P-1 swap the roles to steer AB.
-        ells = ellipsoids(np.concatenate([m, n]), np.concatenate([n, m]),
-                          np.concatenate([T, T.transpose(0, 2, 1)]))
+        ells = t_state_ellipsoids(compressed_tensors(after)[0])
     return [PairResult(pair=i + 1, steering_value=float(values[i]), state=state,
-                       charlie_ellipsoid=ells[i], ab_ellipsoid=ells[cfg.pairs + i])
-            for i, state in enumerate(states)]
+                       charlie_ellipsoid=ell, ab_ellipsoid=ell)
+            for i, (state, ell) in enumerate(zip(states, ells))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +246,7 @@ def _mode_closed_forms(mode: str, lam1: list, lam2: list) -> tuple[list, list]:
 
     Strengths are floats or equal-shape arrays, as for `closed_forms`;
     local pairs split lambda as eta = gamma = sqrt(lambda)."""
-    if mode not in ("nonlocal", "local", "compare"):
+    if not isinstance(mode, str) or mode not in ("nonlocal", "local", "compare"):
         raise ConfigError(f"unknown mode {mode!r}")
     s = closed_forms(lam1, lam2, lam1, lam2) if mode != "local" else []
     st = (closed_forms(lam1, lam2, [np.sqrt(x) for x in lam1], [np.sqrt(x) for x in lam2])
@@ -331,6 +332,9 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
     for name, v in [*fixed.items(), ("start", start), ("stop", stop)]:
         if not _is_real(v):
             raise ConfigError(f"{name}={v!r} is not a number")
+    for name, v in (("start", start), ("stop", stop)):
+        if not abs(v) <= sys.float_info.max:  # before linspace warns or overflows
+            raise ConfigError(f"{name}={v!r} is not a finite float")
     if not _is_int(samples) or not 2 <= samples <= MAX_SAMPLES:
         raise ConfigError(f"samples={samples} outside supported range 2..{MAX_SAMPLES}")
     if not _is_int(pairs) or not 1 <= pairs <= 4:
@@ -378,7 +382,7 @@ def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[Ellipsoi
 
 def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal") -> int:
     """Largest number of pairs that beat the bound anywhere on the strength grid."""
-    if mode == "compare":
+    if isinstance(mode, str) and mode == "compare":
         raise ConfigError("max_simultaneous_pairs counts one mode, 'nonlocal' or 'local'")
     lams = _grid_strengths(resolution)
     s, st = _mode_closed_forms(mode, lams, lams)

@@ -7,6 +7,8 @@ from which rho = 2^-n sum t[a, b, ...] sigma_a x sigma_b x ....  A
 three-qubit state whose A,B pair lives in span{|00>, |11>} can be
 compressed to an effective two-qubit state (compressed AB qubit tensor
 Charlie) for ellipsoid analysis, by one fixed contraction of its tensor.
+A run from GHZ keeps the Pauli components of GHZ (`GHZ_COMPONENTS`), as
+every pair update only scales components.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ def _is_real(x) -> bool:
 
 
 def _check_type(x, kind: type) -> None:
-    """Raise ShapeError unless `x` is a `kind`: a state or Bloch form argument."""
+    """Raise ShapeError unless `x` is a `kind`: an argument that must be an
+    instance of one of the package's classes."""
     if not isinstance(x, kind):
         raise ShapeError(f"expected a {kind.__name__}, got {type(x).__name__}")
 
@@ -108,22 +111,6 @@ def _check_stack(mats: np.ndarray) -> None:
         raise ShapeError(f"trace {np.trace(mats[first]):.12f} != 1")
 
 
-@dataclass(frozen=True, eq=False)
-class BlochForm:
-    """Bloch vectors and correlation matrix of a two-qubit state."""
-
-    m_tilde: np.ndarray  # Bloch vector of the compressed AB qubit
-    n_vec: np.ndarray    # Bloch vector of Charlie
-    T: np.ndarray        # 3x3 correlation matrix
-
-    def __post_init__(self):
-        for name, shape in (("m_tilde", (3,)), ("n_vec", (3,)), ("T", (3, 3))):
-            x = getattr(self, name)
-            _check_array(x, name, real=True)
-            if x.shape != shape:
-                raise ShapeError(f"{name} shape {x.shape}, expected {shape}")
-
-
 def ket(label: str) -> np.ndarray:
     """Computational basis column vector from a bit-string label."""
     n = len(label)
@@ -181,6 +168,11 @@ def from_pauli_tensors(t: np.ndarray) -> list[DensityMatrix]:
 # processes that only evaluate closed forms never otherwise pay.
 GHZ_TENSOR = pauli_tensor(_ghz_projector())
 GHZ_TENSOR.setflags(write=False)
+# The 8 Pauli components of GHZ: III, IZZ, ZIZ, ZZI, XXX and the three
+# Y-Y-X placements.  Every pair update only scales components, so a run's
+# tensors are zero outside them.
+GHZ_COMPONENTS = GHZ_TENSOR != 0
+GHZ_COMPONENTS.setflags(write=False)
 
 
 # Every direction a nonlocal pair measures (sigma_y x sigma_y, sigma_y x
@@ -194,11 +186,14 @@ _COMPRESS_MAP[[0, 0, 1, 1, 2, 2, 3, 3], [0, 3, 1, 2, 1, 2, 3, 0], [0, 3, 1, 2, 2
 
 
 def compressed_tensors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`compress` of a (k, 4, 4, 4) stack of three-qubit Pauli tensors: the
-    (k, 4, 4) tensors of the renormalized two-qubit states and the (k,)
-    weights (entry [0, 0] before renormalizing).  Raises the error `compress`
-    raises for the first low-weight member.  Each result is a principal
-    block of a valid state over its weight, so it is not validated again.
+    """Project each of a (k, 4, 4, 4) stack of three-qubit Pauli tensors
+    onto span{|00>, |11>} x C2 and relabel: the (k, 4, 4) tensors t[a, c]
+    of the renormalized two-qubit states (compressed AB qubit tensor
+    Charlie) and the (k,) weights the projection retains (entry [0, 0]
+    before renormalizing).  Raises NotCompressibleError for the first
+    member that keeps less than 1 - COMPRESS_TOL.  Each result is a
+    principal block of a valid state over its weight, so it is not
+    validated again.
     """
     _check_array(t, "Pauli tensor stack", real=True)
     if t.shape[1:] != (4, 4, 4):
@@ -210,25 +205,3 @@ def compressed_tensors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotCompressibleError(f"only {max(weights[low.argmax()], 0.0) + 0.0:.12f} "
                                    "of the state lies in span{|00>, |11>} x C2")
     return small / weights[:, None, None], weights
-
-
-def compress(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
-    """Project a 3-qubit state onto span{|00>, |11>} x C2 and relabel.
-
-    Returns the renormalized 4x4 density matrix (compressed AB qubit tensor
-    Charlie) together with the renormalization factor (the weight retained
-    by the projection).  Raises NotCompressibleError if more than
-    COMPRESS_TOL of the AB marginal lies outside |00> and |11>.
-    """
-    _check_type(rho, DensityMatrix)
-    t, weights = compressed_tensors(pauli_tensor(rho.mat)[None])
-    return from_pauli_tensors(t)[0], float(weights[0])
-
-
-def bloch_form(rho4: DensityMatrix) -> BlochForm:
-    """Pauli decomposition (m~, n, T) of a (compressed) two-qubit state."""
-    _check_type(rho4, DensityMatrix)
-    if rho4.qubits != 2:
-        raise ShapeError("bloch_form expects a 2-qubit state")
-    t = pauli_tensor(rho4.mat)  # t[a, c]: m~ in column 0, n in row 0, T in the rest
-    return BlochForm(t[1:, 0], t[0, 1:], t[1:, 1:])

@@ -9,24 +9,22 @@ the current pair's strength.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateSteererError,
+    InvariantError,
     NotHermitianError,
     ShapeError,
     UnsupportedSizeError,
 )
-from .states import BlochForm, _check_type, _is_int, _is_real
+from .states import _check_type, _is_int, _is_real
 
 HERMITIAN_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
 JOINT_STRENGTH_TOL = 1e-9
-AXIS_NORM_FLOOR = 1e-8
 
 
 def coherence(strength):
@@ -66,7 +64,7 @@ class StrengthHistory:
     gammas: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        _check_pairs(*(h for h in (self.lambdas, self.etas, self.gammas) if h is not None))
+        _check_pairs(self.lambdas, *(h for h in (self.etas, self.gammas) if h is not None))
         _check_unit_interval(self.lambdas)
         if (self.etas is None) != (self.gammas is None):
             raise ConfigError("etas and gammas must be given together")
@@ -111,6 +109,8 @@ def classical_bound(charlie_directions: list[np.ndarray]) -> float:
     vectors s, with one `eigvalsh` of the stack of signed averages.  The
     settings must be Hermitian square matrices of one shape.
     """
+    if not isinstance(charlie_directions, _SEQUENCES):
+        raise ShapeError("settings are not numeric square matrices of one shape")
     n = len(charlie_directions)
     if not 1 <= n <= 6:
         raise UnsupportedSizeError(f"{n} settings outside supported range 1..6")
@@ -146,9 +146,12 @@ def closed_forms(lam1, lam2, damp1, damp2) -> list:
     return out
 
 
-def _history_value(h: StrengthHistory, damping, i: int) -> float:
+def _history_value(h: StrengthHistory, damping: str, i: int) -> float:
+    """S of pair i of `h`, damped by its `damping` strengths."""
+    _check_type(h, StrengthHistory)
     if not _is_int(i) or not 1 <= i <= h.pairs:
         raise ConfigError(f"pair index {i} outside history of {h.pairs} pairs")
+    damping = getattr(h, damping)
     if damping is None:
         raise ConfigError("local closed form needs eta/gamma strengths")
     # zip(*...) turns per-pair (setting 1, setting 2) rows into two columns.
@@ -157,12 +160,12 @@ def _history_value(h: StrengthHistory, damping, i: int) -> float:
 
 def closed_form_nonlocal(h: StrengthHistory, i: int) -> float:
     """Analytic two-setting steering parameter after i - 1 nonlocal pairs."""
-    return _history_value(h, h.lambdas, i)
+    return _history_value(h, "lambdas", i)
 
 
 def closed_form_local(h: StrengthHistory, i: int) -> float:
     """Analytic counterpart when A and B measure locally (damping from B only)."""
-    return _history_value(h, h.gammas, i)
+    return _history_value(h, "gammas", i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,106 +179,52 @@ class SteeringEllipsoid:
     volume: float                  # normalized to the unit Bloch ball
 
 
-def ellipsoid(b: BlochForm, steered_party: str = "charlie") -> SteeringEllipsoid:
-    """Steering ellipsoid of one party under all measurements of the other.
+# Per order of the coordinate axes, the orientation whose column p is axis
+# order[p]; read-only, so every ellipsoid with that order shares it.
+_ORIENTATIONS = {order: np.eye(3)[:, order] for order in itertools.permutations(range(3))}
+for _axes in _ORIENTATIONS.values():
+    _axes.setflags(write=False)
 
-    For steered_party="charlie" the A,B pair steers; for "ab" the roles are
-    swapped (m~ <-> n, T -> T^T).  See `ellipsoids` for the geometry.
+
+def t_state_ellipsoids(t: np.ndarray) -> list[SteeringEllipsoid]:
+    """Steering ellipsoid of each member of a (k, 4, 4) stack of compressed
+    two-qubit Pauli tensors t[a, c], member j being pair j+1's state.
+
+    Every member must be a T-state: m~ = n = 0 and T diagonal, as every
+    nonlocal run from GHZ keeps them (`states.GHZ_COMPONENTS`); else this
+    raises InvariantError naming the first pair that is not.  A T-state
+    steers each party onto the same centred ellipsoid, with matrix
+    diag(d^2) and semiaxes |d| along the coordinate axes, for d = diag(T)
+    (Jevtic, Pusey, Jennings & Rudolph, PRL 113, 020402 (2014)).  Semiaxes
+    are descending, in a stable sort.  A group of semiaxes within
+    DEGENERACY_TOL of its first member takes its axes in the order x, y,
+    z.  The volume is sqrt(prod(d^2)), taking d^2 in descending order.
+    The arrays are read-only: both parties' ellipsoids are the one object.
     """
-    _check_type(b, BlochForm)
-    if steered_party == "charlie":
-        m, n, T = b.m_tilde, b.n_vec, b.T
-    elif steered_party == "ab":
-        m, n, T = b.n_vec, b.m_tilde, b.T.T
-    else:
-        raise ConfigError(f"unknown steered party {steered_party!r}")
-    return ellipsoids(m[None], n[None], T[None])[0]
-
-
-def ellipsoids(m: np.ndarray, n: np.ndarray, T: np.ndarray) -> list[SteeringEllipsoid]:
-    """Steering ellipsoid of each member of a stack of two-qubit Bloch forms.
-
-    Member k's steering party has Bloch vector m[k], the steered party n[k],
-    and T[k][i, j] correlates the steering party's axis i with the steered
-    party's axis j; shapes (k, 3), (k, 3) and (k, 3, 3).  One real `eigh`
-    solves the whole stack.  Orientation columns are canonical, so inputs
-    that differ by rounding noise give the same columns: within a
-    degenerate group of semiaxes they prefer the coordinate axes in order
-    x, y, z, and each is signed so its largest-magnitude component is
-    positive.
-    """
-    # Matrix-vector products round differently on strided operands: copies
-    # make each member's result independent of how its rows were stacked.
-    m, n, T = (np.ascontiguousarray(x, dtype=float) for x in (m, n, T))
-    k = m.shape[:1]
-    if m.shape != k + (3,) or n.shape != k + (3,) or T.shape != k + (3, 3):
-        raise ShapeError(f"stack shapes {m.shape}, {n.shape}, {T.shape} are not "
-                         f"(k, 3), (k, 3), (k, 3, 3)")
-    m2 = (m[:, None, :] @ m[:, :, None])[:, 0, 0]
-    if (m2 >= 1.0 - DEGENERACY_TOL).any():
-        raise DegenerateSteererError("steering party is pure; ellipsoid degenerates")
-    gamma = 1.0 / (1.0 - m2)
-    Tt = T.transpose(0, 2, 1)
-    center = gamma[:, None] * (n - (Tt @ m[:, :, None])[..., 0])
-    left = gamma[:, None, None] * (Tt - n[:, :, None] * m[:, None, :])
-    middle = np.eye(3) + gamma[:, None, None] * (m[:, :, None] * m[:, None, :])
-    O = left @ middle @ (T - m[:, :, None] * n[:, None, :])
-    O = (O + O.transpose(0, 2, 1)) / 2
-    w, v = np.linalg.eigh(O)
-    w = np.clip(w[:, ::-1], 0.0, None)  # descending
-    semiaxes = np.sqrt(w)
-    axes = _tie_broken_axes(semiaxes, v[:, :, ::-1])
-    lead = np.take_along_axis(axes, np.abs(axes).argmax(axis=1)[:, None, :], axis=1)
-    axes = axes * np.sign(lead)
-    volume = np.sqrt(w.prod(axis=1))
-    return [SteeringEllipsoid(center=c, matrix=o, semiaxes=s, orientation=a,
-                              volume=float(vol))
-            for c, o, s, a, vol in zip(center, O, semiaxes, axes, volume)]
-
-
-def ellipsoid_volume_check(b: BlochForm) -> float:
-    """Normalized Charlie-ellipsoid volume via the determinant formula.
-
-    Computed as |det(T - m~ n^T)| / (1 - |m~|^2)^2; agrees with
-    sqrt(det(O)) of the ellipsoid matrix.
-    """
-    _check_type(b, BlochForm)
-    m, n, T = b.m_tilde, b.n_vec, b.T
-    m2 = float(m @ m)
-    if m2 >= 1.0 - DEGENERACY_TOL:
-        raise DegenerateSteererError("steering party is pure; volume degenerates")
-    return float(abs(np.linalg.det(T - np.outer(m, n))) / (1.0 - m2) ** 2)
-
-
-def _tie_broken_axes(semiaxes: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Copy of the orientation stack `vecs` with each degenerate semiaxis
-    group re-based onto coordinate axes where possible.
-
-    A group runs from a semiaxis through the later ones within
-    DEGENERACY_TOL of it.  Only members with such a group are re-based, one
-    at a time: the group's projector, applied to x, y and z in turn, is
-    Gram-Schmidt orthonormalized until the group is spanned.
-    """
-    out = vecs.copy()
-    for k, (s0, s1, s2) in enumerate(semiaxes.tolist()):
+    flat = t.reshape(-1, 16)
+    if np.count_nonzero(flat) != np.count_nonzero(flat[:, ::5]):  # off the diagonal
+        k, a, c = np.argwhere((t != 0) & ~np.eye(4, dtype=bool))[0]
+        raise InvariantError(f"pair {k + 1} is not a T-state (m~ = n = 0, T diagonal): "
+                             f"its compressed tensor holds {float(t[k, a, c])!r} at [{a}, {c}]")
+    d = flat[:, 5::5]  # t[1, 1], t[2, 2], t[3, 3]
+    semiaxes, orientation = [], []
+    for row in np.abs(d).tolist():
+        axes = sorted(range(3), key=row.__getitem__, reverse=True)  # a stable sort
+        s0, s1, s2 = sorted_row = [row[i] for i in axes]
         if s0 - s1 <= DEGENERACY_TOL:
-            start, stop = 0, 3 if s0 - s2 <= DEGENERACY_TOL else 2
+            stop = 3 if s0 - s2 <= DEGENERACY_TOL else 2
+            axes[:stop] = sorted(axes[:stop])
         elif s1 - s2 <= DEGENERACY_TOL:
-            start, stop = 1, 3
-        else:
-            continue
-        sub = vecs[k, :, start:stop]
-        proj = sub @ sub.T  # projector onto the degenerate subspace
-        basis = []
-        for axis in np.eye(3):
-            cand = proj @ axis
-            for b in basis:
-                cand = cand - (b @ cand) * b
-            norm = math.sqrt(cand @ cand)
-            if norm > AXIS_NORM_FLOOR:
-                cand = cand / norm
-                out[k, :, start + len(basis)] = cand
-                basis.append(cand)
-            if len(basis) == stop - start:
-                break
-    return out
+            axes[1:] = sorted(axes[1:])
+        semiaxes.append(sorted_row)
+        orientation.append(_ORIENTATIONS[tuple(axes)])
+    semiaxes = np.array(semiaxes)
+    center = np.zeros((len(d), 3))
+    matrix = np.zeros((len(d), 9))
+    matrix[:, ::4] = d * d
+    matrix = matrix.reshape(-1, 3, 3)
+    volume = np.sqrt((semiaxes * semiaxes).prod(axis=1))  # |d| |d| is d d exactly
+    for x in (center, matrix, semiaxes):
+        x.setflags(write=False)
+    return [SteeringEllipsoid(center=c, matrix=o, semiaxes=s, orientation=a, volume=float(v))
+            for c, o, s, a, v in zip(center, matrix, semiaxes, orientation, volume)]

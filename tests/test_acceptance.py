@@ -12,17 +12,16 @@ from steershare.scenario import (
     run_scenario,
     simultaneous_window,
 )
-from steershare.states import bloch_form, compress, ghz
+from steershare.states import ghz
 from steershare.steering import (
     StrengthHistory,
     closed_forms,
     closed_form_local,
     closed_form_nonlocal,
-    ellipsoid,
-    ellipsoid_volume_check,
 )
 
-from oracles import chain, direction, make_instrument, pair_update, steering_value, update
+from oracles import bloch_form, chain, compress, direction, ellipsoid, ellipsoid_volume_check, \
+    make_instrument, pair_update, steering_value, update
 from util import conditional_charlie_bloch, containment_violation, pauli_dot, random_density
 
 LABELS = ("x", "-y")  # Charlie's default directions

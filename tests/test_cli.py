@@ -84,6 +84,21 @@ class TestSweep:
         assert code == 2
         assert err.splitlines() == ["error: strengths (1.25, 1.25) outside [0, 1]"]
 
+    @pytest.mark.filterwarnings("error")  # a linspace warning would add stderr lines
+    @pytest.mark.parametrize("ends, shown", [
+        (["--from", "inf", "--to", "1"], "start=inf"),
+        (["--from", "0", "--to", "inf"], "stop=inf"),
+        (["--from", "0", "--to=-inf"], "stop=-inf"),
+        (["--from", "nan", "--to", "1"], "start=nan"),
+    ])
+    def test_non_finite_end_exits_2(self, capsys, tmp_path, ends, shown):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--vary", "lambda_1", "--samples", "3",
+                                 *ends, "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {shown} is not a finite float"]
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("fix", ["lambda1_1=abc", "lambda1_1"])
     def test_bad_fix_exits_2(self, capsys, tmp_path, fix):
         code, _, err = run_cli(capsys, "sweep", "--fix", fix, "--vary", "lambda2_1",
@@ -233,6 +248,11 @@ def _seeded_run_configs():
     return configs
 
 
+# Where GHZ's Pauli components are nonzero in a 3-qubit matrix: the real
+# diagonal (I and Z products) and anti-diagonal (X and Y-Y-X products).
+_GHZ_SUPPORT = np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1]
+
+
 def _ellipsoid_payload(e):
     """The `--out` JSON of one ellipsoid: orientation rows are its axes."""
     return e and {"center": e.center.tolist(), "matrix": e.matrix.tolist(),
@@ -277,14 +297,18 @@ class TestRunOut:
     @pytest.mark.parametrize("mode", ["nonlocal", "local"])
     def test_special_floats_spelled_as_json_dumps(self, capsys, tmp_path, monkeypatch,
                                                   mode):
-        """NaN, +-Infinity and -0.0 in every kind of field: steering values,
-        state entries and each ellipsoid field."""
+        """NaN, +-Infinity and -0.0 in every kind of spelled field: steering
+        values, state entries in the support of GHZ's Pauli components (the
+        diagonal and anti-diagonal of the real part), and each ellipsoid
+        field but the centre and the off-diagonal matrix entries.  The other
+        slots hold a literal 0.0 (`test_literal_slot_must_hold_positive_zero`)."""
         specials = [float("nan"), float("inf"), float("-inf"), -0.0]
         rng = np.random.default_rng(41)
 
-        def spiked(a):
+        def spiked(a, where):
             a = a.copy()
-            idx = rng.choice(a.size, min(a.size, len(specials)), replace=False)
+            slots = np.flatnonzero(where)
+            idx = rng.choice(slots, min(slots.size, len(specials)), replace=False)
             a.reshape(-1)[idx] = rng.permutation(specials)[:len(idx)]
             return a
 
@@ -292,13 +316,13 @@ class TestRunOut:
             dm = object.__new__(DensityMatrix)
             object.__setattr__(dm, "qubits", 3)
             object.__setattr__(dm, "mat", np.empty_like(mat))
-            dm.mat.real, dm.mat.imag = spiked(mat.real), spiked(mat.imag)
+            dm.mat.real, dm.mat.imag = spiked(mat.real, _GHZ_SUPPORT), mat.imag
             return dm
 
         def ell(e, volume):
-            return e and SteeringEllipsoid(spiked(e.center), spiked(e.matrix),
-                                           spiked(e.semiaxes), spiked(e.orientation),
-                                           volume)
+            return e and SteeringEllipsoid(e.center, spiked(e.matrix, np.eye(3)),
+                                           spiked(e.semiaxes, np.ones(3)),
+                                           spiked(e.orientation, np.ones((3, 3))), volume)
 
         cfg = {"mode": mode, "pairs": 4, "strengths": [0.5, [0.3, 0.8], 0.9]}
         results = [PairResult(r.pair, x, state(r.state.mat), ell(r.charlie_ellipsoid, x),
@@ -316,6 +340,45 @@ class TestRunOut:
         assert text == json.dumps(_run_payload(results), indent=2) + "\n"
         for word in ("NaN", "Infinity", "-Infinity", "-0.0"):
             assert word in text
+
+    @pytest.mark.parametrize("value", [1e-300, -0.0, float("nan")])
+    @pytest.mark.parametrize("field", ["re", "im", "center", "matrix"])
+    def test_literal_slot_must_hold_positive_zero(self, capsys, tmp_path, monkeypatch,
+                                                  field, value):
+        """A float outside the support of GHZ's Pauli components is written
+        as a literal 0.0, so anything but +0.0 there is a broken invariant."""
+        results = run_scenario(ScenarioConfig.from_json({"pairs": 3, "strengths": [0.5, 0.8]}))
+        r = results[1]
+        if field in ("re", "im"):
+            mat = r.state.mat.copy()
+            if field == "re":
+                mat.real[0, 1] = value  # off the diagonal and the anti-diagonal
+            else:
+                mat.imag[0, 7] = value  # an imaginary part, even on the anti-diagonal
+            state = object.__new__(DensityMatrix)
+            object.__setattr__(state, "qubits", 3)
+            object.__setattr__(state, "mat", mat)
+            results[1] = PairResult(r.pair, r.steering_value, state,
+                                    r.charlie_ellipsoid, r.ab_ellipsoid)
+        else:
+            e = r.ab_ellipsoid
+            center, matrix = e.center.copy(), e.matrix.copy()
+            if field == "center":
+                center[2] = value
+            else:
+                matrix[1, 0] = value
+            results[1] = PairResult(r.pair, r.steering_value, r.state, r.charlie_ellipsoid,
+                                    SteeringEllipsoid(center, matrix, e.semiaxes,
+                                                      e.orientation, e.volume))
+        monkeypatch.setattr(scenario, "run_scenario", lambda _cfg: results)
+        cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_file.write_text('{"pairs": 3, "strengths": [0.5, 0.8]}')
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
+                                 "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: the run holds {value!r} "
+                                    "outside the Pauli components of GHZ"]
+        assert not out_file.exists()
 
     def test_negative_local_strength_prints_one_stderr_line(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from steershare import scenario
-from steershare.errors import ConfigError
+from steershare.errors import ConfigError, ShapeError
 from steershare.scenario import (
     MAX_GRID_RESOLUTION,
     MAX_SAMPLES,
@@ -23,11 +23,11 @@ from steershare.scenario import (
     simultaneous_window,
     sweep_curve,
 )
-from steershare.states import DensityMatrix, bloch_form, compress
-from steershare.steering import StrengthHistory, classical_bound, closed_form_nonlocal, \
-    ellipsoid
+from steershare.states import DensityMatrix
+from steershare.steering import StrengthHistory, classical_bound, closed_form_local, \
+    closed_form_nonlocal
 
-from oracles import ORACLE_TOL, chain
+from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid
 
 
 def _csv(table, kind):
@@ -359,6 +359,7 @@ class TestCsvBlocks:
 
 
 _HISTORY = StrengthHistory.nonlocal_history([(0.5, 0.8), (1.0, 1.0)])
+_MODES = np.array(["compare", "local"])  # a numpy array is not one mode
 
 
 class TestInputValidation:
@@ -477,6 +478,34 @@ class TestInputValidation:
     def test_wrong_types_raise_config_error(self, call, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, kind, message", [
+        (lambda: run_scenario(None), ShapeError, "expected a ScenarioConfig, got NoneType"),
+        (lambda: closed_form_nonlocal("x", 1), ShapeError,
+         "expected a StrengthHistory, got str"),
+        (lambda: closed_form_local(None, 1), ShapeError,
+         "expected a StrengthHistory, got NoneType"),
+        (lambda: classical_bound(None), ShapeError,
+         "settings are not numeric square matrices of one shape"),
+        (lambda: StrengthHistory(None), ConfigError,
+         "strengths None are not a sequence of per-pair sequences"),
+        (lambda: scan_region(2, 3, mode=_MODES), ConfigError, f"unknown mode {_MODES!r}"),
+        (lambda: sweep_curve({}, "lambda_1", 0, 1, 3, mode=_MODES), ConfigError,
+         f"unknown mode {_MODES!r}"),
+        (lambda: max_simultaneous_pairs(3, mode=_MODES), ConfigError,
+         f"unknown mode {_MODES!r}"),
+        (lambda: ScenarioConfig(_HISTORY, mode=_MODES), ConfigError,
+         f"mode={_MODES!r} is not a str"),
+        (lambda: sweep_curve({}, "lambda_1", 10 ** 400, 1, 3), ConfigError,
+         f"start={10 ** 400} is not a finite float"),
+    ], ids=["run-none", "nonlocal-str", "local-none", "bound-none", "history-none",
+            "scan-mode-array", "sweep-mode-array", "max-pairs-mode-array",
+            "config-mode-array", "sweep-huge-int"])
+    def test_junk_objects_raise_steershare_error(self, call, kind, message):
+        with pytest.raises(kind) as err:
+            call()
+        assert str(err.value) == message
 
     def test_strength_check_names_first_history_then_first_pair(self):
         lam1, lam2 = [np.full(10, 0.5) for _ in range(4)], [np.full(10, 0.5) for _ in range(4)]

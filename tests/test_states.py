@@ -12,8 +12,6 @@ from steershare.states import (
     GHZ_TENSOR,
     DensityMatrix,
     _check_stack,
-    bloch_form,
-    compress,
     compressed_tensors,
     from_pauli_tensors,
     ghz,
@@ -21,7 +19,7 @@ from steershare.states import (
     pauli_tensor,
 )
 
-from oracles import direction
+from oracles import bloch_form, compress, direction
 from util import random_density
 
 

@@ -8,14 +8,14 @@ import pytest
 from steershare import scenario
 from steershare.errors import (
     ConfigError,
-    DegenerateSteererError,
+    InvariantError,
     NotCompressibleError,
     NotHermitianError,
     ShapeError,
     UnsupportedSizeError,
 )
 from steershare.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from steershare.states import BlochForm, DensityMatrix, bloch_form, compress, ghz, pauli_tensor
+from steershare.states import DensityMatrix, ghz, pauli_tensor
 from steershare.steering import (
     StrengthHistory,
     classical_bound,
@@ -23,12 +23,10 @@ from steershare.steering import (
     closed_form_nonlocal,
     closed_forms,
     coherence,
-    ellipsoid,
-    ellipsoid_volume_check,
-    ellipsoids,
 )
 
-from oracles import tie_broken_axes
+from oracles import BlochForm, bloch_form, compress, ellipsoid, ellipsoid_volume_check, \
+    ellipsoids, tie_broken_axes
 from util import conditional_charlie_bloch, containment_violation, pauli_dot, random_density
 
 SQRT_HALF = 1 / np.sqrt(2)
@@ -363,9 +361,9 @@ class TestEllipsoid:
     def test_degenerate_steerer(self):
         b = BlochForm(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
                       np.diag([0.0, 0.0, 1.0]))
-        with pytest.raises(DegenerateSteererError):
+        with pytest.raises(ValueError, match="^steering party is pure; ellipsoid degenerates$"):
             ellipsoid(b)
-        with pytest.raises(DegenerateSteererError):
+        with pytest.raises(ValueError, match="^steering party is pure; volume degenerates$"):
             ellipsoid_volume_check(b)
 
     @pytest.mark.parametrize("call, arg, kind", [
@@ -469,8 +467,7 @@ class TestEllipsoidStack:
     def test_pure_member_raises(self):
         m, n, T = _steering_rows(_seeded_forms()[:5], "charlie")
         m[3] = [0.0, 0.6, 0.8]
-        with pytest.raises(DegenerateSteererError,
-                           match="steering party is pure; ellipsoid degenerates"):
+        with pytest.raises(ValueError, match="steering party is pure; ellipsoid degenerates"):
             ellipsoids(m, n, T)
 
     @pytest.mark.parametrize("shapes", [
@@ -487,9 +484,9 @@ class TestEllipsoidStack:
 
 
 def _seeded_run_stacks():
-    """Nonlocal runs of 1-4 pairs with signed x/y/z Charlie directions and
-    mostly scalar strengths, many of them special values, so that semiaxes
-    tie: each run's Charlie and AB ellipsoids are one `ellipsoids` stack."""
+    """The Charlie and AB ellipsoids of every pair, per nonlocal run of 1-4
+    pairs with signed x/y/z Charlie directions and mostly scalar strengths,
+    many of them special values, so that semiaxes tie."""
     rng = np.random.default_rng(29)
     labels = ["x", "-x", "y", "-y", "z", "-z"]
     special = [0.0, 0.5, SQRT_HALF, 1.0]
@@ -527,6 +524,56 @@ class TestRunEllipsoids:
                         count += 1
         assert count == 2160
 
+    def test_bits_equal_general_oracle(self, monkeypatch):
+        # The closed-form T-state ellipsoids against the general `eigh` path
+        # on the very tensors the run compressed, as the run used to solve
+        # them: Charlie rows (m~, n, T), then AB rows (n, m~, T^T).  Bits are
+        # compared on the int64 view, which tells -0.0 from 0.0.
+        compressed = []
+
+        def spy(t):
+            out = real(t)
+            compressed.append(out[0])
+            return out
+
+        real = scenario.compressed_tensors
+        monkeypatch.setattr(scenario, "compressed_tensors", spy)
+        rng = np.random.default_rng(59)
+        labels = ["x", "-x", "y", "-y", "z", "-z"]
+        # Exact ties, near ties across DEGENERACY_TOL (semiaxes move by about
+        # 0.6 of an offset from 0.5), and tiny strengths whose three semiaxes
+        # chain: each within the tolerance of the next but not of the first.
+        special = [0.0, 0.5, SQRT_HALF, 1.0, 0.5 + 1e-11, 0.5 - 1e-9, 0.5 + 2e-9,
+                   0.5 + 1e-8, 7e-5, 5e-5, 3e-5]
+        groups = set()
+        for k in range(400):
+            lams = [[float(rng.choice(special)) if rng.uniform() < 0.6 else float(rng.uniform())
+                     for _ in range(2)] for _ in range(k % 4 + 1)]
+            cfg = scenario.make_config("nonlocal", lams,
+                                       charlie_directions=rng.choice(labels, 2).tolist())
+            results = scenario.run_scenario(cfg)
+            t = compressed.pop()
+            m, n, T = t[:, 1:, 0], t[:, 0, 1:], t[:, 1:, 1:]
+            want = ellipsoids(np.concatenate([m, n]), np.concatenate([n, m]),
+                              np.concatenate([T, T.transpose(0, 2, 1)]))
+            for i, r in enumerate(results):
+                for got, ref in ((r.charlie_ellipsoid, want[i]), (r.ab_ellipsoid,
+                                                                   want[len(results) + i])):
+                    for name in ("center", "matrix", "semiaxes", "orientation"):
+                        assert np.array_equal(getattr(got, name).view(np.int64),
+                                              getattr(ref, name).view(np.int64)), name
+                    assert got.volume.hex() == ref.volume.hex()
+                gaps = -np.diff(r.charlie_ellipsoid.semiaxes)
+                tied = gaps <= 1e-9
+                groups.add((tuple(tied), bool(gaps.sum() <= 1e-9),
+                            bool(np.any((gaps > 1e-9) & (gaps <= 1e-8)))))
+        # Untied, one tied pair either way, all three tied, a chain (both
+        # pairs tied, first and last not), and near misses just past the tolerance.
+        assert {(False, False), (True, False), (False, True), (True, True)} <= \
+            {g[0] for g in groups}
+        assert ((True, True), False, False) in groups and ((True, True), True, False) in groups
+        assert any(g[2] for g in groups)
+
 
 class TestTieBreakOracle:
     def test_orientation_equals_per_member_oracle(self):
@@ -548,10 +595,11 @@ class TestTieBreakOracle:
 
 
 class TestRunScenarioErrors:
-    """A run that cannot compress or whose steering party is pure at pair i
-    fails with the error and message of that pair's own compression or
-    ellipsoid.  (Dephasing never changes the AB populations, so either every
-    pair of a run compresses or none does.)"""
+    """A run that cannot compress at pair i fails with the error and message
+    of that pair's own compression.  (Dephasing never changes the AB
+    populations, so either every pair of a run compresses or none does.)  A
+    run whose compressed state at pair i is not a T-state has left GHZ's
+    Pauli components: it fails naming pair i and the first such entry."""
 
     def test_compression_failure(self):
         with pytest.raises(ConfigError) as err:
@@ -561,12 +609,14 @@ class TestRunScenarioErrors:
 
     @pytest.mark.parametrize("pairs, fail_at",
                              [(p, i) for p in range(1, 5) for i in range(1, p + 1)])
-    @pytest.mark.parametrize("fault", ["pure_ab_qubit", "pure_charlie", "not_compressible"])
+    @pytest.mark.parametrize("fault", ["pure_ab_qubit", "pure_charlie", "off_diagonal_t",
+                                       "not_compressible"])
     def test_failure_at_pair(self, monkeypatch, pairs, fail_at, fault):
         # The fault enters member fail_at of the run's stacked compression:
-        # its input tensors or its output Bloch forms.  A not-compressible
-        # fault also enters every later member, each leaking a different
-        # weight, so the message names the first failing member.
+        # its input tensors or its output Bloch forms (a pure m~ or n, or a
+        # T entry off the diagonal).  A not-compressible fault also enters
+        # every later member, each leaking a different weight, so the
+        # message names the first failing member.
         real = scenario.compressed_tensors
         if fault == "not_compressible":
             leak = np.zeros((8, 8), dtype=complex)
@@ -585,17 +635,22 @@ class TestRunScenarioErrors:
                 k = fail_at - 1
                 if fault == "pure_ab_qubit":
                     small[k, 1:, 0] = [0.6, 0.0, 0.8]
-                else:
+                elif fault == "pure_charlie":
                     small[k, 0, 1:] = [0.6, 0.0, 0.8]
+                else:
+                    small[k, 3, 2] = -1e-300
                 return small, weights
 
         monkeypatch.setattr(scenario, "compressed_tensors", faulty)
         cfg = scenario.make_config("nonlocal", [0.4] * pairs)
+        entry = {"pure_ab_qubit": "0.6 at [1, 0]", "pure_charlie": "0.6 at [0, 1]",
+                 "off_diagonal_t": "-1e-300 at [3, 2]"}
         kind, message = (
             (NotCompressibleError, f"only {1 - fail_at / 10:.12f} of the state lies in "
                                    f"span{{|00>, |11>}} x C2")
             if fault == "not_compressible"
-            else (DegenerateSteererError, "steering party is pure; ellipsoid degenerates"))
+            else (InvariantError, f"pair {fail_at} is not a T-state (m~ = n = 0, T diagonal): "
+                                  f"its compressed tensor holds {entry[fault]}"))
         with pytest.raises(kind) as err:
             scenario.run_scenario(cfg)
         assert str(err.value) == message
