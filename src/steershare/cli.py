@@ -75,9 +75,13 @@ _ELLIPSOID = {"center": [0.0] * 3,
 _OFF_DIAGONAL = ~np.eye(3, dtype=bool).ravel()
 
 
-def _ellipsoid_floats(e) -> tuple[list, list]:
+def _ellipsoid_floats(e, ab, what: str) -> tuple[list, list]:
     """The floats of ellipsoid `e` as arrays: those spelled, in `_ELLIPSOID`
-    slot order, and those its literal 0.0 slots stand for."""
+    slot order, and those its literal 0.0 slots stand for.  A T-state steers
+    both parties onto one ellipsoid, so `e` must be the AB ellipsoid `ab`
+    (else InvariantError), and its floats fill the slots of both."""
+    if e is not ab:
+        raise InvariantError(f"{what} has distinct Charlie and AB ellipsoid objects")
     return ([e.matrix.diagonal(), e.semiaxes, e.orientation.T.ravel(), (e.volume,)],
             [e.center, e.matrix.reshape(-1)[_OFF_DIAGONAL]])
 
@@ -98,10 +102,20 @@ def _layout(skeleton) -> str:
     return json.dumps(skeleton, indent=2).replace('"%s"', "%s") + "\n"
 
 
-def _fill(layout: str, parts: list) -> str:
-    """`layout` with its slots filled, in order, by the floats of the arrays
-    `parts`, each spelled as json spells it, NaN and Infinity included."""
-    return layout % tuple(json.dumps(np.concatenate(parts).tolist())[1:-1].split(", "))
+def _fill(layout: str, parts: list, slots: list) -> str:
+    """`layout` with slot k filled by float `slots[k]` of the arrays `parts`
+    (concatenated), each float spelled once as json spells it, NaN and
+    Infinity included."""
+    texts = json.dumps(np.concatenate(parts).tolist())[1:-1].split(", ")
+    return layout % tuple(map(texts.__getitem__, slots))
+
+
+def _slots(records: int, own: int, ellipsoid: bool) -> list:
+    """`_fill` slots of `records` records, each of `own` floats and then,
+    if `ellipsoid`, one ellipsoid's floats, which fill two slots each."""
+    e = _layout(_ELLIPSOID).count("%s") * ellipsoid
+    return [r * (own + e) + k for r in range(records)
+            for k in (*range(own + e), *range(own, own + e))]
 
 
 def cmd_demo(_args) -> None:
@@ -151,10 +165,9 @@ def cmd_sweep(args) -> None:
 def cmd_ellipsoids(args) -> None:
     r = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])[0]
     record = {"lambda1": "%s", "lambda2": "%s", "charlie": _ELLIPSOID, "ab": _ELLIPSOID}
-    (charlie, charlie_zeros), (ab, ab_zeros) = map(_ellipsoid_floats, (r.charlie, r.ab))
-    parts = _checked([(r.lambda1, r.lambda2), *charlie, *ab], charlie_zeros + ab_zeros,
-                     "an ellipsoid")
-    _write_out(args.out, [_fill(_layout([record]), parts)])
+    spelled, zeros = _ellipsoid_floats(r.charlie, r.ab, "the record")
+    parts = _checked([(r.lambda1, r.lambda2), *spelled], zeros, "an ellipsoid")
+    _write_out(args.out, [_fill(_layout([record]), parts, _slots(1, 2, True))])
     print(f"Charlie semiaxes: {np.round(r.charlie.semiaxes, 6).tolist()}, "
           f"volume {r.charlie.volume:.6f} -> {args.out}")
 
@@ -166,32 +179,35 @@ def cmd_bound(args) -> None:
 
 
 @functools.cache
-def _run_layout(pairs: int, with_ellipsoids: bool) -> str:
-    """The `run --out` layout of `pairs` results, filled in `_run_floats`
-    order.  A run's states are 3-qubit and its pair numbers count from 1."""
+def _run_layout(pairs: int, with_ellipsoids: bool) -> tuple[str, list]:
+    """The `run --out` layout of `pairs` results and its `_fill` slots over
+    the `_run_floats` of a run.  A run's states are 3-qubit and its pair
+    numbers count from 1."""
     ell = _ELLIPSOID if with_ellipsoids else None
     re, im = ([["%s" if x else 0.0 for x in row] for row in s.tolist()]
               for s in (_SUPPORT_RE, _SUPPORT_IM))
     return _layout([{"pair": i, "steering_value": "%s",
                      "state": {"qubits": 3, "re": re, "im": im},
                      "charlie_ellipsoid": ell, "ab_ellipsoid": ell}
-                    for i in range(1, pairs + 1)])
+                    for i in range(1, pairs + 1)]), \
+        _slots(pairs, 1 + len(_STATE_SPELLED), with_ellipsoids)
 
 
 def _run_floats(results, with_ellipsoids: bool) -> list:
     """Per pair the steering value, the state's spelled real then imaginary
-    entries, then the Charlie and AB ellipsoids' spelled floats, once every
-    float of the run's literal slots is checked to be +0.0."""
+    entries, then the spelled floats of the ellipsoid its Charlie and AB
+    slots share, once every float of the run's literal slots is checked to
+    be +0.0."""
     parts, literal = [], []
     for r in results:
         floats = r.state.mat.reshape(-1).view(float)
         parts += [(r.steering_value,), floats[_STATE_SPELLED]]
         literal.append(floats[_STATE_LITERAL])
         if with_ellipsoids:
-            for e in (r.charlie_ellipsoid, r.ab_ellipsoid):
-                spelled, zeros = _ellipsoid_floats(e)
-                parts += spelled
-                literal += zeros
+            spelled, zeros = _ellipsoid_floats(r.charlie_ellipsoid, r.ab_ellipsoid,
+                                               f"pair {r.pair}")
+            parts += spelled
+            literal += zeros
     return _checked(parts, literal, "the run")
 
 
@@ -210,8 +226,8 @@ def cmd_run(args) -> None:
     if args.out:
         # Nonlocal runs give every pair both ellipsoids, local runs none.
         with_ellipsoids = results[0].charlie_ellipsoid is not None
-        _write_out(args.out, [_fill(_run_layout(len(results), with_ellipsoids),
-                                    _run_floats(results, with_ellipsoids))])
+        layout, slots = _run_layout(len(results), with_ellipsoids)
+        _write_out(args.out, [_fill(layout, _run_floats(results, with_ellipsoids), slots)])
     bound = cfg.bound
     for r in results:
         marker = ">" if r.steering_value > bound else "<="

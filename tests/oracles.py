@@ -1,6 +1,7 @@
 """Oracles: the Kraus-operator one for the dephasing kernel `run_scenario`
-evolves with, and the general steering ellipsoid of any two-qubit state,
-which `run_scenario`'s closed-form T-state ellipsoids must equal.
+evolves with, the general steering ellipsoid of any two-qubit state,
+which `run_scenario`'s closed-form T-state ellipsoids must equal, and the
+one-format-per-row scan CSV text, which `iter_csv` must equal.
 
 The Kraus oracle follows the definitions on full-register matrices and
 shares no code with the package's Pauli-tensor path.  A measurement is a
@@ -250,3 +251,19 @@ def ellipsoid_volume_check(b):
     if m2 >= 1.0 - DEGENERACY_TOL:
         raise ValueError("steering party is pure; volume degenerates")
     return float(abs(np.linalg.det(T - np.outer(m, n))) / (1.0 - m2) ** 2)
+
+
+def scan_csv(table):
+    """The scan CSV text of `table` as one %-format per row over all its
+    rows, the writer `iter_csv(table, "scan")` replaced: every float printed
+    with %.12g, every region label with %s, and empty S (or St) columns
+    where the mode leaves them out."""
+    cols = [table.params["lambda1"], table.params["lambda2"]]
+    fields = ["%.12g"] * 2
+    for group in (table.s[:3], table.st[:3]):
+        cols += group
+        fields += ["%.12g"] * len(group) + [""] * (3 - len(group))
+    cols.append(table.region)
+    row = ",".join(fields + ["%s"]) + "\n"
+    header = "lambda1,lambda2,S1,S2,S3,St1,St2,St3,region\n"
+    return header + "".join(row % r for r in zip(*(c.tolist() for c in cols)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import steershare
-from steershare import scenario
+from steershare import cli, scenario
 from steershare.cli import main
 from steershare.scenario import PairResult, ScenarioConfig, ellipsoid_series, iter_csv, \
     run_scenario, sweep_curve
@@ -204,6 +204,20 @@ class TestEllipsoids:
                    for r in records]
         assert out_file.read_text() == json.dumps(payload, indent=2) + "\n"
 
+    def test_distinct_ellipsoid_objects_raise(self, capsys, tmp_path, monkeypatch):
+        r = ellipsoid_series([(0.5, 0.8)])[0]
+        e = r.ab
+        copy = SteeringEllipsoid(e.center, e.matrix, e.semiaxes, e.orientation, e.volume)
+        monkeypatch.setattr(scenario, "ellipsoid_series", lambda _pairs: [
+            scenario.EllipsoidRecord(r.lambda1, r.lambda2, r.charlie, copy)])
+        out_file = tmp_path / "ell.json"
+        code, out, err = run_cli(capsys, "ellipsoids", "--lambda1", "0.5",
+                                 "--lambda2", "0.8", "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: the record has distinct Charlie and AB "
+                                    "ellipsoid objects"]
+        assert not out_file.exists()
+
 
 class TestRun:
     def test_config_file(self, capsys, tmp_path):
@@ -324,9 +338,12 @@ class TestRunOut:
                                            spiked(e.semiaxes, np.ones(3)),
                                            spiked(e.orientation, np.ones((3, 3))), volume)
 
+        def result(r, x):  # a pair's Charlie and AB ellipsoids stay one object
+            e = ell(r.charlie_ellipsoid, x)
+            return PairResult(r.pair, x, state(r.state.mat), e, e)
+
         cfg = {"mode": mode, "pairs": 4, "strengths": [0.5, [0.3, 0.8], 0.9]}
-        results = [PairResult(r.pair, x, state(r.state.mat), ell(r.charlie_ellipsoid, x),
-                              ell(r.ab_ellipsoid, x))
+        results = [result(r, x)
                    for r, x in zip(run_scenario(ScenarioConfig.from_json(cfg)), specials)]
         assert (results[0].charlie_ellipsoid is None) == (mode == "local")
         monkeypatch.setattr(scenario, "run_scenario", lambda _cfg: results)
@@ -367,9 +384,8 @@ class TestRunOut:
                 center[2] = value
             else:
                 matrix[1, 0] = value
-            results[1] = PairResult(r.pair, r.steering_value, r.state, r.charlie_ellipsoid,
-                                    SteeringEllipsoid(center, matrix, e.semiaxes,
-                                                      e.orientation, e.volume))
+            e = SteeringEllipsoid(center, matrix, e.semiaxes, e.orientation, e.volume)
+            results[1] = PairResult(r.pair, r.steering_value, r.state, e, e)
         monkeypatch.setattr(scenario, "run_scenario", lambda _cfg: results)
         cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_file.write_text('{"pairs": 3, "strengths": [0.5, 0.8]}')
@@ -379,6 +395,31 @@ class TestRunOut:
         assert err.splitlines() == [f"error: the run holds {value!r} "
                                     "outside the Pauli components of GHZ"]
         assert not out_file.exists()
+
+    def test_distinct_ellipsoid_objects_raise(self, capsys, tmp_path, monkeypatch):
+        """A T-state steers both parties onto one ellipsoid, spelled once for
+        both slots; equal values in two objects break that invariant."""
+        results = run_scenario(ScenarioConfig.from_json({"pairs": 3}))
+        r, e = results[1], results[1].ab_ellipsoid
+        copy = SteeringEllipsoid(e.center, e.matrix, e.semiaxes, e.orientation, e.volume)
+        results[1] = PairResult(r.pair, r.steering_value, r.state, r.charlie_ellipsoid, copy)
+        monkeypatch.setattr(scenario, "run_scenario", lambda _cfg: results)
+        cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg_file.write_text('{"pairs": 3}')
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
+                                 "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: pair 2 has distinct Charlie and AB "
+                                    "ellipsoid objects"]
+        assert not out_file.exists()
+
+    def test_three_nonlocal_pairs_spell_99_floats(self):
+        # 1 steering value, 16 state entries and 16 shared ellipsoid floats
+        # per pair fill 1 + 16 + 2 * 16 slots.
+        results = run_scenario(ScenarioConfig.from_json({"pairs": 3, "strengths": [0.5, 0.8]}))
+        layout, slots = cli._run_layout(3, True)
+        assert np.concatenate(cli._run_floats(results, True)).size == 99
+        assert layout.count("%s") == len(slots) == 147
 
     def test_negative_local_strength_prints_one_stderr_line(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

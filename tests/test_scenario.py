@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 import tracemalloc
 
@@ -27,7 +28,7 @@ from steershare.states import DensityMatrix
 from steershare.steering import StrengthHistory, classical_bound, closed_form_local, \
     closed_form_nonlocal
 
-from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid
+from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid, scan_csv
 
 
 def _csv(table, kind):
@@ -316,8 +317,10 @@ def _head(table: ScanTable, rows: int) -> ScanTable:
 
 
 class TestCsvBlocks:
-    """`iter_csv` yields the header, then blocks of at most CSV_BLOCK_ROWS rows
-    that join to the one-block text (pinned by the digests above)."""
+    """`iter_csv` yields the header, then blocks that join to the whole text
+    (pinned by the digests above): a sweep's of at most CSV_BLOCK_ROWS rows,
+    and a scan's one per run of bit-equal lambda1 values, whatever
+    CSV_BLOCK_ROWS is."""
 
     B = 4
 
@@ -330,25 +333,32 @@ class TestCsvBlocks:
                             pairs=3, mode=mode))
         table = _head(full, rows)
         assert len(table) == rows < scenario.CSV_BLOCK_ROWS
-        whole = _csv(table, kind)  # one block at the default size
+        whole = _csv(table, kind)  # a sweep's one block at the default size
         monkeypatch.setattr(scenario, "CSV_BLOCK_ROWS", self.B)
         chunks = list(iter_csv(table, kind))
         assert "".join(chunks) == whole
-        assert len(chunks) == 1 + -(-rows // self.B)
         assert chunks[0] == whole.partition("\n")[0] + "\n"
-        assert all(c.count("\n") == self.B for c in chunks[1:-1])
+        if kind == "scan":
+            lines = whole.splitlines(keepends=True)[1:]
+            runs = ["".join(run) for _, run in
+                    itertools.groupby(lines, key=lambda line: line.partition(",")[0])]
+            assert chunks[1:] == runs and len(runs) == -(-rows // 5)
+        else:
+            assert len(chunks) == 1 + -(-rows // self.B)
+            assert all(c.count("\n") == self.B for c in chunks[1:-1])
 
     @pytest.mark.parametrize("block, kind, digest", [
         (24, "scan", "dcfc3e6bf2eed8e8832ab00c17598f7cc40526d2af98bfb8a92a95ca97e2601c"),
         (40, "sweep", "0a74f248f8f53dab0de976f23fb37cd0934eb9dcc556031bc4365e9b6efadb3d"),
     ])
     def test_blocked_text_keeps_digest(self, monkeypatch, block, kind, digest):
-        # 49 grid-7 scan rows and 81 README sweep rows: 2 * block + 1 each.
+        # 49 grid-7 scan rows, one block per grid row, and 81 README sweep
+        # rows, 2 * block + 1.
         table = (scan_region(3, 7, "compare") if kind == "scan" else
                  sweep_curve({"lambda1_1": 0.70710678}, "lambda2_1", 0.6, 1.0, 81))
         monkeypatch.setattr(scenario, "CSV_BLOCK_ROWS", block)
         chunks = list(iter_csv(table, kind))
-        assert len(chunks) == 4
+        assert len(chunks) == (8 if kind == "scan" else 4)
         assert hashlib.sha256("".join(chunks).encode()).hexdigest() == digest
 
     def test_unknown_kind_raises_on_call(self):
@@ -356,6 +366,61 @@ class TestCsvBlocks:
             iter_csv(scan_region(2, 3, "compare"), "bogus")
         with pytest.raises(ConfigError, match=r"a sweep CSV needs parameter columns \['param'\]"):
             iter_csv(scan_region(2, 3, "compare"), "sweep")
+
+
+def _with_cells(table: ScanTable, column: str, rows: list, value: float) -> ScanTable:
+    """A copy of scan `table` whose `column` ("lambda1", "lambda2" or "S1")
+    holds `value` in `rows`."""
+    params = {k: v.copy() for k, v in table.params.items()}
+    s = [c.copy() for c in table.s]
+    (s[0] if column == "S1" else params[column])[rows] = value
+    return ScanTable(params=params, s=s, st=table.st, region=table.region)
+
+
+class TestScanCsvOracle:
+    """The scan writer equals the one-format-per-row oracle on every table:
+    scans, cut-short and reordered tables, and special floats, which show
+    that runs and constant columns are found on bits, not values."""
+
+    @pytest.mark.parametrize("mode", ["nonlocal", "local", "compare"])
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    def test_scans(self, pairs, mode):
+        for grid in [*range(2, 13), 84]:
+            table = scan_region(pairs, grid, mode)
+            assert _csv(table, "scan") == scan_csv(table)
+
+    @pytest.mark.parametrize("mode", ["nonlocal", "local", "compare"])
+    def test_every_head(self, mode):
+        full = scan_region(3, 5, mode)
+        for rows in range(len(full) + 1):
+            assert _csv(_head(full, rows), "scan") == scan_csv(_head(full, rows))
+
+    def test_rows_permuted(self):
+        full = scan_region(3, 7, "compare")
+        order = np.random.default_rng(22).permutation(len(full))
+        table = ScanTable(params={k: v[order] for k, v in full.params.items()},
+                          s=[c[order] for c in full.s], st=[c[order] for c in full.st],
+                          region=full.region[order])
+        assert _csv(table, "scan") == scan_csv(table)
+
+    def test_float32_columns(self):
+        full = scan_region(3, 6, "compare")
+        table = ScanTable(params={k: v.astype(np.float32) for k, v in full.params.items()},
+                          s=[c.astype(np.float32) for c in full.s],
+                          st=[c.astype(np.float32) for c in full.st], region=full.region)
+        assert _csv(table, "scan") == scan_csv(table)
+
+    # Grid 4: rows 0-3 hold lambda1 = S1 = 0.0, and row 4k holds lambda2 = 0.0.
+    @pytest.mark.parametrize("value", [-0.0, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("column, rows", [
+        ("lambda1", [0]), ("lambda1", [2]), ("lambda1", [3]), ("lambda1", [1, 2]),
+        ("lambda1", [4, 5, 6, 7]), ("lambda1", list(range(16))),
+        ("S1", [2]), ("S1", [0, 1, 2, 3]), ("S1", [15]),
+        ("lambda2", [0]), ("lambda2", [4]), ("lambda2", [0, 4, 8, 12]), ("lambda2", [6]),
+    ])
+    def test_special_cells(self, column, rows, value):
+        table = _with_cells(scan_region(3, 4, "compare"), column, rows, value)
+        assert _csv(table, "scan") == scan_csv(table)
 
 
 _HISTORY = StrengthHistory.nonlocal_history([(0.5, 0.8), (1.0, 1.0)])
