@@ -371,14 +371,14 @@ class EllipsoidRecord:
 
 
 def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[EllipsoidRecord]:
-    """Charlie/AB steering ellipsoids of the post-pair-1 state per sample."""
-    out = []
-    for l1, l2 in StrengthHistory.nonlocal_history(strength_pairs).lambdas:
-        cfg = make_config("nonlocal", [[l1, l2]], pairs=1)
-        result = run_scenario(cfg)[0]
-        out.append(EllipsoidRecord(l1, l2, result.charlie_ellipsoid,
-                                   result.ab_ellipsoid))
-    return out
+    """Charlie/AB steering ellipsoids of the post-pair-1 state per sample (a nonlocal
+    x/-y pair 1), in one stacked pass through `run_scenario`'s kernels."""
+    lambdas = StrengthHistory.nonlocal_history(strength_pairs).lambdas
+    c = coherence(np.array(lambdas, dtype=float).reshape(-1, 2))[..., None]
+    after = GHZ_TENSOR * dephasing_scale(np.stack([_MASKS["nonlocal", a] for a in "xy"]), c)
+    from_pauli_tensors(after)  # validated as a run validates its states, then dropped
+    ells = t_state_ellipsoids(compressed_tensors(after)[0])
+    return [EllipsoidRecord(l1, l2, e, e) for (l1, l2), e in zip(lambdas, ells)]
 
 
 def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal") -> int:

@@ -151,7 +151,7 @@ def from_pauli_tensors(t: np.ndarray) -> list[DensityMatrix]:
     # on one thread at these sizes, where the complex one is split over
     # threads and can stall for milliseconds on a busy host.
     products = PAULI_PRODUCTS[qubits].reshape(4 ** qubits, d * d).view(float)
-    mats = (t.reshape(len(t), -1) @ products).view(complex).reshape(-1, d, d) / d
+    mats = (t.reshape(len(t), 4 ** qubits) @ products).view(complex).reshape(-1, d, d) / d
     _check_stack(mats)
     mats.setflags(write=False)
     states = []

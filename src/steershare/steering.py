@@ -196,9 +196,9 @@ def t_state_ellipsoids(t: np.ndarray) -> list[SteeringEllipsoid]:
     steers each party onto the same centred ellipsoid, with matrix
     diag(d^2) and semiaxes |d| along the coordinate axes, for d = diag(T)
     (Jevtic, Pusey, Jennings & Rudolph, PRL 113, 020402 (2014)).  Semiaxes
-    are descending, in a stable sort.  A group of semiaxes within
-    DEGENERACY_TOL of its first member takes its axes in the order x, y,
-    z.  The volume is sqrt(prod(d^2)), taking d^2 in descending order.
+    are descending, in a stable sort.  A tie group, a run of semiaxes
+    each within DEGENERACY_TOL of the next, takes its axes in the order x,
+    y, z.  The volume is sqrt(prod(d^2)), taking d^2 in descending order.
     The arrays are read-only: both parties' ellipsoids are the one object.
     """
     flat = t.reshape(-1, 16)
@@ -211,14 +211,12 @@ def t_state_ellipsoids(t: np.ndarray) -> list[SteeringEllipsoid]:
     for row in np.abs(d).tolist():
         axes = sorted(range(3), key=row.__getitem__, reverse=True)  # a stable sort
         s0, s1, s2 = sorted_row = [row[i] for i in axes]
-        if s0 - s1 <= DEGENERACY_TOL:
-            stop = 3 if s0 - s2 <= DEGENERACY_TOL else 2
-            axes[:stop] = sorted(axes[:stop])
-        elif s1 - s2 <= DEGENERACY_TOL:
-            axes[1:] = sorted(axes[1:])
+        lo, hi = int(s0 - s1 > DEGENERACY_TOL), 2 + (s1 - s2 <= DEGENERACY_TOL)
+        if hi - lo > 1:
+            axes[lo:hi] = sorted(axes[lo:hi])
         semiaxes.append(sorted_row)
         orientation.append(_ORIENTATIONS[tuple(axes)])
-    semiaxes = np.array(semiaxes)
+    semiaxes = np.array(semiaxes).reshape(-1, 3)
     center = np.zeros((len(d), 3))
     matrix = np.zeros((len(d), 9))
     matrix[:, ::4] = d * d

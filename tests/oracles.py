@@ -1,7 +1,9 @@
 """Oracles: the Kraus-operator one for the dephasing kernel `run_scenario`
 evolves with, the general steering ellipsoid of any two-qubit state,
-which `run_scenario`'s closed-form T-state ellipsoids must equal, and the
-one-format-per-row scan CSV text, which `iter_csv` must equal.
+which `run_scenario`'s closed-form T-state ellipsoids must equal, the
+closed-form semiaxes of nonlocal runs with whole-grid checks against
+them, and the one-format-per-row scan CSV text, which `iter_csv` must
+equal.
 
 The Kraus oracle follows the definitions on full-register matrices and
 shares no code with the package's Pauli-tensor path.  A measurement is a
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from steershare.errors import ConfigError, ShapeError
+from steershare.scenario import ellipsoid_series, make_config, run_scenario
 from steershare.states import DensityMatrix, _check_array, _check_type, compressed_tensors, \
     from_pauli_tensors, ghz, pauli_tensor
 from steershare.steering import DEGENERACY_TOL, SteeringEllipsoid
@@ -120,14 +123,15 @@ def chain(mode, labels, lambdas, etas=None, gammas=None):
 
 def tie_broken_axes(semiaxes, orientation):
     """One ellipsoid's orientation columns with each degenerate semiaxis
-    group re-based onto coordinate axes where possible: the group's
-    projector applied to x, y and z in turn, Gram-Schmidt orthonormalized
-    until the group is spanned."""
+    group, a run of semiaxes each within DEGENERACY_TOL of the next,
+    re-based onto coordinate axes where possible: the group's projector
+    applied to x, y and z in turn, Gram-Schmidt orthonormalized until the
+    group is spanned."""
     out = orientation.copy()
     start = 0
     while start < 3:
         stop = start + 1
-        while stop < 3 and semiaxes[start] - semiaxes[stop] <= DEGENERACY_TOL:
+        while stop < 3 and semiaxes[stop - 1] - semiaxes[stop] <= DEGENERACY_TOL:
             stop += 1
         if stop - start > 1:
             sub = orientation[:, start:stop]
@@ -251,6 +255,60 @@ def ellipsoid_volume_check(b):
     if m2 >= 1.0 - DEGENERACY_TOL:
         raise ValueError("steering party is pure; volume degenerates")
     return float(abs(np.linalg.det(T - np.outer(m, n))) / (1.0 - m2) ** 2)
+
+
+def closed_form_semiaxes(lams):
+    """Per pair of a nonlocal run with default directions, the descending
+    semiaxes of both ellipsoids: prod_{j<=i} (1+c2_j)/2, (1+c1_j)/2 and
+    (c1_j+c2_j)/2 with c = sqrt(1 - lambda^2).  The run stays in the span of
+    GHZ's Pauli components, so m~ = n = 0 and T is diagonal.  `lams` is
+    (pair, setting), or (..., pair, setting) for a batch of runs."""
+    c = np.sqrt(1 - np.asarray(lams) ** 2)
+    axes = np.stack([1 + c[..., 1], 1 + c[..., 0], c[..., 0] + c[..., 1]], axis=-1) / 2
+    return -np.sort(-np.cumprod(axes, axis=-2), axis=-1)
+
+
+def closed_form_deviation(ells, want):
+    """Worst |semiaxes - want| and |volume - prod(want)| of a list of
+    ellipsoids and the (k, 3) closed-form semiaxes `want` (see
+    `closed_form_semiaxes`); every centre must be exactly 0."""
+    assert all(np.all(e.center == 0.0) for e in ells)
+    semiaxes = np.array([e.semiaxes for e in ells]).reshape(-1, 3)
+    volume = np.array([e.volume for e in ells])
+    return (float(np.max(np.abs(semiaxes - want))),
+            float(np.max(np.abs(volume - want.prod(axis=1)))))
+
+
+def series_grid_deviation(grid, rows):
+    """`closed_form_deviation` of `ellipsoid_series` over every pair-1
+    strength (lambda1, lambda2) of grid x grid, `rows` grid rows per call
+    (which bounds memory); both parties share one ellipsoid."""
+    worst = (0.0, 0.0)
+    for i in range(0, len(grid), rows):
+        lams = np.stack(np.broadcast_arrays(grid[i:i + rows, None], grid), axis=-1)
+        lams = lams.reshape(-1, 1, 2)  # (run, pair, setting)
+        records = ellipsoid_series(lams[:, 0].tolist())
+        assert all(r.charlie is r.ab for r in records)
+        dev = closed_form_deviation([r.charlie for r in records],
+                                    closed_form_semiaxes(lams)[:, 0])
+        worst = tuple(map(max, worst, dev))
+    return worst
+
+
+def run_grid_deviation(grid, pairs):
+    """`closed_form_deviation` of the Charlie and AB ellipsoids of every pair
+    of `run_scenario`, over the equal-strength nonlocal histories
+    (lambda1, lambda2, sharp)[:pairs] of grid x grid, one grid row at a time."""
+    worst = (0.0, 0.0)
+    for l1 in grid.tolist():
+        ells, lams = [], []
+        for l2 in grid.tolist():
+            for r in run_scenario(make_config("nonlocal", [l1, l2], pairs=pairs)):
+                ells += [r.charlie_ellipsoid, r.ab_ellipsoid]
+            lams.append([[l1, l1], [l2, l2], [1.0, 1.0]][:pairs])
+        want = np.repeat(closed_form_semiaxes(lams).reshape(-1, 3), 2, axis=0)
+        worst = tuple(map(max, worst, closed_form_deviation(ells, want)))
+    return worst
 
 
 def scan_csv(table):

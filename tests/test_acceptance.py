@@ -20,8 +20,8 @@ from steershare.steering import (
     closed_form_nonlocal,
 )
 
-from oracles import bloch_form, chain, compress, direction, ellipsoid, ellipsoid_volume_check, \
-    make_instrument, pair_update, steering_value, update
+from oracles import bloch_form, chain, closed_form_semiaxes, compress, direction, ellipsoid, \
+    ellipsoid_volume_check, make_instrument, pair_update, steering_value, update
 from util import conditional_charlie_bloch, containment_violation, pauli_dot, random_density
 
 LABELS = ("x", "-y")  # Charlie's default directions
@@ -137,16 +137,6 @@ def test_criterion_5_whole_grid_oracle(capsys):
                 f"local {worst['local']:.2e})", max(worst.values()) <= 1e-12)
 
 
-def _closed_form_semiaxes(lams):
-    """Per pair of a nonlocal run with default directions, the descending
-    semiaxes of both ellipsoids: prod_{j<=i} (1+c2_j)/2, (1+c1_j)/2 and
-    (c1_j+c2_j)/2 with c = sqrt(1 - lambda^2).  The run stays in the span of
-    GHZ's Pauli components, so m~ = n = 0 and T is diagonal."""
-    c = np.sqrt(1 - np.asarray(lams) ** 2)  # (pair, setting)
-    axes = np.stack([1 + c[:, 1], 1 + c[:, 0], c[:, 0] + c[:, 1]], axis=1) / 2
-    return -np.sort(-np.cumprod(axes, axis=0), axis=1)
-
-
 def test_criterion_6_ellipsoid_suite(capsys):
     checks = []
 
@@ -217,7 +207,7 @@ def test_criterion_6_ellipsoid_suite(capsys):
     xy = {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)}
     on_xy = total = 0
     for lams, ells in runs:
-        for want, pair in zip(_closed_form_semiaxes(lams), ells):
+        for want, pair in zip(closed_form_semiaxes(lams), ells):
             for e in pair:
                 worst_closed = max(worst_closed, np.max(np.abs(e.center)),
                                    np.max(np.abs(e.semiaxes - want)),

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -28,7 +29,8 @@ from steershare.states import DensityMatrix
 from steershare.steering import StrengthHistory, classical_bound, closed_form_local, \
     closed_form_nonlocal
 
-from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid, scan_csv
+from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid, run_grid_deviation, \
+    scan_csv, series_grid_deviation
 
 
 def _csv(table, kind):
@@ -689,6 +691,72 @@ class TestEllipsoidSeries:
         drop_unequal = unequal[0].charlie.volume - unequal[-1].charlie.volume
         drop_equal = equal[0].charlie.volume - equal[-1].charlie.volume
         assert drop_unequal < drop_equal
+
+    def test_bits_equal_per_sample_runs(self):
+        # The one stacked pass against the reference of one pair-1 run per
+        # sample: bits compared on the int64 view, which tells -0.0 from 0.0.
+        rng = np.random.default_rng(67)
+        special = [0.0, 1.0, SQRT_HALF, 0.5 + 1e-9, 0.5 - 1e-9, 7e-5, 5e-5, 3e-5]
+        pairs = [tuple(p) for p in rng.uniform(0, 1, (200, 2)).tolist()]
+        pairs += list(itertools.product(special, repeat=2)) + [(0, 1), [np.float32(0.3), 0.6]]
+        records = ellipsoid_series(pairs)
+        assert len(records) == len(pairs)
+        for (l1, l2), rec in zip(pairs, records):
+            ref = run_scenario(make_config("nonlocal", [[l1, l2]], pairs=1))[0]
+            assert rec.lambda1 is l1 and rec.lambda2 is l2
+            assert rec.charlie is rec.ab
+            for name in ("center", "matrix", "semiaxes", "orientation"):
+                assert np.array_equal(getattr(rec.charlie, name).view(np.int64),
+                                      getattr(ref.charlie_ellipsoid, name).view(np.int64)), name
+            assert rec.charlie.volume.hex() == ref.charlie_ellipsoid.volume.hex()
+
+    def test_one_stacked_pass(self, monkeypatch):
+        # No per-sample run: each kernel is called once, on all samples.
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-sample run")
+
+        calls = []
+
+        def spy(name):
+            real = getattr(scenario, name)
+            return lambda x: calls.append((name, len(x))) or real(x)
+
+        for name in ("make_config", "run_scenario", "ScenarioConfig"):
+            monkeypatch.setattr(scenario, name, refuse)
+        for name in ("from_pauli_tensors", "compressed_tensors", "t_state_ellipsoids"):
+            monkeypatch.setattr(scenario, name, spy(name))
+        assert len(ellipsoid_series([(0.1, 0.2), (0.5, 0.8), (1.0, 1.0)])) == 3
+        assert calls == [("from_pauli_tensors", 3), ("compressed_tensors", 3),
+                         ("t_state_ellipsoids", 3)]
+
+    def test_empty(self):
+        assert ellipsoid_series([]) == []
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0.5, 1.5)], "strengths (0.5, 1.5) outside [0, 1]"),
+        ([(math.nan, 0.5)], "strengths (nan, 0.5) outside [0, 1]"),
+        ([(0.5, "a")], "strengths (0.5, 'a') are not all numbers"),
+        ([(True, 0.5)], "strengths (True, 0.5) are not all numbers"),
+    ], ids=["range", "nan", "string", "bool"])
+    def test_input_errors(self, pairs, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ellipsoid_series(pairs)
+
+
+class TestWholeGridEllipsoids:
+    """Closed-form semiaxes and volumes (`oracles.closed_form_semiaxes`) over
+    whole strength grids, every centre exactly 0.  The grid-400 series and
+    the whole grid-200 multi-pair runs are checked in CI."""
+
+    def test_series_grid_200(self):
+        semiaxes, volume = series_grid_deviation(np.linspace(0.0, 1.0, 200), 200)
+        assert semiaxes <= 1e-15 and volume <= 1e-15
+
+    @pytest.mark.parametrize("pairs", [2, 3])
+    def test_run_sub_grid_40(self, pairs):
+        grid = np.linspace(0.0, 1.0, 200)[::5]
+        semiaxes, volume = run_grid_deviation(grid, pairs)
+        assert semiaxes <= 1e-15 and volume <= 1e-15
 
 
 class TestMaxPairs:

@@ -146,6 +146,10 @@ class TestStackValidation:
             assert rho.qubits == 3 and not rho.mat.flags.writeable
             assert np.max(np.abs(rho.mat - from_pauli_tensors(t_k[None])[0].mat)) <= 1e-15
 
+    @pytest.mark.parametrize("qubits", [1, 2, 3])
+    def test_empty_stack_builds_no_states(self, qubits):
+        assert from_pauli_tensors(np.zeros((0,) + (4,) * qubits)) == []
+
     def test_built_stack_rejects_invalid_member(self):
         t = np.stack([GHZ_TENSOR, GHZ_TENSOR * 1.5, GHZ_TENSOR])
         assert _error(lambda: from_pauli_tensors(t)) == \

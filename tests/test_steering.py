@@ -23,6 +23,7 @@ from steershare.steering import (
     closed_form_nonlocal,
     closed_forms,
     coherence,
+    t_state_ellipsoids,
 )
 
 from oracles import BlochForm, bloch_form, compress, ellipsoid, ellipsoid_volume_check, \
@@ -573,6 +574,22 @@ class TestRunEllipsoids:
             {g[0] for g in groups}
         assert ((True, True), False, False) in groups and ((True, True), True, False) in groups
         assert any(g[2] for g in groups)
+
+
+class TestTStateEllipsoids:
+    def test_chained_ties_take_index_order(self):
+        # Each semiaxis within DEGENERACY_TOL of the next, the first and last
+        # not: one tie group, so the axes stay x, y, z, in the oracle too.
+        t = np.zeros((1, 4, 4))
+        t[0, 0, 0] = 1.0
+        t[0, [1, 2, 3], [1, 2, 3]] = [1.0, 1.0 - 1.2e-9, 1.0 - 0.6e-9]
+        e = t_state_ellipsoids(t)[0]
+        assert np.array_equal(e.semiaxes, [1.0, 1.0 - 0.6e-9, 1.0 - 1.2e-9])
+        assert np.array_equal(e.orientation, np.eye(3))
+        assert np.array_equal(tie_broken_axes(e.semiaxes, np.eye(3)[:, [0, 2, 1]]), np.eye(3))
+
+    def test_empty_stack(self):
+        assert t_state_ellipsoids(np.zeros((0, 4, 4))) == []
 
 
 class TestTieBreakOracle:
