@@ -75,13 +75,10 @@ _ELLIPSOID = {"center": [0.0] * 3,
 _OFF_DIAGONAL = ~np.eye(3, dtype=bool).ravel()
 
 
-def _ellipsoid_floats(e, ab, what: str) -> tuple[list, list]:
+def _ellipsoid_floats(e) -> tuple[list, list]:
     """The floats of ellipsoid `e` as arrays: those spelled, in `_ELLIPSOID`
     slot order, and those its literal 0.0 slots stand for.  A T-state steers
-    both parties onto one ellipsoid, so `e` must be the AB ellipsoid `ab`
-    (else InvariantError), and its floats fill the slots of both."""
-    if e is not ab:
-        raise InvariantError(f"{what} has distinct Charlie and AB ellipsoid objects")
+    both parties onto one ellipsoid, so its floats fill the slots of both."""
     return ([e.matrix.diagonal(), e.semiaxes, e.orientation.T.ravel(), (e.volume,)],
             [e.center, e.matrix.reshape(-1)[_OFF_DIAGONAL]])
 
@@ -138,7 +135,7 @@ def cmd_demo(_args) -> None:
 
     series = scenario.ellipsoid_series([(scenario.SQRT_HALF, l2)
                                         for l2 in (0.75, 0.85, 0.95)])
-    axes = [max(r.charlie.semiaxes) for r in series]
+    axes = [max(e.semiaxes) for e in series]
     spread = round(max(axes) - min(axes), 12)  # rounding noise prints as 0.00e+00
     print(f"constant Charlie semiaxis at lambda1(1)=1/sqrt(2): "
           f"{axes[0]:.4f} (spread {spread:.2e} over lambda2)")
@@ -163,13 +160,13 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_ellipsoids(args) -> None:
-    r = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])[0]
+    e = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])[0]
     record = {"lambda1": "%s", "lambda2": "%s", "charlie": _ELLIPSOID, "ab": _ELLIPSOID}
-    spelled, zeros = _ellipsoid_floats(r.charlie, r.ab, "the record")
-    parts = _checked([(r.lambda1, r.lambda2), *spelled], zeros, "an ellipsoid")
+    spelled, zeros = _ellipsoid_floats(e)
+    parts = _checked([(args.lambda1, args.lambda2), *spelled], zeros, "an ellipsoid")
     _write_out(args.out, [_fill(_layout([record]), parts, _slots(1, 2, True))])
-    print(f"Charlie semiaxes: {np.round(r.charlie.semiaxes, 6).tolist()}, "
-          f"volume {r.charlie.volume:.6f} -> {args.out}")
+    print(f"Charlie semiaxes: {np.round(e.semiaxes, 6).tolist()}, "
+          f"volume {e.volume:.6f} -> {args.out}")
 
 
 def cmd_bound(args) -> None:
@@ -204,8 +201,7 @@ def _run_floats(results, with_ellipsoids: bool) -> list:
         parts += [(r.steering_value,), floats[_STATE_SPELLED]]
         literal.append(floats[_STATE_LITERAL])
         if with_ellipsoids:
-            spelled, zeros = _ellipsoid_floats(r.charlie_ellipsoid, r.ab_ellipsoid,
-                                               f"pair {r.pair}")
+            spelled, zeros = _ellipsoid_floats(r.ellipsoid)
             parts += spelled
             literal += zeros
     return _checked(parts, literal, "the run")
@@ -224,8 +220,8 @@ def cmd_run(args) -> None:
     cfg = scenario.ScenarioConfig.from_json(obj)
     results = scenario.run_scenario(cfg)
     if args.out:
-        # Nonlocal runs give every pair both ellipsoids, local runs none.
-        with_ellipsoids = results[0].charlie_ellipsoid is not None
+        # Nonlocal runs give every pair an ellipsoid, local runs none.
+        with_ellipsoids = results[0].ellipsoid is not None
         layout, slots = _run_layout(len(results), with_ellipsoids)
         _write_out(args.out, [_fill(layout, _run_floats(results, with_ellipsoids), slots)])
     bound = cfg.bound
@@ -234,8 +230,16 @@ def cmd_run(args) -> None:
         print(f"pair {r.pair}: S = {r.steering_value:.6f} {marker} C2")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a flag error as one `error:` line on stderr, as `main` reports
+    the rest; subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="steershare",
         description="Sequential unsharp-measurement steering-sharing simulator",
     )

@@ -177,12 +177,9 @@ class PairResult:
     pair: int
     steering_value: float
     state: DensityMatrix = field(repr=False)
-    # Ellipsoids need the compressed two-qubit form; local Kraus operators
-    # leak out of the compression span, leaving them undefined (None).  A
-    # nonlocal run's states are T-states, which steer both parties onto the
-    # same ellipsoid: both fields hold that one (read-only) object.
-    charlie_ellipsoid: SteeringEllipsoid | None = field(repr=False, default=None)
-    ab_ellipsoid: SteeringEllipsoid | None = field(repr=False, default=None)
+    # Charlie's and the AB pair's steering ellipsoid, one for a T-state; None
+    # in local runs, whose Kraus operators leak out of the compression span.
+    ellipsoid: SteeringEllipsoid | None = field(repr=False, default=None)
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
@@ -215,8 +212,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     ells = [None] * cfg.pairs
     if cfg.mode == "nonlocal":
         ells = t_state_ellipsoids(compressed_tensors(after)[0])
-    return [PairResult(pair=i + 1, steering_value=float(values[i]), state=state,
-                       charlie_ellipsoid=ell, ab_ellipsoid=ell)
+    return [PairResult(pair=i + 1, steering_value=float(values[i]), state=state, ellipsoid=ell)
             for i, (state, ell) in enumerate(zip(states, ells))]
 
 
@@ -362,23 +358,14 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
     return _table(mode, lam1, lam2, {"param": values})
 
 
-@dataclass(frozen=True)
-class EllipsoidRecord:
-    lambda1: float
-    lambda2: float
-    charlie: SteeringEllipsoid
-    ab: SteeringEllipsoid
-
-
-def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[EllipsoidRecord]:
-    """Charlie/AB steering ellipsoids of the post-pair-1 state per sample (a nonlocal
-    x/-y pair 1), in one stacked pass through `run_scenario`'s kernels."""
+def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[SteeringEllipsoid]:
+    """One steering ellipsoid per sample, Charlie's and AB's alike, of the post-pair-1
+    state (a nonlocal x/-y pair 1), in one stacked pass through `run_scenario`'s kernels."""
     lambdas = StrengthHistory.nonlocal_history(strength_pairs).lambdas
     c = coherence(np.array(lambdas, dtype=float).reshape(-1, 2))[..., None]
     after = GHZ_TENSOR * dephasing_scale(np.stack([_MASKS["nonlocal", a] for a in "xy"]), c)
     from_pauli_tensors(after)  # validated as a run validates its states, then dropped
-    ells = t_state_ellipsoids(compressed_tensors(after)[0])
-    return [EllipsoidRecord(l1, l2, e, e) for (l1, l2), e in zip(lambdas, ells)]
+    return t_state_ellipsoids(compressed_tensors(after)[0])
 
 
 def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal") -> int:

@@ -287,26 +287,24 @@ def series_grid_deviation(grid, rows):
     for i in range(0, len(grid), rows):
         lams = np.stack(np.broadcast_arrays(grid[i:i + rows, None], grid), axis=-1)
         lams = lams.reshape(-1, 1, 2)  # (run, pair, setting)
-        records = ellipsoid_series(lams[:, 0].tolist())
-        assert all(r.charlie is r.ab for r in records)
-        dev = closed_form_deviation([r.charlie for r in records],
+        dev = closed_form_deviation(ellipsoid_series(lams[:, 0].tolist()),
                                     closed_form_semiaxes(lams)[:, 0])
         worst = tuple(map(max, worst, dev))
     return worst
 
 
 def run_grid_deviation(grid, pairs):
-    """`closed_form_deviation` of the Charlie and AB ellipsoids of every pair
-    of `run_scenario`, over the equal-strength nonlocal histories
+    """`closed_form_deviation` of the ellipsoid of every pair of `run_scenario`
+    (Charlie's and AB's alike), over the equal-strength nonlocal histories
     (lambda1, lambda2, sharp)[:pairs] of grid x grid, one grid row at a time."""
     worst = (0.0, 0.0)
     for l1 in grid.tolist():
         ells, lams = [], []
         for l2 in grid.tolist():
-            for r in run_scenario(make_config("nonlocal", [l1, l2], pairs=pairs)):
-                ells += [r.charlie_ellipsoid, r.ab_ellipsoid]
+            ells += [r.ellipsoid for r in run_scenario(make_config("nonlocal", [l1, l2],
+                                                                   pairs=pairs))]
             lams.append([[l1, l1], [l2, l2], [1.0, 1.0]][:pairs])
-        want = np.repeat(closed_form_semiaxes(lams).reshape(-1, 3), 2, axis=0)
+        want = closed_form_semiaxes(lams).reshape(-1, 3)
         worst = tuple(map(max, worst, closed_form_deviation(ells, want)))
     return worst
 

@@ -151,9 +151,9 @@ def test_criterion_6_ellipsoid_suite(capsys):
     # figure text calls it x, but its own damping formulas put it on y).
     series = ellipsoid_series([(SQRT_HALF, l2) for l2 in (0.1, 0.4, 0.7, 0.95)])
     const_axes = []
-    for rec in series:
-        idx = int(np.argmax(np.abs(rec.charlie.orientation[1, :])))
-        const_axes.append(float(rec.charlie.semiaxes[idx]))
+    for e in series:
+        idx = int(np.argmax(np.abs(e.orientation[1, :])))
+        const_axes.append(float(e.semiaxes[idx]))
     checks.append(("constant 0.8536 semiaxis for any second strength",
                    all(abs(a - 0.8536) <= 5e-4 for a in const_axes)
                    and np.ptp(const_axes) <= 1e-10))
@@ -189,6 +189,11 @@ def test_criterion_6_ellipsoid_suite(capsys):
         sampled += 1
     checks.append(("conditional states contained over 500 samples", ok_contain))
 
+    def with_oracles(e, state):
+        """`e`, then the general `eigh` ellipsoids of Charlie and of AB of `state`."""
+        b = bloch_form(compress(state)[0])
+        return e, ellipsoid(b, "charlie"), ellipsoid(b, "ab")
+
     # 300 seeded runs of 1-4 pairs with unequal strengths, some sharp, and
     # the demo and README `ellipsoids` strengths.
     rng = np.random.default_rng(131)
@@ -197,24 +202,30 @@ def test_criterion_6_ellipsoid_suite(capsys):
     for k in range(300):
         lams = rng.uniform(0, 1, (k % 4 + 1, 2))
         lams[rng.uniform(0, 1, lams.shape) < 0.1] = 1.0
-        runs.append((lams, [(r.charlie_ellipsoid, r.ab_ellipsoid)
+        runs.append((lams, [with_oracles(r.ellipsoid, r.state)
                             for r in run_scenario(make_config("nonlocal", lams.tolist()))]))
     for l1, l2 in [(SQRT_HALF, 0.75), (SQRT_HALF, 0.85), (SQRT_HALF, 0.95), (0.70710678, 0.9)]:
-        rec = ellipsoid_series([(l1, l2)])[0]
-        runs.append(([(l1, l2)], [(rec.charlie, rec.ab)]))
+        (e,) = ellipsoid_series([(l1, l2)])
+        state = run_scenario(make_config("nonlocal", [[l1, l2]]))[0].state
+        runs.append(([(l1, l2)], [with_oracles(e, state)]))
     # The longest two semiaxes, prod (1+c2)/2 and prod (1+c1)/2, lie along
     # Bloch x and y: the ellipsoid-optimal settings are the fixed x/-y ones.
     xy = {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)}
     on_xy = total = 0
     for lams, ells in runs:
-        for want, pair in zip(closed_form_semiaxes(lams), ells):
-            for e in pair:
-                worst_closed = max(worst_closed, np.max(np.abs(e.center)),
-                                   np.max(np.abs(e.semiaxes - want)),
-                                   abs(e.volume - np.prod(want)))
-                on_xy += {tuple(np.abs(u).tolist()) for u in e.orientation[:, :2].T} == xy
-                total += 1
-    checks.append((f"closed-form ellipsoids over 304 runs: centre 0, semiaxes, volume "
+        for want, (e, *oracle) in zip(closed_form_semiaxes(lams), ells):
+            worst_closed = max(worst_closed, np.max(np.abs(e.center)),
+                               np.max(np.abs(e.semiaxes - want)),
+                               abs(e.volume - np.prod(want)))
+            for o in oracle:  # a T-state steers Charlie and AB onto the one ellipsoid
+                worst_closed = max(worst_closed, abs(o.volume - e.volume),
+                                   *(np.max(np.abs(getattr(o, name) - getattr(e, name)))
+                                     for name in ("center", "matrix", "semiaxes",
+                                                  "orientation")))
+            on_xy += {tuple(np.abs(u).tolist()) for u in e.orientation[:, :2].T} == xy
+            total += 1
+    checks.append((f"closed-form ellipsoids over 304 runs: centre 0, semiaxes, volume, "
+                   f"each equal to Charlie's and AB's `eigh` ellipsoid "
                    f"(worst {worst_closed:.2e})", worst_closed <= 1e-12))
     checks.append((f"x/-y settings ellipsoid-optimal: two longest semiaxes exactly along "
                    f"+-x and +-y in {on_xy} of {total} ellipsoids", on_xy == total))

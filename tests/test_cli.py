@@ -198,25 +198,10 @@ class TestEllipsoids:
         code, _, err = run_cli(capsys, "ellipsoids", "--lambda1", lam1,
                                "--lambda2", lam2, "--out", str(out_file))
         assert (code, err) == (0, "")
-        records = ellipsoid_series([(float(lam1), float(lam2))])
-        payload = [{"lambda1": r.lambda1, "lambda2": r.lambda2,
-                    "charlie": _ellipsoid_payload(r.charlie), "ab": _ellipsoid_payload(r.ab)}
-                   for r in records]
+        (e,) = ellipsoid_series([(float(lam1), float(lam2))])
+        payload = [{"lambda1": float(lam1), "lambda2": float(lam2),
+                    "charlie": _ellipsoid_payload(e), "ab": _ellipsoid_payload(e)}]
         assert out_file.read_text() == json.dumps(payload, indent=2) + "\n"
-
-    def test_distinct_ellipsoid_objects_raise(self, capsys, tmp_path, monkeypatch):
-        r = ellipsoid_series([(0.5, 0.8)])[0]
-        e = r.ab
-        copy = SteeringEllipsoid(e.center, e.matrix, e.semiaxes, e.orientation, e.volume)
-        monkeypatch.setattr(scenario, "ellipsoid_series", lambda _pairs: [
-            scenario.EllipsoidRecord(r.lambda1, r.lambda2, r.charlie, copy)])
-        out_file = tmp_path / "ell.json"
-        code, out, err = run_cli(capsys, "ellipsoids", "--lambda1", "0.5",
-                                 "--lambda2", "0.8", "--out", str(out_file))
-        assert (code, out) == (2, "")
-        assert err.splitlines() == ["error: the record has distinct Charlie and AB "
-                                    "ellipsoid objects"]
-        assert not out_file.exists()
 
 
 class TestRun:
@@ -278,8 +263,8 @@ def _run_payload(results):
     return [{"pair": r.pair, "steering_value": r.steering_value,
              "state": {"qubits": r.state.qubits, "re": r.state.mat.real.tolist(),
                        "im": r.state.mat.imag.tolist()},
-             "charlie_ellipsoid": _ellipsoid_payload(r.charlie_ellipsoid),
-             "ab_ellipsoid": _ellipsoid_payload(r.ab_ellipsoid)}
+             "charlie_ellipsoid": _ellipsoid_payload(r.ellipsoid),
+             "ab_ellipsoid": _ellipsoid_payload(r.ellipsoid)}
             for r in results]
 
 
@@ -338,14 +323,13 @@ class TestRunOut:
                                            spiked(e.semiaxes, np.ones(3)),
                                            spiked(e.orientation, np.ones((3, 3))), volume)
 
-        def result(r, x):  # a pair's Charlie and AB ellipsoids stay one object
-            e = ell(r.charlie_ellipsoid, x)
-            return PairResult(r.pair, x, state(r.state.mat), e, e)
+        def result(r, x):
+            return PairResult(r.pair, x, state(r.state.mat), ell(r.ellipsoid, x))
 
         cfg = {"mode": mode, "pairs": 4, "strengths": [0.5, [0.3, 0.8], 0.9]}
         results = [result(r, x)
                    for r, x in zip(run_scenario(ScenarioConfig.from_json(cfg)), specials)]
-        assert (results[0].charlie_ellipsoid is None) == (mode == "local")
+        assert (results[0].ellipsoid is None) == (mode == "local")
         monkeypatch.setattr(scenario, "run_scenario", lambda _cfg: results)
         cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_file.write_text(json.dumps(cfg))
@@ -375,17 +359,16 @@ class TestRunOut:
             state = object.__new__(DensityMatrix)
             object.__setattr__(state, "qubits", 3)
             object.__setattr__(state, "mat", mat)
-            results[1] = PairResult(r.pair, r.steering_value, state,
-                                    r.charlie_ellipsoid, r.ab_ellipsoid)
+            results[1] = PairResult(r.pair, r.steering_value, state, r.ellipsoid)
         else:
-            e = r.ab_ellipsoid
+            e = r.ellipsoid
             center, matrix = e.center.copy(), e.matrix.copy()
             if field == "center":
                 center[2] = value
             else:
                 matrix[1, 0] = value
             e = SteeringEllipsoid(center, matrix, e.semiaxes, e.orientation, e.volume)
-            results[1] = PairResult(r.pair, r.steering_value, r.state, e, e)
+            results[1] = PairResult(r.pair, r.steering_value, r.state, e)
         monkeypatch.setattr(scenario, "run_scenario", lambda _cfg: results)
         cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_file.write_text('{"pairs": 3, "strengths": [0.5, 0.8]}')
@@ -394,23 +377,6 @@ class TestRunOut:
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: the run holds {value!r} "
                                     "outside the Pauli components of GHZ"]
-        assert not out_file.exists()
-
-    def test_distinct_ellipsoid_objects_raise(self, capsys, tmp_path, monkeypatch):
-        """A T-state steers both parties onto one ellipsoid, spelled once for
-        both slots; equal values in two objects break that invariant."""
-        results = run_scenario(ScenarioConfig.from_json({"pairs": 3}))
-        r, e = results[1], results[1].ab_ellipsoid
-        copy = SteeringEllipsoid(e.center, e.matrix, e.semiaxes, e.orientation, e.volume)
-        results[1] = PairResult(r.pair, r.steering_value, r.state, r.charlie_ellipsoid, copy)
-        monkeypatch.setattr(scenario, "run_scenario", lambda _cfg: results)
-        cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
-        cfg_file.write_text('{"pairs": 3}')
-        code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
-                                 "--out", str(out_file))
-        assert (code, out) == (2, "")
-        assert err.splitlines() == ["error: pair 2 has distinct Charlie and AB "
-                                    "ellipsoid objects"]
         assert not out_file.exists()
 
     def test_three_nonlocal_pairs_spell_99_floats(self):

@@ -114,7 +114,7 @@ class TestRunScenario:
     def test_headline_local(self):
         results = run_scenario(make_config("local", [0.5, 0.8]))
         assert results[1].steering_value == pytest.approx(0.68284271, abs=1e-8)
-        assert results[1].charlie_ellipsoid is None
+        assert results[1].ellipsoid is None
 
     def test_single_sharp_pair(self):
         results = run_scenario(make_config("nonlocal", [1.0]))
@@ -122,8 +122,8 @@ class TestRunScenario:
 
     def test_ellipsoid_from_zero_strength_pair(self):
         result = run_scenario(make_config("nonlocal", [0.0]))[0]
-        assert np.allclose(result.charlie_ellipsoid.semiaxes, 1, atol=1e-10)
-        assert result.charlie_ellipsoid.volume == pytest.approx(1.0, abs=1e-10)
+        assert np.allclose(result.ellipsoid.semiaxes, 1, atol=1e-10)
+        assert result.ellipsoid.volume == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_closed_forms(self):
         cfg = make_config("nonlocal", [[0.3, 0.6], [0.7, 0.2], 0.9])
@@ -150,7 +150,8 @@ class TestRunScenario:
             for r, (s, rho, ells) in zip(run_scenario(cfg), _kraus_chain(cfg)):
                 worst = max(worst, abs(r.steering_value - s),
                             np.max(np.abs(r.state.mat - rho.mat)))
-                for got, want in zip((r.charlie_ellipsoid, r.ab_ellipsoid), ells):
+                got = r.ellipsoid
+                for want in ells:  # Charlie's and AB's, both the one reported
                     if want is None:
                         assert got is None
                         continue
@@ -670,16 +671,14 @@ class TestWindows:
 
 class TestEllipsoidSeries:
     def test_zero_strength_unit_spheres(self):
-        rec = ellipsoid_series([(0.0, 0.0)])[0]
-        assert np.allclose(rec.charlie.semiaxes, 1, atol=1e-10)
-        assert rec.charlie.volume == pytest.approx(1.0, abs=1e-10)
-        assert rec.ab.volume == pytest.approx(1.0, abs=1e-10)
+        (e,) = ellipsoid_series([(0.0, 0.0)])
+        assert np.allclose(e.semiaxes, 1, atol=1e-10)
+        assert e.volume == pytest.approx(1.0, abs=1e-10)
 
     def test_fixed_first_strength_keeps_one_axis(self):
         series = ellipsoid_series([(SQRT_HALF, l2) for l2 in (0.3, 0.6, 0.9)])
         # The invariant axis lies along Bloch y; pick it by orientation.
-        const = [float(r.charlie.semiaxes[np.argmax(np.abs(r.charlie.orientation[1, :]))])
-                 for r in series]
+        const = [float(e.semiaxes[np.argmax(np.abs(e.orientation[1, :]))]) for e in series]
         assert np.ptp(const) <= 1e-10
         assert const[0] == pytest.approx(0.85355339, abs=1e-8)
 
@@ -688,8 +687,8 @@ class TestEllipsoidSeries:
         lam2s = [0.75, 0.8, 0.85, 0.9]
         unequal = ellipsoid_series([(SQRT_HALF, l2) for l2 in lam2s])
         equal = ellipsoid_series([(l2, l2) for l2 in lam2s])
-        drop_unequal = unequal[0].charlie.volume - unequal[-1].charlie.volume
-        drop_equal = equal[0].charlie.volume - equal[-1].charlie.volume
+        drop_unequal = unequal[0].volume - unequal[-1].volume
+        drop_equal = equal[0].volume - equal[-1].volume
         assert drop_unequal < drop_equal
 
     def test_bits_equal_per_sample_runs(self):
@@ -699,16 +698,14 @@ class TestEllipsoidSeries:
         special = [0.0, 1.0, SQRT_HALF, 0.5 + 1e-9, 0.5 - 1e-9, 7e-5, 5e-5, 3e-5]
         pairs = [tuple(p) for p in rng.uniform(0, 1, (200, 2)).tolist()]
         pairs += list(itertools.product(special, repeat=2)) + [(0, 1), [np.float32(0.3), 0.6]]
-        records = ellipsoid_series(pairs)
-        assert len(records) == len(pairs)
-        for (l1, l2), rec in zip(pairs, records):
-            ref = run_scenario(make_config("nonlocal", [[l1, l2]], pairs=1))[0]
-            assert rec.lambda1 is l1 and rec.lambda2 is l2
-            assert rec.charlie is rec.ab
+        series = ellipsoid_series(pairs)
+        assert len(series) == len(pairs)
+        for (l1, l2), e in zip(pairs, series):
+            ref = run_scenario(make_config("nonlocal", [[l1, l2]], pairs=1))[0].ellipsoid
             for name in ("center", "matrix", "semiaxes", "orientation"):
-                assert np.array_equal(getattr(rec.charlie, name).view(np.int64),
-                                      getattr(ref.charlie_ellipsoid, name).view(np.int64)), name
-            assert rec.charlie.volume.hex() == ref.charlie_ellipsoid.volume.hex()
+                assert np.array_equal(getattr(e, name).view(np.int64),
+                                      getattr(ref, name).view(np.int64)), name
+            assert e.volume.hex() == ref.volume.hex()
 
     def test_one_stacked_pass(self, monkeypatch):
         # No per-sample run: each kernel is called once, on all samples.

@@ -485,7 +485,7 @@ class TestEllipsoidStack:
 
 
 def _seeded_run_stacks():
-    """The Charlie and AB ellipsoids of every pair, per nonlocal run of 1-4
+    """The ellipsoid of every pair (Charlie's and AB's alike), per nonlocal run of 1-4
     pairs with signed x/y/z Charlie directions and mostly scalar strengths,
     many of them special values, so that semiaxes tie."""
     rng = np.random.default_rng(29)
@@ -497,8 +497,7 @@ def _seeded_run_stacks():
                 else rng.uniform(0, 1, 2).tolist() for _ in range(k % 4 + 1)]
         cfg = scenario.make_config("nonlocal", lams,
                                    charlie_directions=rng.choice(labels, 2).tolist())
-        yield [e for r in scenario.run_scenario(cfg)
-               for e in (r.charlie_ellipsoid, r.ab_ellipsoid)]
+        yield [r.ellipsoid for r in scenario.run_scenario(cfg)]
 
 
 class TestRunEllipsoids:
@@ -515,8 +514,9 @@ class TestRunEllipsoids:
                                            charlie_directions=directions)
                 for r in scenario.run_scenario(cfg):
                     b = bloch_form(compress(r.state)[0])
-                    for party, got in (("charlie", r.charlie_ellipsoid), ("ab", r.ab_ellipsoid)):
-                        assert np.all(got.center == 0.0)
+                    got = r.ellipsoid
+                    assert np.all(got.center == 0.0)
+                    for party in ("charlie", "ab"):
                         want = ellipsoid(b, party)
                         for name in ("center", "matrix", "semiaxes", "orientation"):
                             assert np.max(np.abs(getattr(got, name) - getattr(want, name))) \
@@ -558,13 +558,13 @@ class TestRunEllipsoids:
             want = ellipsoids(np.concatenate([m, n]), np.concatenate([n, m]),
                               np.concatenate([T, T.transpose(0, 2, 1)]))
             for i, r in enumerate(results):
-                for got, ref in ((r.charlie_ellipsoid, want[i]), (r.ab_ellipsoid,
-                                                                   want[len(results) + i])):
+                for ref in (want[i], want[len(results) + i]):  # Charlie's, AB's
+                    got = r.ellipsoid
                     for name in ("center", "matrix", "semiaxes", "orientation"):
                         assert np.array_equal(getattr(got, name).view(np.int64),
                                               getattr(ref, name).view(np.int64)), name
                     assert got.volume.hex() == ref.volume.hex()
-                gaps = -np.diff(r.charlie_ellipsoid.semiaxes)
+                gaps = -np.diff(r.ellipsoid.semiaxes)
                 tied = gaps <= 1e-9
                 groups.add((tuple(tied), bool(gaps.sum() <= 1e-9),
                             bool(np.any((gaps > 1e-9) & (gaps <= 1e-8)))))
