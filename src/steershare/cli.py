@@ -8,7 +8,7 @@ import json
 import os
 import stat
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -144,18 +144,63 @@ def cmd_demo(_args) -> None:
     print(f"max pairs sharing steering simultaneously (grid 200x200): {best}")
 
 
+# Both CSV writers yield the header line and then blocks of rows.  Every
+# float is printed with %.12g, and the S (or St) columns of a mode that
+# leaves them out are empty.
+def _scan_csv(table: scenario.ScanTable, resolution: int) -> Iterator[str]:
+    """The CSV of `table`, which `scan_region` built on a grid of
+    `resolution` points, in one block per grid row.  Row k*r + j holds
+    lambda1 = grid[k] and lambda2 = grid[j], so the axis is spelled once and
+    both are taken from it.  Pair 1's strengths are lambda1, so its S and
+    St are spelled once per block, from the block's first row."""
+    r, spell = resolution, "%.12g".__mod__
+    yield "lambda1,lambda2,S1,S2,S3,St1,St2,St3,region\n"
+    axis = list(map(spell, table.params["lambda2"][:r].tolist()))
+    firsts = [list(map(spell, group[0][::r].tolist())) for group in (table.s, table.st)
+              if group]
+    rows = [*table.s[1:], *table.st[1:], table.region]
+    # A block fills the %s slots with lambda1, S1 and St1; each of its rows
+    # fills the %%-escaped ones with lambda2, the other floats and the label.
+    fields = ["%s", "%%s"]
+    for group in (table.s, table.st):
+        fields += ["%s"][:len(group)] + ["%%.12g"] * (len(group) - 1) + [""] * (3 - len(group))
+    row = ",".join([*fields, "%%s"]) + "\n"
+    for k, block in enumerate(zip(axis, *firsts)):
+        cols = (c[k * r:(k + 1) * r].tolist() for c in rows)
+        yield "".join(map((row % block).__mod__, zip(axis, *cols)))
+
+
 def cmd_scan(args) -> None:
     table = scenario.scan_region(pairs=args.pairs, resolution=args.grid,
                                  mode=args.mode)
-    _write_out(args.out, scenario.iter_csv(table, "scan"), newline="")
+    _write_out(args.out, _scan_csv(table, args.grid), newline="")
     print(f"wrote {len(table)} rows to {args.out}")
+
+
+# Rows per sweep CSV block: a block's text and `tolist` copies stay a few
+# hundred kB, while per-block overhead stays far below the formatting cost.
+CSV_BLOCK_ROWS = 2048
+
+
+def _sweep_csv(table: scenario.ScanTable) -> Iterator[str]:
+    """The CSV of `sweep_curve`'s `table`, pairs 1 and 2, in blocks of at
+    most `CSV_BLOCK_ROWS` rows, one %-format per row."""
+    yield "param,S1,S2,St1,St2\n"
+    cols, fields = [table.params["param"]], ["%.12g"]
+    for group in (table.s[:2], table.st[:2]):
+        cols += group
+        fields += ["%.12g"] * len(group) + [""] * (2 - len(group))
+    row = ",".join(fields) + "\n"
+    step = CSV_BLOCK_ROWS
+    for i in range(0, len(table), step):
+        yield "".join(map(row.__mod__, zip(*(c[i:i + step].tolist() for c in cols))))
 
 
 def cmd_sweep(args) -> None:
     table = scenario.sweep_curve(_parse_fix(args.fix), args.vary, args.from_,
                                  args.to, args.samples, pairs=args.pairs,
                                  mode=args.mode)
-    _write_out(args.out, scenario.iter_csv(table, "sweep"), newline="")
+    _write_out(args.out, _sweep_csv(table), newline="")
     print(f"wrote {len(table)} rows to {args.out}")
 
 

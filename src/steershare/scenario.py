@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,11 +262,12 @@ def _table(mode: str, lam1: list, lam2: list, params: dict) -> ScanTable:
 
 # Size limits, checked before anything is allocated.  At the limit the
 # largest call of each kind peaks in `steershare scan`/`sweep`, which write
-# the text in blocks (one per grid row, or of `CSV_BLOCK_ROWS` sweep rows),
-# at about 118 MiB RSS (a 3-pair compare scan) and 206 MiB (a 4-pair
-# compare sweep).
+# the text in blocks, at about 118 MiB RSS (a 3-pair compare scan) and
+# 206 MiB (a 4-pair compare sweep); an `ellipsoid_series` call peaks at
+# about 217 MiB.
 MAX_GRID_RESOLUTION = 800
 MAX_SAMPLES = 1_000_000
+MAX_SERIES_SAMPLES = 40_000
 
 
 def _grid_strengths(resolution: int) -> list[np.ndarray]:
@@ -361,6 +361,9 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
 def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[SteeringEllipsoid]:
     """One steering ellipsoid per sample, Charlie's and AB's alike, of the post-pair-1
     state (a nonlocal x/-y pair 1), in one stacked pass through `run_scenario`'s kernels."""
+    if isinstance(strength_pairs, _SEQUENCES) and len(strength_pairs) > MAX_SERIES_SAMPLES:
+        raise ConfigError(f"series of {len(strength_pairs)} samples outside supported "
+                          f"range 0..{MAX_SERIES_SAMPLES}")
     lambdas = StrengthHistory.nonlocal_history(strength_pairs).lambdas
     c = coherence(np.array(lambdas, dtype=float).reshape(-1, 2))[..., None]
     after = GHZ_TENSOR * dephasing_scale(np.stack([_MASKS["nonlocal", a] for a in "xy"]), c)
@@ -404,95 +407,3 @@ def simultaneous_window(case: str, tol: float = 1e-9) -> tuple[float, float]:
     if not (_is_real(tol) and tol > 0):
         raise ConfigError(f"tol={tol!r} must be a positive number")
     return SQRT_HALF, _WINDOW_UPPER[case]
-
-
-# Per CSV kind: parameter columns, the number of S (and of St) columns, and
-# whether the region label is written.
-_CSV_LAYOUT = {"scan": (("lambda1", "lambda2"), 3, True),
-               "sweep": (("param",), 2, False)}
-
-# Rows per sweep CSV text block: a block's text and `tolist` copies stay a
-# few hundred kB, while per-block overhead stays far below the formatting
-# cost.  A scan writes one block per grid row instead (`_scan_blocks`).
-CSV_BLOCK_ROWS = 2048
-
-
-def iter_csv(table: ScanTable, kind: str) -> Iterator[str]:
-    """Deterministic CSV for scan ("lambda1,lambda2,...") or sweep rows, as
-    the header line and then blocks of rows: for a sweep, of at most
-    `CSV_BLOCK_ROWS` rows; for a scan, one per grid row (`_scan_blocks`).
-
-    The layout is checked when this is called, before any text is made.
-    """
-    if kind not in _CSV_LAYOUT:
-        raise ConfigError(f"unknown CSV kind {kind!r}")
-    names, width, with_region = _CSV_LAYOUT[kind]
-    if not set(names) <= table.params.keys():
-        raise ConfigError(f"a {kind} CSV needs parameter columns {list(names)}, "
-                          f"the table has {list(table.params)}")
-    header = [*names, *(f"{p}{i}" for p in ("S", "St") for i in range(1, width + 1))]
-    cols = [table.params[n] for n in names]
-    fields = ["%.12g"] * len(names)
-    for group in (table.s, table.st):
-        group = group[:width]
-        cols += group
-        fields += ["%.12g"] * len(group) + [""] * (width - len(group))
-    if with_region:
-        header.append("region")
-        cols.append(table.region)
-        fields.append("%s")
-    head = ",".join(header) + "\n"
-    if kind == "scan":
-        return _scan_blocks(head, fields, cols)
-    # One %-format per row; tolist gives Python floats, printed to 12 significant digits.
-    row = ",".join(fields) + "\n"
-    step = CSV_BLOCK_ROWS
-
-    def blocks() -> Iterator[str]:
-        yield head
-        for i in range(0, len(table), step):
-            yield "".join(map(row.__mod__, zip(*(c[i:i + step].tolist() for c in cols))))
-
-    return blocks()
-
-
-def _scan_blocks(head: str, fields: list, cols: list) -> Iterator[str]:
-    """`head`, then the scan rows of `iter_csv`'s `fields` (row formats) and
-    `cols` (the arrays of the nonempty ones) in one block per grid row: a
-    run of rows whose lambda1 values are bit-equal.  A float column that is
-    bit-constant over every block (lambda1, S1 and St1 in a scan: pair 1's
-    S is lambda^(1)) is spelled once per block, into the block's row
-    format.  lambda2 is spelled again only where a block's slice differs in
-    bits from the last block's: in a grid, once, as the axis.  Bits decide,
-    not values, since -0.0 and 0.0 spell apart."""
-    arrays = iter(cols)
-    fields = [(f, next(arrays) if f else None) for f in fields]
-    (_, lam1), (_, lam2) = fields[:2]
-    fields[1] = ("%s", lam2)  # lambda2 goes in as text
-    start = np.ones(len(lam1), dtype=bool)  # row k starts a block
-    start[1:] = _changes(lam1)
-    first = np.flatnonzero(start)
-    inside = ~start[1:]
-    const = [f == "%.12g" and not np.count_nonzero(_changes(c) & inside) for f, c in fields]
-    spell = "%.12g".__mod__
-    spelled = [map(spell, c[first].tolist()) for (_, c), k in zip(fields, const) if k]
-    varied = [c for (_, c), k in zip(fields[2:], const[2:]) if c is not None and not k]
-    # The row format of a block, with its constant columns left as %s slots.
-    row = ",".join("%s" if k else f.replace("%", "%%") for (f, _), k in zip(fields, const))
-
-    def blocks() -> Iterator[str]:
-        yield head
-        axis = axis_text = None
-        for a, b, texts in zip(first.tolist(), [*first[1:].tolist(), len(lam1)], zip(*spelled)):
-            if (key := lam2[a:b].tobytes()) != axis:
-                axis, axis_text = key, list(map(spell, lam2[a:b].tolist()))
-            cols = (c[a:b].tolist() for c in varied)
-            yield "".join(map((row % texts + "\n").__mod__, zip(axis_text, *cols)))
-
-    return blocks()
-
-
-def _changes(c: np.ndarray) -> np.ndarray:
-    """Where row k+1 of column `c` differs in bits from row k."""
-    bits = c.view(f"i{c.itemsize}")
-    return bits[1:] != bits[:-1]

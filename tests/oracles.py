@@ -2,8 +2,8 @@
 evolves with, the general steering ellipsoid of any two-qubit state,
 which `run_scenario`'s closed-form T-state ellipsoids must equal, the
 closed-form semiaxes of nonlocal runs with whole-grid checks against
-them, and the one-format-per-row scan CSV text, which `iter_csv` must
-equal.
+them, and the one-format-per-row scan CSV text, which the grid-row
+writer of `steershare scan` must equal.
 
 The Kraus oracle follows the definitions on full-register matrices and
 shares no code with the package's Pauli-tensor path.  A measurement is a
@@ -311,9 +311,9 @@ def run_grid_deviation(grid, pairs):
 
 def scan_csv(table):
     """The scan CSV text of `table` as one %-format per row over all its
-    rows, the writer `iter_csv(table, "scan")` replaced: every float printed
-    with %.12g, every region label with %s, and empty S (or St) columns
-    where the mode leaves them out."""
+    rows, as the row-by-row writer before the grid-row one (`cli._scan_csv`)
+    made it: every float printed with %.12g, every region label with %s,
+    and empty S (or St) columns where the mode leaves them out."""
     cols = [table.params["lambda1"], table.params["lambda2"]]
     fields = ["%.12g"] * 2
     for group in (table.s[:3], table.st[:3]):

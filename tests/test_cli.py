@@ -11,7 +11,7 @@ import pytest
 import steershare
 from steershare import cli, scenario
 from steershare.cli import main
-from steershare.scenario import PairResult, ScenarioConfig, ellipsoid_series, iter_csv, \
+from steershare.scenario import PairResult, ScenarioConfig, ellipsoid_series, \
     run_scenario, sweep_curve
 from steershare.states import DensityMatrix
 from steershare.steering import SteeringEllipsoid
@@ -150,8 +150,8 @@ class TestSweep:
         for fix in ({"lambda1_1": 0.3}, {}, {"lambda1_1": 0.3}):
             argv = [a for k, v in fix.items() for a in ("--fix", f"{k}={v}")]
             assert run_cli(capsys, "sweep", *argv, *common)[0] == 0
-            assert out.read_text() == "".join(iter_csv(
-                sweep_curve(fix, "lambda2_1", 0, 1, 3), "sweep"))
+            assert out.read_text() == "".join(cli._sweep_csv(
+                sweep_curve(fix, "lambda2_1", 0, 1, 3)))
 
 
 class TestSizeLimits:
@@ -518,7 +518,7 @@ class TestOutRewrite:
     ])
     def test_blocked_csv_rewritten_short(self, capsys, tmp_path, monkeypatch,
                                          longer, shorter):
-        monkeypatch.setattr(scenario, "CSV_BLOCK_ROWS", 4)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
         out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
         assert run_cli(capsys, *longer, "--out", str(out))[0] == 0
         before = out.stat().st_size
@@ -530,7 +530,7 @@ class TestOutRewrite:
     @pytest.mark.parametrize("argv", [("scan", "--grid", "1"), ("scan", "--grid", "801"),
                                       _SWEEP + ("--samples", "1")])
     def test_rejected_size_leaves_file_unchanged(self, capsys, tmp_path, monkeypatch, argv):
-        monkeypatch.setattr(scenario, "CSV_BLOCK_ROWS", 4)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
         out = tmp_path / "out.csv"
         assert run_cli(capsys, "scan", "--grid", "6", "--out", str(out))[0] == 0
         old = out.read_bytes()

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -7,17 +8,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from steershare import scenario
+from steershare import cli, scenario
 from steershare.errors import ConfigError, ShapeError
 from steershare.scenario import (
     MAX_GRID_RESOLUTION,
     MAX_SAMPLES,
+    MAX_SERIES_SAMPLES,
     SQRT_HALF,
     ScanTable,
     ScenarioConfig,
     charlie_operator,
     ellipsoid_series,
-    iter_csv,
     make_config,
     max_simultaneous_pairs,
     run_scenario,
@@ -33,9 +34,14 @@ from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid, run_grid
     scan_csv, series_grid_deviation
 
 
-def _csv(table, kind):
-    """The whole CSV text of a table."""
-    return "".join(iter_csv(table, kind))
+def _scan_text(pairs, resolution, mode):
+    """The whole `steershare scan` CSV text of a scan."""
+    return "".join(cli._scan_csv(scan_region(pairs, resolution, mode), resolution))
+
+
+def _sweep_text(table):
+    """The whole `steershare sweep` CSV text of a sweep table."""
+    return "".join(cli._sweep_csv(table))
 
 
 def _kraus_chain(cfg):
@@ -226,48 +232,44 @@ class TestSweepCurve:
             sweep_curve({}, "kappa_1", 0, 1, 5)
 
     def test_deterministic_csv(self):
-        a = _csv(sweep_curve({"lambda_1": 0.4}, "lambda2_2", 0, 1, 30),
-                           "sweep")
-        b = _csv(sweep_curve({"lambda_1": 0.4}, "lambda2_2", 0, 1, 30),
-                           "sweep")
+        a = _sweep_text(sweep_curve({"lambda_1": 0.4}, "lambda2_2", 0, 1, 30))
+        b = _sweep_text(sweep_curve({"lambda_1": 0.4}, "lambda2_2", 0, 1, 30))
         assert a == b
 
     def test_csv_schema(self):
         table = sweep_curve({}, "lambda_1", 0, 1, 3, mode="nonlocal")
-        lines = _csv(table, "sweep").splitlines()
+        lines = _sweep_text(table).splitlines()
         assert lines[0] == "param,S1,S2,St1,St2"
         assert lines[1].endswith(",,")  # St columns empty in nonlocal mode
 
 
 class TestScanCsv:
     def test_schema_and_determinism(self):
-        table = scan_region(pairs=3, resolution=5, mode="compare")
-        text = _csv(table, "scan")
+        text = _scan_text(3, 5, "compare")
         lines = text.splitlines()
         assert lines[0] == "lambda1,lambda2,S1,S2,S3,St1,St2,St3,region"
         assert len(lines) == 26
-        assert text == _csv(scan_region(pairs=3, resolution=5,
-                                                  mode="compare"), "scan")
+        assert text == _scan_text(3, 5, "compare")
 
 
 class TestGoldenOutputs:
     # sha256 digests of the CSV bytes written by the per-history closed-form
     # loops that the array kernel replaced; the kernel must reproduce them.
     def test_scan_csv_bytes(self):
-        text = _csv(scan_region(3, 41, "compare"), "scan")
+        text = _scan_text(3, 41, "compare")
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "b97fab1ef4b004c6057cef807175b3707ee2f0a5e754c66733db395bdc8e36ce"
 
     def test_readme_sweep_csv_bytes(self):
         table = sweep_curve({"lambda1_1": 0.70710678}, "lambda2_1", 0.6, 1.0, 81)
-        assert hashlib.sha256(_csv(table, "sweep").encode()).hexdigest() == \
+        assert hashlib.sha256(_sweep_text(table).encode()).hexdigest() == \
             "0a74f248f8f53dab0de976f23fb37cd0934eb9dcc556031bc4365e9b6efadb3d"
 
     # Digests below were taken from the per-cell record writer that the
     # column tables replaced; the tables must reproduce its bytes.
     def test_readme_scan_csv_bytes(self):
         # `steershare scan --pairs 3 --mode compare --grid 400`: 19,373,343 bytes.
-        data = _csv(scan_region(3, 400, "compare"), "scan").encode()
+        data = _scan_text(3, 400, "compare").encode()
         assert len(data) == 19_373_343
         assert hashlib.sha256(data).hexdigest() == \
             "82f65ef2765ac0b3e468f7da79e5690bde066ee5ba259097eb742ef04c0b7eb7"
@@ -284,7 +286,7 @@ class TestGoldenOutputs:
         ("compare", 3, "dcfc3e6bf2eed8e8832ab00c17598f7cc40526d2af98bfb8a92a95ca97e2601c"),
     ])
     def test_small_scan_csv_bytes(self, mode, pairs, digest):
-        text = _csv(scan_region(pairs, 7, mode), "scan")
+        text = _scan_text(pairs, 7, mode)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("mode, pairs, digest", [
@@ -298,7 +300,7 @@ class TestGoldenOutputs:
         # sweep CSV holds pairs 1 and 2 only, so 3 and 4 pairs match.
         table = sweep_curve({"lambda1_1": 0.6, "lambda_2": 0.8}, "lambda2_1", 0, 1, 9,
                             pairs=pairs, mode=mode)
-        text = _csv(table, "sweep")
+        text = _sweep_text(table)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_columns_are_float64_arrays(self):
@@ -320,10 +322,9 @@ def _head(table: ScanTable, rows: int) -> ScanTable:
 
 
 class TestCsvBlocks:
-    """`iter_csv` yields the header, then blocks that join to the whole text
-    (pinned by the digests above): a sweep's of at most CSV_BLOCK_ROWS rows,
-    and a scan's one per run of bit-equal lambda1 values, whatever
-    CSV_BLOCK_ROWS is."""
+    """Each CSV writer yields the header, then blocks that join to the whole
+    text (pinned by the digests above): a sweep's of at most CSV_BLOCK_ROWS
+    rows, and a scan's one per grid row, whatever CSV_BLOCK_ROWS is."""
 
     B = 4
 
@@ -331,21 +332,25 @@ class TestCsvBlocks:
     @pytest.mark.parametrize("mode", ["nonlocal", "local", "compare"])
     @pytest.mark.parametrize("kind", ["scan", "sweep"])
     def test_blocks_join_to_one_block_text(self, monkeypatch, kind, mode, rows):
-        full = (scan_region(3, 5, mode) if kind == "scan" else
-                sweep_curve({"lambda1_1": 0.6, "lambda_2": 0.8}, "lambda2_1", 0, 1, 9,
-                            pairs=3, mode=mode))
-        table = _head(full, rows)
-        assert len(table) == rows < scenario.CSV_BLOCK_ROWS
-        whole = _csv(table, kind)  # a sweep's one block at the default size
-        monkeypatch.setattr(scenario, "CSV_BLOCK_ROWS", self.B)
-        chunks = list(iter_csv(table, kind))
+        # The first `rows` sweep rows in blocks of B, or the whole grid-5
+        # scan with blocks of `rows` asked for: below, at and above its
+        # grid-row length.
+        if kind == "scan":
+            table = scan_region(3, 5, mode)
+            write = functools.partial(cli._scan_csv, table, 5)
+        else:
+            table = _head(sweep_curve({"lambda1_1": 0.6, "lambda_2": 0.8}, "lambda2_1",
+                                      0, 1, 9, pairs=3, mode=mode), rows)
+            write = functools.partial(cli._sweep_csv, table)
+        assert len(table) < cli.CSV_BLOCK_ROWS
+        whole = "".join(write())  # a sweep's one block at the default size
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", rows if kind == "scan" else self.B)
+        chunks = list(write())
         assert "".join(chunks) == whole
         assert chunks[0] == whole.partition("\n")[0] + "\n"
         if kind == "scan":
             lines = whole.splitlines(keepends=True)[1:]
-            runs = ["".join(run) for _, run in
-                    itertools.groupby(lines, key=lambda line: line.partition(",")[0])]
-            assert chunks[1:] == runs and len(runs) == -(-rows // 5)
+            assert chunks[1:] == ["".join(lines[k:k + 5]) for k in range(0, 25, 5)]
         else:
             assert len(chunks) == 1 + -(-rows // self.B)
             assert all(c.count("\n") == self.B for c in chunks[1:-1])
@@ -357,73 +362,31 @@ class TestCsvBlocks:
     def test_blocked_text_keeps_digest(self, monkeypatch, block, kind, digest):
         # 49 grid-7 scan rows, one block per grid row, and 81 README sweep
         # rows, 2 * block + 1.
-        table = (scan_region(3, 7, "compare") if kind == "scan" else
-                 sweep_curve({"lambda1_1": 0.70710678}, "lambda2_1", 0.6, 1.0, 81))
-        monkeypatch.setattr(scenario, "CSV_BLOCK_ROWS", block)
-        chunks = list(iter_csv(table, kind))
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        chunks = list(cli._scan_csv(scan_region(3, 7, "compare"), 7) if kind == "scan" else
+                      cli._sweep_csv(sweep_curve({"lambda1_1": 0.70710678}, "lambda2_1",
+                                                 0.6, 1.0, 81)))
         assert len(chunks) == (8 if kind == "scan" else 4)
         assert hashlib.sha256("".join(chunks).encode()).hexdigest() == digest
 
-    def test_unknown_kind_raises_on_call(self):
-        with pytest.raises(ConfigError, match="unknown CSV kind 'bogus'"):
-            iter_csv(scan_region(2, 3, "compare"), "bogus")
-        with pytest.raises(ConfigError, match=r"a sweep CSV needs parameter columns \['param'\]"):
-            iter_csv(scan_region(2, 3, "compare"), "sweep")
-
-
-def _with_cells(table: ScanTable, column: str, rows: list, value: float) -> ScanTable:
-    """A copy of scan `table` whose `column` ("lambda1", "lambda2" or "S1")
-    holds `value` in `rows`."""
-    params = {k: v.copy() for k, v in table.params.items()}
-    s = [c.copy() for c in table.s]
-    (s[0] if column == "S1" else params[column])[rows] = value
-    return ScanTable(params=params, s=s, st=table.st, region=table.region)
-
 
 class TestScanCsvOracle:
-    """The scan writer equals the one-format-per-row oracle on every table:
-    scans, cut-short and reordered tables, and special floats, which show
-    that runs and constant columns are found on bits, not values."""
+    """The scan writer equals the one-format-per-row oracle on every scan,
+    in one chunk per grid row after the header."""
 
     @pytest.mark.parametrize("mode", ["nonlocal", "local", "compare"])
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_scans(self, pairs, mode):
         for grid in [*range(2, 13), 84]:
             table = scan_region(pairs, grid, mode)
-            assert _csv(table, "scan") == scan_csv(table)
-
-    @pytest.mark.parametrize("mode", ["nonlocal", "local", "compare"])
-    def test_every_head(self, mode):
-        full = scan_region(3, 5, mode)
-        for rows in range(len(full) + 1):
-            assert _csv(_head(full, rows), "scan") == scan_csv(_head(full, rows))
-
-    def test_rows_permuted(self):
-        full = scan_region(3, 7, "compare")
-        order = np.random.default_rng(22).permutation(len(full))
-        table = ScanTable(params={k: v[order] for k, v in full.params.items()},
-                          s=[c[order] for c in full.s], st=[c[order] for c in full.st],
-                          region=full.region[order])
-        assert _csv(table, "scan") == scan_csv(table)
-
-    def test_float32_columns(self):
-        full = scan_region(3, 6, "compare")
-        table = ScanTable(params={k: v.astype(np.float32) for k, v in full.params.items()},
-                          s=[c.astype(np.float32) for c in full.s],
-                          st=[c.astype(np.float32) for c in full.st], region=full.region)
-        assert _csv(table, "scan") == scan_csv(table)
-
-    # Grid 4: rows 0-3 hold lambda1 = S1 = 0.0, and row 4k holds lambda2 = 0.0.
-    @pytest.mark.parametrize("value", [-0.0, float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("column, rows", [
-        ("lambda1", [0]), ("lambda1", [2]), ("lambda1", [3]), ("lambda1", [1, 2]),
-        ("lambda1", [4, 5, 6, 7]), ("lambda1", list(range(16))),
-        ("S1", [2]), ("S1", [0, 1, 2, 3]), ("S1", [15]),
-        ("lambda2", [0]), ("lambda2", [4]), ("lambda2", [0, 4, 8, 12]), ("lambda2", [6]),
-    ])
-    def test_special_cells(self, column, rows, value):
-        table = _with_cells(scan_region(3, 4, "compare"), column, rows, value)
-        assert _csv(table, "scan") == scan_csv(table)
+            text = scan_csv(table)
+            chunks = list(cli._scan_csv(table, grid))
+            assert "".join(chunks) == text
+            assert len(chunks) == 1 + grid
+            lines = text.splitlines(keepends=True)
+            assert chunks[0] == lines[0]
+            for k, chunk in enumerate(chunks[1:]):
+                assert chunk == "".join(lines[1 + k * grid:1 + (k + 1) * grid])
 
 
 _HISTORY = StrengthHistory.nonlocal_history([(0.5, 0.8), (1.0, 1.0)])
@@ -728,6 +691,18 @@ class TestEllipsoidSeries:
 
     def test_empty(self):
         assert ellipsoid_series([]) == []
+
+    def test_size_limit(self):
+        # The length is checked before any pair: a bad first pair is reported
+        # at the limit and never reached past it.
+        bad = [(2.0, 0.5)]
+        with pytest.raises(ConfigError, match=re.escape("strengths (2.0, 0.5) outside")):
+            ellipsoid_series(bad * MAX_SERIES_SAMPLES)
+        n = MAX_SERIES_SAMPLES + 1
+        message = f"series of {n} samples outside supported range 0..{MAX_SERIES_SAMPLES}"
+        for pairs in (bad * n, np.full((n, 2), 2.0)):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                ellipsoid_series(pairs)
 
     @pytest.mark.parametrize("pairs, message", [
         ([(0.5, 1.5)], "strengths (0.5, 1.5) outside [0, 1]"),
