@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .linalg import PAULIS
 from .measurement import anticommuting, dephasing_scale
 from .states import GHZ_TENSOR, DensityMatrix, _check_type, _is_int, _is_real, \
-    compressed_tensors, from_pauli_tensors
+    check_run_tensors, compressed_tensors, from_pauli_tensors
 from .steering import (
     SteeringEllipsoid,
     StrengthHistory,
@@ -189,8 +189,11 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     state and ellipsoids are post-update.  The run evolves the state's
     Pauli tensor: every pair update multiplies it by a fixed factor
     (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
-    times the product of the factors of pairs 1..i.  The reported states
-    are built and validated as one stack (`from_pauli_tensors`).  In a
+    times the product of the factors of pairs 1..i.  The tensors are
+    validated in closed form, with no eigensolver: a run stays in
+    `GHZ_COMPONENTS`, where a state's eigenvalues are its 8 GHZ-basis
+    weights (`check_run_tensors`).  The reported states are then built as
+    one stack by one real matrix product (`from_pauli_tensors`).  In a
     nonlocal run, one contraction of the tensors compresses every pair's
     state (`compressed_tensors`), and the ellipsoids of every pair are read
     off the diagonals of the compressed T-states (`t_state_ellipsoids`).
@@ -263,8 +266,8 @@ def _table(mode: str, lam1: list, lam2: list, params: dict) -> ScanTable:
 # Size limits, checked before anything is allocated.  At the limit the
 # largest call of each kind peaks in `steershare scan`/`sweep`, which write
 # the text in blocks, at about 118 MiB RSS (a 3-pair compare scan) and
-# 206 MiB (a 4-pair compare sweep); an `ellipsoid_series` call peaks at
-# about 217 MiB.
+# 206 MiB (a 4-pair compare sweep); an `ellipsoid_series` call, which
+# builds no 8x8 state, peaks at about 124 MiB.
 MAX_GRID_RESOLUTION = 800
 MAX_SAMPLES = 1_000_000
 MAX_SERIES_SAMPLES = 40_000
@@ -367,7 +370,7 @@ def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[Steering
     lambdas = StrengthHistory.nonlocal_history(strength_pairs).lambdas
     c = coherence(np.array(lambdas, dtype=float).reshape(-1, 2))[..., None]
     after = GHZ_TENSOR * dephasing_scale(np.stack([_MASKS["nonlocal", a] for a in "xy"]), c)
-    from_pauli_tensors(after)  # validated as a run validates its states, then dropped
+    check_run_tensors(after)  # as a run validates its states, none of which is built
     return t_state_ellipsoids(compressed_tensors(after)[0])
 
 

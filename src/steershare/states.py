@@ -8,7 +8,10 @@ three-qubit state whose A,B pair lives in span{|00>, |11>} can be
 compressed to an effective two-qubit state (compressed AB qubit tensor
 Charlie) for ellipsoid analysis, by one fixed contraction of its tensor.
 A run from GHZ keeps the Pauli components of GHZ (`GHZ_COMPONENTS`), as
-every pair update only scales components.
+every pair update only scales components.  Such a state is diagonal in the
+GHZ basis, so a run's states are validated from their 8 components in
+closed form (`check_run_tensors`); `DensityMatrix` and `ghz()` validate
+any matrix with one `eigvalsh`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotCompressibleError, ShapeError
+from .errors import InvariantError, NotCompressibleError, ShapeError
 from .linalg import I2, PAULIS
 
 DENSITY_HERM_TOL = 1e-10
@@ -138,31 +141,6 @@ def pauli_tensor(mat: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,ji->...", PAULI_PRODUCTS[qubits], mat).real
 
 
-def from_pauli_tensors(t: np.ndarray) -> list[DensityMatrix]:
-    """The validated states 2^-n sum t[k, a, b, ...] sigma_a x sigma_b x ...
-    of a stack of k Pauli tensors, validated as one stack."""
-    _check_array(t, "Pauli tensor stack", real=True)
-    qubits = t.ndim - 1
-    if not 1 <= qubits <= 3 or t.shape[1:] != (4,) * qubits:
-        raise ShapeError(f"Pauli tensor shape {t.shape[1:]} is not that of 1-3 qubits")
-    d = 2 ** qubits
-    # t is real, so the product runs on the interleaved real and imaginary
-    # parts of the operators: a real matrix product, which OpenBLAS keeps
-    # on one thread at these sizes, where the complex one is split over
-    # threads and can stall for milliseconds on a busy host.
-    products = PAULI_PRODUCTS[qubits].reshape(4 ** qubits, d * d).view(float)
-    mats = (t.reshape(len(t), 4 ** qubits) @ products).view(complex).reshape(-1, d, d) / d
-    _check_stack(mats)
-    mats.setflags(write=False)
-    states = []
-    for mat in mats:  # checked above as one stack, so not again one by one
-        rho = object.__new__(DensityMatrix)
-        object.__setattr__(rho, "qubits", qubits)
-        object.__setattr__(rho, "mat", mat)
-        states.append(rho)
-    return states
-
-
 # Import-time constants avoid BLAS and LAPACK calls (validating ghz() would
 # call eigvalsh): their first use costs about 1 MB of resident memory, which
 # processes that only evaluate closed forms never otherwise pay.
@@ -173,6 +151,60 @@ GHZ_TENSOR.setflags(write=False)
 # tensors are zero outside them.
 GHZ_COMPONENTS = GHZ_TENSOR != 0
 GHZ_COMPONENTS.setflags(write=False)
+# On each of those 8 products the GHZ basis (|j> +- |7-j>)/sqrt(2), j = 0..3,
+# is an eigenbasis, with eigenvalues [j, j] +- [j, 7-j].  So a run state's
+# eigenvalues, its GHZ-basis weights, are its flat tensor times SPECTRUM
+# (Yu & Eberly, QIC 7, 459 (2007); Guhne & Seevinck, NJP 12, 053002 (2010)),
+# which indexing derives with no BLAS call.
+_PRODUCTS, _J = PAULI_PRODUCTS[3][GHZ_COMPONENTS].real, np.arange(4)
+SPECTRUM = np.zeros((64, 8))
+SPECTRUM[GHZ_COMPONENTS.reshape(64)] = np.hstack(
+    [_PRODUCTS[:, _J, _J] + sign * _PRODUCTS[:, _J, 7 - _J] for sign in (1, -1)]) / 8
+SPECTRUM.setflags(write=False)
+
+
+def check_run_tensors(t: np.ndarray) -> None:
+    """Raise for the first member of a (k, 4, 4, 4) stack of run tensors (member
+    j is pair j+1's) that holds an entry outside `GHZ_COMPONENTS`
+    (InvariantError) or is no state: the ShapeError `DensityMatrix` raises
+    for its trace, else for its least eigenvalue, read off `SPECTRUM`."""
+    _check_array(t, "Pauli tensor stack", real=True)
+    if t.shape[1:] != (4, 4, 4):
+        raise ShapeError(f"run states expect (k, 4, 4, 4) Pauli tensors, got {t.shape}")
+    flat = t.reshape(len(t), 64)
+    outside = ((flat != 0) & ~GHZ_COMPONENTS.reshape(64)).any(axis=1)
+    trace_ok = np.abs(flat[:, 0] - 1) <= DENSITY_TRACE_TOL
+    low = (flat @ SPECTRUM).min(axis=1)
+    bad = outside | ~trace_ok | ~(low >= DENSITY_EIG_FLOOR)
+    if bad.any():
+        k = int(bad.argmax())
+        if outside[k]:
+            a, b, c = np.argwhere((t[k] != 0) & ~GHZ_COMPONENTS)[0]
+            raise InvariantError(f"pair {k + 1} left the Pauli components of GHZ: "
+                                 f"its tensor holds {float(t[k, a, b, c])!r} at [{a}, {b}, {c}]")
+        if not trace_ok[k]:
+            raise ShapeError(f"trace {complex(flat[k, 0]):.12f} != 1")
+        raise ShapeError(f"negative eigenvalue {low[k]:.3e}")
+
+
+def from_pauli_tensors(t: np.ndarray) -> list[DensityMatrix]:
+    """The states 2^-3 sum t[k, a, b, c] sigma_a x sigma_b x sigma_c of a
+    (k, 4, 4, 4) stack of run tensors, validated by `check_run_tensors`."""
+    check_run_tensors(t)
+    # t is real, so the product runs on the interleaved real and imaginary
+    # parts of the operators: a real matrix product, which OpenBLAS keeps
+    # on one thread at these sizes, where the complex one is split over
+    # threads and can stall for milliseconds on a busy host.
+    products = PAULI_PRODUCTS[3].reshape(64, 64).view(float)
+    mats = (t.reshape(len(t), 64) @ products).view(complex).reshape(-1, 8, 8) / 8
+    mats.setflags(write=False)
+    states = []
+    for mat in mats:  # validated above, so not again one by one
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "qubits", 3)
+        object.__setattr__(rho, "mat", mat)
+        states.append(rho)
+    return states
 
 
 # Every direction a nonlocal pair measures (sigma_y x sigma_y, sigma_y x

@@ -3,7 +3,9 @@ evolves with, the general steering ellipsoid of any two-qubit state,
 which `run_scenario`'s closed-form T-state ellipsoids must equal, the
 closed-form semiaxes of nonlocal runs with whole-grid checks against
 them, and the one-format-per-row scan CSV text, which the grid-row
-writer of `steershare scan` must equal.
+writer of `steershare scan` must equal.  Also the state of any 1-3-qubit
+Pauli tensor (the package builds only run states), and `eigvalsh` of run
+states, which their closed-form GHZ-basis weights must equal.
 
 The Kraus oracle follows the definitions on full-register matrices and
 shares no code with the package's Pauli-tensor path.  A measurement is a
@@ -22,8 +24,8 @@ import numpy as np
 
 from steershare.errors import ConfigError, ShapeError
 from steershare.scenario import ellipsoid_series, make_config, run_scenario
-from steershare.states import DensityMatrix, _check_array, _check_type, compressed_tensors, \
-    from_pauli_tensors, ghz, pauli_tensor
+from steershare.states import SPECTRUM, DensityMatrix, _check_array, _check_type, \
+    compressed_tensors, ghz, pauli_tensor
 from steershare.steering import DEGENERACY_TOL, SteeringEllipsoid
 
 AXIS_NORM_FLOOR = 1e-8  # shorter parts of an axis in a degenerate subspace are skipped
@@ -42,6 +44,19 @@ AXES = {"x": (1, -1.0, 2, 2), "y": (2, -1.0, 2, 1), "z": (3, 1.0, 3, 0)}
 def direction(paulis, sign=1.0):
     """sign * sigma_paulis[0] x sigma_paulis[1] x ..., with sigma_0 = I."""
     return sign * functools.reduce(np.kron, [PAULIS[p] for p in paulis])
+
+
+@functools.cache
+def _products(qubits):
+    """Every sigma_a x sigma_b x ... of `qubits` qubits, in row-major index
+    order: shape (4**qubits, 2**qubits, 2**qubits)."""
+    return np.stack([direction(idx) for idx in itertools.product(range(4), repeat=qubits)])
+
+
+def state_from_tensor(t):
+    """The `DensityMatrix` 2^-n sum t[a, b, ...] sigma_a x sigma_b x ... of an
+    n-qubit Pauli tensor of shape (4,)*n, n = 1..3, which validates it."""
+    return DensityMatrix(t.ndim, np.tensordot(t.reshape(-1), _products(t.ndim), 1) / 2 ** t.ndim)
 
 
 def make_instrument(d, lam):
@@ -173,7 +188,7 @@ def compress(rho):
     weight the projection retains."""
     _check_type(rho, DensityMatrix)
     t, weights = compressed_tensors(pauli_tensor(rho.mat)[None])
-    return from_pauli_tensors(t)[0], float(weights[0])
+    return state_from_tensor(t[0]), float(weights[0])
 
 
 def bloch_form(rho4):
@@ -307,6 +322,24 @@ def run_grid_deviation(grid, pairs):
         want = closed_form_semiaxes(lams).reshape(-1, 3)
         worst = tuple(map(max, worst, closed_form_deviation(ells, want)))
     return worst
+
+
+def spectrum_deviation(results):
+    """Worst gap, over the states of a list of `PairResult`s, between the
+    least eigenvalue by np.linalg.eigvalsh of the built 8x8 state and the
+    least GHZ-basis weight `states.SPECTRUM` reads off its Pauli tensor."""
+    mats = np.stack([r.state.mat for r in results])
+    t = np.einsum("kij,pji->kp", mats, _products(3)).real  # Tr(rho P) per product
+    closed = (t @ SPECTRUM).min(axis=1)
+    return float(np.max(np.abs(np.linalg.eigvalsh(mats)[:, 0] - closed)))
+
+
+def run_spectrum_deviation(grid, pairs, mode):
+    """`spectrum_deviation` of every state of `run_scenario` over the
+    equal-strength histories (lambda1, lambda2, sharp)[:pairs] of grid x grid
+    in `mode`, one grid row at a time."""
+    return max(spectrum_deviation([r for l2 in grid.tolist() for r in run_scenario(
+        make_config(mode, [l1, l2][:pairs], pairs=pairs))]) for l1 in grid.tolist())
 
 
 def scan_csv(table):

@@ -3,10 +3,10 @@ import pytest
 
 from steershare.errors import ConfigError
 from steershare.measurement import anticommuting, dephasing_scale
-from steershare.states import DensityMatrix, from_pauli_tensors, ghz, ket, pauli_tensor
+from steershare.states import DensityMatrix, ghz, ket, pauli_tensor
 from steershare.steering import StrengthHistory
 
-from oracles import ORACLE_TOL, direction, make_instrument, update
+from oracles import ORACLE_TOL, direction, make_instrument, state_from_tensor, update
 from util import random_density
 
 YY = direction((2, 2))
@@ -27,7 +27,7 @@ def _dephase(rho, settings):
     (paulis, sign, strength) measurements of setting k, one per party."""
     anti = np.array([[anticommuting(p) for p, _, _ in parties] for parties in settings])
     c = [[np.sqrt(1 - lam ** 2) for _, _, lam in parties] for parties in settings]
-    return from_pauli_tensors((pauli_tensor(rho) * dephasing_scale(anti, c))[None])[0].mat
+    return state_from_tensor(pauli_tensor(rho) * dephasing_scale(anti, c)).mat
 
 
 def _projective(rho, paulis, sign):

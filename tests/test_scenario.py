@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from steershare import cli, scenario
+from steershare import cli, scenario, states
 from steershare.errors import ConfigError, ShapeError
 from steershare.scenario import (
     MAX_GRID_RESOLUTION,
@@ -681,13 +681,29 @@ class TestEllipsoidSeries:
             real = getattr(scenario, name)
             return lambda x: calls.append((name, len(x))) or real(x)
 
-        for name in ("make_config", "run_scenario", "ScenarioConfig"):
+        # Nor is any 8x8 state built: the tensors are validated in closed form.
+        for name in ("make_config", "run_scenario", "ScenarioConfig", "from_pauli_tensors"):
             monkeypatch.setattr(scenario, name, refuse)
-        for name in ("from_pauli_tensors", "compressed_tensors", "t_state_ellipsoids"):
+        monkeypatch.setattr(states, "from_pauli_tensors", refuse)
+        for name in ("check_run_tensors", "compressed_tensors", "t_state_ellipsoids"):
             monkeypatch.setattr(scenario, name, spy(name))
         assert len(ellipsoid_series([(0.1, 0.2), (0.5, 0.8), (1.0, 1.0)])) == 3
-        assert calls == [("from_pauli_tensors", 3), ("compressed_tensors", 3),
+        assert calls == [("check_run_tensors", 3), ("compressed_tensors", 3),
                          ("t_state_ellipsoids", 3)]
+
+    def test_no_eigensolver(self, monkeypatch):
+        # Runs and series validate their states in closed form, with no
+        # eigvalsh and no `_check_stack`.
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver reached")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(states, "_check_stack", refuse)
+        for mode in ("nonlocal", "local"):
+            for pairs in (1, 2, 3, 4):
+                assert len(run_scenario(make_config(mode, [0.3, 0.6, 0.9][:pairs],
+                                                    pairs=pairs))) == pairs
+        assert len(ellipsoid_series([(0.1, 0.2), (0.5, 0.8), (1.0, 1.0)])) == 3
 
     def test_empty(self):
         assert ellipsoid_series([]) == []

@@ -5,13 +5,17 @@ import re
 import numpy as np
 import pytest
 
-from steershare.errors import NotCompressibleError, ShapeError
+from steershare import states
+from steershare.errors import InvariantError, NotCompressibleError, ShapeError
 from steershare.linalg import I2, PAULIS
 from steershare.scenario import make_config, run_scenario
 from steershare.states import (
+    GHZ_COMPONENTS,
     GHZ_TENSOR,
+    SPECTRUM,
     DensityMatrix,
     _check_stack,
+    check_run_tensors,
     compressed_tensors,
     from_pauli_tensors,
     ghz,
@@ -19,7 +23,7 @@ from steershare.states import (
     pauli_tensor,
 )
 
-from oracles import bloch_form, compress, direction
+from oracles import bloch_form, compress, direction, state_from_tensor
 from util import random_density
 
 
@@ -141,19 +145,114 @@ class TestStackValidation:
 
     def test_built_stack_equals_members_built_alone(self):
         rng = np.random.default_rng(5)
-        t = np.stack([pauli_tensor(random_density(rng, 3).mat) for _ in range(4)])
+        t = np.stack([_ghz_diagonal(rng.dirichlet(np.ones(8)))[1] for _ in range(4)])
         for rho, t_k in zip(from_pauli_tensors(t), t):
             assert rho.qubits == 3 and not rho.mat.flags.writeable
             assert np.max(np.abs(rho.mat - from_pauli_tensors(t_k[None])[0].mat)) <= 1e-15
 
-    @pytest.mark.parametrize("qubits", [1, 2, 3])
-    def test_empty_stack_builds_no_states(self, qubits):
-        assert from_pauli_tensors(np.zeros((0,) + (4,) * qubits)) == []
+    def test_empty_stack_builds_no_states(self):
+        assert from_pauli_tensors(np.zeros((0, 4, 4, 4))) == []
 
     def test_built_stack_rejects_invalid_member(self):
         t = np.stack([GHZ_TENSOR, GHZ_TENSOR * 1.5, GHZ_TENSOR])
         assert _error(lambda: from_pauli_tensors(t)) == \
             _error(lambda: from_pauli_tensors(t[1][None]))
+
+
+def _ghz_basis():
+    """The GHZ basis (|j> + |7-j>)/sqrt(2) and then (|j> - |7-j>)/sqrt(2),
+    j = 0..3, as rows: the order of `SPECTRUM`'s columns."""
+    kets = [ket(format(j, "03b")) for j in range(8)]
+    return np.array([(kets[j] + sign * kets[7 - j]) / np.sqrt(2)
+                     for sign in (1, -1) for j in range(4)])
+
+
+def _ghz_diagonal(weights):
+    """The matrix with GHZ-basis weights `weights` and its Pauli tensor, with
+    the rounding residue outside `GHZ_COMPONENTS` set to 0."""
+    basis = _ghz_basis()
+    mat = (basis.T * weights) @ basis.conj()
+    return mat, pauli_tensor(mat) * GHZ_COMPONENTS
+
+
+_RUN_FAILURES = {
+    "outside": (InvariantError, "pair {pair} left the Pauli components of GHZ: "
+                                "its tensor holds 0.001 at [0, 0, 1]"),
+    "trace": (ShapeError, "trace 1.001000000000+0.000000000000j != 1"),
+    "negative": (ShapeError, "negative eigenvalue -1.235e-01"),
+}
+
+
+def _failing_run_tensor(kind):
+    """A three-qubit tensor that fails one check of `check_run_tensors`, and
+    the matrix `DensityMatrix` rejects with the same text (None for "outside")."""
+    if kind == "outside":
+        t = GHZ_TENSOR.copy()
+        t[0, 0, 1] = 0.001
+        return t, None
+    weights = np.full(8, 1 / 8)
+    if kind == "negative":
+        weights[[2, 5]] = 1 / 4 + 0.123456, -0.123456
+    mat, t = _ghz_diagonal(weights * (1.001 if kind == "trace" else 1.0))
+    return t, mat
+
+
+class TestRunTensors:
+    """Closed-form validation of run states: a run stays in `GHZ_COMPONENTS`,
+    where a state's eigenvalues are its GHZ-basis weights (`SPECTRUM`)."""
+
+    def test_spectrum_holds_ghz_basis_eigenvalues(self):
+        # Each component product maps GHZ basis vector k to 8 SPECTRUM[., k] times itself.
+        basis = _ghz_basis()
+        for row, idx in zip(np.flatnonzero(GHZ_COMPONENTS), np.argwhere(GHZ_COMPONENTS)):
+            for k, v in enumerate(basis):
+                assert np.array_equal(direction(idx) @ v, 8 * SPECTRUM[row, k] * v)
+        assert np.count_nonzero(SPECTRUM) == 64 and not SPECTRUM.flags.writeable
+
+    @pytest.mark.parametrize("mode", ["nonlocal", "local"])
+    def test_closed_form_min_eigenvalue_equals_eigvalsh(self, mode, monkeypatch):
+        # The least GHZ-basis weight of each tensor a run validates, against
+        # eigvalsh of the state the run builds from it.
+        seen = []
+        real = states.check_run_tensors
+        monkeypatch.setattr(states, "check_run_tensors", lambda t: seen.append(t) or real(t))
+        rng = np.random.default_rng(91)
+        worst = 0.0
+        for pairs in [1, 2, 3, 4] * 100:
+            results = run_scenario(make_config(mode, rng.uniform(0, 1, (pairs, 2)).tolist()))
+            closed = (seen.pop().reshape(-1, 64) @ SPECTRUM).min(axis=1)
+            for r, low in zip(results, closed):
+                worst = max(worst, abs(np.linalg.eigvalsh(r.state.mat)[0] - low))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["trace", "negative"])
+    def test_error_text_of_density_matrix(self, kind):
+        t, mat = _failing_run_tensor(kind)
+        want = _error(lambda: DensityMatrix(3, mat))
+        assert want == _RUN_FAILURES[kind]
+        assert _error(lambda: check_run_tensors(t[None])) == want
+
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    @pytest.mark.parametrize("idx", [(0, 0, 1), (1, 1, 2), (3, 3, 3)])
+    def test_entry_outside_components_names_its_pair(self, at, idx):
+        t = np.stack([GHZ_TENSOR] * 4)
+        t[at][idx] = -0.25
+        message = (f"pair {at + 1} left the Pauli components of GHZ: its tensor holds "
+                   f"-0.25 at [{idx[0]}, {idx[1]}, {idx[2]}]")
+        assert _error(lambda: check_run_tensors(t)) == (InvariantError, message)
+
+    @pytest.mark.parametrize("first, later", itertools.product(_RUN_FAILURES, repeat=2))
+    def test_first_failing_member_wins(self, first, later):
+        t = np.stack([_ghz_diagonal(np.full(8, 1 / 8))[1]] * 4)
+        t[1], t[3] = _failing_run_tensor(first)[0], _failing_run_tensor(later)[0]
+        kind, message = _RUN_FAILURES[first]
+        assert _error(lambda: check_run_tensors(t)) == (kind, message.format(pair=2))
+
+    def test_valid_and_empty_stacks_pass(self):
+        rng = np.random.default_rng(12)
+        check_run_tensors(np.stack([_ghz_diagonal(rng.dirichlet(np.ones(8)))[1]
+                                    for _ in range(5)]))
+        check_run_tensors(np.zeros((0, 4, 4, 4)))
 
 
 class TestCompress:
@@ -200,7 +299,7 @@ class TestPauliTensor:
     @pytest.mark.parametrize("qubits", [1, 2, 3])
     def test_round_trip(self, qubits):
         rho = random_density(np.random.default_rng(10 + qubits), qubits)
-        again = from_pauli_tensors(pauli_tensor(rho.mat)[None])[0]
+        again = state_from_tensor(pauli_tensor(rho.mat))
         assert np.max(np.abs(again.mat - rho.mat)) <= 1e-15
 
     def test_ghz_tensor(self):
