@@ -124,8 +124,8 @@ def cmd_demo(_args) -> None:
     print(f"lambda(1)=0.5, lambda(2)=0.8:  S2(2) = {results[1].steering_value:.4f}"
           f"  (local S~2(2) = {local[1].steering_value:.4f})")
 
-    lams = [0.4, 0.8, 0.95]
-    (_, s2, s3), (_, st2, st3) = scenario._mode_closed_forms("compare", lams, lams)
+    lams = [(x, x) for x in (0.4, 0.8, 0.95)]
+    (_, s2, s3), (_, st2, st3) = scenario._mode_closed_forms("compare", lams)
     print(f"lambda = 0.4 / 0.8 / 0.95:  S2(2) = {s2:.4f}, S2(3) = {s3:.4f}, "
           f"S~2(2) = {st2:.4f}, S~2(3) = {st3:.4f}")
 

@@ -9,7 +9,10 @@ dephasing channel ((1+c)/2) rho + ((1-c)/2) D rho D with
 c = sqrt(1 - lambda^2).  On the state's Pauli tensor (see `states`) the
 channel keeps the components that commute with D and multiplies those that
 anticommute with it by c; `run_scenario` applies it in that form
-(`dephasing_scale`), and the tests hold it to the Kraus sum.
+(`dephasing_scale`), and the tests hold it to the Kraus sum.  Charlie's
+settings, the A,B directions paired with them (`_AXIS_TABLE`, `_MASKS`) and
+which of those damp the component each setting reads (`DAMPING`, read by
+`steering.closed_forms`) are tabled here once.
 """
 
 from __future__ import annotations
@@ -43,3 +46,35 @@ def dephasing_scale(anti: np.ndarray, c) -> np.ndarray:
     axis = 1 - anti.ndim  # parties, then settings, counted from the end
     c = np.asarray(c)[(...,) + (None,) * (anti.ndim - 2)]
     return np.where(anti, c, 1.0).prod(axis=axis).mean(axis=axis)
+
+
+# Per axis: Charlie's Pauli index c and the signed A,B Pauli product
+# sign * sigma_p x sigma_q paired with it, as (c, sign, p, q).  Signs are
+# fixed so the sharp GHZ correlator <D x L> = sign * t[p, q, c] is +1.  A
+# label's own sign flips D and L together, which changes neither that
+# correlator nor the dephasing channel of D.
+_AXIS_TABLE = {"x": (1, -1.0, 2, 2), "y": (2, -1.0, 2, 1), "z": (3, 1.0, 3, 0)}
+
+
+# Per (mode, axis): anticommutation masks of the directions the setting
+# measures, one per measuring party (see `dephasing_scale`): sigma_p x sigma_q
+# jointly, or sigma_p on A and sigma_q on B (sigma_z x I does not split so).
+_MASKS = {(mode, axis): np.stack([anticommuting(d) for d in (
+              [(p, q, 0)] if mode == "nonlocal" else [(p, 0, 0), (0, q, 0)])])
+          for axis, (_, _, p, q) in _AXIS_TABLE.items()
+          for mode in ("nonlocal", "local") if mode == "nonlocal" or axis != "z"}
+
+
+def _damping(mode: str) -> tuple:
+    """Per setting k of x, -y: (alone, terms) for the GHZ component t[p, q, c]
+    that k reads.  `alone` counts, as a float, the settings in which every
+    party's direction commutes with it; `terms` holds (l, parties) for each
+    other setting l, naming the parties, the joint A,B measurement (nonlocal)
+    or A and B (local), whose direction anticommutes with it."""
+    rows = [[tuple(np.flatnonzero(_MASKS[mode, a][:, p, q, c]).tolist()) for a in "xy"]
+            for c, _, p, q in map(_AXIS_TABLE.get, "xy")]
+    return tuple((float(row.count(())), tuple((l, ps) for l, ps in enumerate(row) if ps))
+                 for row in rows)
+
+
+DAMPING = {mode: _damping(mode) for mode in ("nonlocal", "local")}

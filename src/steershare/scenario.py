@@ -2,10 +2,9 @@
 windows.
 
 The canonical scenario starts from the GHZ state with two measurement
-settings per pair.  Signs are absorbed into the stored directions so that
-every sharp correlator evaluates to +1 (outcome relabeling only): Charlie's
-x setting pairs with -(sigma_y x sigma_y) on A,B and his -y setting with
-+(sigma_y x sigma_x).
+settings per pair: Charlie's x pairs with -(sigma_y x sigma_y) on A,B and
+his -y with +(sigma_y x sigma_x), signs chosen (`measurement._AXIS_TABLE`)
+so that every sharp correlator is +1.
 """
 
 from __future__ import annotations
@@ -19,41 +18,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .linalg import PAULIS
-from .measurement import anticommuting, dephasing_scale
+from .measurement import _AXIS_TABLE, _MASKS, dephasing_scale
 from .states import GHZ_TENSOR, DensityMatrix, _check_type, _is_int, _is_real, \
     check_run_tensors, compressed_tensors, from_pauli_tensors
-from .steering import (
-    SteeringEllipsoid,
-    StrengthHistory,
-    _SEQUENCES,
-    closed_forms,
-    coherence,
-    t_state_ellipsoids,
-)
+from .steering import SteeringEllipsoid, StrengthHistory, _SEQUENCES, closed_forms, \
+    coherence, t_state_ellipsoids
 
 SQRT_HALF = float(1 / np.sqrt(2))
-
-# Per axis: Charlie's Pauli index c and the signed A,B Pauli product
-# sign * sigma_p x sigma_q paired with it, as (c, sign, p, q).  Signs are
-# fixed so the sharp GHZ correlator <D x L> = sign * t[p, q, c] is +1.  A
-# label's own sign flips D and L together, which changes neither that
-# correlator nor the dephasing channel of D.
-_AXIS_TABLE = {"x": (1, -1.0, 2, 2), "y": (2, -1.0, 2, 1), "z": (3, 1.0, 3, 0)}
-
-
-def _setting_masks(mode: str, p: int, q: int) -> np.ndarray:
-    """Anticommutation masks of the directions one setting measures, one per
-    measuring party (see `dephasing_scale`): sigma_p x sigma_q jointly, or
-    sigma_p on A and sigma_q on B locally."""
-    dirs = [(p, q, 0)] if mode == "nonlocal" else [(p, 0, 0), (0, q, 0)]
-    return np.stack([anticommuting(d) for d in dirs])
-
-
-# sigma_z x I does not split into local A and B factors.
-_MASKS = {(mode, axis): _setting_masks(mode, p, q)
-          for axis, (_, _, p, q) in _AXIS_TABLE.items()
-          for mode in ("nonlocal", "local") if mode == "nonlocal" or axis != "z"}
-
 
 def charlie_operator(label: str) -> np.ndarray:
     sign, axis = _resolve_axis(label)
@@ -200,11 +171,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     """
     _check_type(cfg, ScenarioConfig)
     axes = [_resolve_axis(lbl)[1] for lbl in cfg.charlie_directions]
-    lam = np.array(cfg.strengths.lambdas)  # (pair, setting)
-    if cfg.mode == "nonlocal":
-        c = coherence(lam)[..., None]
-    else:
-        c = coherence(np.stack([cfg.strengths.etas, cfg.strengths.gammas], axis=-1))
+    h, lam = cfg.strengths, np.array(cfg.strengths.lambdas)  # lam: (pair, setting)
+    c = coherence(lam[..., None] if cfg.mode == "nonlocal" else np.stack([h.etas, h.gammas], -1))
     anti = np.stack([_MASKS[cfg.mode, axis] for axis in axes])
     after = GHZ_TENSOR * np.cumprod(dephasing_scale(anti, c), axis=0)
     before = np.concatenate([GHZ_TENSOR[None], after[:-1]])
@@ -239,25 +207,26 @@ class ScanTable:
 _REGION_LABELS = np.array(["", "I", "II", "I+II"])
 
 
-def _mode_closed_forms(mode: str, lam1: list, lam2: list) -> tuple[list, list]:
-    """Nonlocal S and local S~ of every pair, each [] where `mode` leaves it out.
-
-    Strengths are floats or equal-shape arrays, as for `closed_forms`;
-    local pairs split lambda as eta = gamma = sqrt(lambda)."""
+def _mode_closed_forms(mode: str, lam: list) -> tuple[list, list]:
+    """Nonlocal S and local S~ of every pair, each [] where `mode` leaves it out,
+    for strengths laid out as `closed_forms` takes them; local pairs split
+    lambda as eta = gamma = sqrt(lambda)."""
     if not isinstance(mode, str) or mode not in ("nonlocal", "local", "compare"):
         raise ConfigError(f"unknown mode {mode!r}")
-    s = closed_forms(lam1, lam2, lam1, lam2) if mode != "local" else []
-    st = (closed_forms(lam1, lam2, [np.sqrt(x) for x in lam1], [np.sqrt(x) for x in lam2])
-          if mode != "nonlocal" else [])
-    return s, st
+    s = closed_forms("nonlocal", lam, (lam,)) if mode != "local" else []
+    if mode == "nonlocal":
+        return s, []
+    root = {id(x): np.sqrt(x) for pair in lam[:-1] for x in pair}  # the last pair damps no one
+    roots = [tuple([root[id(x)] for x in pair]) for pair in lam[:-1]]  # one root per array
+    return s, closed_forms("local", lam, (roots, roots))
 
 
-def _table(mode: str, lam1: list, lam2: list, params: dict) -> ScanTable:
+def _table(mode: str, lam: list, params: dict) -> ScanTable:
     """Closed forms of every history, i.e. of every element of the pair
     strength arrays, with activation labels: I (II) marks pair 2 (pair 3)
     steering nonlocally only."""
-    s, st = _mode_closed_forms(mode, lam1, lam2)
-    code = np.zeros_like(lam1[0], dtype=np.intp)
+    s, st = _mode_closed_forms(mode, lam)
+    code = np.zeros_like(lam[0][0], dtype=np.intp)
     for k, (a, b) in enumerate(zip(s[1:3], st[1:3])):
         code |= ((a > SQRT_HALF) & (SQRT_HALF >= b)) << k
     return ScanTable(params=params, s=s, st=st, region=_REGION_LABELS[code])
@@ -265,23 +234,23 @@ def _table(mode: str, lam1: list, lam2: list, params: dict) -> ScanTable:
 
 # Size limits, checked before anything is allocated.  At the limit the
 # largest call of each kind peaks in `steershare scan`/`sweep`, which write
-# the text in blocks, at about 118 MiB RSS (a 3-pair compare scan) and
-# 206 MiB (a 4-pair compare sweep); an `ellipsoid_series` call, which
+# the text in blocks, at about 98 MiB RSS (a 3-pair compare scan) and
+# 160 MiB (a 4-pair compare sweep); an `ellipsoid_series` call, which
 # builds no 8x8 state, peaks at about 124 MiB.
 MAX_GRID_RESOLUTION = 800
 MAX_SAMPLES = 1_000_000
 MAX_SERIES_SAMPLES = 40_000
 
 
-def _grid_strengths(resolution: int) -> list[np.ndarray]:
-    """Per-pair strengths of every grid cell, row-major over (lambda1, lambda2);
-    pair 3 is sharp."""
+def _grid_strengths(resolution: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-pair strengths of every grid cell, row-major over (lambda1, lambda2),
+    equal for both settings; pair 3 is sharp."""
     if not _is_int(resolution) or not 2 <= resolution <= MAX_GRID_RESOLUTION:
         raise ConfigError(f"grid resolution {resolution} outside supported "
                           f"range 2..{MAX_GRID_RESOLUTION}")
     grid = np.linspace(0.0, 1.0, resolution)
     l1, l2 = np.repeat(grid, resolution), np.tile(grid, resolution)
-    return [l1, l2, np.ones_like(l1)]
+    return [(a, a) for a in (l1, l2, np.ones_like(l1))]
 
 
 def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare"
@@ -293,21 +262,20 @@ def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare"
     """
     if not _is_int(pairs) or not 1 <= pairs <= 3:
         raise ConfigError(f"pairs={pairs} outside supported scan range 1..3")
-    lams = _grid_strengths(resolution)
-    return _table(mode, lams[:pairs], lams[:pairs],
-                  {"lambda1": lams[0], "lambda2": lams[1]})
+    lam = _grid_strengths(resolution)
+    return _table(mode, lam[:pairs], {"lambda1": lam[0][0], "lambda2": lam[1][0]})
 
 
-def _check_strengths(lam1: list, lam2: list) -> None:
+def _check_strengths(lam: list) -> None:
     """Reject strengths outside [0, 1] or NaN, naming the first bad history's
-    first bad pair.  Entry j of each list is pair j+1's 1-D float array; each
-    is checked where it lies, so no stacked copy is made."""
-    bad = np.zeros(len(lam1[0]), dtype=bool)
-    for a in (*lam1, *lam2):
+    first bad pair.  `lam[j][k]` is pair j+1's 1-D float array of setting k;
+    each distinct one is checked once, where it lies: no stacked copy."""
+    bad = np.zeros(len(lam[0][0]), dtype=bool)
+    for a in {id(a): a for pair in lam for a in pair}.values():
         bad |= ~((a >= 0.0) & (a <= 1.0))
     if bad.any():
         k = bad.argmax()
-        pair = next(p for p in zip(lam1, lam2) if not all(0.0 <= a[k] <= 1.0 for a in p))
+        pair = next(p for p in lam if not all(0.0 <= a[k] <= 1.0 for a in p))
         raise ConfigError(f"strengths {tuple(float(a[k]) for a in pair)} outside [0, 1]")
 
 
@@ -354,11 +322,11 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
                                   f"lambda{k}_{pair}")
     params = {name: np.full(samples, float(v)) for name, v in fixed.items()}
     params[vary] = values = np.linspace(start, stop, samples)
-    both = [params.get(f"lambda_{i}", np.ones(samples)) for i in range(1, pairs + 1)]
-    lam1 = [params.get(f"lambda1_{i}", b) for i, b in enumerate(both, start=1)]
-    lam2 = [params.get(f"lambda2_{i}", b) for i, b in enumerate(both, start=1)]
-    _check_strengths(lam1, lam2)
-    return _table(mode, lam1, lam2, {"param": values})
+    sharp = np.ones(samples)  # shared: the closed forms write only to arrays they make
+    lam = [tuple([params.get(f"lambda{k}_{i}", params.get(f"lambda_{i}", sharp)) for k in "12"])
+           for i in range(1, pairs + 1)]
+    _check_strengths(lam)
+    return _table(mode, lam, {"param": values})
 
 
 def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[SteeringEllipsoid]:
@@ -378,8 +346,7 @@ def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal") -> int
     """Largest number of pairs that beat the bound anywhere on the strength grid."""
     if isinstance(mode, str) and mode == "compare":
         raise ConfigError("max_simultaneous_pairs counts one mode, 'nonlocal' or 'local'")
-    lams = _grid_strengths(resolution)
-    s, st = _mode_closed_forms(mode, lams, lams)
+    s, st = _mode_closed_forms(mode, _grid_strengths(resolution))
     count = sum(v > SQRT_HALF for v in s or st)
     return int(count.max(initial=0))
 

@@ -88,30 +88,14 @@ class DensityMatrix:
         d = 2 ** self.qubits
         if self.mat.shape != (d, d):
             raise ShapeError(f"matrix shape {self.mat.shape}, expected ({d}, {d})")
-        _check_stack(self.mat[None])
-        self.mat.setflags(write=False)
-
-
-def _check_stack(mats: np.ndarray) -> None:
-    """Raise the ShapeError `DensityMatrix` raises for the first invalid member
-    of a (k, d, d) stack, checking Hermiticity, then trace, then eigenvalues.
-
-    One `eigvalsh` covers the members before the first one that fails an
-    earlier check; those are finite, so it cannot fail to converge.
-    """
-    herm = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= DENSITY_HERM_TOL
-    bad = ~(herm & (np.abs(np.trace(mats, axis1=1, axis2=2) - 1) <= DENSITY_TRACE_TOL))
-    first = int(bad.argmax()) if bad.any() else len(mats)
-    if first:
-        good = mats[:first]
-        low = np.linalg.eigvalsh((good + good.conj().swapaxes(1, 2)) / 2)[:, 0]
-        negative = low < DENSITY_EIG_FLOOR
-        if negative.any():
-            raise ShapeError(f"negative eigenvalue {low[negative.argmax()]:.3e}")
-    if first < len(mats):
-        if not herm[first]:
+        if not np.abs(self.mat - self.mat.conj().T).max() <= DENSITY_HERM_TOL:  # NaN too
             raise ShapeError("density matrix is not Hermitian")
-        raise ShapeError(f"trace {np.trace(mats[first]):.12f} != 1")
+        if not abs(np.trace(self.mat) - 1) <= DENSITY_TRACE_TOL:
+            raise ShapeError(f"trace {np.trace(self.mat):.12f} != 1")
+        low = np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)[0]  # finite by now
+        if low < DENSITY_EIG_FLOOR:
+            raise ShapeError(f"negative eigenvalue {low:.3e}")
+        self.mat.setflags(write=False)
 
 
 def ket(label: str) -> np.ndarray:

@@ -1,25 +1,22 @@
 """Classical bounds, closed-form oracles, strength histories and ellipsoids.
 
-The closed-form linear steering parameter of the two-setting GHZ scenario
-is the analytic oracle for `run_scenario`, which reads the same parameter
-off the evolved state as sharp-direction correlators, multiplied once by
-the current pair's strength.
+The closed-form linear steering parameter (`closed_forms`), damped as
+`measurement.DAMPING` says, is the analytic oracle for `run_scenario`,
+which reads the same parameter off the evolved state as sharp-direction
+correlators, multiplied once by the current pair's strength.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InvariantError,
-    NotHermitianError,
-    ShapeError,
-    UnsupportedSizeError,
-)
+from .errors import ConfigError, InvariantError, NotHermitianError, ShapeError, \
+    UnsupportedSizeError
+from .measurement import DAMPING
 from .states import _check_type, _is_int, _is_real
 
 HERMITIAN_TOL = 1e-12
@@ -28,7 +25,10 @@ JOINT_STRENGTH_TOL = 1e-9
 
 
 def coherence(strength):
-    """Coherence retained after an unsharp measurement, sqrt(1 - strength^2)."""
+    """sqrt(1 - strength^2), the coherence an unsharp measurement keeps.  A float
+    in [-1, 1] stays a float (`math.sqrt` rounds as `np.sqrt`): it is faster."""
+    if type(strength) is float and -1.0 <= strength <= 1.0:
+        return math.sqrt(1.0 - strength * strength)
     return np.sqrt(1.0 - strength * strength)
 
 
@@ -128,44 +128,57 @@ def classical_bound(charlie_directions: list[np.ndarray]) -> float:
     return float(np.linalg.eigvalsh((avg + avg.conj().swapaxes(1, 2)) / 2).max())
 
 
-def closed_forms(lam1, lam2, damp1, damp2) -> list:
+def closed_forms(mode: str, lam, damp) -> list:
     """Unvalidated analytic steering parameter of every pair in a sequence:
-    S_i = (lam2_i prod_{j<i} (1 + c(damp1_j)) + lam1_i prod_{j<i} (1 + c(damp2_j))) / 2^i.
-
-    Entry j of each argument is pair j+1's, a float (one history) or
-    equal-shape arrays (a batch).  Damping strengths are the joint ones for
-    nonlocal pairs and B's (gamma) for local ones.
-    """
-    out = []
-    prod1 = prod2 = 1.0
-    for i, (l1, l2, d1, d2) in enumerate(zip(lam1, lam2, damp1, damp2), start=1):
-        out.append((l2 * prod1 + l1 * prod2) / 2 ** i)
-        if i < len(lam1):  # the last pair damps no one
-            prod1 = prod1 * (1.0 + coherence(d1))
-            prod2 = prod2 * (1.0 + coherence(d2))
+    S_i = sum_k lam[i-1][k] prod_{j<i} sum_l f_lk^(j) / n^i over n settings,
+    where f_lk^(j), the damping by pair j's setting l of the component that
+    setting k reads, is the product of the coherences of the parties'
+    strengths that `DAMPING[mode][k]` names for l (1 if none).  `lam[j][k]`
+    is pair j+1's strength in setting k and `damp[q][j][l]` party q's, the
+    joint one (nonlocal) or A's and B's (local): floats, or arrays of one shape."""
+    table = DAMPING[mode]
+    n, last = len(table), len(lam)
+    out, prod, others = [], [1.0] * n, range(1, n)
+    for i, own in enumerate(lam, start=1):
+        x = c = f = None  # frees the last pair's coherences; x is a strength, c its coherence
+        value = own[0] * prod[0]  # in place below: only arrays made here, and + and * commute
+        for k in others:
+            value += own[k] * prod[k]
+        value /= n ** i
+        out.append(value)
+        if i < last:  # the last pair damps no one
+            for k, (factor, terms) in enumerate(table):
+                for l, parties in terms:  # a strength that serves two settings: one coherence
+                    if (strength := damp[parties[0]][i - 1][l]) is not x:
+                        x, c = strength, coherence(strength)
+                    f = c
+                    for q in parties[1:]:
+                        f = f * coherence(damp[q][i - 1][l])
+                    factor = factor + f
+                factor *= prod[k]
+                prod[k] = factor
     return out
 
 
-def _history_value(h: StrengthHistory, damping: str, i: int) -> float:
-    """S of pair i of `h`, damped by its `damping` strengths."""
+def _history_value(h: StrengthHistory, mode: str, i: int) -> float:
+    """S of pair i of `h`, damped as in `mode`."""
     _check_type(h, StrengthHistory)
     if not _is_int(i) or not 1 <= i <= h.pairs:
         raise ConfigError(f"pair index {i} outside history of {h.pairs} pairs")
-    damping = getattr(h, damping)
-    if damping is None:
+    damp = (h.lambdas,) if mode == "nonlocal" else (h.etas, h.gammas)
+    if damp[-1] is None:
         raise ConfigError("local closed form needs eta/gamma strengths")
-    # zip(*...) turns per-pair (setting 1, setting 2) rows into two columns.
-    return float(closed_forms(*zip(*h.lambdas[:i]), *zip(*damping[:i]))[-1])
+    return float(closed_forms(mode, h.lambdas[:i], damp)[-1])
 
 
 def closed_form_nonlocal(h: StrengthHistory, i: int) -> float:
-    """Analytic two-setting steering parameter after i - 1 nonlocal pairs."""
-    return _history_value(h, "lambdas", i)
+    """Analytic steering parameter after i - 1 nonlocal pairs."""
+    return _history_value(h, "nonlocal", i)
 
 
 def closed_form_local(h: StrengthHistory, i: int) -> float:
-    """Analytic counterpart when A and B measure locally (damping from B only)."""
-    return _history_value(h, "gammas", i)
+    """Analytic counterpart when A and B measure locally."""
+    return _history_value(h, "local", i)
 
 
 @dataclass(frozen=True, eq=False)

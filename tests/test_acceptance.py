@@ -121,7 +121,9 @@ def test_criterion_5_whole_grid_oracle(capsys):
     worst = {}
     for mode in ("nonlocal", "local"):
         damp = lams if mode == "nonlocal" else [np.sqrt(x) for x in lams]
-        closed = closed_forms(lams, lams, damp, damp)
+        full = [(x, x) for x in np.broadcast_arrays(*lams)]  # one shape for every pair
+        roots = [(x, x) for x in np.broadcast_arrays(*damp)]
+        closed = closed_forms(mode, full, (full,) if mode == "nonlocal" else (roots, roots))
         rho = ghz().mat
         dev = 0.0
         for i, (lam, d, want) in enumerate(zip(lams, damp, closed)):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from steershare.errors import ConfigError
-from steershare.measurement import anticommuting, dephasing_scale
+from steershare.measurement import DAMPING, anticommuting, dephasing_scale
 from steershare.states import DensityMatrix, ghz, ket, pauli_tensor
 from steershare.steering import StrengthHistory
 
-from oracles import ORACLE_TOL, direction, make_instrument, state_from_tensor, update
+from oracles import AXES, ORACLE_TOL, direction, make_instrument, state_from_tensor, update
 from util import random_density
 
 YY = direction((2, 2))
@@ -190,3 +190,33 @@ class TestLocalPairUpdate:
         for etas, gammas in ((((0.5, 0.5),), ((0.5,),)), (((0.5,),), ((0.5,),))):
             with pytest.raises(ConfigError, match="two settings"):
                 StrengthHistory(((0.25, 0.25),), etas, gammas)
+
+
+class TestDampingTable:
+    """`DAMPING` against anticommutation of full np.kron matrices: pair
+    setting l damps the GHZ component setting k reads, through party p,
+    when p's direction in setting l anticommutes with that component."""
+
+    @pytest.mark.parametrize("mode, party", [("nonlocal", 0), ("local", 1)])
+    def test_table_equals_kron_anticommutation(self, mode, party):
+        labels = ("x", "y")  # Charlie's x and -y: a label's sign changes no direction's mask
+        damps = set()
+        for k, read_label in enumerate(labels):
+            c, _, p, q = AXES[read_label]
+            read = direction((p, q, c))
+            for l, label in enumerate(labels):
+                _, _, pl, ql = AXES[label]
+                dirs = [(pl, ql, 0)] if mode == "nonlocal" else [(pl, 0, 0), (0, ql, 0)]
+                for who, paulis in enumerate(dirs):
+                    d = direction(paulis)
+                    assert np.max(np.abs(d @ read + read @ d)) == 0.0 or \
+                        np.max(np.abs(d @ read - read @ d)) == 0.0
+                    if np.max(np.abs(d @ read + read @ d)) == 0.0:
+                        damps.add((k, l, who))
+        # Each setting damps the other's component only: through the joint
+        # measurement (nonlocal), or through B alone (local).
+        assert damps == {(0, 1, party), (1, 0, party)}
+        table = DAMPING[mode]
+        assert {(k, l, who) for k, (_, terms) in enumerate(table)
+                for l, parties in terms for who in parties} == damps
+        assert [alone for alone, _ in table] == [1, 1]  # its own setting leaves it alone

@@ -539,22 +539,22 @@ class TestInputValidation:
         assert str(err.value) == message
 
     def test_strength_check_names_first_history_then_first_pair(self):
-        lam1, lam2 = [np.full(10, 0.5) for _ in range(4)], [np.full(10, 0.5) for _ in range(4)]
-        lam1[0][9] = -1.0  # a later history, in an earlier pair
-        lam2[3][7] = np.nan
-        lam2[1][7] = 1.5
+        lam = [(np.full(10, 0.5), np.full(10, 0.5)) for _ in range(4)]
+        lam[0][0][9] = -1.0  # a later history, in an earlier pair
+        lam[3][1][7] = np.nan
+        lam[1][1][7] = 1.5
         with pytest.raises(ConfigError, match=r"^strengths \(0\.5, 1\.5\) outside \[0, 1\]$"):
-            scenario._check_strengths(lam1, lam2)
+            scenario._check_strengths(lam)
 
     def test_strength_check_peak_memory(self):
         # A stacked float copy of 4 pairs x 2 settings x 1e5 samples is 6.4 MB.
-        lam1, lam2 = ([np.full(100_000, 0.5) for _ in range(4)] for _ in range(2))
+        lam = [(np.full(100_000, 0.5), np.full(100_000, 0.5)) for _ in range(4)]
 
         def check():
             error = None
             tracemalloc.start()
             try:
-                scenario._check_strengths(lam1, lam2)
+                scenario._check_strengths(lam)
             except ConfigError as e:
                 error = str(e)
             peak = tracemalloc.get_traced_memory()[1]
@@ -563,7 +563,7 @@ class TestInputValidation:
 
         peak, error = check()
         assert peak < 2e6 and error is None
-        lam2[3][-1] = 1.5  # found only after every array is scanned
+        lam[3][1][-1] = 1.5  # found only after every array is scanned
         peak, error = check()
         assert peak < 2e6 and error == "strengths (0.5, 1.5) outside [0, 1]"
 
@@ -693,12 +693,12 @@ class TestEllipsoidSeries:
 
     def test_no_eigensolver(self, monkeypatch):
         # Runs and series validate their states in closed form, with no
-        # eigvalsh and no `_check_stack`.
+        # eigvalsh and no `DensityMatrix` validation.
         def refuse(*args, **kwargs):
             raise AssertionError("eigensolver reached")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        monkeypatch.setattr(states, "_check_stack", refuse)
+        monkeypatch.setattr(states.DensityMatrix, "__post_init__", refuse)
         for mode in ("nonlocal", "local"):
             for pairs in (1, 2, 3, 4):
                 assert len(run_scenario(make_config(mode, [0.3, 0.6, 0.9][:pairs],

@@ -14,7 +14,6 @@ from steershare.states import (
     GHZ_TENSOR,
     SPECTRUM,
     DensityMatrix,
-    _check_stack,
     check_run_tensors,
     compressed_tensors,
     from_pauli_tensors,
@@ -91,7 +90,8 @@ class TestDensityMatrix:
 
 
 def _failing(kind: str, rng) -> np.ndarray:
-    """A two-qubit matrix that fails one check of `DensityMatrix`."""
+    """A two-qubit matrix that fails one check of `DensityMatrix` (or, for
+    any other `kind`, a valid one)."""
     mat = random_density(rng, 2).mat.copy()
     if kind == "hermitian":
         mat[0, 1] += 1e-6
@@ -117,31 +117,49 @@ _KINDS = tuple(_MESSAGES)
 
 
 class TestStackValidation:
-    """A stack raises the error of its first failing member, as if each member
-    were built as a `DensityMatrix` in order."""
+    """Matrices validated one by one as `DensityMatrix`, in order: valid ones
+    build, and the first invalid one raises its own ShapeError text."""
 
     @pytest.mark.parametrize("size, at", [(k, i) for k in range(1, 5) for i in range(k)])
     @pytest.mark.parametrize("kind", _KINDS)
     def test_one_failing_member(self, size, at, kind):
         rng = np.random.default_rng(10 * size + at)
-        mats = np.stack([random_density(rng, 2).mat for _ in range(size)])
+        mats = [random_density(rng, 2).mat for _ in range(size)]
         mats[at] = _failing(kind, rng)
-        want = _error(lambda: DensityMatrix(2, mats[at].copy()))
-        assert want[0] is ShapeError
-        assert want[1].startswith(_MESSAGES[kind])
-        assert _error(lambda: _check_stack(mats)) == want
+        for mat in mats[:at]:
+            DensityMatrix(2, mat)
+        kind_error = _error(lambda: DensityMatrix(2, mats[at]))
+        assert kind_error[0] is ShapeError
+        assert kind_error[1].startswith(_MESSAGES[kind])
 
     @pytest.mark.parametrize("first, later", itertools.product(_KINDS, repeat=2))
     def test_first_failing_member_wins(self, first, later):
         rng = np.random.default_rng(7)
-        mats = np.stack([random_density(rng, 2).mat for _ in range(4)])
+        mats = [random_density(rng, 2).mat for _ in range(4)]
         mats[1], mats[3] = _failing(first, rng), _failing(later, rng)
-        assert _error(lambda: _check_stack(mats)) == \
-            _error(lambda: DensityMatrix(2, mats[1].copy()))
+        assert _error(lambda: [DensityMatrix(2, m) for m in mats]) == \
+            (ShapeError, _error(lambda: DensityMatrix(2, mats[1]))[1])
+
+    @pytest.mark.parametrize("kinds", itertools.combinations(_KINDS, 2), ids="-".join)
+    def test_checks_run_in_order(self, kinds):
+        # Hermiticity (NaN fails it), then trace, then eigenvalues: a matrix
+        # with two faults raises the text of the earlier check.
+        rng = np.random.default_rng(9)
+        mat = _failing("negative" if "negative" in kinds else "none", rng)
+        if "trace" in kinds:
+            mat *= 1.001
+        if "hermitian" in kinds:
+            mat[0, 1] += 1e-6
+        if "nan" in kinds:
+            mat[1, 2] = np.nan
+        first = min(kinds, key=("hermitian", "nan", "trace", "negative").index)
+        kind, message = _error(lambda: DensityMatrix(2, mat))
+        assert kind is ShapeError and message.startswith(_MESSAGES[first])
 
     def test_valid_stack_passes(self):
         rng = np.random.default_rng(3)
-        _check_stack(np.stack([random_density(rng, 3).mat for _ in range(4)]))
+        for _ in range(4):
+            assert not DensityMatrix(3, random_density(rng, 3).mat.copy()).mat.flags.writeable
 
     def test_built_stack_equals_members_built_alone(self):
         rng = np.random.default_rng(5)

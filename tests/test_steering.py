@@ -214,16 +214,19 @@ class TestClosedForms:
     def test_batch_kernel_bitwise_equals_scalar_wrappers(self):
         # Array batch, scalar wrappers and the per-history product formula
         # agree exactly (==), for nonlocal histories and for local ones
-        # whose eta and gamma differ.
+        # whose eta and gamma differ.  About a tenth of the strengths are
+        # special: 0, 1, subnormal, near the least normal, or small, where
+        # a reordered product would round differently.
         rng = np.random.default_rng(71)
         pairs, n = 4, 60
-        eta = rng.uniform(0, 1, (pairs, 2, n))
-        gamma = rng.uniform(0, 1, (pairs, 2, n))
-        lam = rng.uniform(0, 1, (pairs, 2, n))
+        special = np.array([0.0, 1.0, 5e-324, 1e-310, 2.2e-308, 7e-5])
+        eta, gamma, lam = rng.uniform(0, 1, (3, pairs, 2, n))
+        for a in (eta, gamma, lam):
+            hit = rng.random(a.shape) < 0.1
+            a[hit] = rng.choice(special, hit.sum())
         local_lam = eta * gamma
-        batch = closed_forms(lam[:, 0], lam[:, 1], lam[:, 0], lam[:, 1])
-        local_batch = closed_forms(local_lam[:, 0], local_lam[:, 1],
-                                   gamma[:, 0], gamma[:, 1])
+        batch = closed_forms("nonlocal", lam, (lam,))
+        local_batch = closed_forms("local", local_lam, (eta, gamma))
         for k in range(n):
             def col(a):
                 return tuple((float(a[j, 0, k]), float(a[j, 1, k])) for j in range(pairs))
@@ -237,8 +240,8 @@ class TestClosedForms:
                     == _reference_closed_form(hl.lambdas, hl.gammas, i)
 
     def test_kernel_takes_floats(self):
-        values = closed_forms([0.4, 0.8, 0.95], [0.4, 0.8, 0.95],
-                              [0.4, 0.8, 0.95], [0.4, 0.8, 0.95])
+        lam = [(0.4, 0.4), (0.8, 0.8), (0.95, 0.95)]
+        values = closed_forms("nonlocal", lam, (lam,))
         assert len(values) == 3
         assert values[0] == pytest.approx(0.4)
         assert values[2] == pytest.approx(0.7282757528166437, abs=1e-12)
@@ -276,11 +279,11 @@ class TestScalarPath:
         lam[edge] = rng.integers(0, 2, edge.sum())  # exact 0 and 1 strengths
         pairs = rng.integers(1, 5, n)
         for mode in ("nonlocal", "local", "compare"):
-            batch = {p: scenario._mode_closed_forms(mode, list(lam[0, :p]), list(lam[1, :p]))
+            batch = {p: scenario._mode_closed_forms(mode, list(zip(lam[0, :p], lam[1, :p])))
                      for p in range(1, 5)}
             for k, p in enumerate(pairs):
-                s, st = scenario._mode_closed_forms(mode, lam[0, :p, k].tolist(),
-                                                    lam[1, :p, k].tolist())
+                s, st = scenario._mode_closed_forms(
+                    mode, list(zip(lam[0, :p, k].tolist(), lam[1, :p, k].tolist())))
                 bs, bst = batch[p]
                 assert len(s) == len(bs) and len(st) == len(bst)
                 assert [v.hex() for v in s + st] == [float(b[k]).hex() for b in bs + bst]
