@@ -19,8 +19,8 @@ class NotCompressibleError(SteershareError):
 
 
 class InvariantError(SteershareError):
-    """A run left the Pauli components of GHZ that its closed-form
-    ellipsoids and `--out` layout rest on: a broken invariant, not an input."""
+    """A run tensor left the Pauli components of GHZ that its states and
+    ellipsoids rest on (`states.check_run_tensors`): a broken invariant."""
 
 
 class ConfigError(SteershareError):

@@ -163,11 +163,11 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     times the product of the factors of pairs 1..i.  The tensors are
     validated in closed form, with no eigensolver: a run stays in
     `GHZ_COMPONENTS`, where a state's eigenvalues are its 8 GHZ-basis
-    weights (`check_run_tensors`).  The reported states are then built as
-    one stack by one real matrix product (`from_pauli_tensors`).  In a
-    nonlocal run, one contraction of the tensors compresses every pair's
-    state (`compressed_tensors`), and the ellipsoids of every pair are read
-    off the diagonals of the compressed T-states (`t_state_ellipsoids`).
+    weights (`check_run_tensors`), and built on `states.SUPPORT` by one real
+    matrix product (`from_pauli_tensors`).  In a nonlocal run, one
+    contraction of the tensors compresses every pair's state
+    (`compressed_tensors`), and the ellipsoids of every pair are read off
+    the diagonals of the compressed T-states (`t_state_ellipsoids`).
     """
     _check_type(cfg, ScenarioConfig)
     axes = [_resolve_axis(lbl)[1] for lbl in cfg.charlie_directions]

@@ -10,7 +10,8 @@ Charlie) for ellipsoid analysis, by one fixed contraction of its tensor.
 A run from GHZ keeps the Pauli components of GHZ (`GHZ_COMPONENTS`), as
 every pair update only scales components.  Such a state is diagonal in the
 GHZ basis, so a run's states are validated from their 8 components in
-closed form (`check_run_tensors`); `DensityMatrix` and `ghz()` validate
+closed form (`check_run_tensors`) and built on the diagonal and
+anti-diagonal those span (`SUPPORT`); `DensityMatrix` and `ghz()` validate
 any matrix with one `eigvalsh`.
 """
 
@@ -145,6 +146,13 @@ SPECTRUM = np.zeros((64, 8))
 SPECTRUM[GHZ_COMPONENTS.reshape(64)] = np.hstack(
     [_PRODUCTS[:, _J, _J] + sign * _PRODUCTS[:, _J, 7 - _J] for sign in (1, -1)]) / 8
 SPECTRUM.setflags(write=False)
+# Those products are real and nonzero only on the diagonal and the
+# anti-diagonal, so a run state is too: its 16 entries there are one real
+# product of its tensor, all else +0.0.  The operand is a C-order copy:
+# numpy multiplies a strided `.real` view outside BLAS, rounding unlike it.
+SUPPORT = (PAULI_PRODUCTS[3][GHZ_COMPONENTS] != 0).any(axis=0)
+SUPPORT.setflags(write=False)
+_SUPPORT_PRODUCTS = PAULI_PRODUCTS[3].reshape(64, 64)[:, SUPPORT.reshape(64)].real.copy()
 
 
 def check_run_tensors(t: np.ndarray) -> None:
@@ -173,14 +181,11 @@ def check_run_tensors(t: np.ndarray) -> None:
 
 def from_pauli_tensors(t: np.ndarray) -> list[DensityMatrix]:
     """The states 2^-3 sum t[k, a, b, c] sigma_a x sigma_b x sigma_c of a
-    (k, 4, 4, 4) stack of run tensors, validated by `check_run_tensors`."""
+    (k, 4, 4, 4) stack of run tensors, validated by `check_run_tensors`,
+    each built on `SUPPORT` and +0.0 elsewhere."""
     check_run_tensors(t)
-    # t is real, so the product runs on the interleaved real and imaginary
-    # parts of the operators: a real matrix product, which OpenBLAS keeps
-    # on one thread at these sizes, where the complex one is split over
-    # threads and can stall for milliseconds on a busy host.
-    products = PAULI_PRODUCTS[3].reshape(64, 64).view(float)
-    mats = (t.reshape(len(t), 64) @ products).view(complex).reshape(-1, 8, 8) / 8
+    mats = np.zeros((len(t), 8, 8), dtype=complex)
+    mats[:, SUPPORT] = t.reshape(len(t), 64) @ _SUPPORT_PRODUCTS / 8
     mats.setflags(write=False)
     states = []
     for mat in mats:  # validated above, so not again one by one

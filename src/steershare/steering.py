@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, NotHermitianError, ShapeError, \
-    UnsupportedSizeError
+from .errors import ConfigError, NotHermitianError, ShapeError, UnsupportedSizeError
 from .measurement import DAMPING
 from .states import _check_type, _is_int, _is_real
 
@@ -203,23 +202,18 @@ def t_state_ellipsoids(t: np.ndarray) -> list[SteeringEllipsoid]:
     """Steering ellipsoid of each member of a (k, 4, 4) stack of compressed
     two-qubit Pauli tensors t[a, c], member j being pair j+1's state.
 
-    Every member must be a T-state: m~ = n = 0 and T diagonal, as every
-    nonlocal run from GHZ keeps them (`states.GHZ_COMPONENTS`); else this
-    raises InvariantError naming the first pair that is not.  A T-state
-    steers each party onto the same centred ellipsoid, with matrix
-    diag(d^2) and semiaxes |d| along the coordinate axes, for d = diag(T)
+    The stack must be the compression of run tensors that
+    `states.check_run_tensors` passed: each is then a T-state, m~ = n = 0
+    and T diagonal, so only the diagonal is read.  A T-state steers each
+    party onto the same centred ellipsoid, with matrix diag(d^2) and
+    semiaxes |d| along the coordinate axes, for d = diag(T)
     (Jevtic, Pusey, Jennings & Rudolph, PRL 113, 020402 (2014)).  Semiaxes
     are descending, in a stable sort.  A tie group, a run of semiaxes
     each within DEGENERACY_TOL of the next, takes its axes in the order x,
     y, z.  The volume is sqrt(prod(d^2)), taking d^2 in descending order.
     The arrays are read-only: both parties' ellipsoids are the one object.
     """
-    flat = t.reshape(-1, 16)
-    if np.count_nonzero(flat) != np.count_nonzero(flat[:, ::5]):  # off the diagonal
-        k, a, c = np.argwhere((t != 0) & ~np.eye(4, dtype=bool))[0]
-        raise InvariantError(f"pair {k + 1} is not a T-state (m~ = n = 0, T diagonal): "
-                             f"its compressed tensor holds {float(t[k, a, c])!r} at [{a}, {c}]")
-    d = flat[:, 5::5]  # t[1, 1], t[2, 2], t[3, 3]
+    d = t.reshape(-1, 16)[:, 5::5]  # t[1, 1], t[2, 2], t[3, 3]
     semiaxes, orientation = [], []
     for row in np.abs(d).tolist():
         axes = sorted(range(3), key=row.__getitem__, reverse=True)  # a stable sort

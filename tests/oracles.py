@@ -4,8 +4,10 @@ which `run_scenario`'s closed-form T-state ellipsoids must equal, the
 closed-form semiaxes of nonlocal runs with whole-grid checks against
 them, and the one-format-per-row scan CSV text, which the grid-row
 writer of `steershare scan` must equal.  Also the state of any 1-3-qubit
-Pauli tensor (the package builds only run states), and `eigvalsh` of run
-states, which their closed-form GHZ-basis weights must equal.
+Pauli tensor (the package builds only run states), `eigvalsh` of run
+states, which their closed-form GHZ-basis weights must equal, and the
+full 64-product build of run states, which their support build must equal
+bit for bit.  Also the closed-form boundaries of the scan's region labels.
 
 The Kraus oracle follows the definitions on full-register matrices and
 shares no code with the package's Pauli-tensor path.  A measurement is a
@@ -16,16 +18,18 @@ square roots of E+- since D^2 = I.  A pair's averaged update is
 (1/n) sum_k sum K rho K^dag over its n settings.
 """
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from steershare import scenario
 from steershare.errors import ConfigError, ShapeError
-from steershare.scenario import ellipsoid_series, make_config, run_scenario
-from steershare.states import SPECTRUM, DensityMatrix, _check_array, _check_type, \
-    compressed_tensors, ghz, pauli_tensor
+from steershare.scenario import SQRT_HALF, ellipsoid_series, make_config, run_scenario
+from steershare.states import PAULI_PRODUCTS, SPECTRUM, SUPPORT, DensityMatrix, _check_array, \
+    _check_type, compressed_tensors, ghz, pauli_tensor
 from steershare.steering import DEGENERACY_TOL, SteeringEllipsoid
 
 AXIS_NORM_FLOOR = 1e-8  # shorter parts of an axis in a degenerate subspace are skipped
@@ -340,6 +344,79 @@ def run_spectrum_deviation(grid, pairs, mode):
     in `mode`, one grid row at a time."""
     return max(spectrum_deviation([r for l2 in grid.tolist() for r in run_scenario(
         make_config(mode, [l1, l2][:pairs], pairs=pairs))]) for l1 in grid.tolist())
+
+
+@contextlib.contextmanager
+def run_tensors():
+    """Within the block, the list of every (k, 4, 4, 4) tensor stack that
+    `run_scenario` builds its states from, in call order."""
+    seen, real = [], scenario.from_pauli_tensors
+    scenario.from_pauli_tensors = lambda t: seen.append(t) or real(t)
+    try:
+        yield seen
+    finally:
+        scenario.from_pauli_tensors = real
+
+
+def full_product_states(t):
+    """The (k, 8, 8) states 2^-3 sum t[k, a, b, c] sigma_a x sigma_b x sigma_c
+    of a (k, 4, 4, 4) stack of run tensors, as one real product over all 64
+    Pauli products on their interleaved real and imaginary parts: how run
+    states were built before `from_pauli_tensors` came to fill only
+    `states.SUPPORT`."""
+    products = PAULI_PRODUCTS[3].reshape(64, 64).view(float)
+    return (t.reshape(len(t), 64) @ products).view(complex).reshape(-1, 8, 8) / 8
+
+
+def support_faults(mats, t):
+    """For the (k, 8, 8) states `mats` built from the tensor stack `t`: the
+    number of floats off `SUPPORT` or imaginary whose int64 view is not 0,
+    and the number of real parts on it whose bits differ from those of
+    `full_product_states(t)`."""
+    bits = np.ascontiguousarray(mats).view(np.int64).reshape(-1, 8, 8, 2)
+    want = np.ascontiguousarray(full_product_states(t).real).view(np.int64)
+    off = np.count_nonzero(bits[..., 1]) + np.count_nonzero(bits[..., 0][:, ~SUPPORT])
+    return int(off), int(np.count_nonzero(bits[..., 0][:, SUPPORT] != want[:, SUPPORT]))
+
+
+def run_support_faults(grid, pairs, mode):
+    """`support_faults` summed over every state of `run_scenario` on the
+    equal-strength histories (lambda1, lambda2, sharp)[:pairs] of grid x grid
+    in `mode`, one grid row at a time."""
+    off = differ = 0
+    for l1 in grid.tolist():
+        with run_tensors() as seen:
+            results = [run_scenario(make_config(mode, [l1, l2][:pairs], pairs=pairs))
+                       for l2 in grid.tolist()]
+        mats = np.stack([r.state.mat for run in results for r in run])
+        faults = support_faults(mats, np.concatenate(seen))
+        off, differ = off + faults[0], differ + faults[1]
+    return off, differ
+
+
+def boundary_forms(l1, l2):
+    """S2, S3, S~2 and S~3 of the equal-strength scan histories (l1, l2,
+    sharp): S2 = l2 (1 + c(l1))/2 and S3 = (1 + c(l1))(1 + c(l2))/4 with
+    c(x) = sqrt(1 - x^2), and S~2, S~3 alike with c~(x) = sqrt(1 - x), the
+    coherence a local pair keeps at eta = gamma = sqrt(x)."""
+    forms = []
+    for c in (lambda x: np.sqrt(1 - x * x), lambda x: np.sqrt(1 - x)):
+        forms += [l2 * (1 + c(l1)) / 2, (1 + c(l1)) * (1 + c(l2)) / 4]
+    return tuple(forms)
+
+
+BOUNDARY_TOL = 1e-12  # cells this close to C2 in a boundary form: rounding may set the label
+
+
+def region_labels(l1, l2):
+    """The scan's region label of each history (l1, l2, sharp) by
+    `boundary_forms`: I (II) where pair 2 (pair 3) steers nonlocally, S > C2,
+    but not locally, S~ <= C2.  Also the mask of cells within BOUNDARY_TOL
+    of C2 in any form."""
+    s2, s3, st2, st3 = forms = boundary_forms(l1, l2)
+    only = [(s > SQRT_HALF) & (st <= SQRT_HALF) for s, st in ((s2, st2), (s3, st3))]
+    near = np.min([np.abs(x - SQRT_HALF) for x in forms], axis=0) <= BOUNDARY_TOL
+    return np.array(["", "I", "II", "I+II"])[only[0] + 2 * only[1]], near
 
 
 def scan_csv(table):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import steershare
-from steershare import cli, scenario
+from steershare import cli, scenario, states
 from steershare.cli import main
 from steershare.scenario import PairResult, ScenarioConfig, ellipsoid_series, \
     run_scenario, sweep_curve
@@ -252,6 +252,10 @@ def _seeded_run_configs():
 _GHZ_SUPPORT = np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1]
 
 
+def test_ghz_support_is_the_states_support():
+    assert np.array_equal(states.SUPPORT, _GHZ_SUPPORT) and not states.SUPPORT.flags.writeable
+
+
 def _ellipsoid_payload(e):
     """The `--out` JSON of one ellipsoid: orientation rows are its axes."""
     return e and {"center": e.center.tolist(), "matrix": e.matrix.tolist(),
@@ -300,7 +304,8 @@ class TestRunOut:
         values, state entries in the support of GHZ's Pauli components (the
         diagonal and anti-diagonal of the real part), and each ellipsoid
         field but the centre and the off-diagonal matrix entries.  The other
-        slots hold a literal 0.0 (`test_literal_slot_must_hold_positive_zero`)."""
+        slots hold a literal 0.0, which no run can leave anything else in
+        (`test_literal_slot_must_hold_positive_zero`)."""
         specials = [float("nan"), float("inf"), float("-inf"), -0.0]
         rng = np.random.default_rng(41)
 
@@ -342,41 +347,41 @@ class TestRunOut:
         for word in ("NaN", "Infinity", "-Infinity", "-0.0"):
             assert word in text
 
+    # Per literal-slot field: a run-tensor entry outside GHZ's Pauli
+    # components that would put a float there, in the state's real part
+    # off the support ([0, 4]), its imaginary part ([0, 7]), the ellipsoid
+    # centre (Charlie's n_x) or an off-diagonal matrix entry (T[3, 2]).
+    _LITERAL_SOURCES = {"re": (1, 0, 0), "im": (1, 1, 2), "center": (0, 0, 1),
+                        "matrix": (3, 0, 2)}
+
     @pytest.mark.parametrize("value", [1e-300, -0.0, float("nan")])
     @pytest.mark.parametrize("field", ["re", "im", "center", "matrix"])
     def test_literal_slot_must_hold_positive_zero(self, capsys, tmp_path, monkeypatch,
                                                   field, value):
-        """A float outside the support of GHZ's Pauli components is written
-        as a literal 0.0, so anything but +0.0 there is a broken invariant."""
-        results = run_scenario(ScenarioConfig.from_json({"pairs": 3, "strengths": [0.5, 0.8]}))
-        r = results[1]
-        if field in ("re", "im"):
-            mat = r.state.mat.copy()
-            if field == "re":
-                mat.real[0, 1] = value  # off the diagonal and the anti-diagonal
-            else:
-                mat.imag[0, 7] = value  # an imaginary part, even on the anti-diagonal
-            state = object.__new__(DensityMatrix)
-            object.__setattr__(state, "qubits", 3)
-            object.__setattr__(state, "mat", mat)
-            results[1] = PairResult(r.pair, r.steering_value, state, r.ellipsoid)
-        else:
-            e = r.ellipsoid
-            center, matrix = e.center.copy(), e.matrix.copy()
-            if field == "center":
-                center[2] = value
-            else:
-                matrix[1, 0] = value
-            e = SteeringEllipsoid(center, matrix, e.semiaxes, e.orientation, e.volume)
-            results[1] = PairResult(r.pair, r.steering_value, r.state, e)
-        monkeypatch.setattr(scenario, "run_scenario", lambda _cfg: results)
+        """A literal 0.0 slot holds +0.0 because no run gets a float there:
+        a run tensor with such an entry is refused by `check_run_tensors`
+        (exit 2, one `error:` line, no file), and a -0.0 entry, which that
+        check passes as zero, leaves the bytes of the run without it."""
         cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_file.write_text('{"pairs": 3, "strengths": [0.5, 0.8]}')
+        assert run_cli(capsys, "run", "--config", str(cfg_file), "--out", str(out_file))[0] == 0
+        clean, entry = out_file.read_bytes(), self._LITERAL_SOURCES[field]
+        out_file.unlink()
+        real = scenario.from_pauli_tensors
+
+        def faulty(t):
+            t[1][entry] = value  # pair 2's tensor, which its compression shares
+            return real(t)
+
+        monkeypatch.setattr(scenario, "from_pauli_tensors", faulty)
         code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
                                  "--out", str(out_file))
+        if value == 0.0:  # -0.0
+            assert (code, err) == (0, "") and out_file.read_bytes() == clean
+            return
         assert (code, out) == (2, "")
-        assert err.splitlines() == [f"error: the run holds {value!r} "
-                                    "outside the Pauli components of GHZ"]
+        assert err.splitlines() == [f"error: pair 2 left the Pauli components of GHZ: its "
+                                    f"tensor holds {value!r} at [{', '.join(map(str, entry))}]"]
         assert not out_file.exists()
 
     def test_three_nonlocal_pairs_spell_99_floats(self):

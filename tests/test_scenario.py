@@ -30,8 +30,8 @@ from steershare.states import DensityMatrix
 from steershare.steering import StrengthHistory, classical_bound, closed_form_local, \
     closed_form_nonlocal
 
-from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid, run_grid_deviation, \
-    scan_csv, series_grid_deviation
+from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid, region_labels, \
+    run_grid_deviation, scan_csv, series_grid_deviation
 
 
 def _scan_text(pairs, resolution, mode):
@@ -206,6 +206,25 @@ class TestScanRegion:
             if table.s[2][k] > SQRT_HALF >= table.st[2][k]:
                 expect.append("II")
             assert table.region[k] == "+".join(expect)
+
+    # (grid, lambda1, lambda2) of the cells within BOUNDARY_TOL of a boundary,
+    # whose labels rounding may set: none on these grids.
+    _NEAR_BOUNDARY = []
+
+    def test_labels_follow_closed_form_boundaries(self):
+        near = []
+        for g in [*range(2, 85), 400]:
+            grid = np.linspace(0.0, 1.0, g)
+            l1, l2 = np.repeat(grid, g), np.tile(grid, g)
+            want, close = region_labels(l1, l2)
+            near += [(g, a, b) for a, b in zip(l1[close].tolist(), l2[close].tolist())]
+            region = scan_region(3, g, "compare").region
+            assert np.array_equal(region[~close], want[~close])
+        assert near == self._NEAR_BOUNDARY
+        # On grid 400, I and II each include the overlap.
+        shares = [np.isin(region, labels).mean() for labels in (["I", "I+II"], ["II", "I+II"],
+                                                                 ["I+II"])]
+        assert np.round(shares, 8).tolist() == [0.0509125, 0.2569625, 0.02104375]
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ConfigError):

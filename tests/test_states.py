@@ -22,7 +22,8 @@ from steershare.states import (
     pauli_tensor,
 )
 
-from oracles import bloch_form, compress, direction, state_from_tensor
+from oracles import bloch_form, compress, direction, run_tensors, state_from_tensor, \
+    support_faults
 from util import random_density
 
 
@@ -271,6 +272,47 @@ class TestRunTensors:
         check_run_tensors(np.stack([_ghz_diagonal(rng.dirichlet(np.ones(8)))[1]
                                     for _ in range(5)]))
         check_run_tensors(np.zeros((0, 4, 4, 4)))
+
+
+# Where each GHZ component lands in a compressed tensor: the AB
+# populations II and ZZ on [0, 0], ZI and IZ on [3, 3], XX and YY on [1, 1],
+# XY and YX on [2, 2], each with Charlie's matching Pauli.
+_LANDS = {(0, 0, 0): 0, (3, 3, 0): 0, (0, 3, 3): 3, (3, 0, 3): 3,
+          (1, 1, 1): 1, (2, 2, 1): 1, (1, 2, 2): 2, (2, 1, 2): 2}
+
+
+class TestRunStateSupport:
+    """A run state is built on `SUPPORT` alone, bit for bit as the full
+    64-product build, and its compression is diagonal: the facts that let
+    `check_run_tensors` be the one check of a run's invariant."""
+
+    def test_states_hold_full_product_on_support_and_zero_off_it(self):
+        rng = np.random.default_rng(2028)
+        special = [0.0, 1.0, 5e-324, 1e-310, 7e-5]
+        runs = 0
+        for mode in ("nonlocal", "local"):
+            labels = ["x", "-x", "y", "-y"] + (["z", "-z"] if mode == "nonlocal" else [])
+            for k in range(400):
+                lams = [[float(rng.choice(special)) if rng.uniform() < 0.3 else rng.uniform()
+                         for _ in range(2)] for _ in range(k % 4 + 1)]
+                with run_tensors() as seen:
+                    results = run_scenario(make_config(mode, lams, charlie_directions=tuple(
+                        rng.choice(labels, 2).tolist())))
+                mats = np.stack([r.state.mat for r in results])
+                assert support_faults(mats, seen[0]) == (0, 0)
+                runs += 1
+        assert runs == 800
+
+    @pytest.mark.parametrize("component", [tuple(i) for i in np.argwhere(GHZ_COMPONENTS).tolist()])
+    def test_ghz_component_compresses_onto_one_diagonal_entry(self, component):
+        # 2 III alone compresses to [0, 0] = 1 with weight 1, the least a
+        # compression accepts; the component adds to one diagonal entry.
+        t = np.zeros((4, 4, 4))
+        t[0, 0, 0] = 2.0
+        t[component] += GHZ_TENSOR[component] / 2
+        small = compressed_tensors(t[None])[0][0]
+        land = _LANDS[component]
+        assert np.flatnonzero(small.view(np.int64)).tolist() == sorted({0, 5 * land})
 
 
 class TestCompress:

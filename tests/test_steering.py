@@ -15,7 +15,7 @@ from steershare.errors import (
     UnsupportedSizeError,
 )
 from steershare.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from steershare.states import DensityMatrix, ghz, pauli_tensor
+from steershare.states import GHZ_TENSOR, DensityMatrix, ghz, pauli_tensor
 from steershare.steering import (
     StrengthHistory,
     classical_bound,
@@ -618,8 +618,9 @@ class TestRunScenarioErrors:
     """A run that cannot compress at pair i fails with the error and message
     of that pair's own compression.  (Dephasing never changes the AB
     populations, so either every pair of a run compresses or none does.)  A
-    run whose compressed state at pair i is not a T-state has left GHZ's
-    Pauli components: it fails naming pair i and the first such entry."""
+    run whose tensor at pair i leaves GHZ's Pauli components fails there,
+    at `check_run_tensors`, the one check of that invariant, naming pair i
+    and the first such entry, before any state or ellipsoid is built."""
 
     def test_compression_failure(self):
         with pytest.raises(ConfigError) as err:
@@ -627,18 +628,25 @@ class TestRunScenarioErrors:
                 {"pairs": 3, "strengths": [0.3, 0.6], "compression": "01,10"})
         assert str(err.value) == "config key 'compression' must be '00,11', got '01,10'"
 
+    # Per fault: a tensor entry outside GHZ's components, its value, and where
+    # it lands in the compressed tensor: a pure m~ (column 0), a pure n
+    # (Charlie's row 0) or a T entry off the diagonal.
+    _OUTSIDE = {"pure_ab_qubit": ((1, 1, 0), 0.6, (1, 0)),
+                "pure_charlie": ((0, 0, 1), 0.6, (0, 1)),
+                "off_diagonal_t": ((3, 0, 2), -1e-300, (3, 2))}
+
     @pytest.mark.parametrize("pairs, fail_at",
                              [(p, i) for p in range(1, 5) for i in range(1, p + 1)])
     @pytest.mark.parametrize("fault", ["pure_ab_qubit", "pure_charlie", "off_diagonal_t",
                                        "not_compressible"])
     def test_failure_at_pair(self, monkeypatch, pairs, fail_at, fault):
-        # The fault enters member fail_at of the run's stacked compression:
-        # its input tensors or its output Bloch forms (a pure m~ or n, or a
-        # T entry off the diagonal).  A not-compressible fault also enters
-        # every later member, each leaking a different weight, so the
-        # message names the first failing member.
-        real = scenario.compressed_tensors
+        # A not-compressible fault enters member fail_at of the run's stacked
+        # compression and every later member, each leaking a different
+        # weight, so the message names the first failing member.  The others
+        # enter member fail_at of the run's tensors, which the states and the
+        # compression share.
         if fault == "not_compressible":
+            real = scenario.compressed_tensors
             leak = np.zeros((8, 8), dtype=complex)
             leak[2, 2] = 1.0  # |010>, outside span{|00>, |11>} x C2
             leak = pauli_tensor(leak)
@@ -648,29 +656,26 @@ class TestRunScenarioErrors:
                 for j in range(fail_at, len(t) + 1):
                     t[j - 1] = (1 - j / 10) * t[j - 1] + j / 10 * leak
                 return real(t)
-        else:
-            def faulty(t):
-                small, weights = real(t)
-                # m~ is column 0 of a compressed tensor, Charlie's n row 0.
-                k = fail_at - 1
-                if fault == "pure_ab_qubit":
-                    small[k, 1:, 0] = [0.6, 0.0, 0.8]
-                elif fault == "pure_charlie":
-                    small[k, 0, 1:] = [0.6, 0.0, 0.8]
-                else:
-                    small[k, 3, 2] = -1e-300
-                return small, weights
 
-        monkeypatch.setattr(scenario, "compressed_tensors", faulty)
+            monkeypatch.setattr(scenario, "compressed_tensors", faulty)
+            kind, message = NotCompressibleError, (f"only {1 - fail_at / 10:.12f} of the state "
+                                                   "lies in span{|00>, |11>} x C2")
+        else:
+            real = scenario.from_pauli_tensors
+            entry, value, spot = self._OUTSIDE[fault]
+            t = GHZ_TENSOR.copy()
+            t[entry] = value
+            assert scenario.compressed_tensors(t[None])[0][0][spot] != 0
+
+            def faulty(t):
+                t[fail_at - 1][entry] = value
+                return real(t)
+
+            monkeypatch.setattr(scenario, "from_pauli_tensors", faulty)
+            kind, message = InvariantError, (f"pair {fail_at} left the Pauli components of GHZ: "
+                                             f"its tensor holds {value!r} at "
+                                             f"[{entry[0]}, {entry[1]}, {entry[2]}]")
         cfg = scenario.make_config("nonlocal", [0.4] * pairs)
-        entry = {"pure_ab_qubit": "0.6 at [1, 0]", "pure_charlie": "0.6 at [0, 1]",
-                 "off_diagonal_t": "-1e-300 at [3, 2]"}
-        kind, message = (
-            (NotCompressibleError, f"only {1 - fail_at / 10:.12f} of the state lies in "
-                                   f"span{{|00>, |11>}} x C2")
-            if fault == "not_compressible"
-            else (InvariantError, f"pair {fail_at} is not a T-state (m~ = n = 0, T diagonal): "
-                                  f"its compressed tensor holds {entry[fault]}"))
         with pytest.raises(kind) as err:
             scenario.run_scenario(cfg)
         assert str(err.value) == message
