@@ -252,18 +252,22 @@ def cmd_run(args) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a flag error as one `error:` line on stderr, as `main` reports
-    the rest; subparsers inherit the class."""
+    the rest; subparsers inherit the class.  `commands` maps each command
+    name of the top-level parser to its own parser."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="steershare",
         description="Sequential unsharp-measurement steering-sharing simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("demo", help="print the headline scenario numbers")
     p.set_defaults(func=cmd_demo)
@@ -310,7 +314,13 @@ _parser = functools.cache(build_parser)  # parse_args leaves the parser unchange
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    # The top-level parser classifies every argument before it hands those
+    # after a command name to that command's parser, so only an argv that
+    # names no command first (none, -h, an unknown one) goes through it.
+    command = parser.commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         args.func(args)
     except SteershareError as exc:

@@ -38,8 +38,9 @@ def dephasing_scale(anti: np.ndarray, c) -> np.ndarray:
     """Factor by which one pair's averaged update multiplies a Pauli tensor.
 
     `anti[k, j]` masks the components that anticommute with the direction
-    of party j in setting k, and `c[..., k, j]` is that measurement's
-    coherence sqrt(1 - strength^2).  Setting k multiplies the masked
+    of party j in setting k, over a whole tensor or a list of its
+    components, and `c[..., k, j]` is that measurement's coherence
+    sqrt(1 - strength^2).  Setting k multiplies the masked
     components by c once per party; the update averages over settings.
     Leading axes of `c` batch over pairs.
     """

@@ -9,6 +9,7 @@ so that every sharp correlator is +1.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -19,8 +20,8 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import PAULIS
 from .measurement import _AXIS_TABLE, _MASKS, dephasing_scale
-from .states import GHZ_TENSOR, DensityMatrix, _check_type, _is_int, _is_real, \
-    check_run_tensors, compressed_tensors, from_pauli_tensors
+from .states import GHZ_COMPONENTS, GHZ_TENSOR, DensityMatrix, _check_type, _is_int, \
+    _is_real, check_run_tensors, compressed_tensors, from_pauli_tensors
 from .steering import SteeringEllipsoid, StrengthHistory, _SEQUENCES, closed_forms, \
     coherence, t_state_ellipsoids
 
@@ -152,6 +153,33 @@ class PairResult:
     ellipsoid: SteeringEllipsoid | None = field(repr=False, default=None)
 
 
+# GHZ's 8 components, in the row-major order of GHZ_COMPONENTS, outside
+# which a run's tensors are zero (see `states`): all that a run evolves.
+_GHZ_VALUES = GHZ_TENSOR[GHZ_COMPONENTS]
+_GHZ_VALUES.setflags(write=False)
+
+
+@functools.cache
+def _run_plan(mode: str, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a `mode` run whose settings measure Charlie along the resolved
+    `axes`: the anticommutation masks of each setting's directions over the 8
+    components (`dephasing_scale`'s `anti`), the component t[p, q, c] each
+    setting reads, and that reading's sign.  Read-only, as every run shares them."""
+    anti = np.stack([_MASKS[mode, axis][:, GHZ_COMPONENTS] for axis in axes])
+    charlie, sign, p, q = map(np.array, zip(*map(_AXIS_TABLE.get, axes)))
+    read = (GHZ_COMPONENTS.cumsum() - 1).reshape(4, 4, 4)[p, q, charlie]
+    for x in (anti, read, sign):
+        x.setflags(write=False)
+    return anti, read, sign
+
+
+def _run_tensors(components: np.ndarray) -> np.ndarray:
+    """The (k, 4, 4, 4) tensors of a (k, 8) stack of GHZ components, +0.0 elsewhere."""
+    t = np.zeros((len(components), 4, 4, 4))
+    t[:, GHZ_COMPONENTS] = components
+    return t
+
+
 def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     """Full sequential simulation of the configured scenario.
 
@@ -160,7 +188,10 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     state and ellipsoids are post-update.  The run evolves the state's
     Pauli tensor: every pair update multiplies it by a fixed factor
     (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
-    times the product of the factors of pairs 1..i.  The tensors are
+    times the product of the factors of pairs 1..i.  That product only
+    scales GHZ's 8 components, so the run evolves those, as a cached plan
+    per mode and pair of Charlie axes (`_run_plan`) lays them out, and
+    reads each steering value off one of them.  The tensors are
     validated in closed form, with no eigensolver: a run stays in
     `GHZ_COMPONENTS`, where a state's eigenvalues are its 8 GHZ-basis
     weights (`check_run_tensors`), and built on `states.SUPPORT` by one real
@@ -170,18 +201,18 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     the diagonals of the compressed T-states (`t_state_ellipsoids`).
     """
     _check_type(cfg, ScenarioConfig)
-    axes = [_resolve_axis(lbl)[1] for lbl in cfg.charlie_directions]
+    anti, read, sign = _run_plan(cfg.mode, tuple(_resolve_axis(lbl)[1]
+                                                 for lbl in cfg.charlie_directions))
     h, lam = cfg.strengths, np.array(cfg.strengths.lambdas)  # lam: (pair, setting)
     c = coherence(lam[..., None] if cfg.mode == "nonlocal" else np.stack([h.etas, h.gammas], -1))
-    anti = np.stack([_MASKS[cfg.mode, axis] for axis in axes])
-    after = GHZ_TENSOR * np.cumprod(dephasing_scale(anti, c), axis=0)
-    before = np.concatenate([GHZ_TENSOR[None], after[:-1]])
-    charlie, sign, p, q = zip(*(_AXIS_TABLE[a] for a in axes))
-    values = (lam * sign * before[:, p, q, charlie]).mean(axis=1)
-    states = from_pauli_tensors(after)
+    after = _GHZ_VALUES * np.cumprod(dephasing_scale(anti, c), axis=0)  # (pair, component)
+    before = np.concatenate([_GHZ_VALUES[None], after[:-1]])
+    values = (lam * sign * before[:, read]).mean(axis=1)
+    tensors = _run_tensors(after)
+    states = from_pauli_tensors(tensors)
     ells = [None] * cfg.pairs
     if cfg.mode == "nonlocal":
-        ells = t_state_ellipsoids(compressed_tensors(after)[0])
+        ells = t_state_ellipsoids(compressed_tensors(tensors)[0])
     return [PairResult(pair=i + 1, steering_value=float(values[i]), state=state, ellipsoid=ell)
             for i, (state, ell) in enumerate(zip(states, ells))]
 
@@ -236,7 +267,7 @@ def _table(mode: str, lam: list, params: dict) -> ScanTable:
 # largest call of each kind peaks in `steershare scan`/`sweep`, which write
 # the text in blocks, at about 98 MiB RSS (a 3-pair compare scan) and
 # 160 MiB (a 4-pair compare sweep); an `ellipsoid_series` call, which
-# builds no 8x8 state, peaks at about 124 MiB.
+# builds no 8x8 state, peaks at about 107 MiB.
 MAX_GRID_RESOLUTION = 800
 MAX_SAMPLES = 1_000_000
 MAX_SERIES_SAMPLES = 40_000
@@ -337,7 +368,7 @@ def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[Steering
                           f"range 0..{MAX_SERIES_SAMPLES}")
     lambdas = StrengthHistory.nonlocal_history(strength_pairs).lambdas
     c = coherence(np.array(lambdas, dtype=float).reshape(-1, 2))[..., None]
-    after = GHZ_TENSOR * dephasing_scale(np.stack([_MASKS["nonlocal", a] for a in "xy"]), c)
+    after = _run_tensors(_GHZ_VALUES * dephasing_scale(_run_plan("nonlocal", ("x", "y"))[0], c))
     check_run_tensors(after)  # as a run validates its states, none of which is built
     return t_state_ellipsoids(compressed_tensors(after)[0])
 

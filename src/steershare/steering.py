@@ -96,8 +96,10 @@ class StrengthHistory:
         """Local history with eta = gamma = sqrt(lambda) for every setting."""
         _check_pairs(lambdas)
         lams = tuple(tuple(p) for p in lambdas)
-        _check_unit_interval(lams)  # before np.sqrt can warn on a negative strength
-        roots = tuple(tuple(float(np.sqrt(s)) for s in p) for p in lams)
+        _check_unit_interval(lams)  # before math.sqrt can raise on a negative strength
+        # math.sqrt takes every root in float64, rounding a Python float's as
+        # np.sqrt does; np.sqrt would round a float32's root in float32.
+        roots = tuple(tuple(math.sqrt(s) for s in p) for p in lams)
         return cls(lams, roots, roots)
 
 

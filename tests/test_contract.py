@@ -12,6 +12,7 @@ import io
 import json
 import math
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -176,7 +177,7 @@ def _main(argv):
     return code, err.getvalue().splitlines()
 
 
-@pytest.mark.parametrize("argv", [
+_FLAG_ERRORS = [
     # A bad number, a missing required flag, a missing value and a stray
     # argument for every command that has them.
     ["demo", "--grid", "3"], ["demo", "x"],
@@ -192,7 +193,10 @@ def _main(argv):
     ["run"], ["run", "--config"], ["run", "--config", "c.json", "--out"],
     ["sweeps"],  # an unknown command
     [],  # no command
-], ids=lambda argv: " ".join(argv) or "no command")
+]
+
+
+@pytest.mark.parametrize("argv", _FLAG_ERRORS, ids=lambda argv: " ".join(argv) or "no command")
 def test_flag_error_is_one_line(argv):
     code, err = _main(argv)
     assert code == 2
@@ -216,3 +220,57 @@ def test_seeded_cli_fuzz(tmp_path):
         seen[argv[0], code] += 1
     # Every command both runs and fails, many times over.
     assert len(seen) == 10 and min(seen.values()) >= 25, seen
+
+
+def _full_parse(argv):
+    """The reference for `cli.main`, which dispatches on the command name:
+    the top-level parser parses every argv, then the command runs."""
+    args = cli._parser().parse_args(argv)
+    try:
+        args.func(args)
+    except SteershareError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _outcome(main, argv, out):
+    """Exit status, stdout, stderr and the bytes left at `out` by `main(argv)`."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue(), out.is_file() and out.read_bytes()
+
+
+def test_dispatch_matches_full_parse(tmp_path):
+    out = tmp_path / "out"
+    config = tmp_path / "cfg.json"
+    fixed = [
+        ["-h"], ["--help"], ["run", "-h"], ["sweep", "--help"], ["run", "--h"],
+        ["run", "--con", str(config)],  # an abbreviated flag
+        ["run", "--config", str(config), "--o", str(out)],
+        ["sweep", "--vary", "lambda_1", "--from=-1e-3", "--to", "1", "--samples", "3",
+         "--out", str(out)],
+        ["sweep", "--vary", "lambda_1", "--from=1e-3", "--to", "1", "--samples", "3",
+         "--out", str(out)],
+        ["run", "--", "--config", str(config)], ["--", "run", "--config", str(config)],
+        ["run", "--config", str(config), "--"], ["bound", "--settings=x,y", "--", "z"],
+        ["Run"], ["-x"], ["--bogus", "run"],
+    ]
+    config.write_text('{"mode": "local", "pairs": 3}')
+    for argv in fixed + _FLAG_ERRORS:
+        assert _outcome(cli.main, argv, out) == _outcome(_full_parse, argv, out), argv
+    rng = random.Random(2029)
+    codes = collections.Counter()
+    for _ in range(400):
+        argv = _argv(rng, tmp_path)  # rewrites cfg.json for a run
+        got = _outcome(cli.main, argv, out)
+        assert got == _outcome(_full_parse, argv, out), argv
+        codes[got[0]] += 1
+    assert codes[0] >= 100 and codes[2] >= 100, codes

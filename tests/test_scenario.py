@@ -138,6 +138,23 @@ class TestRunScenario:
             assert r.steering_value == pytest.approx(
                 closed_form_nonlocal(cfg.strengths, i), abs=1e-10)
 
+    def test_plan_cached_per_mode_and_resolved_axes(self):
+        def run(mode, labels):
+            run_scenario(make_config(mode, [0.5, 0.8], charlie_directions=labels))
+
+        plans = scenario._run_plan.cache_info
+        run("nonlocal", ("x", "-y"))
+        size = plans().currsize
+        for labels in [(" X", "-y"), ("-x", "y "), ("x ", " -Y"), ("-X", "Y")]:
+            run("nonlocal", labels)  # other spellings of x and -y
+        assert plans().currsize == size
+        for mode, axes in (("nonlocal", "xyz"), ("local", "xy")):
+            for a, b in itertools.product(axes, repeat=2):
+                run(mode, (f" {a.upper()}", f"-{b}"))
+        assert plans().currsize == 13  # 9 nonlocal and 4 local axis pairs
+        for x in scenario._run_plan("local", ("y", "x")):
+            assert not x.flags.writeable
+
     def test_results_compare_by_state_identity(self):
         a, b = (run_scenario(make_config("nonlocal", [0.5, 0.8])) for _ in range(2))
         assert a[0] != b[0] and a[0] == a[0]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import warnings
 
@@ -314,6 +315,23 @@ class TestStrengthHistory:
     def test_local_sqrt_consistent(self):
         h = StrengthHistory.local_sqrt([(0.49, 0.81)])
         assert h.etas[0] == pytest.approx((0.7, 0.9))
+
+    def test_local_sqrt_accepts_float32(self):
+        # A float32 root rounded in float32 misses its square by about 2e-8.
+        for lam in (np.float32(0.5), np.float32(0.3)):
+            h = StrengthHistory.local_sqrt([(lam, 0.5)])
+            assert h.etas == h.gammas == ((math.sqrt(float(lam)), math.sqrt(0.5)),)
+
+    def test_local_sqrt_roots_of_python_floats_keep_their_bits(self):
+        # Bit for bit (int64 view) the roots np.sqrt takes.
+        rng = np.random.default_rng(2903)
+        special = [0.0, 1.0, 5e-324, 1e-310, 0.5, SQRT_HALF]
+        for _ in range(1000):
+            lams = [tuple(float(rng.choice(special)) if rng.random() < 0.2 else float(x)
+                          for x in rng.uniform(0, 1, 2)) for _ in range(rng.integers(1, 5))]
+            etas = np.array(StrengthHistory.local_sqrt(lams).etas)
+            want = np.array([[float(np.sqrt(s)) for s in pair] for pair in lams])
+            assert np.array_equal(etas.view(np.int64), want.view(np.int64)), lams
 
 
 class TestEllipsoid:
