@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import stat
 import sys
@@ -32,70 +33,96 @@ def _parse_fix(items: list[str]) -> dict[str, float]:
     return fixed
 
 
-def _write_out(path: str, chunks: Iterable[str], newline: str | None = None) -> None:
-    """Write the strings of `chunks` in turn to `path` as `open(path, "w")`
-    would.  Truncating a file that still holds data costs more than writing
-    it, so a regular file is overwritten in place and then cut to the
-    written length."""
+# `--out` text is written in batches of at least this many bytes, the last
+# one excepted: a `run` file is one write, and a scan or sweep holds at most
+# one batch of its text at a time.
+WRITE_BATCH = 1 << 16
+
+
+def _write_out(path: str, chunks: Iterable[str]) -> None:
+    """Write the ASCII strings of `chunks` in turn to `path`, joined into
+    batches of at least `WRITE_BATCH` bytes, with `\n` line ends on every
+    platform.  Truncating a file that still holds data costs more than
+    writing it, so a regular file is overwritten in place and then cut to
+    the written length."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", newline=newline) as fh:
+        try:
+            batch, size = [], 0
+            for chunk in chunks:  # as many bytes as characters
+                batch.append(chunk)
+                size += len(chunk)
+                if size >= WRITE_BATCH:
+                    _write_all(fd, "".join(batch).encode())
+                    batch, size = [], 0
+            if batch:
+                _write_all(fd, "".join(batch).encode())
+        finally:  # a failed write too leaves no old bytes after the new ones
             try:
-                fh.writelines(chunks)
-                fh.flush()
-            finally:  # a failed write too leaves no old bytes after the new ones
                 st = os.fstat(fd)
                 if stat.S_ISREG(st.st_mode):
                     end = os.lseek(fd, 0, os.SEEK_CUR)
                     if st.st_size > end:
                         os.ftruncate(fd, end)
+            finally:
+                os.close(fd)
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of `data` to `fd`, however short the writes the system makes."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
 # Both `--out` files hold `json.dumps(payload, indent=2)` and a newline.  Any
-# indent puts json on its pure-Python encoder, so the text is a layout, the
-# indented skeleton payload with a `%s` slot per float, filled by one
-# C-level `json.dumps` of the flat float list.  A run state is built on
-# `SUPPORT` and a T-state ellipsoid is centred with a diagonal matrix, so
-# the layout holds a literal 0.0 for every other float: a state's entries
-# off its support, every imaginary part, and an ellipsoid's centre and
-# off-diagonal matrix entries.  An ellipsoid's orientation is written one
-# axis per row.  A state spells the real parts of its `SUPPORT` entries:
-# these are their positions in its float view (real and imaginary part of
-# each entry in turn, row-major), in slot order.
+# indent puts json on its pure-Python encoder, so the text is a layout: the
+# indented skeleton payload split at a "%s" string per float, joined with
+# the floats that one C-level `json.dumps` of the flat float list spells.  A
+# run state is built on `SUPPORT` and a T-state ellipsoid is centred with a
+# diagonal matrix, so the layout holds a literal 0.0 for every other float:
+# a state's entries off its support, every imaginary part, and an
+# ellipsoid's centre and off-diagonal matrix entries.  An ellipsoid's
+# orientation is written one axis per row.  A state spells the real parts
+# of its `SUPPORT` entries: these are their positions in its float view
+# (real and imaginary part of each entry in turn, row-major), in slot order.
 _STATE_SPELLED = 2 * np.flatnonzero(SUPPORT)
 _ELLIPSOID = {"center": [0.0] * 3,
               "matrix": [["%s" if i == j else 0.0 for j in range(3)] for i in range(3)],
               "semiaxes": ["%s"] * 3, "orientation": [["%s"] * 3] * 3, "volume": "%s"}
 
 
-def _ellipsoid_floats(e) -> list:
+def _ellipsoid_floats(e) -> list[float]:
     """The floats of ellipsoid `e` its `_ELLIPSOID` slots spell, in slot
     order.  A T-state steers both parties onto one ellipsoid, so its floats
     fill the slots of both."""
-    return [e.matrix.diagonal(), e.semiaxes, e.orientation.T.ravel(), (e.volume,)]
+    return [*e.matrix.diagonal().tolist(), *e.semiaxes.tolist(),
+            *e.orientation.T.ravel().tolist(), float(e.volume)]
 
 
-def _layout(skeleton) -> str:
-    """The `--out` text of `skeleton` with a bare `%s` for each "%s" string."""
-    return json.dumps(skeleton, indent=2).replace('"%s"', "%s") + "\n"
+def _layout(skeleton) -> list[str]:
+    """The `--out` text of `skeleton`, split at each "%s" string."""
+    return (json.dumps(skeleton, indent=2) + "\n").split('"%s"')
 
 
-def _fill(layout: str, parts: list, slots: list) -> str:
-    """`layout` with slot k filled by float `slots[k]` of the arrays `parts`
-    (concatenated), each float spelled once as json spells it, NaN and
-    Infinity included."""
-    texts = json.dumps(np.concatenate(parts).tolist())[1:-1].split(", ")
-    return layout % tuple(map(texts.__getitem__, slots))
+def _fill(pieces: list[str], floats: list[float], slots: operator.itemgetter) -> str:
+    """`pieces` with slot k, between pieces k and k+1, filled by the k-th float
+    that `slots` picks from `floats`, each float spelled once as json spells
+    it, NaN and Infinity included."""
+    out = [""] * (2 * len(pieces) - 1)
+    out[::2] = pieces
+    out[1::2] = slots(json.dumps(floats)[1:-1].split(", "))
+    return "".join(out)
 
 
-def _slots(records: int, own: int, ellipsoid: bool) -> list:
+def _slots(records: int, own: int, ellipsoid: bool) -> operator.itemgetter:
     """`_fill` slots of `records` records, each of `own` floats and then,
     if `ellipsoid`, one ellipsoid's floats, which fill two slots each."""
-    e = _layout(_ELLIPSOID).count("%s") * ellipsoid
-    return [r * (own + e) + k for r in range(records)
-            for k in (*range(own + e), *range(own, own + e))]
+    e = (len(_layout(_ELLIPSOID)) - 1) * ellipsoid
+    return operator.itemgetter(*[r * (own + e) + k for r in range(records)
+                                 for k in (*range(own + e), *range(own, own + e))])
 
 
 def cmd_demo(_args) -> None:
@@ -156,7 +183,7 @@ def _scan_csv(table: scenario.ScanTable, resolution: int) -> Iterator[str]:
 def cmd_scan(args) -> None:
     table = scenario.scan_region(pairs=args.pairs, resolution=args.grid,
                                  mode=args.mode)
-    _write_out(args.out, _scan_csv(table, args.grid), newline="")
+    _write_out(args.out, _scan_csv(table, args.grid))
     print(f"wrote {len(table)} rows to {args.out}")
 
 
@@ -183,15 +210,15 @@ def cmd_sweep(args) -> None:
     table = scenario.sweep_curve(_parse_fix(args.fix), args.vary, args.from_,
                                  args.to, args.samples, pairs=args.pairs,
                                  mode=args.mode)
-    _write_out(args.out, _sweep_csv(table), newline="")
+    _write_out(args.out, _sweep_csv(table))
     print(f"wrote {len(table)} rows to {args.out}")
 
 
 def cmd_ellipsoids(args) -> None:
     e = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])[0]
     record = {"lambda1": "%s", "lambda2": "%s", "charlie": _ELLIPSOID, "ab": _ELLIPSOID}
-    parts = [(args.lambda1, args.lambda2), *_ellipsoid_floats(e)]
-    _write_out(args.out, [_fill(_layout([record]), parts, _slots(1, 2, True))])
+    floats = [float(args.lambda1), float(args.lambda2), *_ellipsoid_floats(e)]
+    _write_out(args.out, [_fill(_layout([record]), floats, _slots(1, 2, True))])
     print(f"Charlie semiaxes: {np.round(e.semiaxes, 6).tolist()}, "
           f"volume {e.volume:.6f} -> {args.out}")
 
@@ -203,7 +230,7 @@ def cmd_bound(args) -> None:
 
 
 @functools.cache
-def _run_layout(pairs: int, with_ellipsoids: bool) -> tuple[str, list]:
+def _run_layout(pairs: int, with_ellipsoids: bool) -> tuple[list[str], operator.itemgetter]:
     """The `run --out` layout of `pairs` results and its `_fill` slots over
     the `_run_floats` of a run.  A run's states are 3-qubit and its pair
     numbers count from 1."""
@@ -216,15 +243,16 @@ def _run_layout(pairs: int, with_ellipsoids: bool) -> tuple[str, list]:
         _slots(pairs, 1 + len(_STATE_SPELLED), with_ellipsoids)
 
 
-def _run_floats(results, with_ellipsoids: bool) -> list:
+def _run_floats(results, with_ellipsoids: bool) -> list[float]:
     """Per pair the steering value, the state's spelled entries, then the
     spelled floats of the ellipsoid its Charlie and AB slots share."""
-    parts = []
+    floats = []
     for r in results:
-        parts += [(r.steering_value,), r.state.mat.reshape(-1).view(float)[_STATE_SPELLED]]
+        floats.append(float(r.steering_value))
+        floats += r.state.mat.reshape(-1).view(float)[_STATE_SPELLED].tolist()
         if with_ellipsoids:
-            parts += _ellipsoid_floats(r.ellipsoid)
-    return parts
+            floats += _ellipsoid_floats(r.ellipsoid)
+    return floats
 
 
 def cmd_run(args) -> None:
@@ -242,8 +270,8 @@ def cmd_run(args) -> None:
     if args.out:
         # Nonlocal runs give every pair an ellipsoid, local runs none.
         with_ellipsoids = results[0].ellipsoid is not None
-        layout, slots = _run_layout(len(results), with_ellipsoids)
-        _write_out(args.out, [_fill(layout, _run_floats(results, with_ellipsoids), slots)])
+        pieces, slots = _run_layout(len(results), with_ellipsoids)
+        _write_out(args.out, [_fill(pieces, _run_floats(results, with_ellipsoids), slots)])
     bound = cfg.bound
     for r in results:
         marker = ">" if r.steering_value > bound else "<="

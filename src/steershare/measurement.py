@@ -46,7 +46,7 @@ def dephasing_scale(anti: np.ndarray, c) -> np.ndarray:
     """
     axis = 1 - anti.ndim  # parties, then settings, counted from the end
     c = np.asarray(c)[(...,) + (None,) * (anti.ndim - 2)]
-    return np.where(anti, c, 1.0).prod(axis=axis).mean(axis=axis)
+    return np.where(anti, c, 1.0).prod(axis=axis).sum(axis=axis) / len(anti)  # numpy's mean
 
 
 # Per axis: Charlie's Pauli index c and the signed A,B Pauli product

@@ -207,7 +207,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     c = coherence(lam[..., None] if cfg.mode == "nonlocal" else np.stack([h.etas, h.gammas], -1))
     after = _GHZ_VALUES * np.cumprod(dephasing_scale(anti, c), axis=0)  # (pair, component)
     before = np.concatenate([_GHZ_VALUES[None], after[:-1]])
-    values = (lam * sign * before[:, read]).mean(axis=1)
+    values = (lam * sign * before[:, read]).sum(axis=1) / len(read)  # numpy's mean
     tensors = _run_tensors(after)
     states = from_pauli_tensors(tensors)
     ells = [None] * cfg.pairs

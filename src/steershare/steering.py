@@ -48,6 +48,10 @@ def _check_unit_interval(lambdas) -> None:
             raise ConfigError(f"strengths {pair} outside [0, 1]")
 
 
+def _floats(history) -> tuple[tuple[float, float], ...]:
+    return tuple([(float(s1), float(s2)) for s1, s2 in history])
+
+
 @dataclass(frozen=True)
 class StrengthHistory:
     """Per-pair, per-setting measurement strengths.
@@ -81,6 +85,13 @@ class StrengthHistory:
                         raise ConfigError(
                             f"joint strength {lk} != eta*gamma = {ek * gk}"
                         )
+        # Kept as Python floats, so that closed forms and runs round in float64
+        # whatever kind of number each strength was given as.
+        etas = None if self.etas is None else _floats(self.etas)
+        object.__setattr__(self, "lambdas", _floats(self.lambdas))
+        object.__setattr__(self, "gammas", etas if self.gammas is self.etas
+                           else _floats(self.gammas))
+        object.__setattr__(self, "etas", etas)
 
     @property
     def pairs(self) -> int:

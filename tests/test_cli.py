@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -388,9 +389,10 @@ class TestRunOut:
         # 1 steering value, 16 state entries and 16 shared ellipsoid floats
         # per pair fill 1 + 16 + 2 * 16 slots.
         results = run_scenario(ScenarioConfig.from_json({"pairs": 3, "strengths": [0.5, 0.8]}))
-        layout, slots = cli._run_layout(3, True)
-        assert np.concatenate(cli._run_floats(results, True)).size == 99
-        assert layout.count("%s") == len(slots) == 147
+        pieces, slots = cli._run_layout(3, True)
+        floats = cli._run_floats(results, True)
+        assert len(floats) == 99 and all(type(x) is float for x in floats)
+        assert len(pieces) - 1 == len(slots(range(99))) == 147
 
     def test_negative_local_strength_prints_one_stderr_line(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -617,6 +619,73 @@ class TestOutRewrite:
         assert (code, stdout) == (2, "")
         assert err.splitlines() == [f"error: cannot write {str(out)!r}: Permission denied"]
         assert out.read_text() == "old"
+
+
+class TestBatchedWrites:
+    """`--out` text goes to `os.write` in batches of at least
+    `cli.WRITE_BATCH` bytes, each written whole however short the writes
+    the system makes."""
+
+    _ARGVS = {
+        "run": ("run", "--config", "CONFIG"),
+        "ellipsoids": ("ellipsoids", "--lambda1", "0.3", "--lambda2", "0.9"),
+        "scan": ("scan", "--grid", "30"),  # 105 kB in 31 chunks: two batches
+        "sweep": ("sweep", "--vary", "lambda_1", "--from", "0", "--to", "1",
+                  "--samples", "3000"),  # 224 kB in 3 chunks: two batches
+    }
+
+    def _argv(self, tmp_path, name):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"pairs": 4, "strengths": [0.3, [0.5, 0.6], 0.7]}')
+        return [str(cfg_file) if a == "CONFIG" else a for a in self._ARGVS[name]]
+
+    def _count_writes(self, monkeypatch, most=None):
+        """Patch `os.write` to take at most `most` bytes a call; returns the
+        list of the byte counts it took."""
+        write, taken = os.write, []
+
+        def short_write(fd, data):
+            taken.append(write(fd, data[:most]))
+            return taken[-1]
+
+        monkeypatch.setattr(cli.os, "write", short_write)
+        return taken
+
+    @pytest.mark.parametrize("name", list(_ARGVS))
+    def test_seven_byte_writes_give_the_same_bytes(self, capsys, tmp_path, monkeypatch, name):
+        argv, fresh, short = self._argv(tmp_path, name), tmp_path / "fresh", tmp_path / "short"
+        assert run_cli(capsys, *argv, "--out", str(fresh))[0] == 0
+        taken = self._count_writes(monkeypatch, most=7)
+        assert run_cli(capsys, *argv, "--out", str(short))[0] == 0
+        assert short.read_bytes() == fresh.read_bytes()
+        assert sum(taken) == fresh.stat().st_size and max(taken) == 7
+
+    @pytest.mark.parametrize("name", list(_ARGVS))
+    def test_batches(self, capsys, tmp_path, monkeypatch, name):
+        argv, out = self._argv(tmp_path, name), tmp_path / "out"
+        taken = self._count_writes(monkeypatch)
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        assert sum(taken) == out.stat().st_size
+        assert len(taken) == (2 if name in ("scan", "sweep") else 1)
+        assert min(taken[:-1], default=cli.WRITE_BATCH) >= cli.WRITE_BATCH
+
+    def test_grid_32_scan_writes_at_most_twice(self, capsys, tmp_path, monkeypatch):
+        taken = self._count_writes(monkeypatch)
+        assert run_cli(capsys, "scan", "--grid", "32", "--out", str(tmp_path / "out"))[0] == 0
+        assert 1 <= len(taken) <= 2
+
+    def test_int_steering_value_spelled_as_float(self, capsys, tmp_path, monkeypatch):
+        # The text json.dumps gives the payload with 1.0, as for any float.
+        real = scenario.run_scenario
+        monkeypatch.setattr(scenario, "run_scenario", lambda cfg: [
+            dataclasses.replace(r, steering_value=1) for r in real(cfg)])
+        argv, out = self._argv(tmp_path, "run"), tmp_path / "out.json"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, err) == (0, "") and stdout.count("S = 1.000000 > C2") == 4
+        cfg = ScenarioConfig.from_json(json.loads(Path(argv[2]).read_text()))
+        payload = [dict(item, steering_value=1.0) for item in _run_payload(real(cfg))]
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+        assert out.read_text().count('"steering_value": 1.0,') == 4
 
 
 class TestDemo:

@@ -333,6 +333,38 @@ class TestStrengthHistory:
             want = np.array([[float(np.sqrt(s)) for s in pair] for pair in lams])
             assert np.array_equal(etas.view(np.int64), want.view(np.int64)), lams
 
+    @pytest.mark.parametrize("kind", [np.float32, np.float16, np.float64, int])
+    def test_strengths_kept_as_python_floats(self, kind):
+        # A float32 strength rounded in float32 would put the closed form of
+        # [(0.3, 0.3), (1, 1)] 8.9e-10 from the run's value.
+        x = kind(1) if kind is int else kind(0.3)
+        e, g = (kind(1), kind(1)) if kind is int else (kind(0.5), kind(0.75))
+        given = [StrengthHistory.nonlocal_history([(x, x), (1, 1)]),
+                 StrengthHistory.local_sqrt([(x, x), (1, 1)]),
+                 StrengthHistory(((e * g, e * g), (1, 1)), ((e, e), (1, 1)), ((g, g), (1, 1)))]
+        e, g = float(e), float(g)  # e * g is exact in every kind
+        as_floats = [StrengthHistory.nonlocal_history([(float(x), float(x)), (1.0, 1.0)]),
+                     StrengthHistory.local_sqrt([(float(x), float(x)), (1.0, 1.0)]),
+                     StrengthHistory(((e * g, e * g), (1.0, 1.0)), ((e, e), (1.0, 1.0)),
+                                     ((g, g), (1.0, 1.0)))]
+        for h, want in zip(given, as_floats):
+            for strengths in (h.lambdas, h.etas, h.gammas):
+                assert strengths is None or all(type(s) is float for p in strengths for s in p)
+            assert (h.lambdas, h.etas, h.gammas) == (want.lambdas, want.etas, want.gammas)
+        assert given[1].etas is given[1].gammas and given[2].etas is not given[2].gammas
+        for h, want, mode in zip(given, as_floats, ("nonlocal", "local", "local")):
+            closed = closed_form_nonlocal if mode == "nonlocal" else closed_form_local
+            values = [closed(h, i) for i in (1, 2)]
+            assert np.array_equal(np.array(values).view(np.int64),
+                                  np.array([closed(want, i) for i in (1, 2)]).view(np.int64))
+            run = scenario.run_scenario(scenario.ScenarioConfig(h, mode=mode))
+            assert [r.steering_value for r in run] == pytest.approx(values, rel=0, abs=1e-15)
+
+    def test_strength_checked_before_conversion(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "strengths (np.float32(0.3), 'a') are not all numbers")):
+            StrengthHistory.nonlocal_history([(np.float32(0.3), "a")])
+
 
 class TestEllipsoid:
     def test_compressed_ghz_is_unit_sphere(self):
