@@ -15,7 +15,7 @@ import numpy as np
 
 from . import scenario
 from .errors import ConfigError, SteershareError
-from .states import SUPPORT
+from .states import SUPPORT, _SPREAD
 from .steering import classical_bound
 
 
@@ -85,10 +85,13 @@ def _write_all(fd: int, data: bytes) -> None:
 # diagonal matrix, so the layout holds a literal 0.0 for every other float:
 # a state's entries off its support, every imaginary part, and an
 # ellipsoid's centre and off-diagonal matrix entries.  An ellipsoid's
-# orientation is written one axis per row.  A state spells the real parts
-# of its `SUPPORT` entries: these are their positions in its float view
-# (real and imaginary part of each entry in turn, row-major), in slot order.
-_STATE_SPELLED = 2 * np.flatnonzero(SUPPORT)
+# orientation is written one axis per row.  A run state's support entries
+# j and 7-j are equal by construction, so a state spells 8 floats, the
+# real parts of its entries [j, j] and then [j, 7-j], j = 0..3 (these are
+# their positions in its float view: real and imaginary part of each entry
+# in turn, row-major), and `states._SPREAD` picks one of them for each
+# `SUPPORT` slot, row-major.
+_STATE_SPELLED = 2 * np.array([0, 9, 18, 27, 7, 14, 21, 28])
 _ELLIPSOID = {"center": [0.0] * 3,
               "matrix": [["%s" if i == j else 0.0 for j in range(3)] for i in range(3)],
               "semiaxes": ["%s"] * 3, "orientation": [["%s"] * 3] * 3, "volume": "%s"}
@@ -117,12 +120,17 @@ def _fill(pieces: list[str], floats: list[float], slots: operator.itemgetter) ->
     return "".join(out)
 
 
-def _slots(records: int, own: int, ellipsoid: bool) -> operator.itemgetter:
-    """`_fill` slots of `records` records, each of `own` floats and then,
-    if `ellipsoid`, one ellipsoid's floats, which fill two slots each."""
-    e = (len(_layout(_ELLIPSOID)) - 1) * ellipsoid
-    return operator.itemgetter(*[r * (own + e) + k for r in range(records)
-                                 for k in (*range(own + e), *range(own, own + e))])
+def _slots(records: int, pattern: list[int]) -> operator.itemgetter:
+    """`_fill` slots of `records` records of `max(pattern) + 1` floats each:
+    in turn, the floats of a record that `pattern` picks."""
+    width = max(pattern) + 1
+    return operator.itemgetter(*[r * width + k for r in range(records) for k in pattern])
+
+
+def _shared_ellipsoid(start: int) -> list[int]:
+    """The slot pattern of an ellipsoid whose floats start at record float
+    `start` and fill the slots of both parties' ellipsoids."""
+    return [*range(start, start + len(_layout(_ELLIPSOID)) - 1)] * 2
 
 
 def cmd_demo(_args) -> None:
@@ -218,7 +226,8 @@ def cmd_ellipsoids(args) -> None:
     e = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])[0]
     record = {"lambda1": "%s", "lambda2": "%s", "charlie": _ELLIPSOID, "ab": _ELLIPSOID}
     floats = [float(args.lambda1), float(args.lambda2), *_ellipsoid_floats(e)]
-    _write_out(args.out, [_fill(_layout([record]), floats, _slots(1, 2, True))])
+    slots = _slots(1, [0, 1, *_shared_ellipsoid(2)])
+    _write_out(args.out, [_fill(_layout([record]), floats, slots)])
     print(f"Charlie semiaxes: {np.round(e.semiaxes, 6).tolist()}, "
           f"volume {e.volume:.6f} -> {args.out}")
 
@@ -234,13 +243,14 @@ def _run_layout(pairs: int, with_ellipsoids: bool) -> tuple[list[str], operator.
     """The `run --out` layout of `pairs` results and its `_fill` slots over
     the `_run_floats` of a run.  A run's states are 3-qubit and its pair
     numbers count from 1."""
-    ell = _ELLIPSOID if with_ellipsoids else None
+    ell, shared = (_ELLIPSOID, _shared_ellipsoid(1 + len(_STATE_SPELLED))) \
+        if with_ellipsoids else (None, [])
     re = [["%s" if x else 0.0 for x in row] for row in SUPPORT.tolist()]
     return _layout([{"pair": i, "steering_value": "%s",
                      "state": {"qubits": 3, "re": re, "im": [[0.0] * 8] * 8},
                      "charlie_ellipsoid": ell, "ab_ellipsoid": ell}
                     for i in range(1, pairs + 1)]), \
-        _slots(pairs, 1 + len(_STATE_SPELLED), with_ellipsoids)
+        _slots(pairs, [0, *(1 + _SPREAD).tolist(), *shared])
 
 
 def _run_floats(results, with_ellipsoids: bool) -> list[float]:

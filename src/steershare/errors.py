@@ -14,15 +14,6 @@ class NotHermitianError(SteershareError):
     """Operation requires a Hermitian matrix."""
 
 
-class NotCompressibleError(SteershareError):
-    """State has weight outside the compression span{|00>, |11>} x C2."""
-
-
-class InvariantError(SteershareError):
-    """A run tensor left the Pauli components of GHZ that its states and
-    ellipsoids rest on (`states.check_run_tensors`): a broken invariant."""
-
-
 class ConfigError(SteershareError):
     """Invalid or inconsistent scenario configuration."""
 

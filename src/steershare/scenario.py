@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import PAULIS
 from .measurement import _AXIS_TABLE, _MASKS, dephasing_scale
-from .states import GHZ_COMPONENTS, GHZ_TENSOR, DensityMatrix, _check_type, _is_int, \
-    _is_real, check_run_tensors, compressed_tensors, from_pauli_tensors
+from .states import GHZ_COMPONENTS, GHZ_VALUES, DensityMatrix, _check_type, _is_int, \
+    _is_real, check_run_components, from_ghz_components, t_state_diagonals
 from .steering import SteeringEllipsoid, StrengthHistory, _SEQUENCES, closed_forms, \
     coherence, t_state_ellipsoids
 
@@ -91,7 +91,7 @@ class ScenarioConfig:
             if not (_is_int(value) if kind is int else isinstance(value, kind)):
                 raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
                                   f"got {value!r}")
-        # The one span every nonlocal setting keeps (see `states.compressed_tensors`).
+        # The one span every nonlocal setting keeps (see `states.t_state_diagonals`).
         if obj.get("compression", "00,11") != "00,11":
             raise ConfigError(f"config key 'compression' must be '00,11', "
                               f"got {obj['compression']!r}")
@@ -153,12 +153,6 @@ class PairResult:
     ellipsoid: SteeringEllipsoid | None = field(repr=False, default=None)
 
 
-# GHZ's 8 components, in the row-major order of GHZ_COMPONENTS, outside
-# which a run's tensors are zero (see `states`): all that a run evolves.
-_GHZ_VALUES = GHZ_TENSOR[GHZ_COMPONENTS]
-_GHZ_VALUES.setflags(write=False)
-
-
 @functools.cache
 def _run_plan(mode: str, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For a `mode` run whose settings measure Charlie along the resolved
@@ -173,13 +167,6 @@ def _run_plan(mode: str, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray,
     return anti, read, sign
 
 
-def _run_tensors(components: np.ndarray) -> np.ndarray:
-    """The (k, 4, 4, 4) tensors of a (k, 8) stack of GHZ components, +0.0 elsewhere."""
-    t = np.zeros((len(components), 4, 4, 4))
-    t[:, GHZ_COMPONENTS] = components
-    return t
-
-
 def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     """Full sequential simulation of the configured scenario.
 
@@ -189,30 +176,31 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     Pauli tensor: every pair update multiplies it by a fixed factor
     (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
     times the product of the factors of pairs 1..i.  That product only
-    scales GHZ's 8 components, so the run evolves those, as a cached plan
-    per mode and pair of Charlie axes (`_run_plan`) lays them out, and
-    reads each steering value off one of them.  The tensors are
-    validated in closed form, with no eigensolver: a run stays in
-    `GHZ_COMPONENTS`, where a state's eigenvalues are its 8 GHZ-basis
-    weights (`check_run_tensors`), and built on `states.SUPPORT` by one real
-    matrix product (`from_pauli_tensors`).  In a nonlocal run, one
-    contraction of the tensors compresses every pair's state
-    (`compressed_tensors`), and the ellipsoids of every pair are read off
-    the diagonals of the compressed T-states (`t_state_ellipsoids`).
+    scales GHZ's 8 components, so the run evolves those, exact +-1 at the
+    start, as a (pair, 8) array that a cached plan per mode and pair of
+    Charlie axes (`_run_plan`) lays out, and reads each steering value off
+    one of them.  Each state's 4 distinct diagonal and 4 distinct
+    anti-diagonal entries are one fixed +-1/8 sum of its components; the
+    state is validated by its trace and least GHZ-basis weight, diagonal
+    minus |anti-diagonal| (`check_run_components`), with no eigensolver,
+    and built on `states.SUPPORT` (`from_ghz_components`).  In a nonlocal
+    run every state compresses to a T-state, whose diagonal is three
+    two-term sums of components (`t_state_diagonals`), and the ellipsoids
+    of every pair are read off those (`t_state_ellipsoids`).  No step
+    calls BLAS, so a run's bits do not depend on the BLAS kernel.
     """
     _check_type(cfg, ScenarioConfig)
     anti, read, sign = _run_plan(cfg.mode, tuple(_resolve_axis(lbl)[1]
                                                  for lbl in cfg.charlie_directions))
     h, lam = cfg.strengths, np.array(cfg.strengths.lambdas)  # lam: (pair, setting)
     c = coherence(lam[..., None] if cfg.mode == "nonlocal" else np.stack([h.etas, h.gammas], -1))
-    after = _GHZ_VALUES * np.cumprod(dephasing_scale(anti, c), axis=0)  # (pair, component)
-    before = np.concatenate([_GHZ_VALUES[None], after[:-1]])
+    after = GHZ_VALUES * np.cumprod(dephasing_scale(anti, c), axis=0)  # (pair, component)
+    before = np.concatenate([GHZ_VALUES[None], after[:-1]])
     values = (lam * sign * before[:, read]).sum(axis=1) / len(read)  # numpy's mean
-    tensors = _run_tensors(after)
-    states = from_pauli_tensors(tensors)
+    states = from_ghz_components(after)
     ells = [None] * cfg.pairs
     if cfg.mode == "nonlocal":
-        ells = t_state_ellipsoids(compressed_tensors(tensors)[0])
+        ells = t_state_ellipsoids(t_state_diagonals(after))
     return [PairResult(pair=i + 1, steering_value=float(values[i]), state=state, ellipsoid=ell)
             for i, (state, ell) in enumerate(zip(states, ells))]
 
@@ -267,7 +255,7 @@ def _table(mode: str, lam: list, params: dict) -> ScanTable:
 # largest call of each kind peaks in `steershare scan`/`sweep`, which write
 # the text in blocks, at about 98 MiB RSS (a 3-pair compare scan) and
 # 160 MiB (a 4-pair compare sweep); an `ellipsoid_series` call, which
-# builds no 8x8 state, peaks at about 107 MiB.
+# builds no 8x8 state, peaks at about 75 MiB.
 MAX_GRID_RESOLUTION = 800
 MAX_SAMPLES = 1_000_000
 MAX_SERIES_SAMPLES = 40_000
@@ -368,9 +356,9 @@ def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[Steering
                           f"range 0..{MAX_SERIES_SAMPLES}")
     lambdas = StrengthHistory.nonlocal_history(strength_pairs).lambdas
     c = coherence(np.array(lambdas, dtype=float).reshape(-1, 2))[..., None]
-    after = _run_tensors(_GHZ_VALUES * dephasing_scale(_run_plan("nonlocal", ("x", "y"))[0], c))
-    check_run_tensors(after)  # as a run validates its states, none of which is built
-    return t_state_ellipsoids(compressed_tensors(after)[0])
+    after = GHZ_VALUES * dephasing_scale(_run_plan("nonlocal", ("x", "y"))[0], c)
+    check_run_components(after)  # as a run validates its states, none of which is built
+    return t_state_ellipsoids(t_state_diagonals(after))
 
 
 def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal") -> int:

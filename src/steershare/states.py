@@ -1,18 +1,19 @@
-"""Qubit-register density matrices, the GHZ state, and Bloch decomposition.
+"""Qubit-register density matrices, the GHZ state, and run states.
 
 Qubit order is fixed as A (leftmost) then B then Charlie; computational
 basis labels are bit strings "abc".  A state is also held as its real
 Pauli tensor t[a, b, ...] = Tr(rho sigma_a x sigma_b x ...), sigma_0 = I,
-from which rho = 2^-n sum t[a, b, ...] sigma_a x sigma_b x ....  A
-three-qubit state whose A,B pair lives in span{|00>, |11>} can be
-compressed to an effective two-qubit state (compressed AB qubit tensor
-Charlie) for ellipsoid analysis, by one fixed contraction of its tensor.
-A run from GHZ keeps the Pauli components of GHZ (`GHZ_COMPONENTS`), as
-every pair update only scales components.  Such a state is diagonal in the
-GHZ basis, so a run's states are validated from their 8 components in
-closed form (`check_run_tensors`) and built on the diagonal and
-anti-diagonal those span (`SUPPORT`); `DensityMatrix` and `ghz()` validate
-any matrix with one `eigvalsh`.
+from which rho = 2^-n sum t[a, b, ...] sigma_a x sigma_b x ....  A run
+from GHZ keeps GHZ's 8 nonzero Pauli components (`GHZ_COMPONENTS`, exact
+values `GHZ_VALUES`), as every pair update only scales components, and
+evolves them as a (k, 8) array.  Such a state is diagonal in the GHZ
+basis and fixed by its components (Guhne & Seevinck, NJP 12, 053002
+(2010)): each of its entries, GHZ-basis weights and compressed T-state
+axes is a fixed +-1 sum of them.  So a run's states are validated in
+closed form (`check_run_components`), built on the diagonal and
+anti-diagonal those span (`SUPPORT`, `from_ghz_components`) and
+compressed to T-states (`t_state_diagonals`) with no BLAS call;
+`DensityMatrix` and `ghz()` validate any matrix with one `eigvalsh`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError, NotCompressibleError, ShapeError
+from .errors import ShapeError
 from .linalg import I2, PAULIS
 
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-9
-COMPRESS_TOL = 1e-9
 
 
 # Exact type tests first: an ABC isinstance costs about 0.5 us on a float.
@@ -126,66 +126,59 @@ def pauli_tensor(mat: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,ji->...", PAULI_PRODUCTS[qubits], mat).real
 
 
-# Import-time constants avoid BLAS and LAPACK calls (validating ghz() would
-# call eigvalsh): their first use costs about 1 MB of resident memory, which
-# processes that only evaluate closed forms never otherwise pay.
-GHZ_TENSOR = pauli_tensor(_ghz_projector())
-GHZ_TENSOR.setflags(write=False)
-# The 8 Pauli components of GHZ: III, IZZ, ZIZ, ZZI, XXX and the three
-# Y-Y-X placements.  Every pair update only scales components, so a run's
-# tensors are zero outside them.
-GHZ_COMPONENTS = GHZ_TENSOR != 0
-GHZ_COMPONENTS.setflags(write=False)
-# On each of those 8 products the GHZ basis (|j> +- |7-j>)/sqrt(2), j = 0..3,
-# is an eigenbasis, with eigenvalues [j, j] +- [j, 7-j].  So a run state's
-# eigenvalues, its GHZ-basis weights, are its flat tensor times SPECTRUM
-# (Yu & Eberly, QIC 7, 459 (2007); Guhne & Seevinck, NJP 12, 053002 (2010)),
-# which indexing derives with no BLAS call.
+# GHZ's 8 nonzero Pauli components, in the row-major order of their mask
+# `GHZ_COMPONENTS` (III, IZZ, XXX, XYY, YXY, YYX, ZIZ, ZZI), and their exact
+# values `GHZ_VALUES`: +1, but -1 at the three Y-Y-X placements.  Every pair
+# update only scales components, so a run evolves these 8 and nothing else.
+GHZ_COMPONENTS = np.zeros((4, 4, 4), dtype=bool)
+GHZ_COMPONENTS[[0, 0, 1, 1, 2, 2, 3, 3], [0, 3, 1, 2, 1, 2, 0, 3], [0, 3, 1, 2, 2, 1, 3, 0]] = True
+GHZ_VALUES = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0])
+# The 8 component products are real and nonzero only on the diagonal and the
+# anti-diagonal, `SUPPORT`, where entries j and 7-j are equal.  So a run state
+# is fixed by 4 diagonal entries [j, j] and 4 anti-diagonal ones [j, 7-j],
+# j = 0..3: its components times `_SIGNS`, each product's +-1 entries there
+# over 8, summed.  The GHZ basis (|j> +- |7-j>)/sqrt(2) is an eigenbasis of
+# each product, so a run state's eigenvalues, its GHZ-basis weights, are
+# [j, j] +- [j, 7-j] (Yu & Eberly, QIC 7, 459 (2007); Guhne & Seevinck, NJP
+# 12, 053002 (2010)).  Import-time constants make no BLAS or LAPACK call.
+SUPPORT = np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1]
 _PRODUCTS, _J = PAULI_PRODUCTS[3][GHZ_COMPONENTS].real, np.arange(4)
-SPECTRUM = np.zeros((64, 8))
-SPECTRUM[GHZ_COMPONENTS.reshape(64)] = np.hstack(
-    [_PRODUCTS[:, _J, _J] + sign * _PRODUCTS[:, _J, 7 - _J] for sign in (1, -1)]) / 8
-SPECTRUM.setflags(write=False)
-# Those products are real and nonzero only on the diagonal and the
-# anti-diagonal, so a run state is too: its 16 entries there are one real
-# product of its tensor, all else +0.0.  The operand is a C-order copy:
-# numpy multiplies a strided `.real` view outside BLAS, rounding unlike it.
-SUPPORT = (PAULI_PRODUCTS[3][GHZ_COMPONENTS] != 0).any(axis=0)
-SUPPORT.setflags(write=False)
-_SUPPORT_PRODUCTS = PAULI_PRODUCTS[3].reshape(64, 64)[:, SUPPORT.reshape(64)].real.copy()
+_SIGNS = np.hstack([_PRODUCTS[:, _J, _J], _PRODUCTS[:, _J, 7 - _J]]) / 8
+# Per `SUPPORT` entry [i, j], row-major, the one of the 8 it holds: diagonal
+# or anti-diagonal entry min(i, 7-i).
+_SUPPORT_AT = np.flatnonzero(SUPPORT)
+_SPREAD = np.array([min(i, 7 - i) + 4 * (i != j) for i, j in np.argwhere(SUPPORT).tolist()])
 
 
-def check_run_tensors(t: np.ndarray) -> None:
-    """Raise for the first member of a (k, 4, 4, 4) stack of run tensors (member
-    j is pair j+1's) that holds an entry outside `GHZ_COMPONENTS`
-    (InvariantError) or is no state: the ShapeError `DensityMatrix` raises
-    for its trace, else for its least eigenvalue, read off `SPECTRUM`."""
-    _check_array(t, "Pauli tensor stack", real=True)
-    if t.shape[1:] != (4, 4, 4):
-        raise ShapeError(f"run states expect (k, 4, 4, 4) Pauli tensors, got {t.shape}")
-    flat = t.reshape(len(t), 64)
-    outside = ((flat != 0) & ~GHZ_COMPONENTS.reshape(64)).any(axis=1)
-    trace_ok = np.abs(flat[:, 0] - 1) <= DENSITY_TRACE_TOL
-    low = (flat @ SPECTRUM).min(axis=1)
-    bad = outside | ~trace_ok | ~(low >= DENSITY_EIG_FLOOR)
-    if bad.any():
-        k = int(bad.argmax())
-        if outside[k]:
-            a, b, c = np.argwhere((t[k] != 0) & ~GHZ_COMPONENTS)[0]
-            raise InvariantError(f"pair {k + 1} left the Pauli components of GHZ: "
-                                 f"its tensor holds {float(t[k, a, b, c])!r} at [{a}, {b}, {c}]")
-        if not trace_ok[k]:
-            raise ShapeError(f"trace {complex(flat[k, 0]):.12f} != 1")
+def check_run_components(c: np.ndarray) -> np.ndarray:
+    """The (k, 8) entries, 4 diagonal then 4 anti-diagonal (see `_SIGNS`), of
+    the states of a (k, 8) stack of GHZ components (member j is pair j+1's),
+    each summed in one fixed order with no BLAS call.  Raises for the first
+    member that is no state: the ShapeError `DensityMatrix` raises for its
+    trace, the III component, else for its least GHZ-basis weight."""
+    _check_array(c, "GHZ component stack", real=True)
+    if c.ndim != 2 or c.shape[1] != 8:
+        raise ShapeError(f"run states expect (k, 8) GHZ components, got {c.shape}")
+    entries = (c[:, :, None] * _SIGNS).sum(axis=1)
+    low = (entries[:, :4] - np.abs(entries[:, 4:])).min(axis=1)
+    ok = (np.abs(c[:, 0] - 1) <= DENSITY_TRACE_TOL) & (low >= DENSITY_EIG_FLOOR)  # NaN fails
+    if not ok.all():
+        k = int(ok.argmin())
+        if not abs(c[k, 0] - 1) <= DENSITY_TRACE_TOL:
+            raise ShapeError(f"trace {complex(c[k, 0]):.12f} != 1")
         raise ShapeError(f"negative eigenvalue {low[k]:.3e}")
+    return entries
 
 
-def from_pauli_tensors(t: np.ndarray) -> list[DensityMatrix]:
-    """The states 2^-3 sum t[k, a, b, c] sigma_a x sigma_b x sigma_c of a
-    (k, 4, 4, 4) stack of run tensors, validated by `check_run_tensors`,
-    each built on `SUPPORT` and +0.0 elsewhere."""
-    check_run_tensors(t)
-    mats = np.zeros((len(t), 8, 8), dtype=complex)
-    mats[:, SUPPORT] = t.reshape(len(t), 64) @ _SUPPORT_PRODUCTS / 8
+def from_ghz_components(c: np.ndarray) -> list[DensityMatrix]:
+    """The states 2^-3 sum_i c[k, i] P_i of a (k, 8) stack of GHZ components,
+    P_i the i-th product of `GHZ_COMPONENTS`, validated by
+    `check_run_components`: each is its 8 entries on `SUPPORT`, mirrored
+    entries equal, and +0.0 elsewhere."""
+    entries = check_run_components(c)
+    mats = np.zeros((len(c), 64), dtype=complex)
+    mats[:, _SUPPORT_AT] = entries.take(_SPREAD, axis=1)
+    mats = mats.reshape(-1, 8, 8)
     mats.setflags(write=False)
     states = []
     for mat in mats:  # validated above, so not again one by one
@@ -196,33 +189,21 @@ def from_pauli_tensors(t: np.ndarray) -> list[DensityMatrix]:
     return states
 
 
-# Every direction a nonlocal pair measures (sigma_y x sigma_y, sigma_y x
-# sigma_x, sigma_z x I) maps span{|00>, |11>} into itself, so the compressed
-# AB qubit is that span: |00>, |11> become |0~>, |1~>.  Its I, X, Y and Z are
-# the A,B operators (II + ZZ)/2, (XX - YY)/2, (XY + YX)/2 and (ZI + IZ)/2:
-# _COMPRESS_MAP[a, p, q] is the weight of sigma_p x sigma_q in the a-th.
-_COMPRESS_MAP = np.zeros((4, 4, 4))
-_COMPRESS_MAP[[0, 0, 1, 1, 2, 2, 3, 3], [0, 3, 1, 2, 1, 2, 3, 0], [0, 3, 1, 2, 2, 1, 0, 3]] = \
-    [0.5, 0.5, 0.5, -0.5, 0.5, 0.5, 0.5, 0.5]
+# The compressed AB qubit is span{|00>, |11>}: its I, X, Y and Z are the A,B
+# operators (II + ZZ)/2, (XX - YY)/2, (XY + YX)/2 and (ZI + IZ)/2.  So the
+# diagonal of T is (XXX - YYX)/2, (XYY + YXY)/2 and (IZZ + ZIZ)/2: components
+# times `_T_SIGNS`, summed.
+_T_SIGNS = np.zeros((8, 3))
+_T_SIGNS[[2, 5, 3, 4, 1, 6], [0, 0, 1, 1, 2, 2]] = [0.5, -0.5, 0.5, 0.5, 0.5, 0.5]
+for _x in (GHZ_COMPONENTS, GHZ_VALUES, SUPPORT, _SIGNS, _T_SIGNS):
+    _x.setflags(write=False)
 
 
-def compressed_tensors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project each of a (k, 4, 4, 4) stack of three-qubit Pauli tensors
-    onto span{|00>, |11>} x C2 and relabel: the (k, 4, 4) tensors t[a, c]
-    of the renormalized two-qubit states (compressed AB qubit tensor
-    Charlie) and the (k,) weights the projection retains (entry [0, 0]
-    before renormalizing).  Raises NotCompressibleError for the first
-    member that keeps less than 1 - COMPRESS_TOL.  Each result is a
-    principal block of a valid state over its weight, so it is not
-    validated again.
-    """
-    _check_array(t, "Pauli tensor stack", real=True)
-    if t.shape[1:] != (4, 4, 4):
-        raise ShapeError(f"compression expects (k, 4, 4, 4) Pauli tensors, got {t.shape}")
-    small = _COMPRESS_MAP.reshape(4, 16) @ t.reshape(-1, 16, 4)  # [k, a, c]
-    weights = small[:, 0, 0]
-    low = weights < 1 - COMPRESS_TOL
-    if low.any():  # a weight is >= 0: a residue below zero (or -0.0) prints as 0
-        raise NotCompressibleError(f"only {max(weights[low.argmax()], 0.0) + 0.0:.12f} "
-                                   "of the state lies in span{|00>, |11>} x C2")
-    return small / weights[:, None, None], weights
+def t_state_diagonals(c: np.ndarray) -> np.ndarray:
+    """The (k, 3) diagonals of T of the compressed two-qubit states (the AB
+    pair's span{|00>, |11>} as one qubit, then Charlie) of a (k, 8) stack of
+    nonlocal run components, each a sum of two of them over 2.  Every
+    direction a nonlocal pair measures keeps ZZI = III = 1, so each state
+    lies in that span with weight (III + ZZI)/2 = 1, nothing is
+    renormalized, and m~ = n = 0 and T is diagonal: a T-state."""
+    return (c[:, :, None] * _T_SIGNS).sum(axis=1)

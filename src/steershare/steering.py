@@ -67,18 +67,20 @@ class StrengthHistory:
     gammas: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        _check_pairs(self.lambdas, *(h for h in (self.etas, self.gammas) if h is not None))
+        local = [h for h in (self.etas, self.gammas) if h is not None]
+        if len(local) == 2 and local[1] is local[0]:
+            del local[1]  # one history of A's and B's strengths: checked once
+        _check_pairs(self.lambdas, *local)
         _check_unit_interval(self.lambdas)
         if (self.etas is None) != (self.gammas is None):
             raise ConfigError("etas and gammas must be given together")
-        rows = [self.lambdas] if self.etas is None else [self.lambdas, self.etas, self.gammas]
-        if any(len(p) != 2 for h in rows for p in h):
+        if any(len(p) != 2 for h in (self.lambdas, *local) for p in h):
             raise ConfigError("every pair needs one strength for each of its two settings")
-        if self.etas is not None:
-            if len(self.etas) != len(self.lambdas) or len(self.gammas) != len(self.lambdas):
+        if local:
+            if any(len(h) != len(self.lambdas) for h in local):
                 raise ConfigError("local strengths must cover every pair")
-            _check_unit_interval(self.etas)
-            _check_unit_interval(self.gammas)
+            for h in local:
+                _check_unit_interval(h)
             for lam, eta, gam in zip(self.lambdas, self.etas, self.gammas):
                 for lk, ek, gk in zip(lam, eta, gam):
                     if abs(lk - ek * gk) > JOINT_STRENGTH_TOL:
@@ -104,14 +106,15 @@ class StrengthHistory:
 
     @classmethod
     def local_sqrt(cls, lambdas: list[tuple[float, float]]) -> "StrengthHistory":
-        """Local history with eta = gamma = sqrt(lambda) for every setting."""
-        _check_pairs(lambdas)
-        lams = tuple(tuple(p) for p in lambdas)
-        _check_unit_interval(lams)  # before math.sqrt can raise on a negative strength
-        # math.sqrt takes every root in float64, rounding a Python float's as
-        # np.sqrt does; np.sqrt would round a float32's root in float32.
-        roots = tuple(tuple(math.sqrt(s) for s in p) for p in lams)
-        return cls(lams, roots, roots)
+        """Local history with eta = gamma = sqrt(lambda) for every setting.
+        Each strength is checked once, as `nonlocal_history` checks it: the
+        root of a float in [0, 1] lies in [0, 1] and squares back to it within
+        rounding, so the roots need no check."""
+        h = cls.nonlocal_history(lambdas)
+        roots = tuple([(math.sqrt(a), math.sqrt(b)) for a, b in h.lambdas])
+        object.__setattr__(h, "etas", roots)
+        object.__setattr__(h, "gammas", roots)
+        return h
 
 
 def classical_bound(charlie_directions: list[np.ndarray]) -> float:
@@ -211,22 +214,19 @@ for _axes in _ORIENTATIONS.values():
     _axes.setflags(write=False)
 
 
-def t_state_ellipsoids(t: np.ndarray) -> list[SteeringEllipsoid]:
-    """Steering ellipsoid of each member of a (k, 4, 4) stack of compressed
-    two-qubit Pauli tensors t[a, c], member j being pair j+1's state.
+def t_state_ellipsoids(d: np.ndarray) -> list[SteeringEllipsoid]:
+    """Steering ellipsoid of each T-state of a (k, 3) stack of diagonals d of
+    T, member j being pair j+1's compressed state (`states.t_state_diagonals`).
 
-    The stack must be the compression of run tensors that
-    `states.check_run_tensors` passed: each is then a T-state, m~ = n = 0
-    and T diagonal, so only the diagonal is read.  A T-state steers each
-    party onto the same centred ellipsoid, with matrix diag(d^2) and
-    semiaxes |d| along the coordinate axes, for d = diag(T)
-    (Jevtic, Pusey, Jennings & Rudolph, PRL 113, 020402 (2014)).  Semiaxes
-    are descending, in a stable sort.  A tie group, a run of semiaxes
-    each within DEGENERACY_TOL of the next, takes its axes in the order x,
-    y, z.  The volume is sqrt(prod(d^2)), taking d^2 in descending order.
-    The arrays are read-only: both parties' ellipsoids are the one object.
+    A T-state, m~ = n = 0 and T = diag(d), steers each party onto the same
+    centred ellipsoid, with matrix diag(d^2) and semiaxes |d| along the
+    coordinate axes (Jevtic, Pusey, Jennings & Rudolph, PRL 113, 020402
+    (2014)).  Semiaxes are descending, in a stable sort.  A tie group, a
+    run of semiaxes each within DEGENERACY_TOL of the next, takes its axes
+    in the order x, y, z.  The volume is sqrt(prod(d^2)), taking d^2 in
+    descending order.  The arrays are read-only: both parties' ellipsoids
+    are the one object.
     """
-    d = t.reshape(-1, 16)[:, 5::5]  # t[1, 1], t[2, 2], t[3, 3]
     semiaxes, orientation = [], []
     for row in np.abs(d).tolist():
         axes = sorted(range(3), key=row.__getitem__, reverse=True)  # a stable sort

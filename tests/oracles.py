@@ -4,10 +4,13 @@ which `run_scenario`'s closed-form T-state ellipsoids must equal, the
 closed-form semiaxes of nonlocal runs with whole-grid checks against
 them, and the one-format-per-row scan CSV text, which the grid-row
 writer of `steershare scan` must equal.  Also the state of any 1-3-qubit
-Pauli tensor (the package builds only run states), `eigvalsh` of run
-states, which their closed-form GHZ-basis weights must equal, and the
-full 64-product build of run states, which their support build must equal
-bit for bit.  Also the closed-form boundaries of the scan's region labels.
+Pauli tensor (the package builds only run states), the compression of
+any three-qubit state onto span{|00>, |11>} x C2 (the package compresses
+only run states, in closed form), `eigvalsh` of run states, which their
+closed-form GHZ-basis weights must equal, and the full build of run
+states over their 8 component products, which their support build must
+equal within rounding.
+Also the closed-form boundaries of the scan's region labels.
 
 The Kraus oracle follows the definitions on full-register matrices and
 shares no code with the package's Pauli-tensor path.  A measurement is a
@@ -28,13 +31,14 @@ import numpy as np
 from steershare import scenario
 from steershare.errors import ConfigError, ShapeError
 from steershare.scenario import SQRT_HALF, ellipsoid_series, make_config, run_scenario
-from steershare.states import PAULI_PRODUCTS, SPECTRUM, SUPPORT, DensityMatrix, _check_array, \
-    _check_type, compressed_tensors, ghz, pauli_tensor
+from steershare.states import GHZ_COMPONENTS, PAULI_PRODUCTS, SUPPORT, DensityMatrix, \
+    _check_array, _check_type, ghz, pauli_tensor
 from steershare.steering import DEGENERACY_TOL, SteeringEllipsoid
 
 AXIS_NORM_FLOOR = 1e-8  # shorter parts of an axis in a degenerate subspace are skipped
 
 ORACLE_TOL = 1e-14  # kernel vs Kraus sum, entrywise, for |rho| <= 1
+COMPRESS_TOL = 1e-9  # weight a state may keep outside the compression span
 
 PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
           np.diag([1.0, -1.0]))
@@ -186,6 +190,38 @@ class BlochForm:
                 raise ShapeError(f"{name} shape {x.shape}, expected {shape}")
 
 
+class NotCompressibleError(ValueError):
+    """State has weight outside the compression span{|00>, |11>} x C2."""
+
+
+# The compressed AB qubit is span{|00>, |11>}: |00>, |11> become |0~>, |1~>.
+# Its I, X, Y and Z are the A,B operators (II + ZZ)/2, (XX - YY)/2,
+# (XY + YX)/2 and (ZI + IZ)/2: _COMPRESS_MAP[a, p, q] is the weight of
+# sigma_p x sigma_q in the a-th.
+_COMPRESS_MAP = np.zeros((4, 4, 4))
+_COMPRESS_MAP[[0, 0, 1, 1, 2, 2, 3, 3], [0, 3, 1, 2, 1, 2, 3, 0], [0, 3, 1, 2, 2, 1, 0, 3]] = \
+    [0.5, 0.5, 0.5, -0.5, 0.5, 0.5, 0.5, 0.5]
+
+
+def compressed_tensors(t):
+    """Project each of a (k, 4, 4, 4) stack of three-qubit Pauli tensors
+    onto span{|00>, |11>} x C2 and relabel: the (k, 4, 4) tensors t[a, c]
+    of the renormalized two-qubit states (compressed AB qubit tensor
+    Charlie) and the (k,) weights the projection retains (entry [0, 0]
+    before renormalizing).  Raises NotCompressibleError for the first
+    member that keeps less than 1 - COMPRESS_TOL."""
+    _check_array(t, "Pauli tensor stack", real=True)
+    if t.shape[1:] != (4, 4, 4):
+        raise ShapeError(f"compression expects (k, 4, 4, 4) Pauli tensors, got {t.shape}")
+    small = _COMPRESS_MAP.reshape(4, 16) @ t.reshape(-1, 16, 4)  # [k, a, c]
+    weights = small[:, 0, 0]
+    low = weights < 1 - COMPRESS_TOL
+    if low.any():  # a weight is >= 0: a residue below zero (or -0.0) prints as 0
+        raise NotCompressibleError(f"only {max(weights[low.argmax()], 0.0) + 0.0:.12f} "
+                                   "of the state lies in span{|00>, |11>} x C2")
+    return small / weights[:, None, None], weights
+
+
 def compress(rho):
     """Project a 3-qubit state onto span{|00>, |11>} x C2 and relabel: the
     renormalized 4x4 state (compressed AB qubit tensor Charlie) and the
@@ -328,14 +364,20 @@ def run_grid_deviation(grid, pairs):
     return worst
 
 
+def least_weights(mats):
+    """The least GHZ-basis weight [j, j] - |[j, 7-j]|, j = 0..3, of each of a
+    (k, 8, 8) stack of run states: the eigenvalues of each 2x2 block
+    [[d, a], [a, d]] that the basis vectors (|j> +- |7-j>)/sqrt(2) span."""
+    j = np.arange(4)
+    return (mats.real[:, j, j] - np.abs(mats.real[:, j, 7 - j])).min(axis=1)
+
+
 def spectrum_deviation(results):
     """Worst gap, over the states of a list of `PairResult`s, between the
-    least eigenvalue by np.linalg.eigvalsh of the built 8x8 state and the
-    least GHZ-basis weight `states.SPECTRUM` reads off its Pauli tensor."""
+    least eigenvalue by np.linalg.eigvalsh of the built 8x8 state and its
+    least GHZ-basis weight (`least_weights`)."""
     mats = np.stack([r.state.mat for r in results])
-    t = np.einsum("kij,pji->kp", mats, _products(3)).real  # Tr(rho P) per product
-    closed = (t @ SPECTRUM).min(axis=1)
-    return float(np.max(np.abs(np.linalg.eigvalsh(mats)[:, 0] - closed)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(mats)[:, 0] - least_weights(mats))))
 
 
 def run_spectrum_deviation(grid, pairs, mode):
@@ -347,51 +389,55 @@ def run_spectrum_deviation(grid, pairs, mode):
 
 
 @contextlib.contextmanager
-def run_tensors():
-    """Within the block, the list of every (k, 4, 4, 4) tensor stack that
-    `run_scenario` builds its states from, in call order."""
-    seen, real = [], scenario.from_pauli_tensors
-    scenario.from_pauli_tensors = lambda t: seen.append(t) or real(t)
+def run_components():
+    """Within the block, the list of every (k, 8) stack of GHZ components
+    that `run_scenario` builds its states from, in call order."""
+    seen, real = [], scenario.from_ghz_components
+    scenario.from_ghz_components = lambda c: seen.append(c) or real(c)
     try:
         yield seen
     finally:
-        scenario.from_pauli_tensors = real
+        scenario.from_ghz_components = real
 
 
-def full_product_states(t):
-    """The (k, 8, 8) states 2^-3 sum t[k, a, b, c] sigma_a x sigma_b x sigma_c
-    of a (k, 4, 4, 4) stack of run tensors, as one real product over all 64
-    Pauli products on their interleaved real and imaginary parts: how run
-    states were built before `from_pauli_tensors` came to fill only
-    `states.SUPPORT`."""
-    products = PAULI_PRODUCTS[3].reshape(64, 64).view(float)
-    return (t.reshape(len(t), 64) @ products).view(complex).reshape(-1, 8, 8) / 8
+def full_product_states(c):
+    """The (k, 8, 8) states 2^-3 sum_i c[k, i] P_i of a (k, 8) stack of GHZ
+    components, P_i the i-th product of `GHZ_COMPONENTS`: every product
+    summed in full, with numpy's complex arithmetic."""
+    return np.einsum("ki,iab->kab", c, PAULI_PRODUCTS[3][GHZ_COMPONENTS]) / 8
 
 
-def support_faults(mats, t):
-    """For the (k, 8, 8) states `mats` built from the tensor stack `t`: the
-    number of floats off `SUPPORT` or imaginary whose int64 view is not 0,
-    and the number of real parts on it whose bits differ from those of
-    `full_product_states(t)`."""
+def support_faults(mats, want):
+    """For the (k, 8, 8) run states `mats` and oracle states `want`: the
+    number of floats off `SUPPORT` or imaginary whose int64 view is not 0
+    (+0.0), the number of real parts whose bits differ from those of their
+    mirror entry ([j, j] and [7-j, 7-j], [j, 7-j] and [7-j, j]), and the
+    worst entrywise |mats - want|."""
     bits = np.ascontiguousarray(mats).view(np.int64).reshape(-1, 8, 8, 2)
-    want = np.ascontiguousarray(full_product_states(t).real).view(np.int64)
-    off = np.count_nonzero(bits[..., 1]) + np.count_nonzero(bits[..., 0][:, ~SUPPORT])
-    return int(off), int(np.count_nonzero(bits[..., 0][:, SUPPORT] != want[:, SUPPORT]))
+    re = bits[..., 0]
+    off = np.count_nonzero(bits[..., 1]) + np.count_nonzero(re[:, ~SUPPORT])
+    return int(off), int(np.count_nonzero(re != re[:, ::-1, ::-1])), \
+        float(np.max(np.abs(mats - want), initial=0.0))
 
 
 def run_support_faults(grid, pairs, mode):
-    """`support_faults` summed over every state of `run_scenario` on the
+    """`support_faults` of every state of `run_scenario` on the
     equal-strength histories (lambda1, lambda2, sharp)[:pairs] of grid x grid
-    in `mode`, one grid row at a time."""
-    off = differ = 0
+    in `mode`, one grid row at a time, against the Kraus `chain`: the two
+    counts summed, the worst gap."""
+    off = unlike = 0
+    worst = 0.0
     for l1 in grid.tolist():
-        with run_tensors() as seen:
-            results = [run_scenario(make_config(mode, [l1, l2][:pairs], pairs=pairs))
-                       for l2 in grid.tolist()]
-        mats = np.stack([r.state.mat for run in results for r in run])
-        faults = support_faults(mats, np.concatenate(seen))
-        off, differ = off + faults[0], differ + faults[1]
-    return off, differ
+        mats = np.stack([r.state.mat for l2 in grid.tolist() for r in run_scenario(
+            make_config(mode, [l1, l2][:pairs], pairs=pairs))]).reshape(len(grid), pairs, 8, 8)
+        lams = [np.full(len(grid), l1), grid, np.ones(len(grid))][:pairs]
+        roots = [np.sqrt(x) for x in lams] if mode == "local" else None
+        steps = chain(mode, ("x", "-y"), [(x, x) for x in lams],
+                      *([[(r, r) for r in roots]] * 2 if roots else []))
+        want = np.stack([rho for _, rho in steps], axis=1)
+        faults = support_faults(mats.reshape(-1, 8, 8), want.reshape(-1, 8, 8))
+        off, unlike, worst = off + faults[0], unlike + faults[1], max(worst, faults[2])
+    return off, unlike, worst
 
 
 def boundary_forms(l1, l2):

@@ -303,9 +303,11 @@ class TestRunOut:
                                                   mode):
         """NaN, +-Infinity and -0.0 in every kind of spelled field: steering
         values, state entries in the support of GHZ's Pauli components (the
-        diagonal and anti-diagonal of the real part), and each ellipsoid
-        field but the centre and the off-diagonal matrix entries.  The other
-        slots hold a literal 0.0, which no run can leave anything else in
+        diagonal and anti-diagonal of the real part), each spiked together
+        with its mirror entry, [7-j, 7-j] or [7-j, j], which a run state
+        holds equal and `--out` spells once, and each ellipsoid field but the
+        centre and the off-diagonal matrix entries.  The other slots hold a
+        literal 0.0, which no run can leave anything else in
         (`test_literal_slot_must_hold_positive_zero`)."""
         specials = [float("nan"), float("inf"), float("-inf"), -0.0]
         rng = np.random.default_rng(41)
@@ -321,7 +323,9 @@ class TestRunOut:
             dm = object.__new__(DensityMatrix)
             object.__setattr__(dm, "qubits", 3)
             object.__setattr__(dm, "mat", np.empty_like(mat))
-            dm.mat.real, dm.mat.imag = spiked(mat.real, _GHZ_SUPPORT), mat.imag
+            re = spiked(mat.real, _GHZ_SUPPORT[:4])  # rows 0..3 hold one of each pair
+            re[4:] = re[:4][::-1, ::-1]
+            dm.mat.real, dm.mat.imag = re, mat.imag
             return dm
 
         def ell(e, volume):
@@ -348,51 +352,53 @@ class TestRunOut:
         for word in ("NaN", "Infinity", "-Infinity", "-0.0"):
             assert word in text
 
-    # Per literal-slot field: a run-tensor entry outside GHZ's Pauli
-    # components that would put a float there, in the state's real part
-    # off the support ([0, 4]), its imaginary part ([0, 7]), the ellipsoid
-    # centre (Charlie's n_x) or an off-diagonal matrix entry (T[3, 2]).
-    _LITERAL_SOURCES = {"re": (1, 0, 0), "im": (1, 1, 2), "center": (0, 0, 1),
-                        "matrix": (3, 0, 2)}
+    # Per literal-slot field: the GHZ component of a run whose products lie
+    # nearest it: ZZI on the diagonal of the state's real part, the Y-Y
+    # product XYY, made of imaginary sigma_y entries, IZZ, Charlie's z
+    # correlation, beside the centre (Charlie's Bloch vector), and XXX, the
+    # first entry of the ellipsoid matrix's diagonal.
+    _LITERAL_SOURCES = {"re": 7, "im": 3, "center": 1, "matrix": 2}
 
     @pytest.mark.parametrize("value", [1e-300, -0.0, float("nan")])
     @pytest.mark.parametrize("field", ["re", "im", "center", "matrix"])
     def test_literal_slot_must_hold_positive_zero(self, capsys, tmp_path, monkeypatch,
                                                   field, value):
         """A literal 0.0 slot holds +0.0 because no run gets a float there:
-        a run tensor with such an entry is refused by `check_run_tensors`
-        (exit 2, one `error:` line, no file), and a -0.0 entry, which that
-        check passes as zero, leaves the bytes of the run without it."""
+        a run holds only GHZ's components, whose states are +0.0 off
+        `SUPPORT` and whose ellipsoids are centred and diagonal.  A value
+        added to pair 2's component that moves it by less than its rounding
+        (1e-300, -0.0) leaves the bytes of the run without it; a NaN is
+        refused by `check_run_components` (exit 2, one `error:` line, no
+        file)."""
         cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_file.write_text('{"pairs": 3, "strengths": [0.5, 0.8]}')
         assert run_cli(capsys, "run", "--config", str(cfg_file), "--out", str(out_file))[0] == 0
-        clean, entry = out_file.read_bytes(), self._LITERAL_SOURCES[field]
+        clean, component = out_file.read_bytes(), self._LITERAL_SOURCES[field]
         out_file.unlink()
-        real = scenario.from_pauli_tensors
+        real = scenario.from_ghz_components
 
-        def faulty(t):
-            t[1][entry] = value  # pair 2's tensor, which its compression shares
-            return real(t)
+        def faulty(c):
+            c[1, component] += value  # pair 2's, which its ellipsoid shares
+            return real(c)
 
-        monkeypatch.setattr(scenario, "from_pauli_tensors", faulty)
+        monkeypatch.setattr(scenario, "from_ghz_components", faulty)
         code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
                                  "--out", str(out_file))
-        if value == 0.0:  # -0.0
+        if value == value:  # 1e-300, -0.0
             assert (code, err) == (0, "") and out_file.read_bytes() == clean
             return
         assert (code, out) == (2, "")
-        assert err.splitlines() == [f"error: pair 2 left the Pauli components of GHZ: its "
-                                    f"tensor holds {value!r} at [{', '.join(map(str, entry))}]"]
+        assert err.splitlines() == ["error: negative eigenvalue nan"]
         assert not out_file.exists()
 
-    def test_three_nonlocal_pairs_spell_99_floats(self):
-        # 1 steering value, 16 state entries and 16 shared ellipsoid floats
-        # per pair fill 1 + 16 + 2 * 16 slots.
+    def test_three_nonlocal_pairs_spell_75_floats(self):
+        # 1 steering value, 8 distinct state entries and 16 shared ellipsoid
+        # floats per pair fill 1 + 16 + 2 * 16 slots.
         results = run_scenario(ScenarioConfig.from_json({"pairs": 3, "strengths": [0.5, 0.8]}))
         pieces, slots = cli._run_layout(3, True)
         floats = cli._run_floats(results, True)
-        assert len(floats) == 99 and all(type(x) is float for x in floats)
-        assert len(pieces) - 1 == len(slots(range(99))) == 147
+        assert len(floats) == 75 and all(type(x) is float for x in floats)
+        assert len(pieces) - 1 == len(slots(range(75))) == 147
 
     def test_negative_local_strength_prints_one_stderr_line(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

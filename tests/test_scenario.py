@@ -28,7 +28,7 @@ from steershare.scenario import (
 )
 from steershare.states import DensityMatrix
 from steershare.steering import StrengthHistory, classical_bound, closed_form_local, \
-    closed_form_nonlocal
+    closed_form_nonlocal, closed_forms
 
 from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid, region_labels, \
     run_grid_deviation, scan_csv, series_grid_deviation
@@ -160,6 +160,33 @@ class TestRunScenario:
         assert a[0] != b[0] and a[0] == a[0]
         table = scan_region(2, 3, "compare")
         assert table == table and table != scan_region(2, 3, "compare")
+
+    @pytest.mark.parametrize("mode", ["nonlocal", "local"])
+    def test_steering_values_equal_closed_forms_bit_for_bit(self, mode):
+        # Exact GHZ components evolved with the closed forms' own products:
+        # every value has the closed form's bits, and every state is the
+        # Kraus chain's within 1e-15.  Seeded 1-4-pair histories, about 30 %
+        # of strengths 0, 1 or 1/sqrt(2), and a sharp final pair in about a
+        # third of them.
+        rng = np.random.default_rng(3101)
+        special = [0.0, 1.0, SQRT_HALF]
+        values = 0
+        worst = 0.0
+        for k in range(400):
+            lams = [[float(rng.choice(special)) if rng.uniform() < 0.3 else float(rng.uniform())
+                     for _ in range(2)] for _ in range(k % 4 + 1)]
+            if k % 3 == 0:
+                lams[-1] = [1.0, 1.0]
+            cfg = make_config(mode, lams)
+            h = cfg.strengths
+            want = closed_forms(mode, h.lambdas, (h.lambdas,) if mode == "nonlocal"
+                                else (h.etas, h.gammas))
+            kraus = chain(mode, cfg.charlie_directions, h.lambdas, h.etas, h.gammas)
+            for r, w, (_, rho) in zip(run_scenario(cfg), want, kraus, strict=True):
+                assert r.steering_value.hex() == float(w).hex()
+                worst = max(worst, np.max(np.abs(r.state.mat - rho)))
+                values += 1
+        assert values == 1000 and worst <= 1e-15
 
     def test_matches_kraus_chain(self):
         rng = np.random.default_rng(61)
@@ -717,14 +744,14 @@ class TestEllipsoidSeries:
             real = getattr(scenario, name)
             return lambda x: calls.append((name, len(x))) or real(x)
 
-        # Nor is any 8x8 state built: the tensors are validated in closed form.
-        for name in ("make_config", "run_scenario", "ScenarioConfig", "from_pauli_tensors"):
+        # Nor is any 8x8 state built: the components are validated in closed form.
+        for name in ("make_config", "run_scenario", "ScenarioConfig", "from_ghz_components"):
             monkeypatch.setattr(scenario, name, refuse)
-        monkeypatch.setattr(states, "from_pauli_tensors", refuse)
-        for name in ("check_run_tensors", "compressed_tensors", "t_state_ellipsoids"):
+        monkeypatch.setattr(states, "from_ghz_components", refuse)
+        for name in ("check_run_components", "t_state_diagonals", "t_state_ellipsoids"):
             monkeypatch.setattr(scenario, name, spy(name))
         assert len(ellipsoid_series([(0.1, 0.2), (0.5, 0.8), (1.0, 1.0)])) == 3
-        assert calls == [("check_run_tensors", 3), ("compressed_tensors", 3),
+        assert calls == [("check_run_components", 3), ("t_state_diagonals", 3),
                          ("t_state_ellipsoids", 3)]
 
     def test_no_eigensolver(self, monkeypatch):

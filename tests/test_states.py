@@ -6,24 +6,23 @@ import numpy as np
 import pytest
 
 from steershare import states
-from steershare.errors import InvariantError, NotCompressibleError, ShapeError
+from steershare.errors import ShapeError
 from steershare.linalg import I2, PAULIS
 from steershare.scenario import make_config, run_scenario
 from steershare.states import (
     GHZ_COMPONENTS,
-    GHZ_TENSOR,
-    SPECTRUM,
+    GHZ_VALUES,
     DensityMatrix,
-    check_run_tensors,
-    compressed_tensors,
-    from_pauli_tensors,
+    check_run_components,
+    from_ghz_components,
     ghz,
     ket,
     pauli_tensor,
+    t_state_diagonals,
 )
 
-from oracles import bloch_form, compress, direction, run_tensors, state_from_tensor, \
-    support_faults
+from oracles import NotCompressibleError, bloch_form, chain, compress, compressed_tensors, \
+    direction, full_product_states, run_components, state_from_tensor, support_faults
 from util import random_density
 
 
@@ -164,114 +163,135 @@ class TestStackValidation:
 
     def test_built_stack_equals_members_built_alone(self):
         rng = np.random.default_rng(5)
-        t = np.stack([_ghz_diagonal(rng.dirichlet(np.ones(8)))[1] for _ in range(4)])
-        for rho, t_k in zip(from_pauli_tensors(t), t):
+        c = np.stack([_ghz_diagonal(rng.dirichlet(np.ones(8)))[1] for _ in range(4)])
+        for rho, c_k in zip(from_ghz_components(c), c):
             assert rho.qubits == 3 and not rho.mat.flags.writeable
-            assert np.max(np.abs(rho.mat - from_pauli_tensors(t_k[None])[0].mat)) <= 1e-15
+            assert np.max(np.abs(rho.mat - from_ghz_components(c_k[None])[0].mat)) <= 1e-15
 
     def test_empty_stack_builds_no_states(self):
-        assert from_pauli_tensors(np.zeros((0, 4, 4, 4))) == []
+        assert from_ghz_components(np.zeros((0, 8))) == []
 
     def test_built_stack_rejects_invalid_member(self):
-        t = np.stack([GHZ_TENSOR, GHZ_TENSOR * 1.5, GHZ_TENSOR])
-        assert _error(lambda: from_pauli_tensors(t)) == \
-            _error(lambda: from_pauli_tensors(t[1][None]))
+        c = np.stack([GHZ_VALUES, GHZ_VALUES * 1.5, GHZ_VALUES])
+        assert _error(lambda: from_ghz_components(c)) == \
+            _error(lambda: from_ghz_components(c[1][None]))
 
 
 def _ghz_basis():
     """The GHZ basis (|j> + |7-j>)/sqrt(2) and then (|j> - |7-j>)/sqrt(2),
-    j = 0..3, as rows: the order of `SPECTRUM`'s columns."""
+    j = 0..3, as rows: the order of the weights diagonal + anti-diagonal,
+    then diagonal - anti-diagonal."""
     kets = [ket(format(j, "03b")) for j in range(8)]
     return np.array([(kets[j] + sign * kets[7 - j]) / np.sqrt(2)
                      for sign in (1, -1) for j in range(4)])
 
 
 def _ghz_diagonal(weights):
-    """The matrix with GHZ-basis weights `weights` and its Pauli tensor, with
-    the rounding residue outside `GHZ_COMPONENTS` set to 0."""
+    """The matrix with GHZ-basis weights `weights` and its 8 GHZ components."""
     basis = _ghz_basis()
     mat = (basis.T * weights) @ basis.conj()
-    return mat, pauli_tensor(mat) * GHZ_COMPONENTS
+    return mat, pauli_tensor(mat)[GHZ_COMPONENTS]
 
 
+# Per fault of a run state's components: the ShapeError `DensityMatrix`
+# raises for it.  "outside": a component outside [-1, 1], the range of a
+# Pauli expectation, which leaves a GHZ-basis weight below 0.
 _RUN_FAILURES = {
-    "outside": (InvariantError, "pair {pair} left the Pauli components of GHZ: "
-                                "its tensor holds 0.001 at [0, 0, 1]"),
+    "outside": (ShapeError, "negative eigenvalue -3.125e-02"),
     "trace": (ShapeError, "trace 1.001000000000+0.000000000000j != 1"),
     "negative": (ShapeError, "negative eigenvalue -1.235e-01"),
 }
 
 
-def _failing_run_tensor(kind):
-    """A three-qubit tensor that fails one check of `check_run_tensors`, and
-    the matrix `DensityMatrix` rejects with the same text (None for "outside")."""
-    if kind == "outside":
-        t = GHZ_TENSOR.copy()
-        t[0, 0, 1] = 0.001
-        return t, None
+def _failing_run_components(kind, worse=False):
+    """GHZ components that fail one check of `check_run_components`, the
+    more so if `worse`, and the matrix they stand for, which `DensityMatrix`
+    rejects with the same text."""
     weights = np.full(8, 1 / 8)
     if kind == "negative":
-        weights[[2, 5]] = 1 / 4 + 0.123456, -0.123456
-    mat, t = _ghz_diagonal(weights * (1.001 if kind == "trace" else 1.0))
-    return t, mat
+        weights[[2, 5]] = 1 / 4 + 0.123456 * (1 + worse), -0.123456 * (1 + worse)
+    mat, c = _ghz_diagonal(weights * (1 + 0.001 * (1 + worse) if kind == "trace" else 1.0))
+    if kind == "outside":
+        c = np.eye(8)[0] + (1.25 + worse) * np.eye(8)[2]  # I/8 with XXX = 1.25
+        mat = full_product_states(c[None])[0]
+    return c, mat
 
 
 class TestRunTensors:
-    """Closed-form validation of run states: a run stays in `GHZ_COMPONENTS`,
-    where a state's eigenvalues are its GHZ-basis weights (`SPECTRUM`)."""
+    """Closed-form validation of run states: a run keeps GHZ's 8 components,
+    where a state's eigenvalues are its GHZ-basis weights, its diagonal
+    entries plus or minus its anti-diagonal ones (`states._SIGNS`)."""
 
     def test_spectrum_holds_ghz_basis_eigenvalues(self):
-        # Each component product maps GHZ basis vector k to 8 SPECTRUM[., k] times itself.
-        basis = _ghz_basis()
-        for row, idx in zip(np.flatnonzero(GHZ_COMPONENTS), np.argwhere(GHZ_COMPONENTS)):
+        # Each component product maps GHZ basis vector j (and 4+j) to 8 times
+        # its [j, j] + [j, 7-j] (and [j, j] - [j, 7-j]) entries times itself.
+        basis, signs = _ghz_basis(), states._SIGNS
+        for row, idx in enumerate(np.argwhere(GHZ_COMPONENTS)):
             for k, v in enumerate(basis):
-                assert np.array_equal(direction(idx) @ v, 8 * SPECTRUM[row, k] * v)
-        assert np.count_nonzero(SPECTRUM) == 64 and not SPECTRUM.flags.writeable
+                j, sign = k % 4, 1 - 2 * (k // 4)
+                want = 8 * (signs[row, j] + sign * signs[row, 4 + j])
+                assert np.array_equal(direction(idx) @ v, want * v)
+        assert np.count_nonzero(signs) == 32 and set(np.abs(signs).ravel()) == {0.0, 0.125}
+        assert not signs.flags.writeable
 
     @pytest.mark.parametrize("mode", ["nonlocal", "local"])
     def test_closed_form_min_eigenvalue_equals_eigvalsh(self, mode, monkeypatch):
-        # The least GHZ-basis weight of each tensor a run validates, against
+        # The least GHZ-basis weight of each state a run validates, against
         # eigvalsh of the state the run builds from it.
         seen = []
-        real = states.check_run_tensors
-        monkeypatch.setattr(states, "check_run_tensors", lambda t: seen.append(t) or real(t))
+        real = states.check_run_components
+        monkeypatch.setattr(states, "check_run_components",
+                            lambda c: seen.append(real(c)) or seen[-1])
         rng = np.random.default_rng(91)
         worst = 0.0
         for pairs in [1, 2, 3, 4] * 100:
             results = run_scenario(make_config(mode, rng.uniform(0, 1, (pairs, 2)).tolist()))
-            closed = (seen.pop().reshape(-1, 64) @ SPECTRUM).min(axis=1)
+            entries = seen.pop()
+            closed = (entries[:, :4] - np.abs(entries[:, 4:])).min(axis=1)
             for r, low in zip(results, closed):
                 worst = max(worst, abs(np.linalg.eigvalsh(r.state.mat)[0] - low))
         assert worst <= 1e-15
 
     @pytest.mark.parametrize("kind", ["trace", "negative"])
     def test_error_text_of_density_matrix(self, kind):
-        t, mat = _failing_run_tensor(kind)
+        c, mat = _failing_run_components(kind)
         want = _error(lambda: DensityMatrix(3, mat))
         assert want == _RUN_FAILURES[kind]
-        assert _error(lambda: check_run_tensors(t[None])) == want
+        assert _error(lambda: check_run_components(c[None])) == want
 
     @pytest.mark.parametrize("at", [0, 1, 3])
-    @pytest.mark.parametrize("idx", [(0, 0, 1), (1, 1, 2), (3, 3, 3)])
+    @pytest.mark.parametrize("idx", [(2, 1.25), (5, -1.5), (1, 3.0)])
     def test_entry_outside_components_names_its_pair(self, at, idx):
-        t = np.stack([GHZ_TENSOR] * 4)
-        t[at][idx] = -0.25
-        message = (f"pair {at + 1} left the Pauli components of GHZ: its tensor holds "
-                   f"-0.25 at [{idx[0]}, {idx[1]}, {idx[2]}]")
-        assert _error(lambda: check_run_tensors(t)) == (InvariantError, message)
+        # Component idx[0] of pair at+1 set to idx[1], outside [-1, 1]: the
+        # stack raises the text of that pair's own state.
+        c = np.stack([GHZ_VALUES] * 4)
+        c[at, idx[0]] = idx[1]
+        want = _error(lambda: DensityMatrix(3, full_product_states(c[at][None])[0]))
+        assert want[1].startswith("negative eigenvalue -")
+        assert _error(lambda: check_run_components(c)) == want
 
     @pytest.mark.parametrize("first, later", itertools.product(_RUN_FAILURES, repeat=2))
     def test_first_failing_member_wins(self, first, later):
-        t = np.stack([_ghz_diagonal(np.full(8, 1 / 8))[1]] * 4)
-        t[1], t[3] = _failing_run_tensor(first)[0], _failing_run_tensor(later)[0]
-        kind, message = _RUN_FAILURES[first]
-        assert _error(lambda: check_run_tensors(t)) == (kind, message.format(pair=2))
+        c = np.stack([_ghz_diagonal(np.full(8, 1 / 8))[1]] * 4)
+        c[1], c[3] = _failing_run_components(first)[0], _failing_run_components(later, True)[0]
+        assert _error(lambda: check_run_components(c)) == _RUN_FAILURES[first]
 
     def test_valid_and_empty_stacks_pass(self):
         rng = np.random.default_rng(12)
-        check_run_tensors(np.stack([_ghz_diagonal(rng.dirichlet(np.ones(8)))[1]
-                                    for _ in range(5)]))
-        check_run_tensors(np.zeros((0, 4, 4, 4)))
+        c = np.stack([_ghz_diagonal(rng.dirichlet(np.ones(8)))[1] for _ in range(5)])
+        assert check_run_components(c).shape == (5, 8)
+        assert check_run_components(np.zeros((0, 8))).shape == (0, 8)
+
+    @pytest.mark.parametrize("c, message", [
+        ([GHZ_VALUES.tolist()], "GHZ component stack is a list, not a numpy array"),
+        (np.array([["1"] * 8]), "GHZ component stack dtype <U1 is not real"),
+        (GHZ_VALUES[None] + 0j, "GHZ component stack dtype complex128 is not real"),
+        (GHZ_VALUES, "run states expect (k, 8) GHZ components, got (8,)"),
+        (np.zeros((1, 4, 4, 4)), "run states expect (k, 8) GHZ components, got (1, 4, 4, 4)"),
+    ])
+    def test_rejects_other_stacks(self, c, message):
+        for call in (check_run_components, from_ghz_components):
+            assert _error(lambda: call(c)) == (ShapeError, message)
 
 
 # Where each GHZ component lands in a compressed tensor: the AB
@@ -282,9 +302,10 @@ _LANDS = {(0, 0, 0): 0, (3, 3, 0): 0, (0, 3, 3): 3, (3, 0, 3): 3,
 
 
 class TestRunStateSupport:
-    """A run state is built on `SUPPORT` alone, bit for bit as the full
-    64-product build, and its compression is diagonal: the facts that let
-    `check_run_tensors` be the one check of a run's invariant."""
+    """A run state is built on `SUPPORT` alone, its mirrored entries equal by
+    construction, within rounding of the full 64-product build and of the
+    Kraus chain, and its compression is diagonal: the facts that let
+    `check_run_components` be the one check of a run's invariant."""
 
     def test_states_hold_full_product_on_support_and_zero_off_it(self):
         rng = np.random.default_rng(2028)
@@ -295,24 +316,36 @@ class TestRunStateSupport:
             for k in range(400):
                 lams = [[float(rng.choice(special)) if rng.uniform() < 0.3 else rng.uniform()
                          for _ in range(2)] for _ in range(k % 4 + 1)]
-                with run_tensors() as seen:
-                    results = run_scenario(make_config(mode, lams, charlie_directions=tuple(
-                        rng.choice(labels, 2).tolist())))
+                cfg = make_config(mode, lams,
+                                  charlie_directions=tuple(rng.choice(labels, 2).tolist()))
+                with run_components() as seen:
+                    results = run_scenario(cfg)
                 mats = np.stack([r.state.mat for r in results])
-                assert support_faults(mats, seen[0]) == (0, 0)
+                h = cfg.strengths
+                kraus = np.stack([rho for _, rho in chain(mode, cfg.charlie_directions,
+                                                          h.lambdas, h.etas, h.gammas)])
+                off, unlike, gap = support_faults(mats, kraus)
+                assert (off, unlike) == (0, 0) and gap <= 1e-15
+                assert np.max(np.abs(mats - full_product_states(seen[0]))) <= 1e-15
                 runs += 1
         assert runs == 800
 
     @pytest.mark.parametrize("component", [tuple(i) for i in np.argwhere(GHZ_COMPONENTS).tolist()])
     def test_ghz_component_compresses_onto_one_diagonal_entry(self, component):
         # 2 III alone compresses to [0, 0] = 1 with weight 1, the least a
-        # compression accepts; the component adds to one diagonal entry.
+        # compression accepts; the component adds to one diagonal entry,
+        # whose T entry `t_state_diagonals` gives from the component alone.
+        row = np.flatnonzero(GHZ_COMPONENTS).tolist().index(np.ravel_multi_index(component, (4,) * 3))
+        value = GHZ_VALUES[row]
         t = np.zeros((4, 4, 4))
         t[0, 0, 0] = 2.0
-        t[component] += GHZ_TENSOR[component] / 2
+        t[component] += value / 2
         small = compressed_tensors(t[None])[0][0]
         land = _LANDS[component]
         assert np.flatnonzero(small.view(np.int64)).tolist() == sorted({0, 5 * land})
+        alone = np.zeros((1, 8))
+        alone[0, row] = value
+        assert np.array_equal(t_state_diagonals(alone)[0], 2 * small.diagonal()[1:])
 
 
 class TestCompress:
@@ -364,30 +397,34 @@ class TestPauliTensor:
 
     def test_ghz_tensor(self):
         # Nonzero entries: 1 at III, +1 at IZZ, ZIZ, ZZI, XXX and -1 at the
-        # three Y-Y-X placements (up to float rounding of the GHZ amplitudes).
+        # three Y-Y-X placements, exactly in `GHZ_VALUES` and up to float
+        # rounding of the GHZ amplitudes in the projector's tensor.
         want = np.zeros((4, 4, 4))
         for idx in [(0, 0, 0), (0, 3, 3), (3, 0, 3), (3, 3, 0), (1, 1, 1)]:
             want[idx] = 1.0
         for idx in [(1, 2, 2), (2, 1, 2), (2, 2, 1)]:
             want[idx] = -1.0
-        assert np.max(np.abs(GHZ_TENSOR - want)) <= 1e-15
+        assert np.max(np.abs(pauli_tensor(ghz().mat) - want)) <= 1e-15
+        assert np.array_equal(GHZ_COMPONENTS, want != 0)
+        assert GHZ_VALUES.tolist() == want[GHZ_COMPONENTS].tolist()
+        assert not GHZ_VALUES.flags.writeable and not GHZ_COMPONENTS.flags.writeable
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
             pauli_tensor(np.eye(3, dtype=complex))
         with pytest.raises(ShapeError):
-            from_pauli_tensors(np.zeros((4, 4, 4, 4))[None])
+            from_ghz_components(np.zeros((4, 4, 4, 4))[None])
         # Arguments that are not numeric numpy arrays, each with its message.
         for call, arg, message in [
             (pauli_tensor, [[1, 0], [0, 0]], "matrix is a list, not a numpy array"),
             (pauli_tensor, np.array([["1", "0"], ["0", "0"]]), "matrix dtype <U1 is not numeric"),
             (pauli_tensor, np.eye(2, dtype=bool), "matrix dtype bool is not numeric"),
             (pauli_tensor, np.array(0.5), "matrix shape () is not that of 1-3 qubits"),
-            (from_pauli_tensors, [[1, 0, 0, 0]], "Pauli tensor stack is a list, not a numpy array"),
-            (from_pauli_tensors, np.array([["1", "0", "0", "0"]]),
-             "Pauli tensor stack dtype <U1 is not real"),
-            (from_pauli_tensors, np.array([[1, 0, 0, 0j]]),
-             "Pauli tensor stack dtype complex128 is not real"),
+            (from_ghz_components, [[1, 0, 0, 0]], "GHZ component stack is a list, not a numpy array"),
+            (from_ghz_components, np.array([["1", "0", "0", "0"]]),
+             "GHZ component stack dtype <U1 is not real"),
+            (from_ghz_components, np.array([[1, 0, 0, 0j]]),
+             "GHZ component stack dtype complex128 is not real"),
         ]:
             with pytest.raises(ShapeError) as err:
                 call(arg)
@@ -420,6 +457,10 @@ class TestCompressedBloch:
         with pytest.raises(NotCompressibleError) as err:
             compress(rho)
         assert str(err.value) == f"only {weight} of the state lies in span{{|00>, |11>}} x C2"
+
+
+_GHZ_TENSOR = np.zeros((4, 4, 4))
+_GHZ_TENSOR[GHZ_COMPONENTS] = GHZ_VALUES
 
 
 class TestCompressedTensors:
@@ -455,9 +496,9 @@ class TestCompressedTensors:
         t = np.stack([pauli_tensor(rho.mat) for rho in states])
         assert _error(lambda: compressed_tensors(t)) == want
 
-    @pytest.mark.parametrize("t", [GHZ_TENSOR, GHZ_TENSOR[None, 0], GHZ_TENSOR[None, None],
-                                   np.zeros((2, 4, 4, 3)), GHZ_TENSOR[None].tolist(),
-                                   GHZ_TENSOR[None] + 0j],
+    @pytest.mark.parametrize("t", [_GHZ_TENSOR, _GHZ_TENSOR[None, 0], _GHZ_TENSOR[None, None],
+                                   np.zeros((2, 4, 4, 3)), _GHZ_TENSOR[None].tolist(),
+                                   _GHZ_TENSOR[None] + 0j],
                              ids=["unstacked", "2-qubit", "4-qubit", "short-axis", "list",
                                   "complex"])
     def test_rejects_other_stacks(self, t):

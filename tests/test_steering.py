@@ -6,17 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from steershare import scenario
+from steershare import scenario, steering
 from steershare.errors import (
     ConfigError,
-    InvariantError,
-    NotCompressibleError,
     NotHermitianError,
     ShapeError,
     UnsupportedSizeError,
 )
 from steershare.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from steershare.states import GHZ_TENSOR, DensityMatrix, ghz, pauli_tensor
+from steershare.states import DensityMatrix, ghz, pauli_tensor
 from steershare.steering import (
     StrengthHistory,
     classical_bound,
@@ -28,7 +26,7 @@ from steershare.steering import (
 )
 
 from oracles import BlochForm, bloch_form, compress, ellipsoid, ellipsoid_volume_check, \
-    ellipsoids, tie_broken_axes
+    ellipsoids, full_product_states, run_components, tie_broken_axes
 from util import conditional_charlie_bloch, containment_violation, pauli_dot, random_density
 
 SQRT_HALF = 1 / np.sqrt(2)
@@ -365,6 +363,23 @@ class TestStrengthHistory:
                 "strengths (np.float32(0.3), 'a') are not all numbers")):
             StrengthHistory.nonlocal_history([(np.float32(0.3), "a")])
 
+    def test_each_strength_checked_once(self, monkeypatch):
+        # Every given strength is tested as a number once: `local_sqrt` checks
+        # only its lambdas, not their roots, and a history whose gammas are
+        # its etas checks that history once.
+        seen = []
+        real = steering._is_real
+        monkeypatch.setattr(steering, "_is_real", lambda x: seen.append(x) or real(x))
+        lams = [(0.25, 0.5), (0.3, 0.8), (0.9, 0.1), (1.0, 1.0)]
+        h = StrengthHistory.local_sqrt(lams)
+        assert len(seen) == 8
+        seen.clear()
+        StrengthHistory(h.lambdas, h.etas, h.etas)
+        assert len(seen) == 16
+        seen.clear()
+        StrengthHistory(h.lambdas, h.etas, tuple(list(h.etas)))  # equal, not the same
+        assert len(seen) == 24
+
 
 class TestEllipsoid:
     def test_compressed_ghz_is_unit_sphere(self):
@@ -580,18 +595,18 @@ class TestRunEllipsoids:
 
     def test_bits_equal_general_oracle(self, monkeypatch):
         # The closed-form T-state ellipsoids against the general `eigh` path
-        # on the very tensors the run compressed, as the run used to solve
-        # them: Charlie rows (m~, n, T), then AB rows (n, m~, T^T).  Bits are
-        # compared on the int64 view, which tells -0.0 from 0.0.
-        compressed = []
+        # on the very T-states the run read them off, m~ = n = 0 and
+        # T = diag(d), as the run used to solve them: Charlie rows (m~, n,
+        # T), then AB rows (n, m~, T^T).  Bits are compared on the int64
+        # view, which tells -0.0 from 0.0.
+        diagonals = []
 
-        def spy(t):
-            out = real(t)
-            compressed.append(out[0])
-            return out
+        def spy(d):
+            diagonals.append(d)
+            return real(d)
 
-        real = scenario.compressed_tensors
-        monkeypatch.setattr(scenario, "compressed_tensors", spy)
+        real = scenario.t_state_ellipsoids
+        monkeypatch.setattr(scenario, "t_state_ellipsoids", spy)
         rng = np.random.default_rng(59)
         labels = ["x", "-x", "y", "-y", "z", "-z"]
         # Exact ties, near ties across DEGENERACY_TOL (semiaxes move by about
@@ -606,8 +621,9 @@ class TestRunEllipsoids:
             cfg = scenario.make_config("nonlocal", lams,
                                        charlie_directions=rng.choice(labels, 2).tolist())
             results = scenario.run_scenario(cfg)
-            t = compressed.pop()
-            m, n, T = t[:, 1:, 0], t[:, 0, 1:], t[:, 1:, 1:]
+            d = diagonals.pop()
+            m = n = np.zeros_like(d)
+            T = d[:, :, None] * np.eye(3)
             want = ellipsoids(np.concatenate([m, n]), np.concatenate([n, m]),
                               np.concatenate([T, T.transpose(0, 2, 1)]))
             for i, r in enumerate(results):
@@ -633,16 +649,13 @@ class TestTStateEllipsoids:
     def test_chained_ties_take_index_order(self):
         # Each semiaxis within DEGENERACY_TOL of the next, the first and last
         # not: one tie group, so the axes stay x, y, z, in the oracle too.
-        t = np.zeros((1, 4, 4))
-        t[0, 0, 0] = 1.0
-        t[0, [1, 2, 3], [1, 2, 3]] = [1.0, 1.0 - 1.2e-9, 1.0 - 0.6e-9]
-        e = t_state_ellipsoids(t)[0]
+        e = t_state_ellipsoids(np.array([[1.0, 1.0 - 1.2e-9, 1.0 - 0.6e-9]]))[0]
         assert np.array_equal(e.semiaxes, [1.0, 1.0 - 0.6e-9, 1.0 - 1.2e-9])
         assert np.array_equal(e.orientation, np.eye(3))
         assert np.array_equal(tie_broken_axes(e.semiaxes, np.eye(3)[:, [0, 2, 1]]), np.eye(3))
 
     def test_empty_stack(self):
-        assert t_state_ellipsoids(np.zeros((0, 4, 4))) == []
+        assert t_state_ellipsoids(np.zeros((0, 3))) == []
 
 
 class TestTieBreakOracle:
@@ -665,12 +678,10 @@ class TestTieBreakOracle:
 
 
 class TestRunScenarioErrors:
-    """A run that cannot compress at pair i fails with the error and message
-    of that pair's own compression.  (Dephasing never changes the AB
-    populations, so either every pair of a run compresses or none does.)  A
-    run whose tensor at pair i leaves GHZ's Pauli components fails there,
-    at `check_run_tensors`, the one check of that invariant, naming pair i
-    and the first such entry, before any state or ellipsoid is built."""
+    """A run whose GHZ components at pair i are no state fails there, at
+    `check_run_components`, the one check of a run's invariant, with the
+    error and message of pair i's own state as `DensityMatrix` reports it,
+    before any state or ellipsoid is built."""
 
     def test_compression_failure(self):
         with pytest.raises(ConfigError) as err:
@@ -678,55 +689,50 @@ class TestRunScenarioErrors:
                 {"pairs": 3, "strengths": [0.3, 0.6], "compression": "01,10"})
         assert str(err.value) == "config key 'compression' must be '00,11', got '01,10'"
 
-    # Per fault: a tensor entry outside GHZ's components, its value, and where
-    # it lands in the compressed tensor: a pure m~ (column 0), a pure n
-    # (Charlie's row 0) or a T entry off the diagonal.
-    _OUTSIDE = {"pure_ab_qubit": ((1, 1, 0), 0.6, (1, 0)),
-                "pure_charlie": ((0, 0, 1), 0.6, (0, 1)),
-                "off_diagonal_t": ((3, 0, 2), -1e-300, (3, 2))}
+    # The GHZ components of |010><010|, whose weight lies outside
+    # span{|00>, |11>} x C2.
+    _LEAK = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
+
+    @classmethod
+    def _fault(cls, fault, c, j):
+        """Components c of pair j with `fault`, by an amount of pair j's own:
+        the AB pair's ZZ correlation (ZZI) past 1, the trace (III) past 1,
+        the XXX correlation past 1, or the state moved away from |010><010|
+        past a zero weight there."""
+        c = c.copy()
+        if fault == "pure_ab_qubit":
+            c[7] = 1 + j / 10
+        elif fault == "pure_charlie":
+            c[0] = 1 + j / 100
+        elif fault == "off_diagonal_t":
+            c[2] = 1 + j / 10
+        else:
+            c = (1 + j / 10) * c - j / 10 * cls._LEAK
+        return c
 
     @pytest.mark.parametrize("pairs, fail_at",
                              [(p, i) for p in range(1, 5) for i in range(1, p + 1)])
     @pytest.mark.parametrize("fault", ["pure_ab_qubit", "pure_charlie", "off_diagonal_t",
                                        "not_compressible"])
     def test_failure_at_pair(self, monkeypatch, pairs, fail_at, fault):
-        # A not-compressible fault enters member fail_at of the run's stacked
-        # compression and every later member, each leaking a different
-        # weight, so the message names the first failing member.  The others
-        # enter member fail_at of the run's tensors, which the states and the
-        # compression share.
-        if fault == "not_compressible":
-            real = scenario.compressed_tensors
-            leak = np.zeros((8, 8), dtype=complex)
-            leak[2, 2] = 1.0  # |010>, outside span{|00>, |11>} x C2
-            leak = pauli_tensor(leak)
-
-            def faulty(t):
-                t = t.copy()
-                for j in range(fail_at, len(t) + 1):
-                    t[j - 1] = (1 - j / 10) * t[j - 1] + j / 10 * leak
-                return real(t)
-
-            monkeypatch.setattr(scenario, "compressed_tensors", faulty)
-            kind, message = NotCompressibleError, (f"only {1 - fail_at / 10:.12f} of the state "
-                                                   "lies in span{|00>, |11>} x C2")
-        else:
-            real = scenario.from_pauli_tensors
-            entry, value, spot = self._OUTSIDE[fault]
-            t = GHZ_TENSOR.copy()
-            t[entry] = value
-            assert scenario.compressed_tensors(t[None])[0][0][spot] != 0
-
-            def faulty(t):
-                t[fail_at - 1][entry] = value
-                return real(t)
-
-            monkeypatch.setattr(scenario, "from_pauli_tensors", faulty)
-            kind, message = InvariantError, (f"pair {fail_at} left the Pauli components of GHZ: "
-                                             f"its tensor holds {value!r} at "
-                                             f"[{entry[0]}, {entry[1]}, {entry[2]}]")
+        # The fault enters member fail_at of the run's components and every
+        # later member, each by a different amount, so the message names the
+        # first failing member.
         cfg = scenario.make_config("nonlocal", [0.4] * pairs)
-        with pytest.raises(kind) as err:
+        with run_components() as seen:
             scenario.run_scenario(cfg)
-        assert str(err.value) == message
+        bad = self._fault(fault, seen[0][fail_at - 1], fail_at)
+        with pytest.raises(ShapeError) as want:
+            DensityMatrix(3, full_product_states(bad[None])[0])
+        real = scenario.from_ghz_components
 
+        def faulty(c):
+            c = c.copy()
+            for j in range(fail_at, len(c) + 1):
+                c[j - 1] = self._fault(fault, c[j - 1], j)
+            return real(c)
+
+        monkeypatch.setattr(scenario, "from_ghz_components", faulty)
+        with pytest.raises(ShapeError) as err:
+            scenario.run_scenario(cfg)
+        assert str(err.value) == str(want.value)
