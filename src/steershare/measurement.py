@@ -10,14 +10,18 @@ c = sqrt(1 - lambda^2).  On the state's Pauli tensor (see `states`) the
 channel keeps the components that commute with D and multiplies those that
 anticommute with it by c; `run_scenario` applies it in that form
 (`dephasing_scale`), and the tests hold it to the Kraus sum.  Charlie's
-settings, the A,B directions paired with them (`_AXIS_TABLE`, `_MASKS`) and
-which of those damp the component each setting reads (`DAMPING`, read by
-`steering.closed_forms`) are tabled here once.
+settings, the A,B directions paired with them (`_AXIS_TABLE`) and the plan
+of a pair of settings (`_run_plan`: what each damps and reads) are tabled here
+once; runs, the ellipsoid series and `steering.closed_forms` read that plan.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+from .states import GHZ_COMPONENTS
 
 # _ANTI[i, j]: whether the single-qubit Paulis sigma_i and sigma_j anticommute.
 _ANTI = np.array([[i != 0 and j != 0 and i != j for j in range(4)] for i in range(4)])
@@ -57,25 +61,20 @@ def dephasing_scale(anti: np.ndarray, c) -> np.ndarray:
 _AXIS_TABLE = {"x": (1, -1.0, 2, 2), "y": (2, -1.0, 2, 1), "z": (3, 1.0, 3, 0)}
 
 
-# Per (mode, axis): anticommutation masks of the directions the setting
-# measures, one per measuring party (see `dephasing_scale`): sigma_p x sigma_q
-# jointly, or sigma_p on A and sigma_q on B (sigma_z x I does not split so).
-_MASKS = {(mode, axis): np.stack([anticommuting(d) for d in (
-              [(p, q, 0)] if mode == "nonlocal" else [(p, 0, 0), (0, q, 0)])])
-          for axis, (_, _, p, q) in _AXIS_TABLE.items()
-          for mode in ("nonlocal", "local") if mode == "nonlocal" or axis != "z"}
-
-
-def _damping(mode: str) -> tuple:
-    """Per setting k of x, -y: (alone, terms) for the GHZ component t[p, q, c]
-    that k reads.  `alone` counts, as a float, the settings in which every
-    party's direction commutes with it; `terms` holds (l, parties) for each
-    other setting l, naming the parties, the joint A,B measurement (nonlocal)
-    or A and B (local), whose direction anticommutes with it."""
-    rows = [[tuple(np.flatnonzero(_MASKS[mode, a][:, p, q, c]).tolist()) for a in "xy"]
-            for c, _, p, q in map(_AXIS_TABLE.get, "xy")]
-    return tuple((float(row.count(())), tuple((l, ps) for l, ps in enumerate(row) if ps))
-                 for row in rows)
-
-
-DAMPING = {mode: _damping(mode) for mode in ("nonlocal", "local")}
+@functools.cache
+def _run_plan(mode: str, axes: tuple[str, ...]) -> tuple:
+    """For a `mode` run whose settings measure Charlie along the resolved
+    `axes`: the anticommutation masks of each setting's directions over the 8
+    components (`dephasing_scale`'s `anti`), one per measuring party:
+    sigma_p x sigma_q jointly, or sigma_p on A and sigma_q on B; the component
+    t[p, q, c] each setting reads, and that reading's sign; and per setting k
+    the (setting l, party) pairs whose direction damps the component k reads
+    (`steering.closed_forms`).  Read-only, as every run shares them."""
+    charlie, sign, p, q = map(np.array, zip(*map(_AXIS_TABLE.get, axes)))
+    anti = np.stack([np.stack([anticommuting(d)[GHZ_COMPONENTS] for d in (
+        [(a, b, 0)] if mode == "nonlocal" else [(a, 0, 0), (0, b, 0)])]) for a, b in zip(p, q)])
+    read = (GHZ_COMPONENTS.cumsum() - 1).reshape(4, 4, 4)[p, q, charlie]
+    damping = tuple(tuple(map(tuple, np.argwhere(anti[..., r]).tolist())) for r in read)
+    for x in (anti, read, sign):
+        x.setflags(write=False)
+    return anti, read, sign, damping

@@ -9,7 +9,6 @@ so that every sharp correlator is +1.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 import sys
@@ -19,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .linalg import PAULIS
-from .measurement import _AXIS_TABLE, _MASKS, dephasing_scale
-from .states import GHZ_COMPONENTS, GHZ_VALUES, DensityMatrix, _check_type, _is_int, \
+from .measurement import _AXIS_TABLE, _run_plan, dephasing_scale
+from .states import GHZ_VALUES, DensityMatrix, _check_type, _is_int, \
     _is_real, check_run_components, from_ghz_components, t_state_diagonals
 from .steering import SteeringEllipsoid, StrengthHistory, _SEQUENCES, closed_forms, \
     coherence, t_state_ellipsoids
@@ -153,20 +152,6 @@ class PairResult:
     ellipsoid: SteeringEllipsoid | None = field(repr=False, default=None)
 
 
-@functools.cache
-def _run_plan(mode: str, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For a `mode` run whose settings measure Charlie along the resolved
-    `axes`: the anticommutation masks of each setting's directions over the 8
-    components (`dephasing_scale`'s `anti`), the component t[p, q, c] each
-    setting reads, and that reading's sign.  Read-only, as every run shares them."""
-    anti = np.stack([_MASKS[mode, axis][:, GHZ_COMPONENTS] for axis in axes])
-    charlie, sign, p, q = map(np.array, zip(*map(_AXIS_TABLE.get, axes)))
-    read = (GHZ_COMPONENTS.cumsum() - 1).reshape(4, 4, 4)[p, q, charlie]
-    for x in (anti, read, sign):
-        x.setflags(write=False)
-    return anti, read, sign
-
-
 def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     """Full sequential simulation of the configured scenario.
 
@@ -177,21 +162,21 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
     times the product of the factors of pairs 1..i.  That product only
     scales GHZ's 8 components, so the run evolves those, exact +-1 at the
-    start, as a (pair, 8) array that a cached plan per mode and pair of
-    Charlie axes (`_run_plan`) lays out, and reads each steering value off
-    one of them.  Each state's 4 distinct diagonal and 4 distinct
-    anti-diagonal entries are one fixed +-1/8 sum of its components; the
-    state is validated by its trace and least GHZ-basis weight, diagonal
-    minus |anti-diagonal| (`check_run_components`), with no eigensolver,
-    and built on `states.SUPPORT` (`from_ghz_components`).  In a nonlocal
-    run every state compresses to a T-state, whose diagonal is three
-    two-term sums of components (`t_state_diagonals`), and the ellipsoids
-    of every pair are read off those (`t_state_ellipsoids`).  No step
-    calls BLAS, so a run's bits do not depend on the BLAS kernel.
+    start, as a (pair, 8) array that the cached setting plan of its mode
+    and pair of Charlie axes (`measurement._run_plan`) lays out, and reads
+    each steering value off one of them.  Each state's 4 distinct diagonal
+    and 4 distinct anti-diagonal entries are one fixed +-1/8 sum of its
+    components; the state is validated by its trace and least GHZ-basis
+    weight, diagonal minus |anti-diagonal| (`check_run_components`), with
+    no eigensolver, and built on `states.SUPPORT` (`from_ghz_components`).
+    In a nonlocal run every state compresses to a T-state, whose diagonal
+    is three two-term sums of components (`t_state_diagonals`), and the
+    ellipsoids of every pair are read off those (`t_state_ellipsoids`).
+    No step calls BLAS, so a run's bits do not depend on the BLAS kernel.
     """
     _check_type(cfg, ScenarioConfig)
-    anti, read, sign = _run_plan(cfg.mode, tuple(_resolve_axis(lbl)[1]
-                                                 for lbl in cfg.charlie_directions))
+    anti, read, sign, _ = _run_plan(cfg.mode, tuple(_resolve_axis(lbl)[1]
+                                                    for lbl in cfg.charlie_directions))
     h, lam = cfg.strengths, np.array(cfg.strengths.lambdas)  # lam: (pair, setting)
     c = coherence(lam[..., None] if cfg.mode == "nonlocal" else np.stack([h.etas, h.gammas], -1))
     after = GHZ_VALUES * np.cumprod(dephasing_scale(anti, c), axis=0)  # (pair, component)
@@ -254,7 +239,8 @@ def _table(mode: str, lam: list, params: dict) -> ScanTable:
 # Size limits, checked before anything is allocated.  At the limit the
 # largest call of each kind peaks in `steershare scan`/`sweep`, which write
 # the text in blocks, at about 98 MiB RSS (a 3-pair compare scan) and
-# 160 MiB (a 4-pair compare sweep); an `ellipsoid_series` call, which
+# 236 MiB (a 4-pair compare sweep with 7 ids fixed, the most it can fix:
+# each fixed id is a column of its own); an `ellipsoid_series` call, which
 # builds no 8x8 state, peaks at about 75 MiB.
 MAX_GRID_RESOLUTION = 800
 MAX_SAMPLES = 1_000_000

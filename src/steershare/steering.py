@@ -1,9 +1,10 @@
 """Classical bounds, closed-form oracles, strength histories and ellipsoids.
 
-The closed-form linear steering parameter (`closed_forms`), damped as
-`measurement.DAMPING` says, is the analytic oracle for `run_scenario`,
-which reads the same parameter off the evolved state as sharp-direction
-correlators, multiplied once by the current pair's strength.
+The closed-form linear steering parameter (`closed_forms`), damped as the
+setting plan `measurement._run_plan` says, is the analytic oracle for
+`run_scenario`, which reads the same parameter off the evolved state, laid
+out by that plan, as sharp-direction correlators, multiplied once by the
+current pair's strength.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NotHermitianError, ShapeError, UnsupportedSizeError
-from .measurement import DAMPING
+from .measurement import _run_plan
 from .states import _check_type, _is_int, _is_real
 
 HERMITIAN_TOL = 1e-12
@@ -147,29 +148,27 @@ def closed_forms(mode: str, lam, damp) -> list:
     """Unvalidated analytic steering parameter of every pair in a sequence:
     S_i = sum_k lam[i-1][k] prod_{j<i} sum_l f_lk^(j) / n^i over n settings,
     where f_lk^(j), the damping by pair j's setting l of the component that
-    setting k reads, is the product of the coherences of the parties'
-    strengths that `DAMPING[mode][k]` names for l (1 if none).  `lam[j][k]`
-    is pair j+1's strength in setting k and `damp[q][j][l]` party q's, the
-    joint one (nonlocal) or A's and B's (local): floats, or arrays of one shape."""
-    table = DAMPING[mode]
+    setting k reads, is the coherence of the one party's strength that the
+    x, -y `_run_plan` names for k and l (1 if none).  `lam[j][k]` is pair
+    j+1's strength in setting k and `damp[q][j][l]` party q's, the joint one
+    (nonlocal) or A's and B's (local): floats, or arrays of one shape."""
+    table = _run_plan(mode, ("x", "y"))[3]
     n, last = len(table), len(lam)
     out, prod, others = [], [1.0] * n, range(1, n)
     for i, own in enumerate(lam, start=1):
-        x = c = f = None  # frees the last pair's coherences; x is a strength, c its coherence
+        x = c = None  # frees the last pair's coherences; x is a strength, c its coherence
         value = own[0] * prod[0]  # in place below: only arrays made here, and + and * commute
         for k in others:
             value += own[k] * prod[k]
         value /= n ** i
         out.append(value)
         if i < last:  # the last pair damps no one
-            for k, (factor, terms) in enumerate(table):
-                for l, parties in terms:  # a strength that serves two settings: one coherence
-                    if (strength := damp[parties[0]][i - 1][l]) is not x:
+            for k, terms in enumerate(table):
+                factor = float(n - len(terms))  # the settings that leave k's component alone
+                for l, party in terms:  # a strength that serves two settings: one coherence
+                    if (strength := damp[party][i - 1][l]) is not x:
                         x, c = strength, coherence(strength)
-                    f = c
-                    for q in parties[1:]:
-                        f = f * coherence(damp[q][i - 1][l])
-                    factor = factor + f
+                    factor = factor + c
                 factor *= prod[k]
                 prod[k] = factor
     return out

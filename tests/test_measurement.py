@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from steershare.errors import ConfigError
-from steershare.measurement import DAMPING, anticommuting, dephasing_scale
+from steershare.measurement import _run_plan, anticommuting, dephasing_scale
 from steershare.states import DensityMatrix, ghz, ket, pauli_tensor
 from steershare.steering import StrengthHistory
 
@@ -193,30 +195,39 @@ class TestLocalPairUpdate:
 
 
 class TestDampingTable:
-    """`DAMPING` against anticommutation of full np.kron matrices: pair
-    setting l damps the GHZ component setting k reads, through party p,
-    when p's direction in setting l anticommutes with that component."""
+    """The damping terms of `_run_plan` against anticommutation of full
+    np.kron matrices, in every plan `ScenarioConfig` admits: setting l damps
+    the GHZ component setting k reads, through party p, when p's direction in
+    setting l anticommutes with that component."""
 
     @pytest.mark.parametrize("mode, party", [("nonlocal", 0), ("local", 1)])
     def test_table_equals_kron_anticommutation(self, mode, party):
-        labels = ("x", "y")  # Charlie's x and -y: a label's sign changes no direction's mask
-        damps = set()
-        for k, read_label in enumerate(labels):
-            c, _, p, q = AXES[read_label]
-            read = direction((p, q, c))
-            for l, label in enumerate(labels):
-                _, _, pl, ql = AXES[label]
-                dirs = [(pl, ql, 0)] if mode == "nonlocal" else [(pl, 0, 0), (0, ql, 0)]
-                for who, paulis in enumerate(dirs):
-                    d = direction(paulis)
-                    assert np.max(np.abs(d @ read + read @ d)) == 0.0 or \
-                        np.max(np.abs(d @ read - read @ d)) == 0.0
-                    if np.max(np.abs(d @ read + read @ d)) == 0.0:
-                        damps.add((k, l, who))
-        # Each setting damps the other's component only: through the joint
-        # measurement (nonlocal), or through B alone (local).
-        assert damps == {(0, 1, party), (1, 0, party)}
-        table = DAMPING[mode]
-        assert {(k, l, who) for k, (_, terms) in enumerate(table)
-                for l, parties in terms for who in parties} == damps
-        assert [alone for alone, _ in table] == [1, 1]  # its own setting leaves it alone
+        # A label's sign changes no direction's mask, so resolved axes cover
+        # every plan: 9 nonlocal and 4 local axis pairs.
+        for axes in itertools.product("xyz" if mode == "nonlocal" else "xy", repeat=2):
+            damps = set()
+            for k, read_axis in enumerate(axes):
+                c, _, p, q = AXES[read_axis]
+                read = direction((p, q, c))
+                for l, axis in enumerate(axes):
+                    _, _, pl, ql = AXES[axis]
+                    dirs = [(pl, ql, 0)] if mode == "nonlocal" else [(pl, 0, 0), (0, ql, 0)]
+                    for who, paulis in enumerate(dirs):
+                        d = direction(paulis)
+                        assert np.max(np.abs(d @ read + read @ d)) == 0.0 or \
+                            np.max(np.abs(d @ read - read @ d)) == 0.0
+                        if np.max(np.abs(d @ read + read @ d)) == 0.0:
+                            damps.add((k, l, who))
+            table = _run_plan(mode, axes)[3]
+            assert {(k, l, who) for k, terms in enumerate(table) for l, who in terms} == damps
+            # What `closed_forms` relies on: a damping setting acts through one
+            # party, and no setting damps the component it reads.
+            for k, terms in enumerate(table):
+                settings = [l for l, _ in terms]
+                assert len(set(settings)) == len(settings) and k not in settings
+            if axes[0] == axes[1]:
+                assert table == ((), ())
+            if sorted(axes) == ["x", "y"]:
+                # Each setting damps the other's component only: through the
+                # joint measurement (nonlocal), or through B alone (local).
+                assert damps == {(0, 1, party), (1, 0, party)}

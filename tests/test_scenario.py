@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from steershare import cli, scenario, states
+from steershare import cli, measurement, scenario, states
 from steershare.errors import ConfigError, ShapeError
 from steershare.scenario import (
     MAX_GRID_RESOLUTION,
@@ -142,7 +142,7 @@ class TestRunScenario:
         def run(mode, labels):
             run_scenario(make_config(mode, [0.5, 0.8], charlie_directions=labels))
 
-        plans = scenario._run_plan.cache_info
+        plans = measurement._run_plan.cache_info
         run("nonlocal", ("x", "-y"))
         size = plans().currsize
         for labels in [(" X", "-y"), ("-x", "y "), ("x ", " -Y"), ("-X", "Y")]:
@@ -152,8 +152,10 @@ class TestRunScenario:
             for a, b in itertools.product(axes, repeat=2):
                 run(mode, (f" {a.upper()}", f"-{b}"))
         assert plans().currsize == 13  # 9 nonlocal and 4 local axis pairs
-        for x in scenario._run_plan("local", ("y", "x")):
+        *arrays, damping = measurement._run_plan("local", ("y", "x"))
+        for x in arrays:
             assert not x.flags.writeable
+        assert isinstance(damping, tuple) and all(isinstance(t, tuple) for t in damping)
 
     def test_results_compare_by_state_identity(self):
         a, b = (run_scenario(make_config("nonlocal", [0.5, 0.8])) for _ in range(2))

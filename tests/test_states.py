@@ -307,7 +307,7 @@ class TestRunStateSupport:
     Kraus chain, and its compression is diagonal: the facts that let
     `check_run_components` be the one check of a run's invariant."""
 
-    def test_states_hold_full_product_on_support_and_zero_off_it(self):
+    def test_states_match_full_product_to_1e15_on_support_and_zero_off_it(self):
         rng = np.random.default_rng(2028)
         special = [0.0, 1.0, 5e-324, 1e-310, 7e-5]
         runs = 0

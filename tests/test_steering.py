@@ -700,11 +700,11 @@ class TestRunScenarioErrors:
         the XXX correlation past 1, or the state moved away from |010><010|
         past a zero weight there."""
         c = c.copy()
-        if fault == "pure_ab_qubit":
+        if fault == "pure_ab_qubit":  # ZZI
             c[7] = 1 + j / 10
-        elif fault == "pure_charlie":
+        elif fault == "pure_charlie":  # III
             c[0] = 1 + j / 100
-        elif fault == "off_diagonal_t":
+        elif fault == "off_diagonal_t":  # XXX
             c[2] = 1 + j / 10
         else:
             c = (1 + j / 10) * c - j / 10 * cls._LEAK
