@@ -39,24 +39,24 @@ def _parse_fix(items: list[str]) -> dict[str, float]:
 WRITE_BATCH = 1 << 16
 
 
-def _write_out(path: str, chunks: Iterable[str]) -> None:
-    """Write the ASCII strings of `chunks` in turn to `path`, joined into
-    batches of at least `WRITE_BATCH` bytes, with `\n` line ends on every
-    platform.  Truncating a file that still holds data costs more than
-    writing it, so a regular file is overwritten in place and then cut to
-    the written length."""
+def _write_out(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the bytes of `chunks` in turn to `path`, joined into batches of
+    at least `WRITE_BATCH` bytes.  Truncating a file that still holds data
+    costs more than writing it, so a regular file is overwritten in place
+    and then cut to the written length."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
             batch, size = [], 0
-            for chunk in chunks:  # as many bytes as characters
+            for chunk in chunks:
                 batch.append(chunk)
                 size += len(chunk)
                 if size >= WRITE_BATCH:
-                    _write_all(fd, "".join(batch).encode())
+                    _write_all(fd, b"".join(batch))
                     batch, size = [], 0
+                    del chunk  # not held while the next chunk is made
             if batch:
-                _write_all(fd, "".join(batch).encode())
+                _write_all(fd, b"".join(batch))
         finally:  # a failed write too leaves no old bytes after the new ones
             try:
                 st = os.fstat(fd)
@@ -162,30 +162,133 @@ def cmd_demo(_args) -> None:
     print(f"max pairs sharing steering simultaneously (grid 200x200): {best}")
 
 
+# Rows per sweep CSV block, and cells per scan CSV block: a block's text and
+# its copies stay a few hundred kB, while per-block overhead stays far below
+# the formatting cost.
+CSV_BLOCK_ROWS = 2048
+
+
 # Both CSV writers yield the header line and then blocks of rows.  Every
 # float is printed with %.12g, and the S (or St) columns of a mode that
 # leaves them out are empty.
-def _scan_csv(table: scenario.ScanTable, resolution: int) -> Iterator[str]:
-    """The CSV of `table`, which `scan_region` built on a grid of
-    `resolution` points, in one block per grid row.  Row k*r + j holds
-    lambda1 = grid[k] and lambda2 = grid[j], so the axis is spelled once and
-    both are taken from it.  Pair 1's strengths are lambda1, so its S and
-    St are spelled once per block, from the block's first row."""
-    r, spell = resolution, "%.12g".__mod__
-    yield "lambda1,lambda2,S1,S2,S3,St1,St2,St3,region\n"
-    axis = list(map(spell, table.params["lambda2"][:r].tolist()))
-    firsts = [list(map(spell, group[0][::r].tolist())) for group in (table.s, table.st)
-              if group]
-    rows = [*table.s[1:], *table.st[1:], table.region]
-    # A block fills the %s slots with lambda1, S1 and St1; each of its rows
-    # fills the %%-escaped ones with lambda2, the other floats and the label.
-    fields = ["%s", "%%s"]
+#
+# The scan writer builds each block as a matrix of uint32 words, one row of
+# words per CSV row, and drops the NUL bytes that pad its fields.  A float
+# field is a frame of `_FRAME` words: its separator, then its text, the
+# longest %.12g text ("-1.23456789012e-308") included.
+_FRAME = 5
+
+
+def _percent_frames(values: list[float], sep: str) -> np.ndarray:
+    """The (n, `_FRAME`) words of `sep` and "%.12g" % v for each of `values`."""
+    fmt = sep + "%.12g"
+    text = np.array([fmt % v for v in values], dtype=f"S{4 * _FRAME}")
+    return text.view(np.uint32).reshape(-1, _FRAME)
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """Word g spells the 4-digit group g, g < 10**4, with its leading zeros;
+    word 10**4 + g spells it with its trailing zeros blanked."""
+    g = np.arange(10_000, dtype=np.uint16)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    ascii_ = digits + np.uint8(ord("0"))
+    blanked = np.where(trailing, np.uint8(0), ascii_)
+    return np.concatenate([ascii_, blanked]).view(np.uint32).ravel()
+
+
+_ZERO_POINT = np.frombuffer(b",0.\0", np.uint32)[0]
+# Per count of zeros after the point: the scale to the 12-digit mantissa,
+# and from it to the 16 digits after the point.
+_SCALE = np.array([1e12, 1e13, 1e14, 1e15])
+_SHIFT = np.array([10**4, 10**3, 10**2, 10], dtype=np.int64)
+
+
+def _float_frames(x: np.ndarray) -> np.ndarray:
+    """The (n, `_FRAME`) words of "," and "%.12g" % v for each v of the 1-D
+    float64 array `x`.  A float in [1e-4, 1) with z zeros after its point
+    is spelled "0." and 16 digits, read off m = x * 10**(12 + z), its
+    12-digit mantissa: m < 2**40, so m is within 2**-13 of the exact
+    product, and rounding it to an integer rounds as %.12g does unless m
+    lies within 1e-3 of a tie.  Those, rounded mantissas outside
+    [10**11, 10**12) (where %.12g carries into the next exponent) and every
+    float outside [1e-4, 1) are spelled by %.12g itself."""
+    words = _digit_words()
+    fixed = (x >= 1e-4) & (x < 1.0)  # NaN is not
+    zeros = (x < 0.1).view(np.int8)
+    zeros += x < 0.01
+    zeros += x < 0.001
+    m = np.where(fixed, x, 0.5)
+    m *= _SCALE[zeros]
+    digits = np.rint(m)
+    m -= digits
+    fixed &= (np.abs(m, out=m) < 0.499) & (digits >= 1e11) & (digits < 1e12)
+    digits = digits.astype(np.int64)
+    digits *= _SHIFT[zeros]  # the 16 digits after "0."
+    out = np.empty((len(x), _FRAME), np.uint32)
+    out[:, 0] = _ZERO_POINT
+    # From the last 4-digit group to the first: a group's word comes from
+    # the blanked half of the table while every later group is 0.
+    blank = np.ones(len(x), dtype=bool)
+    for col in range(_FRAME - 1, 0, -1):
+        digits, group = np.divmod(digits, 10_000)
+        np.add(group, 10_000, out=group, where=blank)
+        blank &= group == 10_000
+        out[:, col] = words[group]
+    other = np.flatnonzero(~fixed)
+    if other.size:
+        out[other] = _percent_frames(x[other].tolist(), ",")
+    return out
+
+
+def _scan_csv(table: scenario.ScanTable, resolution: int) -> Iterator[bytes]:
+    """The CSV bytes of `table`, which `scan_region` built on a grid of
+    `resolution` points, in blocks of whole grid rows: at most
+    `CSV_BLOCK_ROWS` cells, or one grid row where a row alone is longer.
+    Row k*r + j holds lambda1 = grid[k] and lambda2 = grid[j], so lambda2 is
+    spelled once per scan.  Pair 1's strengths are lambda1, so lambda1, S1
+    and St1 are spelled once per grid row; the other S and St columns go
+    through `_float_frames`, in one call per block."""
+    r = resolution
+    yield b"lambda1,lambda2,S1,S2,S3,St1,St2,St3,region\n"
+    # Word offsets: lambda1, lambda2, then per group its first column (one
+    # frame per grid row), its other columns and one word of the commas of
+    # the columns the mode leaves out; then the region label.
+    per_row = [(0, _percent_frames(table.params["lambda1"][::r].tolist(), ""))]
+    cells, commas, at = [], [], 2 * _FRAME
     for group in (table.s, table.st):
-        fields += ["%s"][:len(group)] + ["%%.12g"] * (len(group) - 1) + [""] * (3 - len(group))
-    row = ",".join([*fields, "%%s"]) + "\n"
-    for k, block in enumerate(zip(axis, *firsts)):
-        cols = (c[k * r:(k + 1) * r].tolist() for c in rows)
-        yield "".join(map((row % block).__mod__, zip(axis, *cols)))
+        if group:
+            per_row.append((at, _percent_frames(group[0][::r].tolist(), ",")))
+            at += _FRAME
+            for column in group[1:]:
+                cells.append((at, column))
+                at += _FRAME
+        if len(group) < 3:
+            commas.append((at, "," * (3 - len(group))))
+            at += 1
+    width = table.region.dtype.itemsize // 4  # UCS-4 code points per label
+    rows = max(1, min(r, CSV_BLOCK_ROWS // r))
+    buf = np.zeros((rows, r, at + (width + 5) // 4), np.uint32)  # "," label "\n"
+    buf[:, :, _FRAME:2 * _FRAME] = _percent_frames(table.params["lambda2"][:r].tolist(), ",")
+    for a, text in commas:
+        buf[:, :, a] = np.frombuffer(text.encode().ljust(4, b"\0"), np.uint32)[0]
+    label = buf.view(np.uint8)[:, :, 4 * at:]
+    label[:, :, 0], label[:, :, 1 + width] = ord(","), ord("\n")
+    for k in range(0, r, rows):
+        block, n = buf[:r - k], min(rows, r - k) * r
+        for a, frames in per_row:
+            block[:, :, a:a + _FRAME] = frames[k:k + rows, None]
+        if cells:
+            spelled = _float_frames(np.stack([c[k * r:k * r + n] for _, c in cells], axis=1)
+                                    .ravel()).reshape(len(block), r, len(cells), _FRAME)
+            for j, (a, _) in enumerate(cells):
+                block[:, :, a:a + _FRAME] = spelled[:, :, j]
+            del spelled  # not held while the block is written
+        # Labels are ASCII: each code point is one byte.
+        label[:len(block), :, 1:1 + width] = \
+            table.region[k * r:k * r + n].view(np.uint32).reshape(len(block), r, width)
+        yield block.tobytes().translate(None, b"\0")
 
 
 def cmd_scan(args) -> None:
@@ -193,11 +296,6 @@ def cmd_scan(args) -> None:
                                  mode=args.mode)
     _write_out(args.out, _scan_csv(table, args.grid))
     print(f"wrote {len(table)} rows to {args.out}")
-
-
-# Rows per sweep CSV block: a block's text and `tolist` copies stay a few
-# hundred kB, while per-block overhead stays far below the formatting cost.
-CSV_BLOCK_ROWS = 2048
 
 
 def _sweep_csv(table: scenario.ScanTable) -> Iterator[str]:
@@ -218,7 +316,7 @@ def cmd_sweep(args) -> None:
     table = scenario.sweep_curve(_parse_fix(args.fix), args.vary, args.from_,
                                  args.to, args.samples, pairs=args.pairs,
                                  mode=args.mode)
-    _write_out(args.out, _sweep_csv(table))
+    _write_out(args.out, map(str.encode, _sweep_csv(table)))
     print(f"wrote {len(table)} rows to {args.out}")
 
 
@@ -227,7 +325,7 @@ def cmd_ellipsoids(args) -> None:
     record = {"lambda1": "%s", "lambda2": "%s", "charlie": _ELLIPSOID, "ab": _ELLIPSOID}
     floats = [float(args.lambda1), float(args.lambda2), *_ellipsoid_floats(e)]
     slots = _slots(1, [0, 1, *_shared_ellipsoid(2)])
-    _write_out(args.out, [_fill(_layout([record]), floats, slots)])
+    _write_out(args.out, [_fill(_layout([record]), floats, slots).encode()])
     print(f"Charlie semiaxes: {np.round(e.semiaxes, 6).tolist()}, "
           f"volume {e.volume:.6f} -> {args.out}")
 
@@ -281,7 +379,8 @@ def cmd_run(args) -> None:
         # Nonlocal runs give every pair an ellipsoid, local runs none.
         with_ellipsoids = results[0].ellipsoid is not None
         pieces, slots = _run_layout(len(results), with_ellipsoids)
-        _write_out(args.out, [_fill(pieces, _run_floats(results, with_ellipsoids), slots)])
+        _write_out(args.out, [_fill(pieces, _run_floats(results, with_ellipsoids),
+                                        slots).encode()])
     bound = cfg.bound
     for r in results:
         marker = ">" if r.steering_value > bound else "<="

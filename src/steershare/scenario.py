@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .linalg import PAULIS
 from .measurement import _AXIS_TABLE, _run_plan, dephasing_scale
 from .states import GHZ_VALUES, DensityMatrix, _check_type, _is_int, \
@@ -203,6 +203,20 @@ class ScanTable:
     s: list[np.ndarray]
     st: list[np.ndarray]
     region: np.ndarray
+
+    def __post_init__(self):
+        # Types and shapes only, so the check reads no value of any column.
+        region = self.region
+        if not (isinstance(region, np.ndarray) and region.dtype.kind == "U"
+                and region.ndim == 1):
+            raise ShapeError("region is not a 1-D numpy str array")
+        for name, kind in (("params", dict), ("s", list), ("st", list)):
+            if not isinstance(getattr(self, name), kind):
+                raise ShapeError(f"{name} is not a {kind.__name__}")
+        for column in (*self.params.values(), *self.s, *self.st):
+            if not (isinstance(column, np.ndarray) and column.dtype == np.float64
+                    and column.shape == region.shape):
+                raise ShapeError(f"a column is not a 1-D float64 array of {len(region)} rows")
 
     def __len__(self) -> int:
         return len(self.region)

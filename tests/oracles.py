@@ -467,9 +467,10 @@ def region_labels(l1, l2):
 
 def scan_csv(table):
     """The scan CSV text of `table` as one %-format per row over all its
-    rows, as the row-by-row writer before the grid-row one (`cli._scan_csv`)
-    made it: every float printed with %.12g, every region label with %s,
-    and empty S (or St) columns where the mode leaves them out."""
+    rows, as the row-by-row writer made it before `cli._scan_csv` came to
+    build blocks of grid rows as word matrices with a digit-table kernel:
+    every float printed with %.12g, every region label with %s, and empty S
+    (or St) columns where the mode leaves them out."""
     cols = [table.params["lambda1"], table.params["lambda2"]]
     fields = ["%.12g"] * 2
     for group in (table.s[:3], table.st[:3]):

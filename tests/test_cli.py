@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,47 @@ class TestScan:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "lambda1,lambda2,S1,S2,S3,St1,St2,St3,region"
         assert len(lines) == 37
+
+
+class TestFloatFrames:
+    """The scan CSV's float kernel spells every float as "," and "%.12g" % x,
+    in [1e-4, 1) from its digit tables and elsewhere by %.12g itself."""
+
+    @staticmethod
+    def _inputs():
+        ties = [j / 8192 for j in range(821, 8192, 2)]  # exact ties at 12 digits
+        dyadic = [j / 2**k for k in (14, 15, 16) for j in range(2**k)]
+        edges = [math.nextafter(v, to) for v in (1e-4, 1e-3, 0.01, 0.1, 1.0)
+                 for to in (0.0, 2.0)]
+        special = [0.0, -0.0, 1.0, 5e-324, math.nan, math.inf, -math.inf, -0.5, -1e-3,
+                   -2.5e-7, 1.5, 123456.789, 1e300, 1e-4, 1e-3, 0.01, 0.1]
+        uniform = np.random.default_rng(33).uniform(0.0, 1.0, 10**6)
+        return len(ties), np.array([*ties, *dyadic, *edges, *special, *uniform])
+
+    def test_bytes_equal_percent_format(self, monkeypatch):
+        fallback = []
+        spell = cli._percent_frames
+
+        def counted(values, sep):
+            fallback.extend(values)
+            return spell(values, sep)
+
+        monkeypatch.setattr(cli, "_percent_frames", counted)
+        ties, x = self._inputs()
+        step = 1 << 16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(0, len(x), step):
+                part = x[i:i + step]
+                got = cli._float_frames(part).tobytes().translate(None, b"\0")
+                want = "".join(map(",%.12g".__mod__, part.tolist())).encode()
+                if got != want:
+                    pairs = zip(got.split(b",")[1:], want.split(b",")[1:], part.tolist())
+                    g, w, v = next(p for p in pairs if p[0] != p[1])
+                    pytest.fail(f"{v!r} spelled {g!r}, %.12g gives {w!r}")
+        # Every tie went to %.12g, and most floats did not.
+        assert set(x[:ties].tolist()) <= set(fallback)
+        assert len(fallback) < len(x) // 10
 
 
 class TestScanErrors:
@@ -635,7 +678,7 @@ class TestBatchedWrites:
     _ARGVS = {
         "run": ("run", "--config", "CONFIG"),
         "ellipsoids": ("ellipsoids", "--lambda1", "0.3", "--lambda2", "0.9"),
-        "scan": ("scan", "--grid", "30"),  # 105 kB in 31 chunks: two batches
+        "scan": ("scan", "--grid", "50"),  # 297 kB in 3 chunks: two batches
         "sweep": ("sweep", "--vary", "lambda_1", "--from", "0", "--to", "1",
                   "--samples", "3000"),  # 224 kB in 3 chunks: two batches
     }

@@ -89,6 +89,31 @@ def test_junk_argument_returns_or_raises_steershare_error(name):
     assert raw == []
 
 
+# Public types that check their fields: given one junk field in an otherwise
+# valid call, each raises SteershareError, unless the junk value is listed
+# here as a valid value of that field.
+_CHECKED_FIELDS = {
+    "ScanTable": {"params": [{}], "s": [[]], "st": [[]]},
+}
+
+
+@pytest.mark.parametrize("name", list(_CHECKED_FIELDS))
+def test_checked_type_rejects_junk_field(name):
+    cls = getattr(steershare, name)
+    built = []
+    for param in inspect.signature(cls).parameters:
+        valid = _CHECKED_FIELDS[name].get(param, [])
+        for k, junk in enumerate(_junk()):
+            if any(type(junk) is type(v) and junk == v for v in valid):
+                continue
+            try:
+                cls(**{**_valid_call(name), param: junk})
+            except SteershareError:
+                continue
+            built.append(f"{param}=junk[{k}] {junk!r}")
+    assert built == []
+
+
 # Fuzz values per flag kind, as (valid, wrong): out of range, of the wrong
 # type, or not a number at all.
 _PAIRS = (["1", "2", "3"], ["0", "4", "-1", "07", "x", "", "1.5", "1e3"])

@@ -36,7 +36,7 @@ from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid, region_l
 
 def _scan_text(pairs, resolution, mode):
     """The whole `steershare scan` CSV text of a scan."""
-    return "".join(cli._scan_csv(scan_region(pairs, resolution, mode), resolution))
+    return b"".join(cli._scan_csv(scan_region(pairs, resolution, mode), resolution)).decode()
 
 
 def _sweep_text(table):
@@ -379,6 +379,26 @@ class TestGoldenOutputs:
             assert all(type(label) is str for label in table.region.tolist())
 
 
+class TestScanTableFields:
+    def test_rejects_wrong_types_and_shapes(self):
+        n = np.zeros(3)
+        region = np.array(["", "I", "II"])
+        for params, s, st, reg in [
+            ({}, [], [], [1, 2, 3]),  # a list, not a str array
+            ({}, [], [], np.zeros(3)),
+            ({}, [], [], region.reshape(1, 3)),
+            ({"param": n[:2]}, [], [], region),
+            ({"param": n.astype(np.float32)}, [], [], region),
+            ({}, [n, n.reshape(3, 1)], [], region),
+            ({}, [], [n.tolist()], region),
+            ({}, (n,), [], region),
+            ([("param", n)], [], [], region),
+        ]:
+            with pytest.raises(ShapeError):
+                ScanTable(params, s, st, reg)
+        assert len(ScanTable({"param": n}, [n, n], [], region)) == 3
+
+
 def _head(table: ScanTable, rows: int) -> ScanTable:
     """The first `rows` rows of `table`."""
     return ScanTable(params={k: v[:rows] for k, v in table.params.items()},
@@ -386,10 +406,27 @@ def _head(table: ScanTable, rows: int) -> ScanTable:
                      region=table.region[:rows])
 
 
+def _check_scan_blocks(chunks: list[bytes], text: str, grid: int, cells: int) -> None:
+    """`chunks`, a scan writer's output, are the header of `text`, then
+    blocks that join to the rest of it, each of whole grid rows: at most
+    `cells` cells, or one grid row where a row alone is longer."""
+    lines = text.splitlines(keepends=True)
+    assert chunks[0] == lines[0].encode()
+    assert b"".join(chunks).decode() == text
+    start = 1
+    for chunk in chunks[1:]:
+        rows = chunk.count(b"\n")
+        assert rows % grid == 0 and (rows <= cells or rows == grid), (rows, grid, cells)
+        assert chunk.decode() == "".join(lines[start:start + rows])
+        start += rows
+    assert start == len(lines)
+
+
 class TestCsvBlocks:
     """Each CSV writer yields the header, then blocks that join to the whole
     text (pinned by the digests above): a sweep's of at most CSV_BLOCK_ROWS
-    rows, and a scan's one per grid row, whatever CSV_BLOCK_ROWS is."""
+    rows, and a scan's of whole grid rows, at most CSV_BLOCK_ROWS cells or
+    one grid row where a row alone is longer."""
 
     B = 4
 
@@ -398,8 +435,8 @@ class TestCsvBlocks:
     @pytest.mark.parametrize("kind", ["scan", "sweep"])
     def test_blocks_join_to_one_block_text(self, monkeypatch, kind, mode, rows):
         # The first `rows` sweep rows in blocks of B, or the whole grid-5
-        # scan with blocks of `rows` asked for: below, at and above its
-        # grid-row length.
+        # scan with 5 * rows - 1 cells a block: one grid row (a row alone
+        # is longer), 2, 3 or 4 rows, or all 5 in one block.
         if kind == "scan":
             table = scan_region(3, 5, mode)
             write = functools.partial(cli._scan_csv, table, 5)
@@ -408,15 +445,18 @@ class TestCsvBlocks:
                                       0, 1, 9, pairs=3, mode=mode), rows)
             write = functools.partial(cli._sweep_csv, table)
         assert len(table) < cli.CSV_BLOCK_ROWS
-        whole = "".join(write())  # a sweep's one block at the default size
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", rows if kind == "scan" else self.B)
-        chunks = list(write())
-        assert "".join(chunks) == whole
-        assert chunks[0] == whole.partition("\n")[0] + "\n"
         if kind == "scan":
-            lines = whole.splitlines(keepends=True)[1:]
-            assert chunks[1:] == ["".join(lines[k:k + 5]) for k in range(0, 25, 5)]
+            assert len(list(write())) == 2  # one block at the default size
+            monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 5 * rows - 1)
+            chunks = list(write())
+            _check_scan_blocks(chunks, scan_csv(table), 5, 5 * rows - 1)
+            assert len(chunks) == 1 + {1: 5, 3: 3, 4: 2, 5: 2, 9: 1}[rows]
         else:
+            whole = "".join(write())  # one block at the default size
+            monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", self.B)
+            chunks = list(write())
+            assert "".join(chunks) == whole
+            assert chunks[0] == whole.partition("\n")[0] + "\n"
             assert len(chunks) == 1 + -(-rows // self.B)
             assert all(c.count("\n") == self.B for c in chunks[1:-1])
 
@@ -425,33 +465,33 @@ class TestCsvBlocks:
         (40, "sweep", "0a74f248f8f53dab0de976f23fb37cd0934eb9dcc556031bc4365e9b6efadb3d"),
     ])
     def test_blocked_text_keeps_digest(self, monkeypatch, block, kind, digest):
-        # 49 grid-7 scan rows, one block per grid row, and 81 README sweep
-        # rows, 2 * block + 1.
+        # 49 grid-7 scan rows in blocks of 3, 3 and 1 grid rows (at most 24
+        # cells), and 81 README sweep rows, 2 * block + 1.
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
-        chunks = list(cli._scan_csv(scan_region(3, 7, "compare"), 7) if kind == "scan" else
-                      cli._sweep_csv(sweep_curve({"lambda1_1": 0.70710678}, "lambda2_1",
-                                                 0.6, 1.0, 81)))
-        assert len(chunks) == (8 if kind == "scan" else 4)
-        assert hashlib.sha256("".join(chunks).encode()).hexdigest() == digest
+        if kind == "scan":
+            table = scan_region(3, 7, "compare")
+            chunks = list(cli._scan_csv(table, 7))
+            _check_scan_blocks(chunks, scan_csv(table), 7, block)
+        else:
+            chunks = [c.encode() for c in cli._sweep_csv(sweep_curve(
+                {"lambda1_1": 0.70710678}, "lambda2_1", 0.6, 1.0, 81))]
+        assert len(chunks) == 4
+        assert hashlib.sha256(b"".join(chunks)).hexdigest() == digest
 
 
 class TestScanCsvOracle:
     """The scan writer equals the one-format-per-row oracle on every scan,
-    in one chunk per grid row after the header."""
+    in blocks of whole grid rows after the header."""
 
     @pytest.mark.parametrize("mode", ["nonlocal", "local", "compare"])
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_scans(self, pairs, mode):
         for grid in [*range(2, 13), 84]:
             table = scan_region(pairs, grid, mode)
-            text = scan_csv(table)
             chunks = list(cli._scan_csv(table, grid))
-            assert "".join(chunks) == text
-            assert len(chunks) == 1 + grid
-            lines = text.splitlines(keepends=True)
-            assert chunks[0] == lines[0]
-            for k, chunk in enumerate(chunks[1:]):
-                assert chunk == "".join(lines[1 + k * grid:1 + (k + 1) * grid])
+            _check_scan_blocks(chunks, scan_csv(table), grid, cli.CSV_BLOCK_ROWS)
+            # 24 grid rows (2,016 cells) a block: grid 84 takes 4 blocks.
+            assert len(chunks) == 1 + (4 if grid == 84 else 1)
 
 
 _HISTORY = StrengthHistory.nonlocal_history([(0.5, 0.8), (1.0, 1.0)])
