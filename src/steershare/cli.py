@@ -15,8 +15,8 @@ import numpy as np
 
 from . import scenario
 from .errors import ConfigError, SteershareError
-from .states import SUPPORT, _SPREAD
-from .steering import classical_bound
+from .states import SUPPORT, _SPREAD, check_run_components, t_state_diagonals
+from .steering import _t_state_axes, classical_bound
 
 
 def _parse_fix(items: list[str]) -> dict[str, float]:
@@ -87,22 +87,23 @@ def _write_all(fd: int, data: bytes) -> None:
 # ellipsoid's centre and off-diagonal matrix entries.  An ellipsoid's
 # orientation is written one axis per row.  A run state's support entries
 # j and 7-j are equal by construction, so a state spells 8 floats, the
-# real parts of its entries [j, j] and then [j, 7-j], j = 0..3 (these are
-# their positions in its float view: real and imaginary part of each entry
-# in turn, row-major), and `states._SPREAD` picks one of them for each
-# `SUPPORT` slot, row-major.
-_STATE_SPELLED = 2 * np.array([0, 9, 18, 27, 7, 14, 21, 28])
+# entries [j, j] and then [j, 7-j], j = 0..3, that `check_run_components`
+# returns, and `states._SPREAD` picks one of them for each `SUPPORT` slot,
+# row-major.
 _ELLIPSOID = {"center": [0.0] * 3,
               "matrix": [["%s" if i == j else 0.0 for j in range(3)] for i in range(3)],
               "semiaxes": ["%s"] * 3, "orientation": [["%s"] * 3] * 3, "volume": "%s"}
+_AXES = np.eye(3)  # row a: coordinate axis a
 
 
-def _ellipsoid_floats(e) -> list[float]:
-    """The floats of ellipsoid `e` its `_ELLIPSOID` slots spell, in slot
-    order.  A T-state steers both parties onto one ellipsoid, so its floats
-    fill the slots of both."""
-    return [*e.matrix.diagonal().tolist(), *e.semiaxes.tolist(),
-            *e.orientation.T.ravel().tolist(), float(e.volume)]
+def _ellipsoid_rows(d: np.ndarray) -> np.ndarray:
+    """Per T-state diagonal of the (k, 3) stack `d`, the 16 floats its
+    ellipsoid's `_ELLIPSOID` slots spell, in slot order: the matrix diagonal
+    d^2, the semiaxes, the orientation column by column and the volume, as
+    `t_state_ellipsoids` reads them.  A T-state steers both parties onto one
+    ellipsoid, so its floats fill the slots of both."""
+    semiaxes, order, volume = _t_state_axes(d)
+    return np.concatenate([d * d, semiaxes, _AXES[order].reshape(-1, 9), volume[:, None]], axis=1)
 
 
 def _layout(skeleton) -> list[str]:
@@ -321,13 +322,14 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_ellipsoids(args) -> None:
-    e = scenario.ellipsoid_series([(args.lambda1, args.lambda2)])[0]
+    (row,) = _ellipsoid_rows(scenario._series_diagonals([(args.lambda1, args.lambda2)]))
+    semiaxes, volume = row[3:6], row[15]
     record = {"lambda1": "%s", "lambda2": "%s", "charlie": _ELLIPSOID, "ab": _ELLIPSOID}
-    floats = [float(args.lambda1), float(args.lambda2), *_ellipsoid_floats(e)]
+    floats = [float(args.lambda1), float(args.lambda2), *row.tolist()]
     slots = _slots(1, [0, 1, *_shared_ellipsoid(2)])
     _write_out(args.out, [_fill(_layout([record]), floats, slots).encode()])
-    print(f"Charlie semiaxes: {np.round(e.semiaxes, 6).tolist()}, "
-          f"volume {e.volume:.6f} -> {args.out}")
+    print(f"Charlie semiaxes: {np.round(semiaxes, 6).tolist()}, "
+          f"volume {volume:.6f} -> {args.out}")
 
 
 def cmd_bound(args) -> None:
@@ -339,10 +341,11 @@ def cmd_bound(args) -> None:
 @functools.cache
 def _run_layout(pairs: int, with_ellipsoids: bool) -> tuple[list[str], operator.itemgetter]:
     """The `run --out` layout of `pairs` results and its `_fill` slots over
-    the `_run_floats` of a run.  A run's states are 3-qubit and its pair
-    numbers count from 1."""
-    ell, shared = (_ELLIPSOID, _shared_ellipsoid(1 + len(_STATE_SPELLED))) \
-        if with_ellipsoids else (None, [])
+    the rows of a run's floats: per pair the steering value, the state's 8
+    spelled entries, then the 16 floats of the ellipsoid its Charlie and AB
+    slots share.  A run's states are 3-qubit and its pair numbers count
+    from 1."""
+    ell, shared = (_ELLIPSOID, _shared_ellipsoid(1 + 8)) if with_ellipsoids else (None, [])
     re = [["%s" if x else 0.0 for x in row] for row in SUPPORT.tolist()]
     return _layout([{"pair": i, "steering_value": "%s",
                      "state": {"qubits": 3, "re": re, "im": [[0.0] * 8] * 8},
@@ -351,16 +354,16 @@ def _run_layout(pairs: int, with_ellipsoids: bool) -> tuple[list[str], operator.
         _slots(pairs, [0, *(1 + _SPREAD).tolist(), *shared])
 
 
-def _run_floats(results, with_ellipsoids: bool) -> list[float]:
-    """Per pair the steering value, the state's spelled entries, then the
-    spelled floats of the ellipsoid its Charlie and AB slots share."""
-    floats = []
-    for r in results:
-        floats.append(float(r.steering_value))
-        floats += r.state.mat.reshape(-1).view(float)[_STATE_SPELLED].tolist()
-        if with_ellipsoids:
-            floats += _ellipsoid_floats(r.ellipsoid)
-    return floats
+def _run_rows(cfg: scenario.ScenarioConfig) -> np.ndarray:
+    """The floats of a `cfg` run in `_run_layout` order, one row per pair,
+    from the arrays `run_scenario` builds its results from, validated as it
+    validates them: 25 floats a pair in a nonlocal run, whose every state
+    is a T-state with one ellipsoid, and 9 in a local run."""
+    values, components = scenario._run_arrays(cfg)
+    rows = [values[:, None], check_run_components(components)]
+    if cfg.mode == "nonlocal":
+        rows.append(_ellipsoid_rows(t_state_diagonals(components)))
+    return np.concatenate(rows, axis=1)
 
 
 def cmd_run(args) -> None:
@@ -374,17 +377,13 @@ def cmd_run(args) -> None:
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from None
     cfg = scenario.ScenarioConfig.from_json(obj)
-    results = scenario.run_scenario(cfg)
+    rows = _run_rows(cfg)
     if args.out:
-        # Nonlocal runs give every pair an ellipsoid, local runs none.
-        with_ellipsoids = results[0].ellipsoid is not None
-        pieces, slots = _run_layout(len(results), with_ellipsoids)
-        _write_out(args.out, [_fill(pieces, _run_floats(results, with_ellipsoids),
-                                        slots).encode()])
+        pieces, slots = _run_layout(cfg.pairs, cfg.mode == "nonlocal")
+        _write_out(args.out, [_fill(pieces, rows.ravel().tolist(), slots).encode()])
     bound = cfg.bound
-    for r in results:
-        marker = ">" if r.steering_value > bound else "<="
-        print(f"pair {r.pair}: S = {r.steering_value:.6f} {marker} C2")
+    sys.stdout.write("".join([f"pair {i}: S = {v:.6f} {'>' if v > bound else '<='} C2\n"
+                              for i, v in enumerate(rows[:, 0].tolist(), start=1)]))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -62,9 +62,10 @@ class ScenarioConfig:
             raise ConfigError("need one Charlie direction per setting")
         if self.mode == "local" and self.strengths.gammas is None:
             raise ConfigError("local mode needs eta/gamma strengths")
-        axes = [_resolve_axis(label)[1] for label in self.charlie_directions]
+        axes = tuple([_resolve_axis(label)[1] for label in self.charlie_directions])
         if self.mode == "local" and "z" in axes:
             raise ConfigError("local mode is only defined for x/y settings")
+        object.__setattr__(self, "_axes", axes)  # resolved once; not a field
 
     @property
     def pairs(self) -> int:
@@ -74,8 +75,7 @@ class ScenarioConfig:
     def bound(self) -> float:
         """Classical bound of the two Charlie settings (`classical_bound`):
         C2 = 1/sqrt(2) for two different axes, 1 for one axis."""
-        axes = {_resolve_axis(label)[1] for label in self.charlie_directions}
-        return SQRT_HALF if len(axes) == 2 else 1.0
+        return SQRT_HALF if self._axes[0] != self._axes[1] else 1.0
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioConfig":
@@ -151,6 +151,16 @@ class PairResult:
     # in local runs, whose Kraus operators leak out of the compression span.
     ellipsoid: SteeringEllipsoid | None = field(repr=False, default=None)
 
+    def __post_init__(self):
+        # Types only, so the check reads no value.
+        if not _is_int(self.pair):
+            raise ShapeError("pair is not an integer")
+        if not _is_real(self.steering_value):
+            raise ShapeError("steering_value is not a real number")
+        _check_type(self.state, DensityMatrix)
+        if self.ellipsoid is not None:
+            _check_type(self.ellipsoid, SteeringEllipsoid)
+
 
 def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     """Full sequential simulation of the configured scenario.
@@ -173,21 +183,28 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     is three two-term sums of components (`t_state_diagonals`), and the
     ellipsoids of every pair are read off those (`t_state_ellipsoids`).
     No step calls BLAS, so a run's bits do not depend on the BLAS kernel.
+    The arrays come from `_run_arrays`, which `steershare run` spells from.
     """
+    values, after = _run_arrays(cfg)
+    states = from_ghz_components(after)
+    ells = [None] * cfg.pairs
+    if cfg.mode == "nonlocal":
+        ells = t_state_ellipsoids(t_state_diagonals(after))
+    return [PairResult(pair=i, steering_value=v, state=state, ellipsoid=ell)
+            for i, v, state, ell in zip(range(1, cfg.pairs + 1), values.tolist(), states, ells)]
+
+
+def _run_arrays(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (pair,) steering values and the (pair, 8) GHZ components after
+    each pair of a `cfg` run (see `run_scenario`), not yet validated."""
     _check_type(cfg, ScenarioConfig)
-    anti, read, sign, _ = _run_plan(cfg.mode, tuple(_resolve_axis(lbl)[1]
-                                                    for lbl in cfg.charlie_directions))
+    anti, read, sign, _ = _run_plan(cfg.mode, cfg._axes)
     h, lam = cfg.strengths, np.array(cfg.strengths.lambdas)  # lam: (pair, setting)
     c = coherence(lam[..., None] if cfg.mode == "nonlocal" else np.stack([h.etas, h.gammas], -1))
     after = GHZ_VALUES * np.cumprod(dephasing_scale(anti, c), axis=0)  # (pair, component)
     before = np.concatenate([GHZ_VALUES[None], after[:-1]])
     values = (lam * sign * before[:, read]).sum(axis=1) / len(read)  # numpy's mean
-    states = from_ghz_components(after)
-    ells = [None] * cfg.pairs
-    if cfg.mode == "nonlocal":
-        ells = t_state_ellipsoids(t_state_diagonals(after))
-    return [PairResult(pair=i + 1, steering_value=float(values[i]), state=state, ellipsoid=ell)
-            for i, (state, ell) in enumerate(zip(states, ells))]
+    return values, after
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,34 +245,38 @@ _REGION_LABELS = np.array(["", "I", "II", "I+II"])
 def _mode_closed_forms(mode: str, lam: list) -> tuple[list, list]:
     """Nonlocal S and local S~ of every pair, each [] where `mode` leaves it out,
     for strengths laid out as `closed_forms` takes them; local pairs split
-    lambda as eta = gamma = sqrt(lambda)."""
+    lambda as eta = gamma = sqrt(lambda), a Python float's root a float."""
     if not isinstance(mode, str) or mode not in ("nonlocal", "local", "compare"):
         raise ConfigError(f"unknown mode {mode!r}")
     s = closed_forms("nonlocal", lam, (lam,)) if mode != "local" else []
     if mode == "nonlocal":
         return s, []
-    root = {id(x): np.sqrt(x) for pair in lam[:-1] for x in pair}  # the last pair damps no one
-    roots = [tuple([root[id(x)] for x in pair]) for pair in lam[:-1]]  # one root per array
+    root = {id(x): math.sqrt(x) if type(x) is float else np.sqrt(x)
+            for pair in lam[:-1] for x in pair}  # the last pair damps no one
+    roots = [tuple([root[id(x)] for x in pair]) for pair in lam[:-1]]  # one root per strength
     return s, closed_forms("local", lam, (roots, roots))
 
 
 def _table(mode: str, lam: list, params: dict) -> ScanTable:
     """Closed forms of every history, i.e. of every element of the pair
-    strength arrays, with activation labels: I (II) marks pair 2 (pair 3)
-    steering nonlocally only."""
-    s, st = _mode_closed_forms(mode, lam)
-    code = np.zeros_like(lam[0][0], dtype=np.intp)
+    strength arrays (a float strength is shared by every history, and an S
+    that is one float fills a column), with activation labels: I (II) marks
+    pair 2 (pair 3) steering nonlocally only."""
+    n = len(next(iter(params.values())))
+    s, st = ([v if isinstance(v, np.ndarray) else np.full(n, v) for v in group]
+             for group in _mode_closed_forms(mode, lam))
+    code = np.zeros(n, dtype=np.uint8)  # one byte a history, and so each shifted flag
     for k, (a, b) in enumerate(zip(s[1:3], st[1:3])):
-        code |= ((a > SQRT_HALF) & (SQRT_HALF >= b)) << k
+        code |= ((a > SQRT_HALF) & (SQRT_HALF >= b)).view(np.uint8) << k
     return ScanTable(params=params, s=s, st=st, region=_REGION_LABELS[code])
 
 
 # Size limits, checked before anything is allocated.  At the limit the
 # largest call of each kind peaks in `steershare scan`/`sweep`, which write
 # the text in blocks, at about 98 MiB RSS (a 3-pair compare scan) and
-# 236 MiB (a 4-pair compare sweep with 7 ids fixed, the most it can fix:
-# each fixed id is a column of its own); an `ellipsoid_series` call, which
-# builds no 8x8 state, peaks at about 75 MiB.
+# 122 MiB (a 4-pair compare sweep, whatever its fixed ids: each is one
+# float); an `ellipsoid_series` call, which builds no 8x8 state, peaks at
+# about 75 MiB.
 MAX_GRID_RESOLUTION = 800
 MAX_SAMPLES = 1_000_000
 MAX_SERIES_SAMPLES = 40_000
@@ -287,15 +308,22 @@ def scan_region(pairs: int = 3, resolution: int = 400, mode: str = "compare"
 
 def _check_strengths(lam: list) -> None:
     """Reject strengths outside [0, 1] or NaN, naming the first bad history's
-    first bad pair.  `lam[j][k]` is pair j+1's 1-D float array of setting k;
-    each distinct one is checked once, where it lies: no stacked copy."""
-    bad = np.zeros(len(lam[0][0]), dtype=bool)
-    for a in {id(a): a for pair in lam for a in pair}.values():
-        bad |= ~((a >= 0.0) & (a <= 1.0))
+    first bad pair.  `lam[j][k]` is pair j+1's strength of setting k: a 1-D
+    float array, or a float every history shares; each distinct one is
+    checked once, where it lies: no stacked copy."""
+    distinct = {id(a): a for pair in lam for a in pair}.values()
+    bad = np.zeros(max(map(np.size, distinct)), dtype=bool)
+    for a in distinct:
+        bad |= np.logical_not((a >= 0.0) & (a <= 1.0))
     if bad.any():
         k = bad.argmax()
-        pair = next(p for p in lam if not all(0.0 <= a[k] <= 1.0 for a in p))
-        raise ConfigError(f"strengths {tuple(float(a[k]) for a in pair)} outside [0, 1]")
+        pair = next(p for p in lam if not all(0.0 <= _at(a, k) <= 1.0 for a in p))
+        raise ConfigError(f"strengths {tuple(float(_at(a, k)) for a in pair)} outside [0, 1]")
+
+
+def _at(a, k: int):
+    """History k's strength of `a`, an array over histories or one float."""
+    return a[k] if isinstance(a, np.ndarray) else a
 
 
 _PARAM_RE = re.compile(r"^lambda([12]?)_([1-4])$")
@@ -339,10 +367,10 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
             if other != name:
                 raise ConfigError(f"parameters {other!r} and {name!r} both set "
                                   f"lambda{k}_{pair}")
-    params = {name: np.full(samples, float(v)) for name, v in fixed.items()}
+    # A fixed or sharp strength is one float, which every sample shares.
+    params = {name: float(v) for name, v in fixed.items()}
     params[vary] = values = np.linspace(start, stop, samples)
-    sharp = np.ones(samples)  # shared: the closed forms write only to arrays they make
-    lam = [tuple([params.get(f"lambda{k}_{i}", params.get(f"lambda_{i}", sharp)) for k in "12"])
+    lam = [tuple([params.get(f"lambda{k}_{i}", params.get(f"lambda_{i}", 1.0)) for k in "12"])
            for i in range(1, pairs + 1)]
     _check_strengths(lam)
     return _table(mode, lam, {"param": values})
@@ -351,6 +379,11 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
 def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[SteeringEllipsoid]:
     """One steering ellipsoid per sample, Charlie's and AB's alike, of the post-pair-1
     state (a nonlocal x/-y pair 1), in one stacked pass through `run_scenario`'s kernels."""
+    return t_state_ellipsoids(_series_diagonals(strength_pairs))
+
+
+def _series_diagonals(strength_pairs: list[tuple[float, float]]) -> np.ndarray:
+    """The (k, 3) T-state diagonals whose ellipsoids `ellipsoid_series` gives."""
     if isinstance(strength_pairs, _SEQUENCES) and len(strength_pairs) > MAX_SERIES_SAMPLES:
         raise ConfigError(f"series of {len(strength_pairs)} samples outside supported "
                           f"range 0..{MAX_SERIES_SAMPLES}")
@@ -358,7 +391,7 @@ def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[Steering
     c = coherence(np.array(lambdas, dtype=float).reshape(-1, 2))[..., None]
     after = GHZ_VALUES * dephasing_scale(_run_plan("nonlocal", ("x", "y"))[0], c)
     check_run_components(after)  # as a run validates its states, none of which is built
-    return t_state_ellipsoids(t_state_diagonals(after))
+    return t_state_diagonals(after)
 
 
 def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal") -> int:

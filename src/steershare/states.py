@@ -58,6 +58,15 @@ def _check_array(x, name: str, real: bool = False) -> None:
         raise ShapeError(f"{name} dtype {x.dtype} is not {'real' if real else 'numeric'}")
 
 
+def _unchecked(cls: type, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, built past
+    its `__post_init__` check: the package's path for values it has already
+    validated as a whole stack."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 _BASIS = np.stack((I2,) + PAULIS)  # sigma_0..sigma_3, shape (4, 2, 2)
 
 
@@ -180,13 +189,8 @@ def from_ghz_components(c: np.ndarray) -> list[DensityMatrix]:
     mats[:, _SUPPORT_AT] = entries.take(_SPREAD, axis=1)
     mats = mats.reshape(-1, 8, 8)
     mats.setflags(write=False)
-    states = []
-    for mat in mats:  # validated above, so not again one by one
-        rho = object.__new__(DensityMatrix)
-        object.__setattr__(rho, "qubits", 3)
-        object.__setattr__(rho, "mat", mat)
-        states.append(rho)
-    return states
+    # Validated above, so not again one by one.
+    return [_unchecked(DensityMatrix, qubits=3, mat=mat) for mat in mats]
 
 
 # The compressed AB qubit is span{|00>, |11>}: its I, X, Y and Z are the A,B

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, NotHermitianError, ShapeError, UnsupportedSizeError
 from .measurement import _run_plan
-from .states import _check_type, _is_int, _is_real
+from .states import _check_type, _is_int, _is_real, _unchecked
 
 HERMITIAN_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
@@ -205,12 +205,40 @@ class SteeringEllipsoid:
     orientation: np.ndarray = field(repr=False)  # columns match semiaxes
     volume: float                  # normalized to the unit Bloch ball
 
+    def __post_init__(self):
+        # Types and shapes only, so the check reads no value.
+        for name, shape in (("center", (3,)), ("matrix", (3, 3)), ("semiaxes", (3,)),
+                            ("orientation", (3, 3))):
+            x = getattr(self, name)
+            if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == shape):
+                raise ShapeError(f"{name} is not a float64 array of shape {shape}")
+        if not _is_real(self.volume):
+            raise ShapeError("volume is not a real number")
+
 
 # Per order of the coordinate axes, the orientation whose column p is axis
 # order[p]; read-only, so every ellipsoid with that order shares it.
 _ORIENTATIONS = {order: np.eye(3)[:, order] for order in itertools.permutations(range(3))}
 for _axes in _ORIENTATIONS.values():
     _axes.setflags(write=False)
+
+
+def _t_state_axes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (k, 3) descending semiaxes, the (k, 3) coordinate axis each lies
+    along and the (k,) volumes of the ellipsoids of a (k, 3) stack of T-state
+    diagonals d (see `t_state_ellipsoids`)."""
+    semiaxes, order = [], []
+    for row in np.abs(d).tolist():
+        axes = sorted(range(3), key=row.__getitem__, reverse=True)  # a stable sort
+        s0, s1, s2 = sorted_row = [row[i] for i in axes]
+        lo, hi = int(s0 - s1 > DEGENERACY_TOL), 2 + (s1 - s2 <= DEGENERACY_TOL)
+        if hi - lo > 1:
+            axes[lo:hi] = sorted(axes[lo:hi])
+        semiaxes.append(sorted_row)
+        order.append(axes)
+    semiaxes = np.array(semiaxes).reshape(-1, 3)
+    volume = np.sqrt((semiaxes * semiaxes).prod(axis=1))  # |d| |d| is d d exactly
+    return semiaxes, np.array(order, dtype=np.intp).reshape(-1, 3), volume
 
 
 def t_state_ellipsoids(d: np.ndarray) -> list[SteeringEllipsoid]:
@@ -223,25 +251,17 @@ def t_state_ellipsoids(d: np.ndarray) -> list[SteeringEllipsoid]:
     (2014)).  Semiaxes are descending, in a stable sort.  A tie group, a
     run of semiaxes each within DEGENERACY_TOL of the next, takes its axes
     in the order x, y, z.  The volume is sqrt(prod(d^2)), taking d^2 in
-    descending order.  The arrays are read-only: both parties' ellipsoids
-    are the one object.
+    descending order.  These are read off d by `_t_state_axes`; the
+    ellipsoids are built past their field check, and their arrays are
+    read-only: both parties' ellipsoids are the one object.
     """
-    semiaxes, orientation = [], []
-    for row in np.abs(d).tolist():
-        axes = sorted(range(3), key=row.__getitem__, reverse=True)  # a stable sort
-        s0, s1, s2 = sorted_row = [row[i] for i in axes]
-        lo, hi = int(s0 - s1 > DEGENERACY_TOL), 2 + (s1 - s2 <= DEGENERACY_TOL)
-        if hi - lo > 1:
-            axes[lo:hi] = sorted(axes[lo:hi])
-        semiaxes.append(sorted_row)
-        orientation.append(_ORIENTATIONS[tuple(axes)])
-    semiaxes = np.array(semiaxes).reshape(-1, 3)
+    semiaxes, order, volume = _t_state_axes(d)
     center = np.zeros((len(d), 3))
     matrix = np.zeros((len(d), 9))
     matrix[:, ::4] = d * d
     matrix = matrix.reshape(-1, 3, 3)
-    volume = np.sqrt((semiaxes * semiaxes).prod(axis=1))  # |d| |d| is d d exactly
     for x in (center, matrix, semiaxes):
         x.setflags(write=False)
-    return [SteeringEllipsoid(center=c, matrix=o, semiaxes=s, orientation=a, volume=float(v))
-            for c, o, s, a, v in zip(center, matrix, semiaxes, orientation, volume)]
+    return [_unchecked(SteeringEllipsoid, center=c, matrix=o, semiaxes=s,
+                       orientation=_ORIENTATIONS[tuple(a)], volume=v)
+            for c, o, s, a, v in zip(center, matrix, semiaxes, order.tolist(), volume.tolist())]

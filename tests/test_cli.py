@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -17,7 +16,7 @@ from steershare.cli import main
 from steershare.scenario import PairResult, ScenarioConfig, ellipsoid_series, \
     run_scenario, sweep_curve
 from steershare.states import DensityMatrix
-from steershare.steering import SteeringEllipsoid
+from steershare.steering import DEGENERACY_TOL, SteeringEllipsoid
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +220,13 @@ class TestSizeLimits:
         assert not out_file.exists()
 
 
+def _seeded_strength_pairs():
+    rng = np.random.default_rng(34)
+    exact = ["0", "1", repr(2 ** -0.5)]
+    return [tuple(str(rng.choice(exact)) if rng.uniform() < 1 / 3 else repr(rng.uniform())
+                  for _ in range(2)) for _ in range(50)]
+
+
 class TestEllipsoids:
     def test_writes_json(self, capsys, tmp_path):
         out_file = tmp_path / "ell.json"
@@ -234,9 +240,10 @@ class TestEllipsoids:
                                        "orientation", "volume"}
         assert max(rec["charlie"]["semiaxes"]) <= 1 + 1e-8
 
-    # (1, 1) is degenerate: Charlie's ellipsoid is flat, with volume 0.
+    # (1, 1) is degenerate: Charlie's ellipsoid is flat, with volume 0.  A
+    # third of the seeded strengths are 0, 1 or 2**-0.5, where semiaxes tie.
     @pytest.mark.parametrize("lam1, lam2", [("0.70710678", "0.9"), ("0.5", "0.5"),
-                                            ("0", "0"), ("1", "1")])
+                                            ("0", "0"), ("1", "1")] + _seeded_strength_pairs())
     def test_text_equals_indented_json_dumps(self, capsys, tmp_path, lam1, lam2):
         out_file = tmp_path / "ell.json"
         code, _, err = run_cli(capsys, "ellipsoids", "--lambda1", lam1,
@@ -273,18 +280,30 @@ class TestRun:
                                   "pair 2: S = 1.000000 <= C2\n")
 
 
+# Strengths at which a run's components are exact: 0 and 1 leave every
+# coherence exact, and at 2**-0.5 a strength and its coherence are equal.
+# Runs with them give ellipsoids whose semiaxes tie.
+_EXACT_STRENGTHS = [0.0, 1.0, 2 ** -0.5]
+
+
 def _seeded_run_configs():
     """Both modes, 1-4 pairs, final pairs given or omitted, signed x/y/z
-    labels, and the compression key given or omitted."""
+    labels (the same axis twice included), the compression key given or
+    omitted, and about a third of the strengths from `_EXACT_STRENGTHS`."""
     rng = np.random.default_rng(97)
+
+    def strength():
+        return float(rng.choice(_EXACT_STRENGTHS)) if rng.uniform() < 1 / 3 \
+            else float(rng.uniform())
+
     configs = []
-    for k in range(48):
+    for k in range(480):
         mode = ("nonlocal", "local")[k % 2]
         pairs = k // 2 % 4 + 1
         given = pairs - (k // 8 % 2) if pairs > 1 else 1
         labels = ["x", "-x", "y", "-y"] + (["z", "-z"] if mode == "nonlocal" else [])
-        strengths = [float(rng.uniform()) if rng.uniform() < 0.5
-                     else rng.uniform(0, 1, 2).tolist() for _ in range(given)]
+        strengths = [strength() if rng.uniform() < 0.5 else [strength(), strength()]
+                     for _ in range(given)]
         configs.append({"mode": mode, "pairs": pairs, "strengths": strengths,
                         "charlie_directions": rng.choice(labels, 2).tolist(),
                         **({"compression": "00,11"} if k % 3 else {})})
@@ -325,18 +344,26 @@ def _python(code, *argv):
 
 class TestRunOut:
     def test_text_equals_indented_json_dumps(self, capsys, tmp_path):
+        # `steershare run` spells the arrays `run_scenario` builds its
+        # objects from: both must give the same text.
         cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
         configs = _seeded_run_configs()
-        layouts = set()
+        layouts, tied = set(), 0
         for cfg in configs:
             cfg_file.write_text(json.dumps(cfg))
-            code, _, err = run_cli(capsys, "run", "--config", str(cfg_file),
-                                   "--out", str(out_file))
+            code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
+                                     "--out", str(out_file))
             assert (code, err) == (0, "")
-            payload = _run_payload(run_scenario(ScenarioConfig.from_json(cfg)))
-            assert out_file.read_text() == json.dumps(payload, indent=2) + "\n"
+            config = ScenarioConfig.from_json(cfg)
+            results = run_scenario(config)
+            assert out_file.read_text() == json.dumps(_run_payload(results), indent=2) + "\n"
+            assert out == "".join(
+                f"pair {r.pair}: S = {r.steering_value:.6f} "
+                f"{'>' if r.steering_value > config.bound else '<='} C2\n" for r in results)
             layouts.add((cfg["mode"], cfg["pairs"]))
-        assert len(layouts) == 8
+            tied += sum(bool((np.diff(r.ellipsoid.semiaxes) >= -DEGENERACY_TOL).any())
+                        for r in results if r.ellipsoid)
+        assert len(layouts) == 8 and tied >= 100
         assert {(c["mode"], c.get("compression")) for c in configs} == {
             (mode, compression) for mode in ("nonlocal", "local")
             for compression in ("00,11", None)}
@@ -346,44 +373,47 @@ class TestRunOut:
                                                   mode):
         """NaN, +-Infinity and -0.0 in every kind of spelled field: steering
         values, state entries in the support of GHZ's Pauli components (the
-        diagonal and anti-diagonal of the real part), each spiked together
-        with its mirror entry, [7-j, 7-j] or [7-j, j], which a run state
-        holds equal and `--out` spells once, and each ellipsoid field but the
-        centre and the off-diagonal matrix entries.  The other slots hold a
-        literal 0.0, which no run can leave anything else in
-        (`test_literal_slot_must_hold_positive_zero`)."""
+        diagonal and anti-diagonal of the real part), each together with its
+        mirror entry, [7-j, 7-j] or [7-j, j], which a run state holds equal
+        and `--out` spells once, and each ellipsoid field but the centre and
+        the off-diagonal matrix entries.  They enter through the run's
+        kernel, its `check_run_components` entries and its ellipsoid rows.
+        The other slots hold a literal 0.0, which no run can leave anything
+        else in (`test_literal_slot_must_hold_positive_zero`)."""
         specials = [float("nan"), float("inf"), float("-inf"), -0.0]
         rng = np.random.default_rng(41)
 
-        def spiked(a, where):
+        def spiked(a):
             a = a.copy()
-            slots = np.flatnonzero(where)
-            idx = rng.choice(slots, min(slots.size, len(specials)), replace=False)
-            a.reshape(-1)[idx] = rng.permutation(specials)[:len(idx)]
+            idx = rng.choice(a.size, min(a.size, len(specials)), replace=False)
+            a[idx] = rng.permutation(specials)[:len(idx)]
             return a
 
-        def state(mat):  # DensityMatrix would reject non-finite entries
+        def state(e):  # DensityMatrix would reject non-finite entries
+            mat, j = np.zeros((8, 8), dtype=complex), np.arange(4)
+            mat.real[j, j] = mat.real[7 - j, 7 - j] = e[:4]
+            mat.real[j, 7 - j] = mat.real[7 - j, j] = e[4:]
             dm = object.__new__(DensityMatrix)
             object.__setattr__(dm, "qubits", 3)
-            object.__setattr__(dm, "mat", np.empty_like(mat))
-            re = spiked(mat.real, _GHZ_SUPPORT[:4])  # rows 0..3 hold one of each pair
-            re[4:] = re[:4][::-1, ::-1]
-            dm.mat.real, dm.mat.imag = re, mat.imag
+            object.__setattr__(dm, "mat", mat)
             return dm
 
-        def ell(e, volume):
-            return e and SteeringEllipsoid(e.center, spiked(e.matrix, np.eye(3)),
-                                           spiked(e.semiaxes, np.ones(3)),
-                                           spiked(e.orientation, np.ones((3, 3))), volume)
-
-        def result(r, x):
-            return PairResult(r.pair, x, state(r.state.mat), ell(r.ellipsoid, x))
+        def ell(row):  # the floats of `cli._ellipsoid_rows`, in its order
+            return SteeringEllipsoid(np.zeros(3), np.diag(row[:3]), row[3:6],
+                                     row[6:15].reshape(3, 3).T, float(row[15]))
 
         cfg = {"mode": mode, "pairs": 4, "strengths": [0.5, [0.3, 0.8], 0.9]}
-        results = [result(r, x)
-                   for r, x in zip(run_scenario(ScenarioConfig.from_json(cfg)), specials)]
-        assert (results[0].ellipsoid is None) == (mode == "local")
-        monkeypatch.setattr(scenario, "run_scenario", lambda _cfg: results)
+        config = ScenarioConfig.from_json(cfg)
+        _, components = scenario._run_arrays(config)
+        entries = np.stack([spiked(e) for e in states.check_run_components(components)])
+        rows = cli._ellipsoid_rows(states.t_state_diagonals(components))
+        rows = np.stack([np.hstack([spiked(r[:3]), spiked(r[3:6]), spiked(r[6:15]), x])
+                         for r, x in zip(rows, specials)])
+        results = [PairResult(i, x, state(e), ell(r) if mode == "nonlocal" else None)
+                   for i, x, e, r in zip(range(1, 5), specials, entries, rows)]
+        monkeypatch.setattr(scenario, "_run_arrays", lambda _cfg: (np.array(specials), components))
+        monkeypatch.setattr(cli, "check_run_components", lambda _c: entries)
+        monkeypatch.setattr(cli, "_ellipsoid_rows", lambda _d: rows)
         cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_file.write_text(json.dumps(cfg))
         code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
@@ -418,13 +448,14 @@ class TestRunOut:
         assert run_cli(capsys, "run", "--config", str(cfg_file), "--out", str(out_file))[0] == 0
         clean, component = out_file.read_bytes(), self._LITERAL_SOURCES[field]
         out_file.unlink()
-        real = scenario.from_ghz_components
+        real = scenario._run_arrays
 
-        def faulty(c):
+        def faulty(cfg):
+            values, c = real(cfg)
             c[1, component] += value  # pair 2's, which its ellipsoid shares
-            return real(c)
+            return values, c
 
-        monkeypatch.setattr(scenario, "from_ghz_components", faulty)
+        monkeypatch.setattr(scenario, "_run_arrays", faulty)
         code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
                                  "--out", str(out_file))
         if value == value:  # 1e-300, -0.0
@@ -437,9 +468,9 @@ class TestRunOut:
     def test_three_nonlocal_pairs_spell_75_floats(self):
         # 1 steering value, 8 distinct state entries and 16 shared ellipsoid
         # floats per pair fill 1 + 16 + 2 * 16 slots.
-        results = run_scenario(ScenarioConfig.from_json({"pairs": 3, "strengths": [0.5, 0.8]}))
+        rows = cli._run_rows(ScenarioConfig.from_json({"pairs": 3, "strengths": [0.5, 0.8]}))
         pieces, slots = cli._run_layout(3, True)
-        floats = cli._run_floats(results, True)
+        floats = rows.ravel().tolist()
         assert len(floats) == 75 and all(type(x) is float for x in floats)
         assert len(pieces) - 1 == len(slots(range(75))) == 147
 
@@ -725,14 +756,14 @@ class TestBatchedWrites:
 
     def test_int_steering_value_spelled_as_float(self, capsys, tmp_path, monkeypatch):
         # The text json.dumps gives the payload with 1.0, as for any float.
-        real = scenario.run_scenario
-        monkeypatch.setattr(scenario, "run_scenario", lambda cfg: [
-            dataclasses.replace(r, steering_value=1) for r in real(cfg)])
+        real = scenario._run_arrays
+        monkeypatch.setattr(scenario, "_run_arrays", lambda cfg: (
+            np.ones(cfg.pairs, dtype=int), real(cfg)[1]))
         argv, out = self._argv(tmp_path, "run"), tmp_path / "out.json"
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert (code, err) == (0, "") and stdout.count("S = 1.000000 > C2") == 4
         cfg = ScenarioConfig.from_json(json.loads(Path(argv[2]).read_text()))
-        payload = [dict(item, steering_value=1.0) for item in _run_payload(real(cfg))]
+        payload = [dict(item, steering_value=1.0) for item in _run_payload(run_scenario(cfg))]
         assert out.read_text() == json.dumps(payload, indent=2) + "\n"
         assert out.read_text().count('"steering_value": 1.0,') == 4
 

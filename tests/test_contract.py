@@ -54,6 +54,8 @@ def _valid_call(name):
                                          "i": 2},
         "ScanTable": lambda: {"params": {"param": np.zeros(2)}, "s": [np.zeros(2)],
                               "st": [], "region": np.array(["", "I"])},
+        "PairResult": lambda: {"pair": 1, "steering_value": 0.5, "state": steershare.ghz(),
+                               "ellipsoid": None},
         "ScenarioConfig": lambda: {"strengths": history.local_sqrt([(0.5, 0.8)]),
                                    "mode": "local", "charlie_directions": ("x", "-y")},
         "ellipsoid_series": lambda: {"strength_pairs": [(0.5, 0.8)]},
@@ -92,19 +94,24 @@ def test_junk_argument_returns_or_raises_steershare_error(name):
 # Public types that check their fields: given one junk field in an otherwise
 # valid call, each raises SteershareError, unless the junk value is listed
 # here as a valid value of that field.
+# A NaN is listed as `math.nan`, the object the palette holds, as it equals
+# no value.  `PairResult` is public as `steershare.scenario.PairResult`.
+_REALS = [7, -7, 0.25, math.nan, math.inf, -math.inf, np.float64(0.5), np.int64(3)]
 _CHECKED_FIELDS = {
     "ScanTable": {"params": [{}], "s": [[]], "st": [[]]},
+    "SteeringEllipsoid": {"volume": _REALS},
+    "PairResult": {"pair": [7, -7, np.int64(3)], "steering_value": _REALS, "ellipsoid": [None]},
 }
 
 
 @pytest.mark.parametrize("name", list(_CHECKED_FIELDS))
 def test_checked_type_rejects_junk_field(name):
-    cls = getattr(steershare, name)
+    cls = getattr(steershare, name, None) or getattr(steershare.scenario, name)
     built = []
     for param in inspect.signature(cls).parameters:
         valid = _CHECKED_FIELDS[name].get(param, [])
         for k, junk in enumerate(_junk()):
-            if any(type(junk) is type(v) and junk == v for v in valid):
+            if any(type(junk) is type(v) and (junk is v or junk == v) for v in valid):
                 continue
             try:
                 cls(**{**_valid_call(name), param: junk})

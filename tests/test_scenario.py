@@ -291,6 +291,16 @@ class TestSweepCurve:
         assert len(table) == 5
         assert len(table.s) == 2 and len(table.st) == 2
         assert all(len(col) == 5 for col in table.s + table.st)
+        # Pair 1 fixed and pair 3 sharp: their S and S~ are one float each,
+        # which fills a column; every column holds each sample's closed forms.
+        table = sweep_curve({"lambda_1": 0.4}, "lambda2_2", 0.7, 0.9, 5, pairs=3)
+        assert len(table.s) == 3 and len(table.st) == 3
+        for k, x in enumerate(table.params["param"].tolist()):
+            lams = [(0.4, 0.4), (1.0, x), (1.0, 1.0)]
+            for i in range(1, 4):
+                for col, f, h in ((table.s, closed_form_nonlocal, StrengthHistory.nonlocal_history),
+                                  (table.st, closed_form_local, StrengthHistory.local_sqrt)):
+                    assert col[i - 1][k].hex() == f(h(lams), i).hex()
 
     def test_unknown_parameter(self):
         with pytest.raises(ConfigError):
