@@ -15,8 +15,8 @@ import numpy as np
 
 from . import scenario
 from .errors import ConfigError, SteershareError
-from .states import SUPPORT, _SPREAD, check_run_components, t_state_diagonals
-from .steering import _t_state_axes, classical_bound
+from .states import SUPPORT, _SPREAD
+from .steering import _ellipsoid_rows, classical_bound
 
 
 def _parse_fix(items: list[str]) -> dict[str, float]:
@@ -89,21 +89,12 @@ def _write_all(fd: int, data: bytes) -> None:
 # j and 7-j are equal by construction, so a state spells 8 floats, the
 # entries [j, j] and then [j, 7-j], j = 0..3, that `check_run_components`
 # returns, and `states._SPREAD` picks one of them for each `SUPPORT` slot,
-# row-major.
+# row-major.  An ellipsoid spells the 16 floats of its row
+# (`steering._ellipsoid_row`), in slot order; a T-state steers both parties
+# onto one ellipsoid, so its floats fill the slots of both.
 _ELLIPSOID = {"center": [0.0] * 3,
               "matrix": [["%s" if i == j else 0.0 for j in range(3)] for i in range(3)],
               "semiaxes": ["%s"] * 3, "orientation": [["%s"] * 3] * 3, "volume": "%s"}
-_AXES = np.eye(3)  # row a: coordinate axis a
-
-
-def _ellipsoid_rows(d: np.ndarray) -> np.ndarray:
-    """Per T-state diagonal of the (k, 3) stack `d`, the 16 floats its
-    ellipsoid's `_ELLIPSOID` slots spell, in slot order: the matrix diagonal
-    d^2, the semiaxes, the orientation column by column and the volume, as
-    `t_state_ellipsoids` reads them.  A T-state steers both parties onto one
-    ellipsoid, so its floats fill the slots of both."""
-    semiaxes, order, volume = _t_state_axes(d)
-    return np.concatenate([d * d, semiaxes, _AXES[order].reshape(-1, 9), volume[:, None]], axis=1)
 
 
 def _layout(skeleton) -> list[str]:
@@ -354,18 +345,6 @@ def _run_layout(pairs: int, with_ellipsoids: bool) -> tuple[list[str], operator.
         _slots(pairs, [0, *(1 + _SPREAD).tolist(), *shared])
 
 
-def _run_rows(cfg: scenario.ScenarioConfig) -> np.ndarray:
-    """The floats of a `cfg` run in `_run_layout` order, one row per pair,
-    from the arrays `run_scenario` builds its results from, validated as it
-    validates them: 25 floats a pair in a nonlocal run, whose every state
-    is a T-state with one ellipsoid, and 9 in a local run."""
-    values, components = scenario._run_arrays(cfg)
-    rows = [values[:, None], check_run_components(components)]
-    if cfg.mode == "nonlocal":
-        rows.append(_ellipsoid_rows(t_state_diagonals(components)))
-    return np.concatenate(rows, axis=1)
-
-
 def cmd_run(args) -> None:
     try:
         with open(args.config) as fh:
@@ -377,13 +356,13 @@ def cmd_run(args) -> None:
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from None
     cfg = scenario.ScenarioConfig.from_json(obj)
-    rows = _run_rows(cfg)
+    rows = scenario._run_rows(cfg)
     if args.out:
         pieces, slots = _run_layout(cfg.pairs, cfg.mode == "nonlocal")
-        _write_out(args.out, [_fill(pieces, rows.ravel().tolist(), slots).encode()])
-    bound = cfg.bound
+        _write_out(args.out, [_fill(pieces, rows, slots).encode()])
+    bound, width = cfg.bound, len(rows) // cfg.pairs  # a pair's floats start with its S
     sys.stdout.write("".join([f"pair {i}: S = {v:.6f} {'>' if v > bound else '<='} C2\n"
-                              for i, v in enumerate(rows[:, 0].tolist(), start=1)]))
+                              for i, v in enumerate(rows[::width], start=1)]))
 
 
 class _Parser(argparse.ArgumentParser):

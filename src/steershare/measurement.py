@@ -8,8 +8,9 @@ uniformly over the settings of a pair.  As D^2 = I, that sum is the
 dephasing channel ((1+c)/2) rho + ((1-c)/2) D rho D with
 c = sqrt(1 - lambda^2).  On the state's Pauli tensor (see `states`) the
 channel keeps the components that commute with D and multiplies those that
-anticommute with it by c; `run_scenario` applies it in that form
-(`dephasing_scale`), and the tests hold it to the Kraus sum.  Charlie's
+anticommute with it by c; runs and the ellipsoid series apply it in that
+form (`dephasing_scale`, and per pair in Python floats in a run), and the
+tests hold it to the Kraus sum.  Charlie's
 settings, the A,B directions paired with them (`_AXIS_TABLE`) and the plan
 of a pair of settings (`_run_plan`: what each damps and reads) are tabled here
 once; runs, the ellipsoid series and `steering.closed_forms` read that plan.

@@ -9,6 +9,7 @@ so that every sharp correlator is +1.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -19,10 +20,11 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .linalg import PAULIS
 from .measurement import _AXIS_TABLE, _run_plan, dephasing_scale
-from .states import GHZ_VALUES, DensityMatrix, _check_type, _is_int, \
-    _is_real, check_run_components, from_ghz_components, t_state_diagonals
-from .steering import SteeringEllipsoid, StrengthHistory, _SEQUENCES, closed_forms, \
-    coherence, t_state_ellipsoids
+from .states import GHZ_VALUES, DensityMatrix, _check_type, _is_int, _is_real, \
+    _member_entries, _support_states, _t_state_diagonal, check_run_components, \
+    t_state_diagonals
+from .steering import SteeringEllipsoid, StrengthHistory, _SEQUENCES, _ellipsoid_row, \
+    _row_ellipsoids, closed_forms, coherence, t_state_ellipsoids
 
 SQRT_HALF = float(1 / np.sqrt(2))
 
@@ -172,38 +174,83 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
     (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
     times the product of the factors of pairs 1..i.  That product only
     scales GHZ's 8 components, so the run evolves those, exact +-1 at the
-    start, as a (pair, 8) array that the cached setting plan of its mode
-    and pair of Charlie axes (`measurement._run_plan`) lays out, and reads
-    each steering value off one of them.  Each state's 4 distinct diagonal
+    start, pair by pair as the cached setting plan of its mode and pair of
+    Charlie axes (`measurement._run_plan`) lays out, and reads each
+    steering value off one of them.  Each state's 4 distinct diagonal
     and 4 distinct anti-diagonal entries are one fixed +-1/8 sum of its
     components; the state is validated by its trace and least GHZ-basis
     weight, diagonal minus |anti-diagonal| (`check_run_components`), with
-    no eigensolver, and built on `states.SUPPORT` (`from_ghz_components`).
-    In a nonlocal run every state compresses to a T-state, whose diagonal
-    is three two-term sums of components (`t_state_diagonals`), and the
-    ellipsoids of every pair are read off those (`t_state_ellipsoids`).
-    No step calls BLAS, so a run's bits do not depend on the BLAS kernel.
-    The arrays come from `_run_arrays`, which `steershare run` spells from.
+    no eigensolver, and built on `states.SUPPORT`.  In a nonlocal run
+    every state compresses to a T-state, whose diagonal is three two-term
+    sums of components (`t_state_diagonals`), and the ellipsoids of every
+    pair are read off those (`t_state_ellipsoids`).  A run of at most 4
+    pairs computes all of these in one loop over Python floats
+    (`_run_rows`), which `steershare run` spells from and this builds its
+    objects from; the ellipsoid series computes them for a stack of samples
+    with numpy, to the same bits.  No step calls BLAS, so a run's bits do
+    not depend on the BLAS kernel.
     """
-    values, after = _run_arrays(cfg)
-    states = from_ghz_components(after)
-    ells = [None] * cfg.pairs
-    if cfg.mode == "nonlocal":
-        ells = t_state_ellipsoids(t_state_diagonals(after))
+    rows = np.array(_run_rows(cfg)).reshape(cfg.pairs, -1)
+    ells = _row_ellipsoids(rows[:, 9:]) if cfg.mode == "nonlocal" else [None] * cfg.pairs
     return [PairResult(pair=i, steering_value=v, state=state, ellipsoid=ell)
-            for i, v, state, ell in zip(range(1, cfg.pairs + 1), values.tolist(), states, ells)]
+            for i, v, state, ell in zip(range(1, cfg.pairs + 1), rows[:, 0].tolist(),
+                                        _support_states(rows[:, 1:9]), ells)]
 
 
-def _run_arrays(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The (pair,) steering values and the (pair, 8) GHZ components after
-    each pair of a `cfg` run (see `run_scenario`), not yet validated."""
+def _run_rows(cfg: ScenarioConfig) -> list[float]:
+    """The floats of a `cfg` run, pair by pair: the steering value, the
+    state's 8 entries (`states._member_entries`), validated, and in a
+    nonlocal run, whose every state is a T-state with one ellipsoid, its
+    16-float row (`steering._ellipsoid_row`): 25 floats a pair in a
+    nonlocal run and 9 in a local one, in Python floats, with no numpy call."""
+    values, after = _run_components(cfg)
+    ellipsoids = cfg.mode == "nonlocal"
+    rows = []
+    for value, c in zip(values, after):
+        rows.append(float(value))  # a float, whatever number it came as
+        rows += _member_entries(c)
+        if ellipsoids:
+            rows += _ellipsoid_row(_t_state_diagonal(c))
+    return rows
+
+
+@functools.cache
+def _float_plan(mode: str, axes: tuple[str, ...]) -> tuple:
+    """The setting plan `measurement._run_plan` of a `mode` run along the
+    resolved `axes`, in Python numbers: per component, for each setting, the
+    parties whose direction damps it as a bit mask, bit p for party p; the
+    components the settings read; and their signs."""
+    anti, read, sign, _ = _run_plan(mode, axes)
+    masks = sum(anti[:, p] * (1 << p) for p in range(anti.shape[1]))  # (setting, component)
+    return tuple(zip(*masks.tolist())), tuple(read.tolist()), tuple(sign.tolist())
+
+
+_GHZ = tuple(GHZ_VALUES.tolist())
+
+
+def _run_components(cfg: ScenarioConfig) -> tuple[list[float], list[list[float]]]:
+    """The steering values and the 8 GHZ components after each pair of a
+    `cfg` run (see `run_scenario`), not yet validated, in Python floats.
+    Each is the float numpy's stacked kernels give (`dephasing_scale`, the
+    ellipsoid series): a setting's damping is the product of its parties'
+    coherences, a pair's the mean of its settings', and the components are
+    GHZ's +-1 times the running product of the pairs' dampings, which is
+    each pair's damping times the components before it, as +-1 factors are
+    exact."""
     _check_type(cfg, ScenarioConfig)
-    anti, read, sign, _ = _run_plan(cfg.mode, cfg._axes)
-    h, lam = cfg.strengths, np.array(cfg.strengths.lambdas)  # lam: (pair, setting)
-    c = coherence(lam[..., None] if cfg.mode == "nonlocal" else np.stack([h.etas, h.gammas], -1))
-    after = GHZ_VALUES * np.cumprod(dephasing_scale(anti, c), axis=0)  # (pair, component)
-    before = np.concatenate([GHZ_VALUES[None], after[:-1]])
-    values = (lam * sign * before[:, read]).sum(axis=1) / len(read)  # numpy's mean
+    masks, (r0, r1), (sign0, sign1) = _float_plan(cfg.mode, cfg._axes)
+    h = cfg.strengths
+    if cfg.mode == "nonlocal":  # per pair and setting, the damping of each mask
+        damping = [[(1.0, coherence(x)) for x in pair] for pair in h.lambdas]
+    else:
+        damping = [[(1.0, a, b, a * b) for a, b in zip(map(coherence, etas), map(coherence, gammas))]
+                   for etas, gammas in zip(h.etas, h.gammas)]
+    values, after, c = [], [], _GHZ
+    for (l0, l1), (f0, f1) in zip(h.lambdas, damping):
+        # numpy's two-term sum starts from 0.0, so a -0.0 sum is +0.0.
+        values.append(((l0 * sign0) * c[r0] + (l1 * sign1) * c[r1] + 0.0) / 2)
+        c = [x * ((f0[a] + f1[b]) / 2) for x, (a, b) in zip(c, masks)]
+        after.append(c)
     return values, after
 
 
@@ -378,7 +425,8 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
 
 def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[SteeringEllipsoid]:
     """One steering ellipsoid per sample, Charlie's and AB's alike, of the post-pair-1
-    state (a nonlocal x/-y pair 1), in one stacked pass through `run_scenario`'s kernels."""
+    state (a nonlocal x/-y pair 1), in one stacked numpy pass: the kernels whose
+    floats a run's float loop (`_run_rows`) gives, bit for bit, one pair at a time."""
     return t_state_ellipsoids(_series_diagonals(strength_pairs))
 
 

@@ -6,18 +6,20 @@ Pauli tensor t[a, b, ...] = Tr(rho sigma_a x sigma_b x ...), sigma_0 = I,
 from which rho = 2^-n sum t[a, b, ...] sigma_a x sigma_b x ....  A run
 from GHZ keeps GHZ's 8 nonzero Pauli components (`GHZ_COMPONENTS`, exact
 values `GHZ_VALUES`), as every pair update only scales components, and
-evolves them as a (k, 8) array.  Such a state is diagonal in the GHZ
+evolves them: 8 floats a pair.  Such a state is diagonal in the GHZ
 basis and fixed by its components (Guhne & Seevinck, NJP 12, 053002
 (2010)): each of its entries, GHZ-basis weights and compressed T-state
 axes is a fixed +-1 sum of them.  So a run's states are validated in
-closed form (`check_run_components`), built on the diagonal and
-anti-diagonal those span (`SUPPORT`, `from_ghz_components`) and
-compressed to T-states (`t_state_diagonals`) with no BLAS call;
+closed form (`check_run_components` for a (k, 8) stack, `_member_entries`
+for one member), built on the diagonal and anti-diagonal those span
+(`SUPPORT`, `from_ghz_components`) and compressed to T-states
+(`t_state_diagonals`, `_t_state_diagonal`) with no BLAS call;
 `DensityMatrix` and `ghz()` validate any matrix with one `eigvalsh`.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -182,10 +184,15 @@ def check_run_components(c: np.ndarray) -> np.ndarray:
 def from_ghz_components(c: np.ndarray) -> list[DensityMatrix]:
     """The states 2^-3 sum_i c[k, i] P_i of a (k, 8) stack of GHZ components,
     P_i the i-th product of `GHZ_COMPONENTS`, validated by
-    `check_run_components`: each is its 8 entries on `SUPPORT`, mirrored
-    entries equal, and +0.0 elsewhere."""
-    entries = check_run_components(c)
-    mats = np.zeros((len(c), 64), dtype=complex)
+    `check_run_components` (see `_support_states`)."""
+    return _support_states(check_run_components(c))
+
+
+def _support_states(entries: np.ndarray) -> list[DensityMatrix]:
+    """The run states of a (k, 8) stack of validated entries, as
+    `check_run_components` gives them: each is its 8 entries on `SUPPORT`,
+    mirrored entries equal, and +0.0 elsewhere."""
+    mats = np.zeros((len(entries), 64), dtype=complex)
     mats[:, _SUPPORT_AT] = entries.take(_SPREAD, axis=1)
     mats = mats.reshape(-1, 8, 8)
     mats.setflags(write=False)
@@ -211,3 +218,43 @@ def t_state_diagonals(c: np.ndarray) -> np.ndarray:
     lies in that span with weight (III + ZZI)/2 = 1, nothing is
     renormalized, and m~ = n = 0 and T is diagonal: a T-state."""
     return (c[:, :, None] * _T_SIGNS).sum(axis=1)
+
+
+# A run's float loop (`scenario._run_rows`) validates and compresses its
+# states one member at a time, on Python floats: the coefficients of each
+# entry and T-state axis over the 8 components, `_SIGNS` and `_T_SIGNS`
+# column by column.  numpy sums the 8 products of a stack member pairwise,
+# ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), zero coefficients included,
+# and so do `_member_entries` and `_t_state_diagonal`: their floats are the
+# stack's, bit for bit.
+_ENTRY_SIGNS = tuple(map(tuple, _SIGNS.T.tolist()))
+_T_AXIS_SIGNS = tuple(map(tuple, _T_SIGNS.T.tolist()))
+
+
+def _component_sums(c: list[float], columns: tuple) -> list[float]:
+    """Per coefficient column, the pairwise sum of the products of one
+    member's 8 GHZ components `c` with it."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    return [((c0 * s0 + c1 * s1) + (c2 * s2 + c3 * s3)) + ((c4 * s4 + c5 * s5) + (c6 * s6 + c7 * s7))
+            for s0, s1, s2, s3, s4, s5, s6, s7 in columns]
+
+
+def _member_entries(c: list[float]) -> list[float]:
+    """The 8 entries of the state of one member's 8 GHZ components `c`, as
+    `check_run_components` gives them, and raising as it raises."""
+    e = _component_sums(c, _ENTRY_SIGNS)
+    w = [e[0] - abs(e[4]), e[1] - abs(e[5]), e[2] - abs(e[6]), e[3] - abs(e[7])]
+    trace, floor = abs(c[0] - 1) <= DENSITY_TRACE_TOL, DENSITY_EIG_FLOOR
+    if not (trace and w[0] >= floor and w[1] >= floor and w[2] >= floor
+            and w[3] >= floor):  # NaN fails
+        if not trace:
+            raise ShapeError(f"trace {complex(c[0]):.12f} != 1")
+        low = math.nan if any(x != x for x in w) else min(w)  # numpy's min keeps NaN
+        raise ShapeError(f"negative eigenvalue {low:.3e}")
+    return e
+
+
+def _t_state_diagonal(c: list[float]) -> list[float]:
+    """The T-state diagonal of one member's 8 nonlocal run components `c`, as
+    `t_state_diagonals` gives it."""
+    return _component_sums(c, _T_AXIS_SIGNS)

@@ -216,29 +216,48 @@ class SteeringEllipsoid:
             raise ShapeError("volume is not a real number")
 
 
-# Per order of the coordinate axes, the orientation whose column p is axis
-# order[p]; read-only, so every ellipsoid with that order shares it.
-_ORIENTATIONS = {order: np.eye(3)[:, order] for order in itertools.permutations(range(3))}
-for _axes in _ORIENTATIONS.values():
-    _axes.setflags(write=False)
+# Row a: coordinate axis a, a column of an orientation.
+_UNIT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
-def _t_state_axes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (k, 3) descending semiaxes, the (k, 3) coordinate axis each lies
-    along and the (k,) volumes of the ellipsoids of a (k, 3) stack of T-state
-    diagonals d (see `t_state_ellipsoids`)."""
+def _descending_axes(a: list[float]) -> tuple[list[float], list[int]]:
+    """The descending semiaxes of the ellipsoid of a T-state whose diagonal's
+    absolute values are `a`, and the coordinate axis each lies along (see
+    `t_state_ellipsoids`): a stable sort, and then each tie group takes its
+    axes in the order x, y, z."""
+    axes = sorted(range(3), key=a.__getitem__, reverse=True)
+    s0, s1, s2 = semiaxes = [a[i] for i in axes]
+    lo, hi = int(s0 - s1 > DEGENERACY_TOL), 2 + (s1 - s2 <= DEGENERACY_TOL)
+    if hi - lo > 1:
+        axes[lo:hi] = sorted(axes[lo:hi])
+    return semiaxes, axes
+
+
+# An ellipsoid row is the 16 floats of a T-state ellipsoid that `--out`
+# spells: the matrix diagonal d^2, the semiaxes, the orientation column by
+# column and the volume.  `_ellipsoid_row` reads one off a diagonal d in
+# Python floats, for a run's float loop; `_ellipsoid_rows` reads a stack
+# with numpy, for the ellipsoid series.  Their floats agree bit for bit:
+# the volume is sqrt(((s0 s0) (s1 s1)) (s2 s2)), as numpy's product runs.
+def _ellipsoid_row(d: list[float]) -> list[float]:
+    """The ellipsoid row of one T-state diagonal `d`, 3 floats."""
+    d0, d1, d2 = d
+    (s0, s1, s2), (a0, a1, a2) = _descending_axes([abs(d0), abs(d1), abs(d2)])
+    return [d0 * d0, d1 * d1, d2 * d2, s0, s1, s2, *_UNIT[a0], *_UNIT[a1], *_UNIT[a2],
+            math.sqrt(s0 * s0 * (s1 * s1) * (s2 * s2))]
+
+
+def _ellipsoid_rows(d: np.ndarray) -> np.ndarray:
+    """The (k, 16) ellipsoid rows of a (k, 3) stack of T-state diagonals `d`."""
     semiaxes, order = [], []
     for row in np.abs(d).tolist():
-        axes = sorted(range(3), key=row.__getitem__, reverse=True)  # a stable sort
-        s0, s1, s2 = sorted_row = [row[i] for i in axes]
-        lo, hi = int(s0 - s1 > DEGENERACY_TOL), 2 + (s1 - s2 <= DEGENERACY_TOL)
-        if hi - lo > 1:
-            axes[lo:hi] = sorted(axes[lo:hi])
-        semiaxes.append(sorted_row)
+        s, axes = _descending_axes(row)
+        semiaxes.append(s)
         order.append(axes)
     semiaxes = np.array(semiaxes).reshape(-1, 3)
     volume = np.sqrt((semiaxes * semiaxes).prod(axis=1))  # |d| |d| is d d exactly
-    return semiaxes, np.array(order, dtype=np.intp).reshape(-1, 3), volume
+    columns = np.array(_UNIT)[np.array(order, dtype=np.intp).reshape(-1, 3)].reshape(-1, 9)
+    return np.concatenate([d * d, semiaxes, columns, volume[:, None]], axis=1)
 
 
 def t_state_ellipsoids(d: np.ndarray) -> list[SteeringEllipsoid]:
@@ -251,17 +270,23 @@ def t_state_ellipsoids(d: np.ndarray) -> list[SteeringEllipsoid]:
     (2014)).  Semiaxes are descending, in a stable sort.  A tie group, a
     run of semiaxes each within DEGENERACY_TOL of the next, takes its axes
     in the order x, y, z.  The volume is sqrt(prod(d^2)), taking d^2 in
-    descending order.  These are read off d by `_t_state_axes`; the
-    ellipsoids are built past their field check, and their arrays are
-    read-only: both parties' ellipsoids are the one object.
+    descending order.  These are read off d as its ellipsoid rows
+    (`_ellipsoid_rows`), and built from those (`_row_ellipsoids`): both
+    parties' ellipsoids are the one object.
     """
-    semiaxes, order, volume = _t_state_axes(d)
-    center = np.zeros((len(d), 3))
-    matrix = np.zeros((len(d), 9))
-    matrix[:, ::4] = d * d
-    matrix = matrix.reshape(-1, 3, 3)
-    for x in (center, matrix, semiaxes):
+    return _row_ellipsoids(_ellipsoid_rows(d))
+
+
+def _row_ellipsoids(rows: np.ndarray) -> list[SteeringEllipsoid]:
+    """The ellipsoids of a (k, 16) stack of ellipsoid rows, built past their
+    field check, centred and with the diagonal matrix the rows give; their
+    arrays are read-only."""
+    k = len(rows)
+    center, matrix = np.zeros((k, 3)), np.zeros((k, 9))
+    matrix[:, ::4] = rows[:, :3]
+    orientation = np.ascontiguousarray(rows[:, 6:15].reshape(-1, 3, 3).transpose(0, 2, 1))
+    stacks = (center, matrix.reshape(-1, 3, 3), rows[:, 3:6], orientation)
+    for x in stacks:
         x.setflags(write=False)
-    return [_unchecked(SteeringEllipsoid, center=c, matrix=o, semiaxes=s,
-                       orientation=_ORIENTATIONS[tuple(a)], volume=v)
-            for c, o, s, a, v in zip(center, matrix, semiaxes, order.tolist(), volume.tolist())]
+    return [_unchecked(SteeringEllipsoid, center=c, matrix=m, semiaxes=s, orientation=o, volume=v)
+            for c, m, s, o, v in zip(*stacks, rows[:, 15].tolist())]

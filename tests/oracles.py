@@ -391,13 +391,20 @@ def run_spectrum_deviation(grid, pairs, mode):
 @contextlib.contextmanager
 def run_components():
     """Within the block, the list of every (k, 8) stack of GHZ components
-    that `run_scenario` builds its states from, in call order."""
-    seen, real = [], scenario.from_ghz_components
-    scenario.from_ghz_components = lambda c: seen.append(c) or real(c)
+    that a run's float loop (`scenario._run_components`) hands on to be
+    validated and built, one stack per run, in call order."""
+    seen, real = [], scenario._run_components
+
+    def spy(cfg):
+        values, after = real(cfg)
+        seen.append(np.array(after).reshape(-1, 8))
+        return values, after
+
+    scenario._run_components = spy
     try:
         yield seen
     finally:
-        scenario.from_ghz_components = real
+        scenario._run_components = real
 
 
 def full_product_states(c):

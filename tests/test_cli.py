@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import steershare
-from steershare import cli, scenario, states
+from steershare import cli, scenario, states, steering
 from steershare.cli import main
 from steershare.scenario import PairResult, ScenarioConfig, ellipsoid_series, \
     run_scenario, sweep_curve
@@ -376,8 +377,9 @@ class TestRunOut:
         diagonal and anti-diagonal of the real part), each together with its
         mirror entry, [7-j, 7-j] or [7-j, j], which a run state holds equal
         and `--out` spells once, and each ellipsoid field but the centre and
-        the off-diagonal matrix entries.  They enter through the run's
-        kernel, its `check_run_components` entries and its ellipsoid rows.
+        the off-diagonal matrix entries.  They enter through the run's float
+        loop: its steering values, each pair's entries and each pair's
+        ellipsoid row.
         The other slots hold a literal 0.0, which no run can leave anything
         else in (`test_literal_slot_must_hold_positive_zero`)."""
         specials = [float("nan"), float("inf"), float("-inf"), -0.0]
@@ -398,22 +400,23 @@ class TestRunOut:
             object.__setattr__(dm, "mat", mat)
             return dm
 
-        def ell(row):  # the floats of `cli._ellipsoid_rows`, in its order
+        def ell(row):  # the floats of an ellipsoid row, in its order
             return SteeringEllipsoid(np.zeros(3), np.diag(row[:3]), row[3:6],
                                      row[6:15].reshape(3, 3).T, float(row[15]))
 
         cfg = {"mode": mode, "pairs": 4, "strengths": [0.5, [0.3, 0.8], 0.9]}
         config = ScenarioConfig.from_json(cfg)
-        _, components = scenario._run_arrays(config)
-        entries = np.stack([spiked(e) for e in states.check_run_components(components)])
-        rows = cli._ellipsoid_rows(states.t_state_diagonals(components))
+        _, components = scenario._run_components(config)
+        entries = np.stack([spiked(e) for e in states.check_run_components(np.array(components))])
+        rows = steering._ellipsoid_rows(states.t_state_diagonals(np.array(components)))
         rows = np.stack([np.hstack([spiked(r[:3]), spiked(r[3:6]), spiked(r[6:15]), x])
                          for r, x in zip(rows, specials)])
         results = [PairResult(i, x, state(e), ell(r) if mode == "nonlocal" else None)
                    for i, x, e, r in zip(range(1, 5), specials, entries, rows)]
-        monkeypatch.setattr(scenario, "_run_arrays", lambda _cfg: (np.array(specials), components))
-        monkeypatch.setattr(cli, "check_run_components", lambda _c: entries)
-        monkeypatch.setattr(cli, "_ellipsoid_rows", lambda _d: rows)
+        pair_entries, pair_rows = iter(entries.tolist()), iter(rows.tolist())
+        monkeypatch.setattr(scenario, "_run_components", lambda _cfg: (specials, components))
+        monkeypatch.setattr(scenario, "_member_entries", lambda _c: next(pair_entries))
+        monkeypatch.setattr(scenario, "_ellipsoid_row", lambda _d: next(pair_rows))
         cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_file.write_text(json.dumps(cfg))
         code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
@@ -441,21 +444,21 @@ class TestRunOut:
         `SUPPORT` and whose ellipsoids are centred and diagonal.  A value
         added to pair 2's component that moves it by less than its rounding
         (1e-300, -0.0) leaves the bytes of the run without it; a NaN is
-        refused by `check_run_components` (exit 2, one `error:` line, no
-        file)."""
+        refused by the run's check, `states._member_entries` (exit 2, one
+        `error:` line, no file)."""
         cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_file.write_text('{"pairs": 3, "strengths": [0.5, 0.8]}')
         assert run_cli(capsys, "run", "--config", str(cfg_file), "--out", str(out_file))[0] == 0
         clean, component = out_file.read_bytes(), self._LITERAL_SOURCES[field]
         out_file.unlink()
-        real = scenario._run_arrays
+        real = scenario._run_components
 
         def faulty(cfg):
             values, c = real(cfg)
-            c[1, component] += value  # pair 2's, which its ellipsoid shares
+            c[1][component] += value  # pair 2's, which its ellipsoid shares
             return values, c
 
-        monkeypatch.setattr(scenario, "_run_arrays", faulty)
+        monkeypatch.setattr(scenario, "_run_components", faulty)
         code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
                                  "--out", str(out_file))
         if value == value:  # 1e-300, -0.0
@@ -468,9 +471,9 @@ class TestRunOut:
     def test_three_nonlocal_pairs_spell_75_floats(self):
         # 1 steering value, 8 distinct state entries and 16 shared ellipsoid
         # floats per pair fill 1 + 16 + 2 * 16 slots.
-        rows = cli._run_rows(ScenarioConfig.from_json({"pairs": 3, "strengths": [0.5, 0.8]}))
+        floats = scenario._run_rows(ScenarioConfig.from_json({"pairs": 3,
+                                                              "strengths": [0.5, 0.8]}))
         pieces, slots = cli._run_layout(3, True)
-        floats = rows.ravel().tolist()
         assert len(floats) == 75 and all(type(x) is float for x in floats)
         assert len(pieces) - 1 == len(slots(range(75))) == 147
 
@@ -497,6 +500,104 @@ class TestRunOut:
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: strengths {shown} outside [0, 1]"]
         assert not out_file.exists()
+
+
+# Strengths a third of the pinned configs' strengths come from: 0, 1 and
+# 2**-0.5 make coherences exact, 0.5 is exact, 5e-324, the least
+# subnormal, squares to 0, and -0.0 lies in [0, 1] and makes -0.0 products.
+_PIN_STRENGTHS = [0.0, 1.0, 2 ** -0.5, 0.5, 5e-324, -0.0]
+
+
+def _pinned_run_configs():
+    """600 seeded configs: both modes, 1-4 pairs, the final pair omitted in
+    about a third, the z/-x directions in every fifth, and a few that fail:
+    a z setting in a local run or a strength past 1."""
+    rng = np.random.default_rng(3500)
+
+    def strength():
+        return float(rng.choice(_PIN_STRENGTHS)) if rng.uniform() < 1 / 3 \
+            else float(rng.uniform())
+
+    configs = []
+    for k in range(600):
+        mode = ("nonlocal", "local")[k % 2]
+        pairs = k // 2 % 4 + 1
+        given = pairs - int(rng.uniform() < 1 / 3)
+        labels = ["x", "-x", "y", "-y"] + (["z", "-z"] if mode == "nonlocal" or k % 20 == 1
+                                           else [])
+        strengths = [strength() if rng.uniform() < 0.5 else [strength(), strength()]
+                     for _ in range(given)]
+        if k % 50 == 7 and strengths:
+            strengths[-1] = 1.5
+        configs.append({"mode": mode, "pairs": pairs, "strengths": strengths,
+                        "charlie_directions": ["z", "-x"] if k % 5 == 0 and mode == "nonlocal"
+                        else rng.choice(labels, 2).tolist()})
+    return configs
+
+
+class TestRunPin:
+    def test_seeded_runs_keep_their_bytes(self, capsys, tmp_path):
+        # The exit status, stdout, stderr and `--out` bytes of every pinned
+        # config, hashed in turn: any moved bit of any run changes the digest.
+        cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
+        digest, codes = hashlib.sha256(), set()
+        for cfg in _pinned_run_configs():
+            cfg_file.write_text(json.dumps(cfg))
+            code, out, err = run_cli(capsys, "run", "--config", str(cfg_file),
+                                     "--out", str(out_file))
+            text = out_file.read_bytes() if out_file.exists() else b"no file"
+            out_file.unlink(missing_ok=True)
+            digest.update(f"{code}\0{out}\0{err}\0".encode() + text + b"\0")
+            codes.add(code)
+        assert codes == {0, 2}
+        assert digest.hexdigest() == \
+            "d50ca4b817b7cd6fe2b5591f091f5c8e34922ddca8b5380e9f17ca3580b21234"
+
+
+def _numpy_calls(call, after):
+    """The numpy functions, Python or C, that `call()` calls once the code
+    object `after` has first returned."""
+    calls, window = [], []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is after:
+            window.append(True)
+        elif window and event == "call":
+            module = frame.f_globals.get("__name__", "")
+            if module.split(".")[0] == "numpy":
+                calls.append(f"{module}.{frame.f_code.co_name}")
+        elif window and event == "c_call":  # a bound method's module is its owner's
+            module = getattr(arg, "__module__", None) or type(arg.__self__).__module__
+            if module.split(".")[0] == "numpy":
+                calls.append(f"{module}.{arg.__name__}")
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestRunNoNumpy:
+    def test_no_numpy_call_between_config_and_write(self, capsys, tmp_path):
+        # `steershare run` computes and spells its floats in Python floats:
+        # from the config parse to the written `--out` file and stdout, no
+        # numpy function is called, once the layout and plan caches are
+        # filled.  The probe sees the calls `run_scenario` makes.
+        cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
+        parsed = ScenarioConfig.from_json.__func__.__code__
+        argv = ["run", "--config", str(cfg_file), "--out", str(out_file)]
+        layouts = set()
+        for cfg in _seeded_run_configs()[:32] + [{"pairs": 4, "strengths": [0, 1, 0]}]:
+            cfg_file.write_text(json.dumps(cfg))
+            assert main(argv) == 0
+            assert _numpy_calls(lambda: main(argv), parsed) == []
+            layouts.add((cfg.get("mode", "nonlocal"), cfg["pairs"]))
+        capsys.readouterr()
+        assert len(layouts) == 8
+        assert "numpy.array" in _numpy_calls(lambda: run_scenario(ScenarioConfig.from_json(cfg)),
+                                             parsed)
 
 
 class TestRunErrors:
@@ -756,9 +857,9 @@ class TestBatchedWrites:
 
     def test_int_steering_value_spelled_as_float(self, capsys, tmp_path, monkeypatch):
         # The text json.dumps gives the payload with 1.0, as for any float.
-        real = scenario._run_arrays
-        monkeypatch.setattr(scenario, "_run_arrays", lambda cfg: (
-            np.ones(cfg.pairs, dtype=int), real(cfg)[1]))
+        real = scenario._run_components
+        monkeypatch.setattr(scenario, "_run_components", lambda cfg: (
+            [1] * cfg.pairs, real(cfg)[1]))
         argv, out = self._argv(tmp_path, "run"), tmp_path / "out.json"
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert (code, err) == (0, "") and stdout.count("S = 1.000000 > C2") == 4

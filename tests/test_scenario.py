@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from steershare import cli, measurement, scenario, states
+from steershare import cli, measurement, scenario, states, steering
 from steershare.errors import ConfigError, ShapeError
 from steershare.scenario import (
     MAX_GRID_RESOLUTION,
@@ -28,7 +28,7 @@ from steershare.scenario import (
 )
 from steershare.states import DensityMatrix
 from steershare.steering import StrengthHistory, classical_bound, closed_form_local, \
-    closed_form_nonlocal, closed_forms
+    closed_form_nonlocal, closed_forms, coherence
 
 from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid, region_labels, \
     run_grid_deviation, scan_csv, series_grid_deviation
@@ -796,8 +796,10 @@ class TestEllipsoidSeries:
             real = getattr(scenario, name)
             return lambda x: calls.append((name, len(x))) or real(x)
 
-        # Nor is any 8x8 state built: the components are validated in closed form.
-        for name in ("make_config", "run_scenario", "ScenarioConfig", "from_ghz_components"):
+        # Nor is a run's float loop entered or any 8x8 state built: the
+        # components are validated in closed form, as one stack.
+        for name in ("make_config", "run_scenario", "ScenarioConfig", "_run_rows",
+                     "_member_entries", "_support_states"):
             monkeypatch.setattr(scenario, name, refuse)
         monkeypatch.setattr(states, "from_ghz_components", refuse)
         for name in ("check_run_components", "t_state_diagonals", "t_state_ellipsoids"):
@@ -844,6 +846,108 @@ class TestEllipsoidSeries:
     def test_input_errors(self, pairs, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ellipsoid_series(pairs)
+
+
+def _stacked_run(cfg):
+    """The steering values and (pair, 8) components of a `cfg` run by numpy's
+    stacked kernels, as the ellipsoid series evolves its samples: coherences
+    of the strength arrays, `dephasing_scale`, a cumulative product over
+    pairs, and a mean of the two settings' readings."""
+    anti, read, sign, _ = measurement._run_plan(cfg.mode, cfg._axes)
+    h, lam = cfg.strengths, np.array(cfg.strengths.lambdas)
+    c = coherence(lam[..., None] if cfg.mode == "nonlocal"
+                  else np.stack([h.etas, h.gammas], -1))
+    after = states.GHZ_VALUES * np.cumprod(measurement.dephasing_scale(anti, c), axis=0)
+    before = np.concatenate([states.GHZ_VALUES[None], after[:-1]])
+    return (lam * sign * before[:, read]).sum(axis=1) / len(read), after
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestFloatLoop:
+    """A run computes its floats in one loop over Python floats
+    (`scenario._run_rows`), the ellipsoid series with numpy's stacked
+    kernels (`dephasing_scale`, `check_run_components`,
+    `t_state_diagonals`, `steering._ellipsoid_rows`).  Both give the same
+    floats, compared bit for bit on the int64 view, which tells -0.0 from
+    0.0."""
+
+    @pytest.mark.parametrize("mode", ["nonlocal", "local"])
+    def test_run_floats_equal_stacked_path(self, mode):
+        # Seeded 1-4-pair runs with signed directions, about 40 % of the
+        # strengths 0, 1, 2**-0.5, -0.0 or 5e-324, a sharp final pair in a
+        # third.
+        rng = np.random.default_rng(3535)
+        exact = [0.0, 1.0, 2 ** -0.5, -0.0, 5e-324]
+        labels = ["x", "-x", "y", "-y"] + (["z", "-z"] if mode == "nonlocal" else [])
+        zeros = members = 0
+        for k in range(400):
+            lams = [[float(rng.choice(exact)) if rng.uniform() < 0.4 else float(rng.uniform())
+                     for _ in range(2)] for _ in range(k % 4 + 1)]
+            if k % 3 == 0:
+                lams[-1] = [1.0, 1.0]
+            cfg = make_config(mode, lams, charlie_directions=tuple(rng.choice(labels, 2).tolist()))
+            values, after = scenario._run_components(cfg)
+            want_values, c = _stacked_run(cfg)
+            assert np.array_equal(_bits(values), _bits(want_values))
+            assert np.array_equal(_bits(after), _bits(c))
+            d = states.t_state_diagonals(c)
+            stacked = [states.check_run_components(c), d, steering._ellipsoid_rows(d)]
+            loop = [[states._member_entries(m) for m in after],
+                    [states._t_state_diagonal(m) for m in after]]
+            loop.append([steering._ellipsoid_row(x) for x in loop[1]])
+            for got, want in zip(loop, stacked):
+                assert np.array_equal(_bits(got), _bits(want))
+            columns = [want_values[:, None], stacked[0]] + stacked[2:] * (mode == "nonlocal")
+            rows = np.hstack(columns)
+            assert np.array_equal(_bits(scenario._run_rows(cfg)), _bits(rows.ravel()))
+            zeros += int(np.sum(rows == 0.0))
+            assert not np.signbit(rows[rows == 0.0]).any()
+            members += len(after)
+        assert members == 1000 and zeros >= 100  # exact zeros, all +0.0
+
+    def test_member_floats_and_errors_equal_stacked_ones(self):
+        # States diagonal in the GHZ basis, with random or exact weights, and
+        # in most of them one component moved: to 0, -0.0, +-1, +-2**-0.5,
+        # +-0.5, NaN or inf, or scaled by up to 2, so that many fail.  A
+        # member's entries, or its error text, equal those of the stack of
+        # that member alone; its T-state diagonal and ellipsoid row equal
+        # the stacked ones wherever it is finite.
+        rng = np.random.default_rng(3536)
+        signs = states._SIGNS  # (component, entry); weight j is [j, j] +- [j, 7-j]
+        weights_to_components = 8 * np.hstack([signs[:, :4] + signs[:, 4:],
+                                               signs[:, :4] - signs[:, 4:]])
+        pool = [0.0, -0.0, 1.0, -1.0, 2 ** -0.5, -(2 ** -0.5), 0.5, -0.5, math.nan, math.inf]
+        passed = failed = 0
+        for k in range(3000):
+            w = rng.dirichlet(np.ones(8)) if k % 2 else np.eye(8)[rng.integers(8, size=2)].mean(0)
+            c = weights_to_components @ w
+            c[0] = 1.0
+            at, r = rng.integers(1, 8), rng.uniform()
+            if r < 0.4:
+                c[at] = rng.choice(pool)
+            elif r < 0.7:
+                c[at] *= rng.uniform(1.0, 2.0)
+            member = c.tolist()
+            try:
+                with np.errstate(invalid="ignore"):  # inf times a zero coefficient
+                    want = states.check_run_components(c[None])[0]
+            except ShapeError as exc:
+                with pytest.raises(ShapeError, match=f"^{re.escape(str(exc))}$"):
+                    states._member_entries(member)
+                failed += 1
+            else:
+                assert np.array_equal(_bits(states._member_entries(member)), _bits(want))
+                passed += 1
+            if np.isfinite(c).all():
+                d = states.t_state_diagonals(c[None])
+                got = states._t_state_diagonal(member)
+                assert np.array_equal(_bits(got), _bits(d[0]))
+                assert np.array_equal(_bits(steering._ellipsoid_row(got)),
+                                      _bits(steering._ellipsoid_rows(d)[0]))
+        assert passed >= 1000 and failed >= 300
 
 
 class TestWholeGridEllipsoids:

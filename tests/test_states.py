@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from steershare import states
+from steershare import scenario, states
 from steershare.errors import ShapeError
 from steershare.linalg import I2, PAULIS
 from steershare.scenario import make_config, run_scenario
@@ -218,9 +218,12 @@ def _failing_run_components(kind, worse=False):
 
 
 class TestRunTensors:
-    """Closed-form validation of run states: a run keeps GHZ's 8 components,
-    where a state's eigenvalues are its GHZ-basis weights, its diagonal
-    entries plus or minus its anti-diagonal ones (`states._SIGNS`)."""
+    """Closed-form validation of run states from their 8 GHZ components
+    (`check_run_components`, and per pair `_member_entries`): a state's
+    eigenvalues are its GHZ-basis weights, its diagonal entries plus or
+    minus its anti-diagonal ones (`states._SIGNS`).  Faults enter as
+    component values: a trace (III) off 1, or a component outside [-1, 1]
+    or a weight below 0."""
 
     def test_spectrum_holds_ghz_basis_eigenvalues(self):
         # Each component product maps GHZ basis vector j (and 4+j) to 8 times
@@ -236,17 +239,18 @@ class TestRunTensors:
 
     @pytest.mark.parametrize("mode", ["nonlocal", "local"])
     def test_closed_form_min_eigenvalue_equals_eigvalsh(self, mode, monkeypatch):
-        # The least GHZ-basis weight of each state a run validates, against
-        # eigvalsh of the state the run builds from it.
+        # The least GHZ-basis weight of each state a run validates, pair by
+        # pair, against eigvalsh of the state the run builds from it.
         seen = []
-        real = states.check_run_components
-        monkeypatch.setattr(states, "check_run_components",
+        real = scenario._member_entries
+        monkeypatch.setattr(scenario, "_member_entries",
                             lambda c: seen.append(real(c)) or seen[-1])
         rng = np.random.default_rng(91)
         worst = 0.0
         for pairs in [1, 2, 3, 4] * 100:
             results = run_scenario(make_config(mode, rng.uniform(0, 1, (pairs, 2)).tolist()))
-            entries = seen.pop()
+            entries = np.array(seen)
+            seen.clear()
             closed = (entries[:, :4] - np.abs(entries[:, 4:])).min(axis=1)
             for r, low in zip(results, closed):
                 worst = max(worst, abs(np.linalg.eigvalsh(r.state.mat)[0] - low))

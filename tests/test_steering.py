@@ -595,18 +595,18 @@ class TestRunEllipsoids:
 
     def test_bits_equal_general_oracle(self, monkeypatch):
         # The closed-form T-state ellipsoids against the general `eigh` path
-        # on the very T-states the run read them off, m~ = n = 0 and
-        # T = diag(d), as the run used to solve them: Charlie rows (m~, n,
-        # T), then AB rows (n, m~, T^T).  Bits are compared on the int64
-        # view, which tells -0.0 from 0.0.
+        # on the very T-states the run read them off, one pair at a time,
+        # m~ = n = 0 and T = diag(d), as the run used to solve them: Charlie
+        # rows (m~, n, T), then AB rows (n, m~, T^T).  Bits are compared on
+        # the int64 view, which tells -0.0 from 0.0.
         diagonals = []
 
-        def spy(d):
-            diagonals.append(d)
-            return real(d)
+        def spy(c):
+            diagonals.append(real(c))
+            return diagonals[-1]
 
-        real = scenario.t_state_ellipsoids
-        monkeypatch.setattr(scenario, "t_state_ellipsoids", spy)
+        real = scenario._t_state_diagonal
+        monkeypatch.setattr(scenario, "_t_state_diagonal", spy)
         rng = np.random.default_rng(59)
         labels = ["x", "-x", "y", "-y", "z", "-z"]
         # Exact ties, near ties across DEGENERACY_TOL (semiaxes move by about
@@ -621,7 +621,8 @@ class TestRunEllipsoids:
             cfg = scenario.make_config("nonlocal", lams,
                                        charlie_directions=rng.choice(labels, 2).tolist())
             results = scenario.run_scenario(cfg)
-            d = diagonals.pop()
+            d = np.array(diagonals)
+            diagonals.clear()
             m = n = np.zeros_like(d)
             T = d[:, :, None] * np.eye(3)
             want = ellipsoids(np.concatenate([m, n]), np.concatenate([n, m]),
@@ -679,9 +680,10 @@ class TestTieBreakOracle:
 
 class TestRunScenarioErrors:
     """A run whose GHZ components at pair i are no state fails there, at
-    `check_run_components`, the one check of a run's invariant, with the
-    error and message of pair i's own state as `DensityMatrix` reports it,
-    before any state or ellipsoid is built."""
+    `states._member_entries`, the per-pair form of `check_run_components`
+    and the one check of a run's invariant, with the error and message of
+    pair i's own state as `DensityMatrix` reports it, before any state or
+    ellipsoid is built."""
 
     def test_compression_failure(self):
         with pytest.raises(ConfigError) as err:
@@ -692,20 +694,20 @@ class TestRunScenarioErrors:
     # The GHZ components of |010><010|, whose weight lies outside
     # span{|00>, |11>} x C2.
     _LEAK = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
+    # Per fault id but the leak: the component the fault sets past 1, ZZI,
+    # III (the trace) or XXX, and the divisor of pair j's amount j.
+    _PAST_ONE = {"pure_ab_qubit": (7, 10), "pure_charlie": (0, 100), "off_diagonal_t": (2, 10)}
 
     @classmethod
     def _fault(cls, fault, c, j):
         """Components c of pair j with `fault`, by an amount of pair j's own:
-        the AB pair's ZZ correlation (ZZI) past 1, the trace (III) past 1,
-        the XXX correlation past 1, or the state moved away from |010><010|
-        past a zero weight there."""
+        the ZZI correlation past 1, the III component (the trace) past 1, the
+        XXX correlation past 1, or the state moved away from |010><010| past
+        a zero weight there."""
         c = c.copy()
-        if fault == "pure_ab_qubit":  # ZZI
-            c[7] = 1 + j / 10
-        elif fault == "pure_charlie":  # III
-            c[0] = 1 + j / 100
-        elif fault == "off_diagonal_t":  # XXX
-            c[2] = 1 + j / 10
+        if fault in cls._PAST_ONE:
+            component, divisor = cls._PAST_ONE[fault]
+            c[component] = 1 + j / divisor
         else:
             c = (1 + j / 10) * c - j / 10 * cls._LEAK
         return c
@@ -715,24 +717,23 @@ class TestRunScenarioErrors:
     @pytest.mark.parametrize("fault", ["pure_ab_qubit", "pure_charlie", "off_diagonal_t",
                                        "not_compressible"])
     def test_failure_at_pair(self, monkeypatch, pairs, fail_at, fault):
-        # The fault enters member fail_at of the run's components and every
-        # later member, each by a different amount, so the message names the
-        # first failing member.
+        # The fault enters the components of pair fail_at and of every later
+        # pair, as the run's float loop hands them on, each by a different
+        # amount, so the message names the first failing pair.
         cfg = scenario.make_config("nonlocal", [0.4] * pairs)
         with run_components() as seen:
             scenario.run_scenario(cfg)
         bad = self._fault(fault, seen[0][fail_at - 1], fail_at)
         with pytest.raises(ShapeError) as want:
             DensityMatrix(3, full_product_states(bad[None])[0])
-        real = scenario.from_ghz_components
+        real = scenario._run_components
 
-        def faulty(c):
-            c = c.copy()
-            for j in range(fail_at, len(c) + 1):
-                c[j - 1] = self._fault(fault, c[j - 1], j)
-            return real(c)
+        def faulty(cfg):
+            values, after = real(cfg)
+            return values, [self._fault(fault, np.array(c), j).tolist() if j >= fail_at else c
+                            for j, c in enumerate(after, start=1)]
 
-        monkeypatch.setattr(scenario, "from_ghz_components", faulty)
+        monkeypatch.setattr(scenario, "_run_components", faulty)
         with pytest.raises(ShapeError) as err:
             scenario.run_scenario(cfg)
         assert str(err.value) == str(want.value)
