@@ -13,7 +13,8 @@ form (`dephasing_scale`, and per pair in Python floats in a run), and the
 tests hold it to the Kraus sum.  Charlie's
 settings, the A,B directions paired with them (`_AXIS_TABLE`) and the plan
 of a pair of settings (`_run_plan`: what each damps and reads) are tabled here
-once; runs, the ellipsoid series and `steering.closed_forms` read that plan.
+once; runs (in Python numbers, `_float_plan`), the ellipsoid series and
+`steering.closed_forms` read that plan.
 """
 
 from __future__ import annotations
@@ -79,3 +80,14 @@ def _run_plan(mode: str, axes: tuple[str, ...]) -> tuple:
     for x in (anti, read, sign):
         x.setflags(write=False)
     return anti, read, sign, damping
+
+
+@functools.cache
+def _float_plan(mode: str, axes: tuple[str, ...]) -> tuple:
+    """The setting plan `_run_plan` of a `mode` run along the resolved
+    `axes`, in the Python numbers a run's float loop reads: per component,
+    for each setting, the parties whose direction damps it as a bit mask,
+    bit p for party p; the components the settings read; and their signs."""
+    anti, read, sign, _ = _run_plan(mode, axes)
+    masks = sum(anti[:, p] * (1 << p) for p in range(anti.shape[1]))  # (setting, component)
+    return tuple(zip(*masks.tolist())), tuple(read.tolist()), tuple(sign.tolist())

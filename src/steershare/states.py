@@ -159,6 +159,25 @@ _SIGNS = np.hstack([_PRODUCTS[:, _J, _J], _PRODUCTS[:, _J, 7 - _J]]) / 8
 # or anti-diagonal entry min(i, 7-i).
 _SUPPORT_AT = np.flatnonzero(SUPPORT)
 _SPREAD = np.array([min(i, 7 - i) + 4 * (i != j) for i, j in np.argwhere(SUPPORT).tolist()])
+# A run's states are validated and compressed on the stack of a series
+# (`check_run_components`, `t_state_diagonals`) and one member at a time on
+# a run's Python floats (`_member_entries`, `_t_state_diagonal`), both by
+# `_component_sums`: per coefficient column, `_SIGNS` or `_T_SIGNS`, the
+# 8 products of the components with it, zero coefficients included, summed
+# in one written order, ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)).  So both
+# forms give the same floats on any numpy.  It is also the order of numpy's
+# own sum of 8 terms (checked on numpy 2.4.6), which differs from it only
+# where all 8 products are -0.0, and a state's III = 1 rules that out.
+_ENTRY_SIGNS = tuple(map(tuple, _SIGNS.T.tolist()))
+
+
+def _component_sums(c, columns: tuple) -> list:
+    """Per coefficient column, the sum of the products of the 8 GHZ
+    components `c` with it: Python floats of one member, or the 8 (k,)
+    component arrays of a stack."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    return [((c0 * s0 + c1 * s1) + (c2 * s2 + c3 * s3)) + ((c4 * s4 + c5 * s5) + (c6 * s6 + c7 * s7))
+            for s0, s1, s2, s3, s4, s5, s6, s7 in columns]
 
 
 def check_run_components(c: np.ndarray) -> np.ndarray:
@@ -170,7 +189,7 @@ def check_run_components(c: np.ndarray) -> np.ndarray:
     _check_array(c, "GHZ component stack", real=True)
     if c.ndim != 2 or c.shape[1] != 8:
         raise ShapeError(f"run states expect (k, 8) GHZ components, got {c.shape}")
-    entries = (c[:, :, None] * _SIGNS).sum(axis=1)
+    entries = np.stack(_component_sums(c.T, _ENTRY_SIGNS), axis=1)
     low = (entries[:, :4] - np.abs(entries[:, 4:])).min(axis=1)
     ok = (np.abs(c[:, 0] - 1) <= DENSITY_TRACE_TOL) & (low >= DENSITY_EIG_FLOOR)  # NaN fails
     if not ok.all():
@@ -208,6 +227,7 @@ _T_SIGNS = np.zeros((8, 3))
 _T_SIGNS[[2, 5, 3, 4, 1, 6], [0, 0, 1, 1, 2, 2]] = [0.5, -0.5, 0.5, 0.5, 0.5, 0.5]
 for _x in (GHZ_COMPONENTS, GHZ_VALUES, SUPPORT, _SIGNS, _T_SIGNS):
     _x.setflags(write=False)
+_T_AXIS_SIGNS = tuple(map(tuple, _T_SIGNS.T.tolist()))
 
 
 def t_state_diagonals(c: np.ndarray) -> np.ndarray:
@@ -217,26 +237,7 @@ def t_state_diagonals(c: np.ndarray) -> np.ndarray:
     direction a nonlocal pair measures keeps ZZI = III = 1, so each state
     lies in that span with weight (III + ZZI)/2 = 1, nothing is
     renormalized, and m~ = n = 0 and T is diagonal: a T-state."""
-    return (c[:, :, None] * _T_SIGNS).sum(axis=1)
-
-
-# A run's float loop (`scenario._run_rows`) validates and compresses its
-# states one member at a time, on Python floats: the coefficients of each
-# entry and T-state axis over the 8 components, `_SIGNS` and `_T_SIGNS`
-# column by column.  numpy sums the 8 products of a stack member pairwise,
-# ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), zero coefficients included,
-# and so do `_member_entries` and `_t_state_diagonal`: their floats are the
-# stack's, bit for bit.
-_ENTRY_SIGNS = tuple(map(tuple, _SIGNS.T.tolist()))
-_T_AXIS_SIGNS = tuple(map(tuple, _T_SIGNS.T.tolist()))
-
-
-def _component_sums(c: list[float], columns: tuple) -> list[float]:
-    """Per coefficient column, the pairwise sum of the products of one
-    member's 8 GHZ components `c` with it."""
-    c0, c1, c2, c3, c4, c5, c6, c7 = c
-    return [((c0 * s0 + c1 * s1) + (c2 * s2 + c3 * s3)) + ((c4 * s4 + c5 * s5) + (c6 * s6 + c7 * s7))
-            for s0, s1, s2, s3, s4, s5, s6, s7 in columns]
+    return np.stack(_component_sums(c.T, _T_AXIS_SIGNS), axis=1)
 
 
 def _member_entries(c: list[float]) -> list[float]:

@@ -218,46 +218,38 @@ class SteeringEllipsoid:
 
 # Row a: coordinate axis a, a column of an orientation.
 _UNIT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+# Per order of the coordinate axes, the orientation whose column p is axis
+# order[p], keyed by 9 order[0] + 3 order[1] + order[2]; read-only, so every
+# ellipsoid with that order shares it.
+_ORIENTATIONS = {9 * a + 3 * b + c: np.eye(3)[:, [a, b, c]]
+                 for a, b, c in itertools.permutations(range(3))}
+for _axes in _ORIENTATIONS.values():
+    _axes.setflags(write=False)
 
 
-def _descending_axes(a: list[float]) -> tuple[list[float], list[int]]:
-    """The descending semiaxes of the ellipsoid of a T-state whose diagonal's
-    absolute values are `a`, and the coordinate axis each lies along (see
-    `t_state_ellipsoids`): a stable sort, and then each tie group takes its
-    axes in the order x, y, z."""
-    axes = sorted(range(3), key=a.__getitem__, reverse=True)
-    s0, s1, s2 = semiaxes = [a[i] for i in axes]
-    lo, hi = int(s0 - s1 > DEGENERACY_TOL), 2 + (s1 - s2 <= DEGENERACY_TOL)
-    if hi - lo > 1:
-        axes[lo:hi] = sorted(axes[lo:hi])
-    return semiaxes, axes
-
-
-# An ellipsoid row is the 16 floats of a T-state ellipsoid that `--out`
-# spells: the matrix diagonal d^2, the semiaxes, the orientation column by
-# column and the volume.  `_ellipsoid_row` reads one off a diagonal d in
-# Python floats, for a run's float loop; `_ellipsoid_rows` reads a stack
-# with numpy, for the ellipsoid series.  Their floats agree bit for bit:
-# the volume is sqrt(((s0 s0) (s1 s1)) (s2 s2)), as numpy's product runs.
 def _ellipsoid_row(d: list[float]) -> list[float]:
-    """The ellipsoid row of one T-state diagonal `d`, 3 floats."""
+    """The ellipsoid row of one T-state diagonal `d` of 3 floats: the 16
+    floats of its ellipsoid that `--out` spells, the matrix diagonal d^2, the
+    semiaxes, the orientation column by column and the volume (see
+    `t_state_ellipsoids`).  Runs read one row per pair, the ellipsoid series
+    a stack of them (`_ellipsoid_rows`)."""
     d0, d1, d2 = d
-    (s0, s1, s2), (a0, a1, a2) = _descending_axes([abs(d0), abs(d1), abs(d2)])
+    a = [abs(d0), abs(d1), abs(d2)]
+    axes = sorted(range(3), key=a.__getitem__, reverse=True)  # a stable sort
+    s0, s1, s2 = a[axes[0]], a[axes[1]], a[axes[2]]
+    lo, hi = int(s0 - s1 > DEGENERACY_TOL), 2 + (s1 - s2 <= DEGENERACY_TOL)
+    if hi - lo > 1:  # a tie group takes its axes in the order x, y, z
+        axes[lo:hi] = sorted(axes[lo:hi])
+    a0, a1, a2 = axes
     return [d0 * d0, d1 * d1, d2 * d2, s0, s1, s2, *_UNIT[a0], *_UNIT[a1], *_UNIT[a2],
             math.sqrt(s0 * s0 * (s1 * s1) * (s2 * s2))]
 
 
 def _ellipsoid_rows(d: np.ndarray) -> np.ndarray:
-    """The (k, 16) ellipsoid rows of a (k, 3) stack of T-state diagonals `d`."""
-    semiaxes, order = [], []
-    for row in np.abs(d).tolist():
-        s, axes = _descending_axes(row)
-        semiaxes.append(s)
-        order.append(axes)
-    semiaxes = np.array(semiaxes).reshape(-1, 3)
-    volume = np.sqrt((semiaxes * semiaxes).prod(axis=1))  # |d| |d| is d d exactly
-    columns = np.array(_UNIT)[np.array(order, dtype=np.intp).reshape(-1, 3)].reshape(-1, 9)
-    return np.concatenate([d * d, semiaxes, columns, volume[:, None]], axis=1)
+    """The (k, 16) ellipsoid rows of a (k, 3) stack of T-state diagonals `d`,
+    streamed into one array row by row."""
+    rows = itertools.chain.from_iterable(map(_ellipsoid_row, d.tolist()))
+    return np.fromiter(rows, dtype=float, count=16 * len(d)).reshape(-1, 16)
 
 
 def t_state_ellipsoids(d: np.ndarray) -> list[SteeringEllipsoid]:
@@ -280,13 +272,17 @@ def t_state_ellipsoids(d: np.ndarray) -> list[SteeringEllipsoid]:
 def _row_ellipsoids(rows: np.ndarray) -> list[SteeringEllipsoid]:
     """The ellipsoids of a (k, 16) stack of ellipsoid rows, built past their
     field check, centred and with the diagonal matrix the rows give; their
-    arrays are read-only."""
+    arrays are read-only, and ellipsoids whose semiaxes lie along the same
+    axes share one orientation (`_ORIENTATIONS`)."""
     k = len(rows)
     center, matrix = np.zeros((k, 3)), np.zeros((k, 9))
     matrix[:, ::4] = rows[:, :3]
-    orientation = np.ascontiguousarray(rows[:, 6:15].reshape(-1, 3, 3).transpose(0, 2, 1))
-    stacks = (center, matrix.reshape(-1, 3, 3), rows[:, 3:6], orientation)
-    for x in stacks:
+    matrix = matrix.reshape(-1, 3, 3)
+    semiaxes = rows[:, 3:6].copy()  # keeps 3 floats an ellipsoid, not its whole row
+    for x in (center, matrix, semiaxes):
         x.setflags(write=False)
-    return [_unchecked(SteeringEllipsoid, center=c, matrix=m, semiaxes=s, orientation=o, volume=v)
-            for c, m, s, o, v in zip(*stacks, rows[:, 15].tolist())]
+    order = rows[:, 6:15].reshape(-1, 3, 3).argmax(axis=2)  # the axis of each unit column
+    keys = (order * [9, 3, 1]).sum(axis=1).tolist()
+    return [_unchecked(SteeringEllipsoid, center=c, matrix=m, semiaxes=s,
+                       orientation=_ORIENTATIONS[key], volume=v)
+            for c, m, s, key, v in zip(center, matrix, semiaxes, keys, rows[:, 15].tolist())]

@@ -870,9 +870,11 @@ class TestFloatLoop:
     """A run computes its floats in one loop over Python floats
     (`scenario._run_rows`), the ellipsoid series with numpy's stacked
     kernels (`dephasing_scale`, `check_run_components`,
-    `t_state_diagonals`, `steering._ellipsoid_rows`).  Both give the same
-    floats, compared bit for bit on the int64 view, which tells -0.0 from
-    0.0."""
+    `t_state_diagonals`, `steering._ellipsoid_rows`).  The entry and
+    T-state sums and the ellipsoid rows are one function each, on Python
+    floats or on arrays; the dampings, the running product, the steering
+    values and the checks are written twice.  Both give the same floats,
+    compared bit for bit on the int64 view, which tells -0.0 from 0.0."""
 
     @pytest.mark.parametrize("mode", ["nonlocal", "local"])
     def test_run_floats_equal_stacked_path(self, mode):

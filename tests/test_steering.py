@@ -658,6 +658,18 @@ class TestTStateEllipsoids:
     def test_empty_stack(self):
         assert t_state_ellipsoids(np.zeros((0, 3))) == []
 
+    def test_members_keep_semiaxes_and_share_orientations(self):
+        # Per member the 3 semiaxes of one (k, 3) array and one of the 6
+        # read-only orientations, not a view of its 16-float ellipsoid row.
+        d = np.array([[0.5, -0.3, 0.1], [0.1, 0.3, -0.5], [0.2, 0.9, 0.4], [-0.5, 0.3, 0.1]])
+        es = t_state_ellipsoids(d)
+        assert es[0].orientation is es[3].orientation
+        assert es[0].orientation is not es[1].orientation
+        assert np.array_equal(es[1].orientation, np.eye(3)[:, [2, 1, 0]])
+        for e in es:
+            assert e.semiaxes.base.shape == (4, 3)
+            assert not (e.semiaxes.flags.writeable or e.orientation.flags.writeable)
+
 
 class TestTieBreakOracle:
     def test_orientation_equals_per_member_oracle(self):
