@@ -87,7 +87,7 @@ def _write_all(fd: int, data: bytes) -> None:
 # ellipsoid's centre and off-diagonal matrix entries.  An ellipsoid's
 # orientation is written one axis per row.  A run state's support entries
 # j and 7-j are equal by construction, so a state spells 8 floats, the
-# entries [j, j] and then [j, 7-j], j = 0..3, that `check_run_components`
+# entries [j, j] and then [j, 7-j], j = 0..3, that `states._state_entries`
 # returns, and `states._SPREAD` picks one of them for each `SUPPORT` slot,
 # row-major.  An ellipsoid spells the 16 floats of its row
 # (`steering._ellipsoid_row`), in slot order; a T-state steers both parties

@@ -9,50 +9,29 @@ dephasing channel ((1+c)/2) rho + ((1-c)/2) D rho D with
 c = sqrt(1 - lambda^2).  On the state's Pauli tensor (see `states`) the
 channel keeps the components that commute with D and multiplies those that
 anticommute with it by c; runs and the ellipsoid series apply it in that
-form (`dephasing_scale`, and per pair in Python floats in a run), and the
-tests hold it to the Kraus sum.  Charlie's
-settings, the A,B directions paired with them (`_AXIS_TABLE`) and the plan
-of a pair of settings (`_run_plan`: what each damps and reads) are tabled here
-once; runs (in Python numbers, `_float_plan`), the ellipsoid series and
-`steering.closed_forms` read that plan.
+form to GHZ's 8 components (`_damped`), and the tests hold it to the Kraus
+sum.  Charlie's settings, the A,B directions paired with them
+(`_AXIS_TABLE`) and the plan of a pair of settings (`_setting_plan`: what
+each damps and reads, in Python numbers) are tabled here once; runs, the
+ellipsoid series and `steering.closed_forms` read that plan.
 """
 
 from __future__ import annotations
 
 import functools
 
-import numpy as np
+from .states import GHZ_PAULIS
 
-from .states import GHZ_COMPONENTS
-
-# _ANTI[i, j]: whether the single-qubit Paulis sigma_i and sigma_j anticommute.
-_ANTI = np.array([[i != 0 and j != 0 and i != j for j in range(4)] for i in range(4)])
-
-
-def anticommuting(paulis: tuple[int, ...]) -> np.ndarray:
-    """Boolean mask over an n-qubit Pauli tensor of the components that
-    anticommute with sigma_paulis[0] x sigma_paulis[1] x ...: those that
-    anticommute on an odd number of qubits."""
-    n = len(paulis)
-    mask = np.zeros((4,) * n, dtype=bool)
-    for q, p in enumerate(paulis):
-        mask ^= _ANTI[p].reshape((1,) * q + (4,) + (1,) * (n - q - 1))
-    return mask
+# Per Pauli index 0..3 (I, X, Y, Z), its bits (x, z): sigma = X^x Z^z up to
+# a phase.  Two Pauli strings anticommute iff their symplectic product,
+# sum over qubits of x z' + z x', is odd.
+_BITS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
-def dephasing_scale(anti: np.ndarray, c) -> np.ndarray:
-    """Factor by which one pair's averaged update multiplies a Pauli tensor.
-
-    `anti[k, j]` masks the components that anticommute with the direction
-    of party j in setting k, over a whole tensor or a list of its
-    components, and `c[..., k, j]` is that measurement's coherence
-    sqrt(1 - strength^2).  Setting k multiplies the masked
-    components by c once per party; the update averages over settings.
-    Leading axes of `c` batch over pairs.
-    """
-    axis = 1 - anti.ndim  # parties, then settings, counted from the end
-    c = np.asarray(c)[(...,) + (None,) * (anti.ndim - 2)]
-    return np.where(anti, c, 1.0).prod(axis=axis).sum(axis=axis) / len(anti)  # numpy's mean
+def _anticommute(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether sigma_a[0] x sigma_a[1] x ... and the string of `b`
+    anticommute."""
+    return sum(_BITS[p][0] * _BITS[q][1] + _BITS[p][1] * _BITS[q][0] for p, q in zip(a, b)) % 2 == 1
 
 
 # Per axis: Charlie's Pauli index c and the signed A,B Pauli product
@@ -64,30 +43,31 @@ _AXIS_TABLE = {"x": (1, -1.0, 2, 2), "y": (2, -1.0, 2, 1), "z": (3, 1.0, 3, 0)}
 
 
 @functools.cache
-def _run_plan(mode: str, axes: tuple[str, ...]) -> tuple:
-    """For a `mode` run whose settings measure Charlie along the resolved
-    `axes`: the anticommutation masks of each setting's directions over the 8
-    components (`dephasing_scale`'s `anti`), one per measuring party:
-    sigma_p x sigma_q jointly, or sigma_p on A and sigma_q on B; the component
-    t[p, q, c] each setting reads, and that reading's sign; and per setting k
-    the (setting l, party) pairs whose direction damps the component k reads
-    (`steering.closed_forms`).  Read-only, as every run shares them."""
-    charlie, sign, p, q = map(np.array, zip(*map(_AXIS_TABLE.get, axes)))
-    anti = np.stack([np.stack([anticommuting(d)[GHZ_COMPONENTS] for d in (
-        [(a, b, 0)] if mode == "nonlocal" else [(a, 0, 0), (0, b, 0)])]) for a, b in zip(p, q)])
-    read = (GHZ_COMPONENTS.cumsum() - 1).reshape(4, 4, 4)[p, q, charlie]
-    damping = tuple(tuple(map(tuple, np.argwhere(anti[..., r]).tolist())) for r in read)
-    for x in (anti, read, sign):
-        x.setflags(write=False)
-    return anti, read, sign, damping
+def _setting_plan(mode: str, axes: tuple[str, ...]) -> tuple:
+    """The plan of a `mode` run whose settings measure Charlie along the
+    resolved `axes`, in Python numbers.  The measuring parties are A,B
+    jointly, measuring sigma_p x sigma_q (nonlocal), or A measuring sigma_p
+    and B sigma_q (local).  Per GHZ component, for each setting, the
+    parties whose direction anticommutes with it, and so damps it, as a bit
+    mask, bit i for party i (`_damped`); the component t[p, q, c] each setting
+    reads, and that reading's sign; and per setting k the (setting l, party)
+    pairs whose direction damps the component k reads, in setting then
+    party order (`steering.closed_forms`).  Cached: every run shares it."""
+    rows = [_AXIS_TABLE[axis] for axis in axes]
+    parties = [[(p, q, 0)] if mode == "nonlocal" else [(p, 0, 0), (0, q, 0)]
+               for _, _, p, q in rows]
+    masks = tuple(tuple(sum(_anticommute(d, pauli) << i for i, d in enumerate(directions))
+                        for directions in parties) for pauli in GHZ_PAULIS)
+    read = tuple(GHZ_PAULIS.index((p, q, c)) for c, _, p, q in rows)
+    damping = tuple(tuple((l, i) for l, mask in enumerate(masks[r])
+                          for i in range(len(parties[l])) if mask >> i & 1) for r in read)
+    return masks, read, tuple(sign for _, sign, _, _ in rows), damping
 
 
-@functools.cache
-def _float_plan(mode: str, axes: tuple[str, ...]) -> tuple:
-    """The setting plan `_run_plan` of a `mode` run along the resolved
-    `axes`, in the Python numbers a run's float loop reads: per component,
-    for each setting, the parties whose direction damps it as a bit mask,
-    bit p for party p; the components the settings read; and their signs."""
-    anti, read, sign, _ = _run_plan(mode, axes)
-    masks = sum(anti[:, p] * (1 << p) for p in range(anti.shape[1]))  # (setting, component)
-    return tuple(zip(*masks.tolist())), tuple(read.tolist()), tuple(sign.tolist())
+def _damped(c, masks: tuple, f0: tuple, f1: tuple) -> list:
+    """One pair's averaged update of the 8 GHZ components `c`, Python floats
+    of one member or (k,) columns of a stack: each component times the mean
+    over the two settings of its damping, `f0[m]` in setting 1 and `f1[m]`
+    in setting 2 for its mask m (`_setting_plan`), the product of the
+    coherences of the parties in m, 1 if none."""
+    return [x * ((f0[a] + f1[b]) / 2) for x, (a, b) in zip(c, masks)]

@@ -18,14 +18,13 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .linalg import PAULIS
-from .measurement import _AXIS_TABLE, _float_plan, _run_plan, dephasing_scale
+from .measurement import _AXIS_TABLE, _damped, _setting_plan
 from .states import GHZ_VALUES, DensityMatrix, _check_type, _is_int, _is_real, \
-    _member_entries, _support_states, _t_state_diagonal, check_run_components, \
-    t_state_diagonals
+    _state_entries, _support_states, _t_state_diagonal
 from .steering import SteeringEllipsoid, StrengthHistory, _SEQUENCES, _ellipsoid_row, \
     _row_ellipsoids, closed_forms, coherence, t_state_ellipsoids
 
-SQRT_HALF = float(1 / np.sqrt(2))
+SQRT_HALF = 1 / math.sqrt(2)  # 0x1.6a09e667f3bccp-1; math.sqrt(0.5) is 1 ulp above
 
 def charlie_operator(label: str) -> np.ndarray:
     sign, axis = _resolve_axis(label)
@@ -91,7 +90,7 @@ class ScenarioConfig:
             if not (_is_int(value) if kind is int else isinstance(value, kind)):
                 raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
                                   f"got {value!r}")
-        # The one span every nonlocal setting keeps (see `states.t_state_diagonals`).
+        # The one span every nonlocal setting keeps (see `states._t_state_diagonal`).
         if obj.get("compression", "00,11") != "00,11":
             raise ConfigError(f"config key 'compression' must be '00,11', "
                               f"got {obj['compression']!r}")
@@ -168,26 +167,25 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
 
     Pair i's steering value is evaluated on the state evolved through
     pairs 1..i-1, with pair i's own strengths as prefactors; the reported
-    state and ellipsoids are post-update.  The run evolves the state's
-    Pauli tensor: every pair update multiplies it by a fixed factor
-    (`dephasing_scale`), so the tensor after pair i is the GHZ tensor
-    times the product of the factors of pairs 1..i.  That product only
-    scales GHZ's 8 components, so the run evolves those, exact +-1 at the
-    start, pair by pair as the cached setting plan of its mode and pair of
-    Charlie axes (`measurement._run_plan`) lays out, and reads each
-    steering value off one of them.  Each state's 4 distinct diagonal
-    and 4 distinct anti-diagonal entries are one fixed +-1/8 sum of its
+    state and ellipsoids are post-update.  Every pair update only scales
+    the state's Pauli components, each by the mean over settings of the
+    coherences of the parties whose direction anticommutes with it, so the
+    run evolves GHZ's 8 components, exact +-1 at the start, pair by pair
+    (`measurement._damped`) as the cached setting plan of its mode and pair
+    of Charlie axes (`measurement._setting_plan`) lays out, and reads each
+    steering value off one of them.  Each state's 4 distinct diagonal and
+    4 distinct anti-diagonal entries are one fixed +-1/8 sum of its
     components; the state is validated by its trace and least GHZ-basis
-    weight, diagonal minus |anti-diagonal| (`check_run_components`), with
+    weight, diagonal minus |anti-diagonal| (`states._state_entries`), with
     no eigensolver, and built on `states.SUPPORT`.  In a nonlocal run
     every state compresses to a T-state, whose diagonal is three two-term
-    sums of components (`t_state_diagonals`), and the ellipsoids of every
-    pair are read off those (`t_state_ellipsoids`).  A run of at most 4
-    pairs computes all of these in one loop over Python floats
+    sums of components (`states._t_state_diagonal`), and the ellipsoids of
+    every pair are read off those (`t_state_ellipsoids`).  A run of at most
+    4 pairs computes all of these in one loop over Python floats
     (`_run_rows`), which `steershare run` spells from and this builds its
-    objects from; the ellipsoid series computes them for a stack of samples
-    with numpy, to the same bits.  No step calls BLAS, so a run's bits do
-    not depend on the BLAS kernel.
+    objects from; the ellipsoid series calls the same three kernels on
+    (k,) numpy columns.  No step calls BLAS, so a run's bits do not depend
+    on the BLAS kernel.
     """
     rows = np.array(_run_rows(cfg)).reshape(cfg.pairs, -1)
     ells = _row_ellipsoids(rows[:, 9:]) if cfg.mode == "nonlocal" else [None] * cfg.pairs
@@ -198,7 +196,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[PairResult]:
 
 def _run_rows(cfg: ScenarioConfig) -> list[float]:
     """The floats of a `cfg` run, pair by pair: the steering value, the
-    state's 8 entries (`states._member_entries`), validated, and in a
+    state's 8 entries (`states._state_entries`), validated, and in a
     nonlocal run, whose every state is a T-state with one ellipsoid, its
     16-float row (`steering._ellipsoid_row`): 25 floats a pair in a
     nonlocal run and 9 in a local one, in Python floats, with no numpy call."""
@@ -207,37 +205,31 @@ def _run_rows(cfg: ScenarioConfig) -> list[float]:
     rows = []
     for value, c in zip(values, after):
         rows.append(float(value))  # a float, whatever number it came as
-        rows += _member_entries(c)
+        rows += _state_entries(c)
         if ellipsoids:
             rows += _ellipsoid_row(_t_state_diagonal(c))
     return rows
 
 
-_GHZ = tuple(GHZ_VALUES.tolist())
-
-
 def _run_components(cfg: ScenarioConfig) -> tuple[list[float], list[list[float]]]:
     """The steering values and the 8 GHZ components after each pair of a
-    `cfg` run (see `run_scenario`), not yet validated, in Python floats.
-    Each is the float numpy's stacked kernels give (`dephasing_scale`, the
-    ellipsoid series): a setting's damping is the product of its parties'
-    coherences, a pair's the mean of its settings', and the components are
-    GHZ's +-1 times the running product of the pairs' dampings, which is
-    each pair's damping times the components before it, as +-1 factors are
-    exact."""
+    `cfg` run (see `run_scenario`), not yet validated, in Python floats:
+    per pair, per setting, the damping of each party mask, the product of
+    its parties' coherences, and the components damped by them
+    (`_damped`)."""
     _check_type(cfg, ScenarioConfig)
-    masks, (r0, r1), (sign0, sign1) = _float_plan(cfg.mode, cfg._axes)
+    masks, (r0, r1), (sign0, sign1), _ = _setting_plan(cfg.mode, cfg._axes)
     h = cfg.strengths
     if cfg.mode == "nonlocal":  # per pair and setting, the damping of each mask
         damping = [[(1.0, coherence(x)) for x in pair] for pair in h.lambdas]
     else:
         damping = [[(1.0, a, b, a * b) for a, b in zip(map(coherence, etas), map(coherence, gammas))]
                    for etas, gammas in zip(h.etas, h.gammas)]
-    values, after, c = [], [], _GHZ
+    values, after, c = [], [], GHZ_VALUES
     for (l0, l1), (f0, f1) in zip(h.lambdas, damping):
         # numpy's two-term sum starts from 0.0, so a -0.0 sum is +0.0.
         values.append(((l0 * sign0) * c[r0] + (l1 * sign1) * c[r1] + 0.0) / 2)
-        c = [x * ((f0[a] + f1[b]) / 2) for x, (a, b) in zip(c, masks)]
+        c = _damped(c, masks, f0, f1)
         after.append(c)
     return values, after
 
@@ -413,8 +405,8 @@ def sweep_curve(fixed: dict[str, float], vary: str, start: float, stop: float,
 
 def ellipsoid_series(strength_pairs: list[tuple[float, float]]) -> list[SteeringEllipsoid]:
     """One steering ellipsoid per sample, Charlie's and AB's alike, of the post-pair-1
-    state (a nonlocal x/-y pair 1), in one stacked numpy pass: the kernels whose
-    floats a run's float loop (`_run_rows`) gives, bit for bit, one pair at a time."""
+    state (a nonlocal x/-y pair 1), in one stacked numpy pass: a run's damping,
+    state check and T-state kernels, called once on (k,) columns."""
     return t_state_ellipsoids(_series_diagonals(strength_pairs))
 
 
@@ -423,11 +415,14 @@ def _series_diagonals(strength_pairs: list[tuple[float, float]]) -> np.ndarray:
     if isinstance(strength_pairs, _SEQUENCES) and len(strength_pairs) > MAX_SERIES_SAMPLES:
         raise ConfigError(f"series of {len(strength_pairs)} samples outside supported "
                           f"range 0..{MAX_SERIES_SAMPLES}")
-    lambdas = StrengthHistory.nonlocal_history(strength_pairs).lambdas
-    c = coherence(np.array(lambdas, dtype=float).reshape(-1, 2))[..., None]
-    after = GHZ_VALUES * dephasing_scale(_run_plan("nonlocal", ("x", "y"))[0], c)
-    check_run_components(after)  # as a run validates its states, none of which is built
-    return t_state_diagonals(after)
+    lam = np.array(StrengthHistory.nonlocal_history(strength_pairs).lambdas,
+                   dtype=float).reshape(-1, 2)
+    f0, f1 = ((1.0, coherence(lam[:, k])) for k in (0, 1))
+    c = _damped([np.full(len(lam), x) for x in GHZ_VALUES],
+                _setting_plan("nonlocal", ("x", "y"))[0], f0, f1)
+    with np.errstate(invalid="ignore"):  # the check refuses an inf component's NaN
+        _state_entries(c)  # as a run validates its states, none of which is built
+    return np.stack(_t_state_diagonal(c), axis=1)
 
 
 def max_simultaneous_pairs(resolution: int = 200, mode: str = "nonlocal") -> int:

@@ -4,17 +4,18 @@ Qubit order is fixed as A (leftmost) then B then Charlie; computational
 basis labels are bit strings "abc".  A state is also held as its real
 Pauli tensor t[a, b, ...] = Tr(rho sigma_a x sigma_b x ...), sigma_0 = I,
 from which rho = 2^-n sum t[a, b, ...] sigma_a x sigma_b x ....  A run
-from GHZ keeps GHZ's 8 nonzero Pauli components (`GHZ_COMPONENTS`, exact
+from GHZ keeps GHZ's 8 nonzero Pauli components (`GHZ_PAULIS`, exact
 values `GHZ_VALUES`), as every pair update only scales components, and
 evolves them: 8 floats a pair.  Such a state is diagonal in the GHZ
 basis and fixed by its components (Guhne & Seevinck, NJP 12, 053002
 (2010)): each of its entries, GHZ-basis weights and compressed T-state
-axes is a fixed +-1 sum of them.  So a run's states are validated in
-closed form (`check_run_components` for a (k, 8) stack, `_member_entries`
-for one member), built on the diagonal and anti-diagonal those span
-(`SUPPORT`, `from_ghz_components`) and compressed to T-states
-(`t_state_diagonals`, `_t_state_diagonal`) with no BLAS call;
-`DensityMatrix` and `ghz()` validate any matrix with one `eigvalsh`.
+axes is a fixed +-1 sum of them, tabled here in Python numbers.  So a
+run's states are validated in closed form (`_state_entries`), built on
+the diagonal and anti-diagonal those span (`SUPPORT`) and compressed to
+T-states (`_t_state_diagonal`) with no BLAS call, each written once over
+8 floats, one member of a run, or 8 columns, a stack of the ellipsoid
+series; `DensityMatrix` and `ghz()` validate any matrix with one
+`eigvalsh`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import I2, PAULIS
 
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
@@ -67,22 +67,6 @@ def _unchecked(cls: type, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-_BASIS = np.stack((I2,) + PAULIS)  # sigma_0..sigma_3, shape (4, 2, 2)
-
-
-def _pauli_products(n: int) -> np.ndarray:
-    """sigma_a x sigma_b x ... for every index tuple, shape (4,)*n + (2^n, 2^n)."""
-    out = _BASIS
-    for _ in range(n - 1):
-        d = 2 * out.shape[-1]
-        out = np.einsum("...ij,bkl->...bikjl", out, _BASIS).reshape(
-            out.shape[:-2] + (4, d, d))
-    return out
-
-
-PAULI_PRODUCTS = {n: _pauli_products(n) for n in (1, 2, 3)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,88 +112,84 @@ def ghz() -> DensityMatrix:
     return DensityMatrix(3, _ghz_projector())
 
 
-def pauli_tensor(mat: np.ndarray) -> np.ndarray:
-    """Real parts of Tr(mat sigma_a x sigma_b x ...) for a 1-3 qubit matrix."""
-    _check_array(mat, "matrix")
-    qubits = {(2, 2): 1, (4, 4): 2, (8, 8): 3}.get(mat.shape)
-    if qubits is None:
-        raise ShapeError(f"matrix shape {mat.shape} is not that of 1-3 qubits")
-    return np.einsum("...ij,ji->...", PAULI_PRODUCTS[qubits], mat).real
-
-
-# GHZ's 8 nonzero Pauli components, in the row-major order of their mask
-# `GHZ_COMPONENTS` (III, IZZ, XXX, XYY, YXY, YYX, ZIZ, ZZI), and their exact
-# values `GHZ_VALUES`: +1, but -1 at the three Y-Y-X placements.  Every pair
-# update only scales components, so a run evolves these 8 and nothing else.
-GHZ_COMPONENTS = np.zeros((4, 4, 4), dtype=bool)
-GHZ_COMPONENTS[[0, 0, 1, 1, 2, 2, 3, 3], [0, 3, 1, 2, 1, 2, 0, 3], [0, 3, 1, 2, 2, 1, 3, 0]] = True
-GHZ_VALUES = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0])
+# GHZ's 8 nonzero Pauli components sigma_a x sigma_b x sigma_c, as their
+# indices (a, b, c) in row-major order (III, IZZ, XXX, XYY, YXY, YYX, ZIZ,
+# ZZI), and their exact values `GHZ_VALUES`: +1, but -1 at the three Y-Y-X
+# placements.  Every pair update only scales components, so a run evolves
+# these 8 and nothing else.
+GHZ_PAULIS = ((0, 0, 0), (0, 3, 3), (1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1), (3, 0, 3), (3, 3, 0))
+GHZ_VALUES = (1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0)
 # The 8 component products are real and nonzero only on the diagonal and the
 # anti-diagonal, `SUPPORT`, where entries j and 7-j are equal.  So a run state
 # is fixed by 4 diagonal entries [j, j] and 4 anti-diagonal ones [j, 7-j],
-# j = 0..3: its components times `_SIGNS`, each product's +-1 entries there
-# over 8, summed.  The GHZ basis (|j> +- |7-j>)/sqrt(2) is an eigenbasis of
-# each product, so a run state's eigenvalues, its GHZ-basis weights, are
-# [j, j] +- [j, 7-j] (Yu & Eberly, QIC 7, 459 (2007); Guhne & Seevinck, NJP
-# 12, 053002 (2010)).  Import-time constants make no BLAS or LAPACK call.
+# j = 0..3: per entry, each component times that product's +-1 (or 0) entry
+# there over 8 (`_ENTRY_SIGNS`, one row an entry), summed.  The GHZ basis
+# (|j> +- |7-j>)/sqrt(2) is an eigenbasis of each product, so a run state's
+# eigenvalues, its GHZ-basis weights, are [j, j] +- [j, 7-j] (Yu & Eberly,
+# QIC 7, 459 (2007); Guhne & Seevinck, NJP 12, 053002 (2010)).
 SUPPORT = np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1]
-_PRODUCTS, _J = PAULI_PRODUCTS[3][GHZ_COMPONENTS].real, np.arange(4)
-_SIGNS = np.hstack([_PRODUCTS[:, _J, _J], _PRODUCTS[:, _J, 7 - _J]]) / 8
+SUPPORT.setflags(write=False)
+_ENTRY_SIGNS = tuple(tuple(s / 8 for s in row) for row in (
+    (1, 1, 0, 0, 0, 0, 1, 1), (1, -1, 0, 0, 0, 0, -1, 1),
+    (1, -1, 0, 0, 0, 0, 1, -1), (1, 1, 0, 0, 0, 0, -1, -1),
+    (0, 0, 1, -1, -1, -1, 0, 0), (0, 0, 1, 1, 1, -1, 0, 0),
+    (0, 0, 1, 1, -1, 1, 0, 0), (0, 0, 1, -1, 1, 1, 0, 0)))
 # Per `SUPPORT` entry [i, j], row-major, the one of the 8 it holds: diagonal
 # or anti-diagonal entry min(i, 7-i).
 _SUPPORT_AT = np.flatnonzero(SUPPORT)
 _SPREAD = np.array([min(i, 7 - i) + 4 * (i != j) for i, j in np.argwhere(SUPPORT).tolist()])
-# A run's states are validated and compressed on the stack of a series
-# (`check_run_components`, `t_state_diagonals`) and one member at a time on
-# a run's Python floats (`_member_entries`, `_t_state_diagonal`), both by
-# `_component_sums`: per coefficient column, `_SIGNS` or `_T_SIGNS`, the
-# 8 products of the components with it, zero coefficients included, summed
-# in one written order, ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)).  So both
-# forms give the same floats on any numpy.  It is also the order of numpy's
-# own sum of 8 terms (checked on numpy 2.4.6), which differs from it only
-# where all 8 products are -0.0, and a state's III = 1 rules that out.
-_ENTRY_SIGNS = tuple(map(tuple, _SIGNS.T.tolist()))
+# The compressed AB qubit is span{|00>, |11>}: its I, X, Y and Z are the A,B
+# operators (II + ZZ)/2, (XX - YY)/2, (XY + YX)/2 and (ZI + IZ)/2.  So the
+# diagonal of T is (XXX - YYX)/2, (XYY + YXY)/2 and (IZZ + ZIZ)/2: per axis,
+# the components times one row of `_T_AXIS_SIGNS`, summed.
+_T_AXIS_SIGNS = ((0.0, 0.0, 0.5, 0.0, 0.0, -0.5, 0.0, 0.0),
+                 (0.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0),
+                 (0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0))
 
 
-def _component_sums(c, columns: tuple) -> list:
-    """Per coefficient column, the sum of the products of the 8 GHZ
-    components `c` with it: Python floats of one member, or the 8 (k,)
-    component arrays of a stack."""
+# A run's states are validated and compressed one member at a time on a
+# run's Python floats and as one stack of (k,) columns in the ellipsoid
+# series, by the same functions: `_component_sums` sums, per sign row, the
+# 8 products of the components with it, zero coefficients included, in one
+# written order, ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)).  So both give
+# the same floats on any numpy.
+def _component_sums(c, rows: tuple) -> list:
+    """Per sign row, the sum of the products of the 8 GHZ components `c`
+    with it: Python floats of one member, or 8 (k,) columns of a stack."""
     c0, c1, c2, c3, c4, c5, c6, c7 = c
     return [((c0 * s0 + c1 * s1) + (c2 * s2 + c3 * s3)) + ((c4 * s4 + c5 * s5) + (c6 * s6 + c7 * s7))
-            for s0, s1, s2, s3, s4, s5, s6, s7 in columns]
+            for s0, s1, s2, s3, s4, s5, s6, s7 in rows]
 
 
-def check_run_components(c: np.ndarray) -> np.ndarray:
-    """The (k, 8) entries, 4 diagonal then 4 anti-diagonal (see `_SIGNS`), of
-    the states of a (k, 8) stack of GHZ components (member j is pair j+1's),
-    each summed in one fixed order with no BLAS call.  Raises for the first
-    member that is no state: the ShapeError `DensityMatrix` raises for its
-    trace, the III component, else for its least GHZ-basis weight."""
-    _check_array(c, "GHZ component stack", real=True)
-    if c.ndim != 2 or c.shape[1] != 8:
-        raise ShapeError(f"run states expect (k, 8) GHZ components, got {c.shape}")
-    entries = np.stack(_component_sums(c.T, _ENTRY_SIGNS), axis=1)
-    low = (entries[:, :4] - np.abs(entries[:, 4:])).min(axis=1)
-    ok = (np.abs(c[:, 0] - 1) <= DENSITY_TRACE_TOL) & (low >= DENSITY_EIG_FLOOR)  # NaN fails
-    if not ok.all():
+def _state_entries(c) -> list:
+    """The 8 entries, 4 diagonal then 4 anti-diagonal (`_ENTRY_SIGNS`), of
+    the state of the 8 GHZ components `c`: Python floats of one member, or
+    8 (k,) columns of a stack, member j being pair j+1's.  Raises for the
+    first member that is no state: the ShapeError `DensityMatrix` raises
+    for its trace, the III component, else for its least GHZ-basis weight,
+    diagonal minus |anti-diagonal|.  On columns, numpy warns of the NaN an
+    infinite component times a zero sign gives, which the check refuses."""
+    e = _component_sums(c, _ENTRY_SIGNS)
+    w = [e[0] - abs(e[4]), e[1] - abs(e[5]), e[2] - abs(e[6]), e[3] - abs(e[7])]
+    floor = DENSITY_EIG_FLOOR
+    ok = ((abs(c[0] - 1) <= DENSITY_TRACE_TOL) & (w[0] >= floor) & (w[1] >= floor)
+          & (w[2] >= floor) & (w[3] >= floor))  # NaN fails; a bool, or a column of them
+    if ok is True:
+        return e
+    if ok is not False:  # columns: the first failing member, if any, as floats
+        if ok.all():
+            return e
         k = int(ok.argmin())
-        if not abs(c[k, 0] - 1) <= DENSITY_TRACE_TOL:
-            raise ShapeError(f"trace {complex(c[k, 0]):.12f} != 1")
-        raise ShapeError(f"negative eigenvalue {low[k]:.3e}")
-    return entries
-
-
-def from_ghz_components(c: np.ndarray) -> list[DensityMatrix]:
-    """The states 2^-3 sum_i c[k, i] P_i of a (k, 8) stack of GHZ components,
-    P_i the i-th product of `GHZ_COMPONENTS`, validated by
-    `check_run_components` (see `_support_states`)."""
-    return _support_states(check_run_components(c))
+        c, w = [float(x[k]) for x in c], [float(x[k]) for x in w]
+    if not abs(c[0] - 1) <= DENSITY_TRACE_TOL:
+        raise ShapeError(f"trace {complex(c[0]):.12f} != 1")
+    low = math.nan if any(x != x for x in w) else min(w)  # as numpy's min, NaN first
+    raise ShapeError(f"negative eigenvalue {low:.3e}")
 
 
 def _support_states(entries: np.ndarray) -> list[DensityMatrix]:
     """The run states of a (k, 8) stack of validated entries, as
-    `check_run_components` gives them: each is its 8 entries on `SUPPORT`,
+    `_state_entries` gives them: each is its 8 entries on `SUPPORT`,
     mirrored entries equal, and +0.0 elsewhere."""
     mats = np.zeros((len(entries), 64), dtype=complex)
     mats[:, _SUPPORT_AT] = entries.take(_SPREAD, axis=1)
@@ -219,43 +199,12 @@ def _support_states(entries: np.ndarray) -> list[DensityMatrix]:
     return [_unchecked(DensityMatrix, qubits=3, mat=mat) for mat in mats]
 
 
-# The compressed AB qubit is span{|00>, |11>}: its I, X, Y and Z are the A,B
-# operators (II + ZZ)/2, (XX - YY)/2, (XY + YX)/2 and (ZI + IZ)/2.  So the
-# diagonal of T is (XXX - YYX)/2, (XYY + YXY)/2 and (IZZ + ZIZ)/2: components
-# times `_T_SIGNS`, summed.
-_T_SIGNS = np.zeros((8, 3))
-_T_SIGNS[[2, 5, 3, 4, 1, 6], [0, 0, 1, 1, 2, 2]] = [0.5, -0.5, 0.5, 0.5, 0.5, 0.5]
-for _x in (GHZ_COMPONENTS, GHZ_VALUES, SUPPORT, _SIGNS, _T_SIGNS):
-    _x.setflags(write=False)
-_T_AXIS_SIGNS = tuple(map(tuple, _T_SIGNS.T.tolist()))
-
-
-def t_state_diagonals(c: np.ndarray) -> np.ndarray:
-    """The (k, 3) diagonals of T of the compressed two-qubit states (the AB
-    pair's span{|00>, |11>} as one qubit, then Charlie) of a (k, 8) stack of
-    nonlocal run components, each a sum of two of them over 2.  Every
-    direction a nonlocal pair measures keeps ZZI = III = 1, so each state
-    lies in that span with weight (III + ZZI)/2 = 1, nothing is
-    renormalized, and m~ = n = 0 and T is diagonal: a T-state."""
-    return np.stack(_component_sums(c.T, _T_AXIS_SIGNS), axis=1)
-
-
-def _member_entries(c: list[float]) -> list[float]:
-    """The 8 entries of the state of one member's 8 GHZ components `c`, as
-    `check_run_components` gives them, and raising as it raises."""
-    e = _component_sums(c, _ENTRY_SIGNS)
-    w = [e[0] - abs(e[4]), e[1] - abs(e[5]), e[2] - abs(e[6]), e[3] - abs(e[7])]
-    trace, floor = abs(c[0] - 1) <= DENSITY_TRACE_TOL, DENSITY_EIG_FLOOR
-    if not (trace and w[0] >= floor and w[1] >= floor and w[2] >= floor
-            and w[3] >= floor):  # NaN fails
-        if not trace:
-            raise ShapeError(f"trace {complex(c[0]):.12f} != 1")
-        low = math.nan if any(x != x for x in w) else min(w)  # numpy's min keeps NaN
-        raise ShapeError(f"negative eigenvalue {low:.3e}")
-    return e
-
-
-def _t_state_diagonal(c: list[float]) -> list[float]:
-    """The T-state diagonal of one member's 8 nonlocal run components `c`, as
-    `t_state_diagonals` gives it."""
+def _t_state_diagonal(c) -> list:
+    """The diagonal of T of the compressed two-qubit state (the AB pair's
+    span{|00>, |11>} as one qubit, then Charlie) of 8 nonlocal run
+    components `c`, Python floats or (k,) columns as `_state_entries` takes
+    them: per axis a sum of two of them over 2.  Every direction a nonlocal
+    pair measures keeps ZZI = III = 1, so each state lies in that span with
+    weight (III + ZZI)/2 = 1, nothing is renormalized, and m~ = n = 0 and T
+    is diagonal: a T-state."""
     return _component_sums(c, _T_AXIS_SIGNS)

@@ -1,7 +1,7 @@
 """Classical bounds, closed-form oracles, strength histories and ellipsoids.
 
 The closed-form linear steering parameter (`closed_forms`), damped as the
-setting plan `measurement._run_plan` says, is the analytic oracle for
+setting plan `measurement._setting_plan` says, is the analytic oracle for
 `run_scenario`, which reads the same parameter off the evolved state, laid
 out by that plan, as sharp-direction correlators, multiplied once by the
 current pair's strength.
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NotHermitianError, ShapeError, UnsupportedSizeError
-from .measurement import _run_plan
+from .measurement import _setting_plan
 from .states import _check_type, _is_int, _is_real, _unchecked
 
 HERMITIAN_TOL = 1e-12
@@ -149,10 +149,10 @@ def closed_forms(mode: str, lam, damp) -> list:
     S_i = sum_k lam[i-1][k] prod_{j<i} sum_l f_lk^(j) / n^i over n settings,
     where f_lk^(j), the damping by pair j's setting l of the component that
     setting k reads, is the coherence of the one party's strength that the
-    x, -y `_run_plan` names for k and l (1 if none).  `lam[j][k]` is pair
+    x, -y `_setting_plan` names for k and l (1 if none).  `lam[j][k]` is pair
     j+1's strength in setting k and `damp[q][j][l]` party q's, the joint one
     (nonlocal) or A's and B's (local): floats, or arrays of one shape."""
-    table = _run_plan(mode, ("x", "y"))[3]
+    table = _setting_plan(mode, ("x", "y"))[3]
     n, last = len(table), len(lam)
     out, prod, others = [], [1.0] * n, range(1, n)
     for i, own in enumerate(lam, start=1):
@@ -254,7 +254,7 @@ def _ellipsoid_rows(d: np.ndarray) -> np.ndarray:
 
 def t_state_ellipsoids(d: np.ndarray) -> list[SteeringEllipsoid]:
     """Steering ellipsoid of each T-state of a (k, 3) stack of diagonals d of
-    T, member j being pair j+1's compressed state (`states.t_state_diagonals`).
+    T, member j being pair j+1's compressed state (`states._t_state_diagonal`).
 
     A T-state, m~ = n = 0 and T = diag(d), steers each party onto the same
     centred ellipsoid, with matrix diag(d^2) and semiaxes |d| along the

@@ -3,14 +3,15 @@ evolves with, the general steering ellipsoid of any two-qubit state,
 which `run_scenario`'s closed-form T-state ellipsoids must equal, the
 closed-form semiaxes of nonlocal runs with whole-grid checks against
 them, and the one-format-per-row scan CSV text, which the grid-row
-writer of `steershare scan` must equal.  Also the state of any 1-3-qubit
-Pauli tensor (the package builds only run states), the compression of
-any three-qubit state onto span{|00>, |11>} x C2 (the package compresses
-only run states, in closed form), `eigvalsh` of run states, which their
-closed-form GHZ-basis weights must equal, and the full build of run
-states over their 8 component products, which their support build must
-equal within rounding.
-Also the closed-form boundaries of the scan's region labels.
+writer of `steershare scan` must equal.  Also the Pauli tensor of any 1-3-qubit
+matrix and the state of any such tensor (the package builds only run
+states, from their 8 GHZ components), the compression of any three-qubit
+state onto span{|00>, |11>} x C2 (the package compresses only run states,
+in closed form), `eigvalsh` of run states, which their closed-form
+GHZ-basis weights must equal, and the full build of run states over their
+8 component products, which their support build must equal within
+rounding.  Also the run kernels on (k, 8) stacks, as the ellipsoid series
+calls them, and the closed-form boundaries of the scan's region labels.
 
 The Kraus oracle follows the definitions on full-register matrices and
 shares no code with the package's Pauli-tensor path.  A measurement is a
@@ -31,8 +32,8 @@ import numpy as np
 from steershare import scenario
 from steershare.errors import ConfigError, ShapeError
 from steershare.scenario import SQRT_HALF, ellipsoid_series, make_config, run_scenario
-from steershare.states import GHZ_COMPONENTS, PAULI_PRODUCTS, SUPPORT, DensityMatrix, \
-    _check_array, _check_type, ghz, pauli_tensor
+from steershare.states import GHZ_PAULIS, SUPPORT, DensityMatrix, _check_array, _check_type, \
+    _state_entries, _support_states, _t_state_diagonal, ghz
 from steershare.steering import DEGENERACY_TOL, SteeringEllipsoid
 
 AXIS_NORM_FLOOR = 1e-8  # shorter parts of an axis in a degenerate subspace are skipped
@@ -59,6 +60,23 @@ def _products(qubits):
     """Every sigma_a x sigma_b x ... of `qubits` qubits, in row-major index
     order: shape (4**qubits, 2**qubits, 2**qubits)."""
     return np.stack([direction(idx) for idx in itertools.product(range(4), repeat=qubits)])
+
+
+# Every sigma_a x sigma_b x ..., shape (4,)*n + (2^n, 2^n), for n = 1..3.
+PAULI_PRODUCTS = {n: _products(n).reshape((4,) * n + (2 ** n,) * 2) for n in (1, 2, 3)}
+# The mask over a three-qubit Pauli tensor of GHZ's 8 components, `GHZ_PAULIS`.
+GHZ_COMPONENTS = np.zeros((4, 4, 4), dtype=bool)
+GHZ_COMPONENTS[tuple(zip(*GHZ_PAULIS))] = True
+GHZ_COMPONENTS.setflags(write=False)
+
+
+def pauli_tensor(mat):
+    """Real parts of Tr(mat sigma_a x sigma_b x ...) for a 1-3 qubit matrix."""
+    _check_array(mat, "matrix")
+    qubits = {(2, 2): 1, (4, 4): 2, (8, 8): 3}.get(mat.shape)
+    if qubits is None:
+        raise ShapeError(f"matrix shape {mat.shape} is not that of 1-3 qubits")
+    return np.einsum("...ij,ji->...", PAULI_PRODUCTS[qubits], mat).real
 
 
 def state_from_tensor(t):
@@ -142,6 +160,35 @@ def chain(mode, labels, lambdas, etas=None, gammas=None):
                           *(None if x is None else x[i] for x in (etas, gammas)))
         out.append((s, rho))
     return out
+
+
+def kron_plan(mode, axes):
+    """The setting plan `measurement._setting_plan` of a `mode` run along
+    the resolved `axes`, from full np.kron matrices.  Setting k measures
+    its A,B direction of `AXES` jointly (nonlocal), or its A factor on A
+    and its B factor on B (local); a direction damps a GHZ component when
+    they anticommute, D P + P D = 0.  Per component, for each setting, the
+    mask of its damping parties, bit p for party p; the component each
+    setting reads, its direction times Charlie's Pauli, and the sign of
+    `AXES`; and per setting k the (setting l, party) pairs that damp the
+    component k reads."""
+    comps = [tuple(i) for i in np.argwhere(GHZ_COMPONENTS).tolist()]
+    rows = [AXES[axis] for axis in axes]
+    parties = [[direction((p, q, 0))] if mode == "nonlocal"
+               else [direction((p, 0, 0)), direction((0, q, 0))] for _, _, p, q in rows]
+
+    def damps(d, comp):
+        product = direction(comp)
+        anti = not np.any(d @ product + product @ d)
+        assert anti or not np.any(d @ product - product @ d)  # Pauli strings commute or anticommute
+        return anti
+
+    masks = tuple(tuple(sum(damps(d, comp) << i for i, d in enumerate(ds)) for ds in parties)
+                  for comp in comps)
+    read = tuple(comps.index((p, q, c)) for c, _, p, q in rows)
+    damping = tuple(tuple((l, i) for l, ds in enumerate(parties) for i, d in enumerate(ds)
+                          if damps(d, comps[r])) for r in read)
+    return masks, read, tuple(sign for _, sign, _, _ in rows), damping
 
 
 def tie_broken_axes(semiaxes, orientation):
@@ -405,6 +452,29 @@ def run_components():
         yield seen
     finally:
         scenario._run_components = real
+
+
+def stack_entries(c):
+    """The (k, 8) state entries of a (k, 8) stack of GHZ components by the
+    package's one run-state check (`states._state_entries`) on its
+    columns, raising as it raises."""
+    return np.stack(_state_entries(list(c.T)), axis=1).reshape(-1, 8)
+
+
+def stack_diagonals(c):
+    """The (k, 3) T-state diagonals of a (k, 8) stack of nonlocal run
+    components by `states._t_state_diagonal` on its columns."""
+    return np.stack(_t_state_diagonal(list(c.T)), axis=1).reshape(-1, 3)
+
+
+def from_ghz_components(c):
+    """The states 2^-3 sum_i c[k, i] P_i of a (k, 8) numpy stack of GHZ
+    components, P_i the i-th product of `GHZ_PAULIS`, validated by
+    `stack_entries` and built on `SUPPORT` as a run builds its states."""
+    _check_array(c, "GHZ component stack", real=True)
+    if c.ndim != 2 or c.shape[1] != 8:
+        raise ShapeError(f"run states expect (k, 8) GHZ components, got {c.shape}")
+    return _support_states(stack_entries(c))
 
 
 def full_product_states(c):

@@ -19,6 +19,8 @@ from steershare.scenario import PairResult, ScenarioConfig, ellipsoid_series, \
 from steershare.states import DensityMatrix
 from steershare.steering import DEGENERACY_TOL, SteeringEllipsoid
 
+from oracles import stack_diagonals, stack_entries
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -407,15 +409,15 @@ class TestRunOut:
         cfg = {"mode": mode, "pairs": 4, "strengths": [0.5, [0.3, 0.8], 0.9]}
         config = ScenarioConfig.from_json(cfg)
         _, components = scenario._run_components(config)
-        entries = np.stack([spiked(e) for e in states.check_run_components(np.array(components))])
-        rows = steering._ellipsoid_rows(states.t_state_diagonals(np.array(components)))
+        entries = np.stack([spiked(e) for e in stack_entries(np.array(components))])
+        rows = steering._ellipsoid_rows(stack_diagonals(np.array(components)))
         rows = np.stack([np.hstack([spiked(r[:3]), spiked(r[3:6]), spiked(r[6:15]), x])
                          for r, x in zip(rows, specials)])
         results = [PairResult(i, x, state(e), ell(r) if mode == "nonlocal" else None)
                    for i, x, e, r in zip(range(1, 5), specials, entries, rows)]
         pair_entries, pair_rows = iter(entries.tolist()), iter(rows.tolist())
         monkeypatch.setattr(scenario, "_run_components", lambda _cfg: (specials, components))
-        monkeypatch.setattr(scenario, "_member_entries", lambda _c: next(pair_entries))
+        monkeypatch.setattr(scenario, "_state_entries", lambda _c: next(pair_entries))
         monkeypatch.setattr(scenario, "_ellipsoid_row", lambda _d: next(pair_rows))
         cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_file.write_text(json.dumps(cfg))
@@ -444,7 +446,7 @@ class TestRunOut:
         `SUPPORT` and whose ellipsoids are centred and diagonal.  A value
         added to pair 2's component that moves it by less than its rounding
         (1e-300, -0.0) leaves the bytes of the run without it; a NaN is
-        refused by the run's check, `states._member_entries` (exit 2, one
+        refused by the run's check, `states._state_entries` (exit 2, one
         `error:` line, no file)."""
         cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg_file.write_text('{"pairs": 3, "strengths": [0.5, 0.8]}')

@@ -1,14 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from steershare.errors import ConfigError
-from steershare.measurement import _run_plan, anticommuting, dephasing_scale
-from steershare.states import DensityMatrix, ghz, ket, pauli_tensor
+from steershare.measurement import _anticommute, _damped, _setting_plan
+from steershare.states import DensityMatrix, ghz, ket
 from steershare.steering import StrengthHistory
 
-from oracles import AXES, ORACLE_TOL, direction, make_instrument, state_from_tensor, update
+from oracles import AXES, ORACLE_TOL, direction, kron_plan, make_instrument, pauli_tensor, \
+    state_from_tensor, update
 from util import random_density
 
 YY = direction((2, 2))
@@ -25,11 +27,27 @@ def _random_setting(rng, qubits=(0, 1, 2)):
 
 
 def _dephase(rho, settings):
-    """The kernel's averaged update of a 3-qubit matrix: settings[k] lists the
-    (paulis, sign, strength) measurements of setting k, one per party."""
-    anti = np.array([[anticommuting(p) for p, _, _ in parties] for parties in settings])
-    c = [[np.sqrt(1 - lam ** 2) for _, _, lam in parties] for parties in settings]
-    return state_from_tensor(pauli_tensor(rho) * dephasing_scale(anti, c)).mat
+    """The kernel's averaged update of a 3-qubit matrix, on all 64 of its
+    Pauli components: settings[k] lists the (paulis, sign, strength)
+    measurements of setting k, one per party.  A component's mask in a
+    setting has bit p where party p's direction anticommutes with it
+    (`measurement._anticommute`), and `measurement._damped` damps it by the
+    mean over two settings of the product of those parties' coherences.
+    One setting is passed as two equal ones, and three as the mean of
+    three single-setting updates."""
+    t = pauli_tensor(rho).reshape(-1).tolist()
+    strings = list(itertools.product(range(4), repeat=3))
+    masks, dampings = [], []
+    for parties in settings:
+        masks.append([sum(_anticommute(p, s) << i for i, (p, _, _) in enumerate(parties))
+                      for s in strings])
+        c = [math.sqrt(1 - lam ** 2) for _, _, lam in parties]
+        dampings.append([math.prod(x for i, x in enumerate(c) if m >> i & 1)
+                         for m in range(1 << len(c))])
+    halves = [(0, 1)] if len(settings) == 2 else [(k, k) for k in range(len(settings))]
+    out = sum(np.array(_damped(t, list(zip(masks[a], masks[b])), dampings[a], dampings[b]))
+              for a, b in halves) / len(halves)
+    return state_from_tensor(out.reshape(4, 4, 4)).mat
 
 
 def _projective(rho, paulis, sign):
@@ -195,16 +213,28 @@ class TestLocalPairUpdate:
 
 
 class TestDampingTable:
-    """The damping terms of `_run_plan` against anticommutation of full
-    np.kron matrices, in every plan `ScenarioConfig` admits: setting l damps
-    the GHZ component setting k reads, through party p, when p's direction in
-    setting l anticommutes with that component."""
+    """The setting plan `_setting_plan`, read off Pauli bits, against
+    anticommutation of full np.kron matrices (`oracles.kron_plan`), in every
+    plan `ScenarioConfig` admits: its masks, read components, signs and
+    damping terms.  Setting l damps the GHZ component setting k reads,
+    through party p, when p's direction in setting l anticommutes with that
+    component."""
 
     @pytest.mark.parametrize("mode, party", [("nonlocal", 0), ("local", 1)])
     def test_table_equals_kron_anticommutation(self, mode, party):
         # A label's sign changes no direction's mask, so resolved axes cover
         # every plan: 9 nonlocal and 4 local axis pairs.
         for axes in itertools.product("xyz" if mode == "nonlocal" else "xy", repeat=2):
+            plan = _setting_plan(mode, axes)
+            assert plan == kron_plan(mode, axes)
+            for k, (r, sign) in enumerate(zip(plan[1], plan[2])):
+                # The component setting k reads, times its sign, is the sharp
+                # correlator <D x L>, +1 on GHZ.
+                c, _, p, q = AXES[axes[k]]
+                assert sign * np.trace(ghz().mat @ direction((p, q, c))).real == \
+                    pytest.approx(1.0, abs=1e-15)
+                assert plan[0][r][k] == 0  # its own setting leaves it alone
+            assert all(type(x) is int for m in plan[0] for x in m)
             damps = set()
             for k, read_axis in enumerate(axes):
                 c, _, p, q = AXES[read_axis]
@@ -218,7 +248,7 @@ class TestDampingTable:
                             np.max(np.abs(d @ read - read @ d)) == 0.0
                         if np.max(np.abs(d @ read + read @ d)) == 0.0:
                             damps.add((k, l, who))
-            table = _run_plan(mode, axes)[3]
+            table = plan[3]
             assert {(k, l, who) for k, terms in enumerate(table) for l, who in terms} == damps
             # What `closed_forms` relies on: a damping setting acts through one
             # party, and no setting damps the component it reads.

@@ -31,7 +31,7 @@ from steershare.steering import StrengthHistory, classical_bound, closed_form_lo
     closed_form_nonlocal, closed_forms, coherence
 
 from oracles import ORACLE_TOL, bloch_form, chain, compress, ellipsoid, region_labels, \
-    run_grid_deviation, scan_csv, series_grid_deviation
+    run_grid_deviation, scan_csv, series_grid_deviation, stack_diagonals, stack_entries
 
 
 def _scan_text(pairs, resolution, mode):
@@ -142,7 +142,7 @@ class TestRunScenario:
         def run(mode, labels):
             run_scenario(make_config(mode, [0.5, 0.8], charlie_directions=labels))
 
-        plans = measurement._run_plan.cache_info
+        plans = measurement._setting_plan.cache_info
         run("nonlocal", ("x", "-y"))
         size = plans().currsize
         for labels in [(" X", "-y"), ("-x", "y "), ("x ", " -Y"), ("-X", "Y")]:
@@ -152,9 +152,10 @@ class TestRunScenario:
             for a, b in itertools.product(axes, repeat=2):
                 run(mode, (f" {a.upper()}", f"-{b}"))
         assert plans().currsize == 13  # 9 nonlocal and 4 local axis pairs
-        *arrays, damping = measurement._run_plan("local", ("y", "x"))
-        for x in arrays:
-            assert not x.flags.writeable
+        masks, read, sign, damping = plan = measurement._setting_plan("local", ("y", "x"))
+        for x in plan:  # immutable all through, as every run shares it
+            assert isinstance(x, tuple)
+        assert all(isinstance(m, tuple) for m in masks)
         assert isinstance(damping, tuple) and all(isinstance(t, tuple) for t in damping)
 
     def test_results_compare_by_state_identity(self):
@@ -687,6 +688,13 @@ WINDOW_CASES = ("unequal_local", "equal_nonlocal", "unequal_nonlocal")
 
 
 class TestWindows:
+    def test_sqrt_half_keeps_its_bits(self):
+        # 1/sqrt(2) by one division of the rounded root, as numpy spells it;
+        # math.sqrt(0.5) and 2**-0.5 round 1 ulp higher.
+        assert type(SQRT_HALF) is float and SQRT_HALF.hex() == "0x1.6a09e667f3bccp-1"
+        assert SQRT_HALF == float(1 / np.sqrt(2))
+        assert math.sqrt(0.5) == 2 ** -0.5 == math.nextafter(SQRT_HALF, 1.0)
+
     def test_published_windows(self):
         local = simultaneous_window("unequal_local")
         equal = simultaneous_window("equal_nonlocal")
@@ -785,28 +793,45 @@ class TestEllipsoidSeries:
                                       getattr(ref, name).view(np.int64)), name
             assert e.volume.hex() == ref.volume.hex()
 
+    def test_series_keeps_its_bits(self):
+        # Every array and volume of a seeded 40,000-sample series, about a
+        # third of its strengths 0, 1 or 2**-0.5, hashed on its bytes, which
+        # tell -0.0 from 0.0.  The digest is that of the series before it
+        # came to share its kernels with the run's float loop.
+        rng = np.random.default_rng(3636)
+        lam = rng.uniform(0, 1, (MAX_SERIES_SAMPLES, 2))
+        exact = rng.uniform(size=lam.shape) < 1 / 3
+        lam[exact] = rng.choice([0.0, 1.0, 2 ** -0.5], size=exact.sum())
+        series = ellipsoid_series(lam.tolist())
+        digest = hashlib.sha256()
+        for name in ("center", "matrix", "semiaxes", "orientation", "volume"):
+            digest.update(np.array([getattr(e, name) for e in series], dtype=float).tobytes())
+        assert digest.hexdigest() == "955b9b562b6cee0ca37561f3c15e645072e89f2a95bdbf28c8d1093cf602d2a3"
+
     def test_one_stacked_pass(self, monkeypatch):
-        # No per-sample run: each kernel is called once, on all samples.
+        # No per-sample run: each kernel is called once, on all samples: a
+        # run's damping, state check and T-state kernels on 8 (k,) columns,
+        # then the ellipsoids of the (k, 3) diagonals.
         def refuse(*args, **kwargs):
             raise AssertionError("per-sample run")
 
         calls = []
 
-        def spy(name):
+        def spy(name, samples):
             real = getattr(scenario, name)
-            return lambda x: calls.append((name, len(x))) or real(x)
+            return lambda x, *rest: calls.append((name, samples(x))) or real(x, *rest)
 
         # Nor is a run's float loop entered or any 8x8 state built: the
         # components are validated in closed form, as one stack.
         for name in ("make_config", "run_scenario", "ScenarioConfig", "_run_rows",
-                     "_member_entries", "_support_states"):
+                     "_run_components", "_support_states"):
             monkeypatch.setattr(scenario, name, refuse)
-        monkeypatch.setattr(states, "from_ghz_components", refuse)
-        for name in ("check_run_components", "t_state_diagonals", "t_state_ellipsoids"):
-            monkeypatch.setattr(scenario, name, spy(name))
+        for name in ("_damped", "_state_entries", "_t_state_diagonal"):
+            monkeypatch.setattr(scenario, name, spy(name, lambda c: (len(c), len(c[0]))))
+        monkeypatch.setattr(scenario, "t_state_ellipsoids", spy("t_state_ellipsoids", np.shape))
         assert len(ellipsoid_series([(0.1, 0.2), (0.5, 0.8), (1.0, 1.0)])) == 3
-        assert calls == [("check_run_components", 3), ("t_state_diagonals", 3),
-                         ("t_state_ellipsoids", 3)]
+        assert calls == [("_damped", (8, 3)), ("_state_entries", (8, 3)),
+                         ("_t_state_diagonal", (8, 3)), ("t_state_ellipsoids", (3, 3))]
 
     def test_no_eigensolver(self, monkeypatch):
         # Runs and series validate their states in closed form, with no
@@ -849,17 +874,24 @@ class TestEllipsoidSeries:
 
 
 def _stacked_run(cfg):
-    """The steering values and (pair, 8) components of a `cfg` run by numpy's
-    stacked kernels, as the ellipsoid series evolves its samples: coherences
-    of the strength arrays, `dephasing_scale`, a cumulative product over
-    pairs, and a mean of the two settings' readings."""
-    anti, read, sign, _ = measurement._run_plan(cfg.mode, cfg._axes)
+    """The steering values and (pair, 8) components of a `cfg` run by numpy
+    stacked over its pairs, written apart from the run's kernels: the
+    plan's masks as a (setting, party, component) bool array, each pair's
+    damping np.where(mask, coherence, 1) multiplied over parties and
+    averaged over settings, a cumulative product over pairs, and a mean of
+    the two settings' readings."""
+    masks, read, sign, _ = measurement._setting_plan(cfg.mode, cfg._axes)
+    parties = 1 if cfg.mode == "nonlocal" else 2
+    anti = np.array([[[m[k] >> p & 1 for m in masks] for p in range(parties)]
+                     for k in range(2)], dtype=bool)
     h, lam = cfg.strengths, np.array(cfg.strengths.lambdas)
     c = coherence(lam[..., None] if cfg.mode == "nonlocal"
-                  else np.stack([h.etas, h.gammas], -1))
-    after = states.GHZ_VALUES * np.cumprod(measurement.dephasing_scale(anti, c), axis=0)
-    before = np.concatenate([states.GHZ_VALUES[None], after[:-1]])
-    return (lam * sign * before[:, read]).sum(axis=1) / len(read), after
+                  else np.stack([h.etas, h.gammas], -1))  # (pair, setting, party)
+    scale = np.where(anti, c[..., None], 1.0).prod(axis=-2).sum(axis=-2) / 2
+    ghz = np.array(states.GHZ_VALUES)
+    after = ghz * np.cumprod(scale, axis=0)
+    before = np.concatenate([ghz[None], after[:-1]])
+    return (lam * np.array(sign) * before[:, read]).sum(axis=1) / len(read), after
 
 
 def _bits(x):
@@ -868,13 +900,15 @@ def _bits(x):
 
 class TestFloatLoop:
     """A run computes its floats in one loop over Python floats
-    (`scenario._run_rows`), the ellipsoid series with numpy's stacked
-    kernels (`dephasing_scale`, `check_run_components`,
-    `t_state_diagonals`, `steering._ellipsoid_rows`).  The entry and
-    T-state sums and the ellipsoid rows are one function each, on Python
-    floats or on arrays; the dampings, the running product, the steering
-    values and the checks are written twice.  Both give the same floats,
-    compared bit for bit on the int64 view, which tells -0.0 from 0.0."""
+    (`scenario._run_rows`); the ellipsoid series calls the same kernels,
+    the damping (`measurement._damped`), the state check
+    (`states._state_entries`) and the T-state diagonal
+    (`states._t_state_diagonal`), on (k,) numpy columns, and reads its
+    ellipsoid rows with `steering._ellipsoid_rows`.  The run's components
+    and steering values equal a numpy evaluation stacked over pairs, written
+    apart (`_stacked_run`), and each kernel gives the same floats and
+    errors on floats as on columns, compared bit for bit on the int64 view,
+    which tells -0.0 from 0.0."""
 
     @pytest.mark.parametrize("mode", ["nonlocal", "local"])
     def test_run_floats_equal_stacked_path(self, mode):
@@ -895,9 +929,9 @@ class TestFloatLoop:
             want_values, c = _stacked_run(cfg)
             assert np.array_equal(_bits(values), _bits(want_values))
             assert np.array_equal(_bits(after), _bits(c))
-            d = states.t_state_diagonals(c)
-            stacked = [states.check_run_components(c), d, steering._ellipsoid_rows(d)]
-            loop = [[states._member_entries(m) for m in after],
+            d = stack_diagonals(c)
+            stacked = [stack_entries(c), d, steering._ellipsoid_rows(d)]
+            loop = [[states._state_entries(m) for m in after],
                     [states._t_state_diagonal(m) for m in after]]
             loop.append([steering._ellipsoid_row(x) for x in loop[1]])
             for got, want in zip(loop, stacked):
@@ -918,7 +952,7 @@ class TestFloatLoop:
         # that member alone; its T-state diagonal and ellipsoid row equal
         # the stacked ones wherever it is finite.
         rng = np.random.default_rng(3536)
-        signs = states._SIGNS  # (component, entry); weight j is [j, j] +- [j, 7-j]
+        signs = np.array(states._ENTRY_SIGNS).T  # (component, entry); weight j is [j, j] +- [j, 7-j]
         weights_to_components = 8 * np.hstack([signs[:, :4] + signs[:, 4:],
                                                signs[:, :4] - signs[:, 4:]])
         pool = [0.0, -0.0, 1.0, -1.0, 2 ** -0.5, -(2 ** -0.5), 0.5, -0.5, math.nan, math.inf]
@@ -935,16 +969,16 @@ class TestFloatLoop:
             member = c.tolist()
             try:
                 with np.errstate(invalid="ignore"):  # inf times a zero coefficient
-                    want = states.check_run_components(c[None])[0]
+                    want = stack_entries(c[None])[0]
             except ShapeError as exc:
                 with pytest.raises(ShapeError, match=f"^{re.escape(str(exc))}$"):
-                    states._member_entries(member)
+                    states._state_entries(member)
                 failed += 1
             else:
-                assert np.array_equal(_bits(states._member_entries(member)), _bits(want))
+                assert np.array_equal(_bits(states._state_entries(member)), _bits(want))
                 passed += 1
             if np.isfinite(c).all():
-                d = states.t_state_diagonals(c[None])
+                d = stack_diagonals(c[None])
                 got = states._t_state_diagonal(member)
                 assert np.array_equal(_bits(got), _bits(d[0]))
                 assert np.array_equal(_bits(steering._ellipsoid_row(got)),

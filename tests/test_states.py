@@ -1,28 +1,21 @@
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from steershare import scenario, states
+from steershare import measurement, scenario, states
 from steershare.errors import ShapeError
 from steershare.linalg import I2, PAULIS
 from steershare.scenario import make_config, run_scenario
-from steershare.states import (
-    GHZ_COMPONENTS,
-    GHZ_VALUES,
-    DensityMatrix,
-    check_run_components,
-    from_ghz_components,
-    ghz,
-    ket,
-    pauli_tensor,
-    t_state_diagonals,
-)
+from steershare.states import GHZ_VALUES, DensityMatrix, ghz, ket
 
-from oracles import NotCompressibleError, bloch_form, chain, compress, compressed_tensors, \
-    direction, full_product_states, run_components, state_from_tensor, support_faults
+from oracles import GHZ_COMPONENTS, PAULI_PRODUCTS, NotCompressibleError, bloch_form, chain, \
+    compress, compressed_tensors, direction, from_ghz_components, full_product_states, \
+    pauli_tensor, run_components, stack_diagonals, stack_entries, state_from_tensor, \
+    support_faults
 from util import random_density
 
 
@@ -172,7 +165,7 @@ class TestStackValidation:
         assert from_ghz_components(np.zeros((0, 8))) == []
 
     def test_built_stack_rejects_invalid_member(self):
-        c = np.stack([GHZ_VALUES, GHZ_VALUES * 1.5, GHZ_VALUES])
+        c = np.array([GHZ_VALUES]) * [[1.0], [1.5], [1.0]]
         assert _error(lambda: from_ghz_components(c)) == \
             _error(lambda: from_ghz_components(c[1][None]))
 
@@ -204,7 +197,7 @@ _RUN_FAILURES = {
 
 
 def _failing_run_components(kind, worse=False):
-    """GHZ components that fail one check of `check_run_components`, the
+    """GHZ components that fail one check of `states._state_entries`, the
     more so if `worse`, and the matrix they stand for, which `DensityMatrix`
     rejects with the same text."""
     weights = np.full(8, 1 / 8)
@@ -218,32 +211,83 @@ def _failing_run_components(kind, worse=False):
 
 
 class TestRunTensors:
-    """Closed-form validation of run states from their 8 GHZ components
-    (`check_run_components`, and per pair `_member_entries`): a state's
-    eigenvalues are its GHZ-basis weights, its diagonal entries plus or
-    minus its anti-diagonal ones (`states._SIGNS`).  Faults enter as
-    component values: a trace (III) off 1, or a component outside [-1, 1]
-    or a weight below 0."""
+    """Closed-form validation of run states from their 8 GHZ components by
+    one check, `states._state_entries`, on a run's floats per pair or on
+    the columns of a stack (`oracles.stack_entries`): a state's eigenvalues
+    are its GHZ-basis weights, its diagonal entries plus or minus its
+    anti-diagonal ones (`states._ENTRY_SIGNS`).  Faults enter as component
+    values: a trace (III) off 1, or a component outside [-1, 1] or a
+    weight below 0."""
 
     def test_spectrum_holds_ghz_basis_eigenvalues(self):
         # Each component product maps GHZ basis vector j (and 4+j) to 8 times
         # its [j, j] + [j, 7-j] (and [j, j] - [j, 7-j]) entries times itself.
-        basis, signs = _ghz_basis(), states._SIGNS
+        basis, signs = _ghz_basis(), np.array(states._ENTRY_SIGNS).T  # (component, entry)
         for row, idx in enumerate(np.argwhere(GHZ_COMPONENTS)):
             for k, v in enumerate(basis):
                 j, sign = k % 4, 1 - 2 * (k // 4)
                 want = 8 * (signs[row, j] + sign * signs[row, 4 + j])
                 assert np.array_equal(direction(idx) @ v, want * v)
         assert np.count_nonzero(signs) == 32 and set(np.abs(signs).ravel()) == {0.0, 0.125}
-        assert not signs.flags.writeable
+        assert isinstance(states._ENTRY_SIGNS, tuple)
+        assert all(isinstance(row, tuple) and all(type(x) is float for x in row)
+                   for row in states._ENTRY_SIGNS)
+
+    def test_sign_tables_are_product_entries(self):
+        # Each row of `_ENTRY_SIGNS` holds one entry of the 8 component
+        # products over 8: [j, j], then [j, 7-j].  Each row of
+        # `_T_AXIS_SIGNS` sums them to the compressed AB qubit's Pauli on
+        # span{|00>, |11>} tensor Charlie's.  Zeros are +0.0, as the sums'
+        # bits of a run with exact zero components depend on it.
+        products = PAULI_PRODUCTS[3][GHZ_COMPONENTS]
+        j = np.arange(4)
+        want = np.vstack([products[:, j, j].T, products[:, j, 7 - j].T]) / 8
+        entries = np.array(states._ENTRY_SIGNS)
+        assert np.array_equal(entries, want.real) and not want.imag.any()
+        iso = np.zeros((4, 2))
+        iso[0, 0] = iso[3, 1] = 1.0  # |00> and |11> as the compressed qubit's |0> and |1>
+        t_signs = np.array(states._T_AXIS_SIGNS)
+        for axis, row in zip(range(1, 4), t_signs):
+            sigma = PAULI_PRODUCTS[1][axis]
+            assert np.array_equal(np.einsum("i,iab->ab", row, products),
+                                  np.kron(iso @ sigma @ iso.T, sigma))
+        for table in (entries, t_signs):
+            assert not np.signbit(table[table == 0.0]).any()
+        assert all(type(x) is float for row in states._T_AXIS_SIGNS for x in row)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("at", [1, 2, 7])
+    def test_non_finite_component_fails_alike_as_floats_and_columns(self, value, at):
+        # Warnings as errors: an infinite component times a zero sign is a
+        # NaN entry, which numpy warns of on a column, and the ellipsoid
+        # series and a run refuse it with the same text as one member's
+        # floats.  The component enters through the one damping kernel.
+        c = [1.0] + [0.0] * 7
+        c[at] = value
+        want = (ShapeError, "negative eigenvalue nan")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _error(lambda: states._state_entries(c)) == want
+            real = measurement._damped
+
+            def faulty(c, *args):
+                c = real(c, *args)
+                c[at] = c[at] + value
+                return c
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(scenario, "_damped", faulty)
+                assert _error(lambda: scenario.ellipsoid_series([(0.5, 0.8)] * 3)) == want
+                for mode in ("nonlocal", "local"):
+                    assert _error(lambda: run_scenario(make_config(mode, [0.5, 0.8]))) == want
 
     @pytest.mark.parametrize("mode", ["nonlocal", "local"])
     def test_closed_form_min_eigenvalue_equals_eigvalsh(self, mode, monkeypatch):
         # The least GHZ-basis weight of each state a run validates, pair by
         # pair, against eigvalsh of the state the run builds from it.
         seen = []
-        real = scenario._member_entries
-        monkeypatch.setattr(scenario, "_member_entries",
+        real = scenario._state_entries
+        monkeypatch.setattr(scenario, "_state_entries",
                             lambda c: seen.append(real(c)) or seen[-1])
         rng = np.random.default_rng(91)
         worst = 0.0
@@ -261,7 +305,7 @@ class TestRunTensors:
         c, mat = _failing_run_components(kind)
         want = _error(lambda: DensityMatrix(3, mat))
         assert want == _RUN_FAILURES[kind]
-        assert _error(lambda: check_run_components(c[None])) == want
+        assert _error(lambda: stack_entries(c[None])) == want
 
     @pytest.mark.parametrize("at", [0, 1, 3])
     @pytest.mark.parametrize("idx", [(2, 1.25), (5, -1.5), (1, 3.0)])
@@ -272,30 +316,31 @@ class TestRunTensors:
         c[at, idx[0]] = idx[1]
         want = _error(lambda: DensityMatrix(3, full_product_states(c[at][None])[0]))
         assert want[1].startswith("negative eigenvalue -")
-        assert _error(lambda: check_run_components(c)) == want
+        assert _error(lambda: stack_entries(c)) == want
 
     @pytest.mark.parametrize("first, later", itertools.product(_RUN_FAILURES, repeat=2))
     def test_first_failing_member_wins(self, first, later):
         c = np.stack([_ghz_diagonal(np.full(8, 1 / 8))[1]] * 4)
         c[1], c[3] = _failing_run_components(first)[0], _failing_run_components(later, True)[0]
-        assert _error(lambda: check_run_components(c)) == _RUN_FAILURES[first]
+        assert _error(lambda: stack_entries(c)) == _RUN_FAILURES[first]
 
     def test_valid_and_empty_stacks_pass(self):
         rng = np.random.default_rng(12)
         c = np.stack([_ghz_diagonal(rng.dirichlet(np.ones(8)))[1] for _ in range(5)])
-        assert check_run_components(c).shape == (5, 8)
-        assert check_run_components(np.zeros((0, 8))).shape == (0, 8)
+        assert stack_entries(c).shape == (5, 8)
+        assert stack_entries(np.zeros((0, 8))).shape == (0, 8)
 
     @pytest.mark.parametrize("c, message", [
-        ([GHZ_VALUES.tolist()], "GHZ component stack is a list, not a numpy array"),
+        ([list(GHZ_VALUES)], "GHZ component stack is a list, not a numpy array"),
         (np.array([["1"] * 8]), "GHZ component stack dtype <U1 is not real"),
-        (GHZ_VALUES[None] + 0j, "GHZ component stack dtype complex128 is not real"),
-        (GHZ_VALUES, "run states expect (k, 8) GHZ components, got (8,)"),
+        (np.array([GHZ_VALUES]) + 0j, "GHZ component stack dtype complex128 is not real"),
+        (np.array(GHZ_VALUES), "run states expect (k, 8) GHZ components, got (8,)"),
         (np.zeros((1, 4, 4, 4)), "run states expect (k, 8) GHZ components, got (1, 4, 4, 4)"),
     ])
     def test_rejects_other_stacks(self, c, message):
-        for call in (check_run_components, from_ghz_components):
-            assert _error(lambda: call(c)) == (ShapeError, message)
+        # The input checks of the oracle's stack build; the package's check
+        # takes only a run's own floats or columns.
+        assert _error(lambda: from_ghz_components(c)) == (ShapeError, message)
 
 
 # Where each GHZ component lands in a compressed tensor: the AB
@@ -309,7 +354,7 @@ class TestRunStateSupport:
     """A run state is built on `SUPPORT` alone, its mirrored entries equal by
     construction, within rounding of the full 64-product build and of the
     Kraus chain, and its compression is diagonal: the facts that let
-    `check_run_components` be the one check of a run's invariant."""
+    `states._state_entries` be the one check of a run's invariant."""
 
     def test_states_match_full_product_to_1e15_on_support_and_zero_off_it(self):
         rng = np.random.default_rng(2028)
@@ -338,7 +383,7 @@ class TestRunStateSupport:
     def test_ghz_component_compresses_onto_one_diagonal_entry(self, component):
         # 2 III alone compresses to [0, 0] = 1 with weight 1, the least a
         # compression accepts; the component adds to one diagonal entry,
-        # whose T entry `t_state_diagonals` gives from the component alone.
+        # whose T entry `states._t_state_diagonal` gives from the component alone.
         row = np.flatnonzero(GHZ_COMPONENTS).tolist().index(np.ravel_multi_index(component, (4,) * 3))
         value = GHZ_VALUES[row]
         t = np.zeros((4, 4, 4))
@@ -349,7 +394,7 @@ class TestRunStateSupport:
         assert np.flatnonzero(small.view(np.int64)).tolist() == sorted({0, 5 * land})
         alone = np.zeros((1, 8))
         alone[0, row] = value
-        assert np.array_equal(t_state_diagonals(alone)[0], 2 * small.diagonal()[1:])
+        assert np.array_equal(stack_diagonals(alone)[0], 2 * small.diagonal()[1:])
 
 
 class TestCompress:
@@ -410,8 +455,8 @@ class TestPauliTensor:
             want[idx] = -1.0
         assert np.max(np.abs(pauli_tensor(ghz().mat) - want)) <= 1e-15
         assert np.array_equal(GHZ_COMPONENTS, want != 0)
-        assert GHZ_VALUES.tolist() == want[GHZ_COMPONENTS].tolist()
-        assert not GHZ_VALUES.flags.writeable and not GHZ_COMPONENTS.flags.writeable
+        assert GHZ_VALUES == tuple(want[GHZ_COMPONENTS].tolist())
+        assert all(type(x) is float for x in GHZ_VALUES) and not GHZ_COMPONENTS.flags.writeable
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):

@@ -14,7 +14,7 @@ from steershare.errors import (
     UnsupportedSizeError,
 )
 from steershare.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from steershare.states import DensityMatrix, ghz, pauli_tensor
+from steershare.states import DensityMatrix, ghz
 from steershare.steering import (
     StrengthHistory,
     classical_bound,
@@ -26,7 +26,7 @@ from steershare.steering import (
 )
 
 from oracles import BlochForm, bloch_form, compress, ellipsoid, ellipsoid_volume_check, \
-    ellipsoids, full_product_states, run_components, tie_broken_axes
+    ellipsoids, full_product_states, pauli_tensor, run_components, tie_broken_axes
 from util import conditional_charlie_bloch, containment_violation, pauli_dot, random_density
 
 SQRT_HALF = 1 / np.sqrt(2)
@@ -692,10 +692,9 @@ class TestTieBreakOracle:
 
 class TestRunScenarioErrors:
     """A run whose GHZ components at pair i are no state fails there, at
-    `states._member_entries`, the per-pair form of `check_run_components`
-    and the one check of a run's invariant, with the error and message of
-    pair i's own state as `DensityMatrix` reports it, before any state or
-    ellipsoid is built."""
+    `states._state_entries`, the one check of a run's invariant, with the
+    error and message of pair i's own state as `DensityMatrix` reports it,
+    before any state or ellipsoid is built."""
 
     def test_compression_failure(self):
         with pytest.raises(ConfigError) as err:
